@@ -23,7 +23,7 @@ import json
 import sys
 
 from .errors import DomainError, NonConvergenceError
-from .identities import CSV_FIELDS, IDENTITY_IDS, to_record, verify
+from .identities import CSV_FIELDS, IDENTITIES, IDENTITY_IDS, to_record, verify
 from .kbessel import BesselParams, eval_gmk_bessel, eval_k_bessel_first
 from .kgamma import k_gamma
 from .wright import WrightSpec, eval_k_wright, eval_pfq, eval_wright
@@ -32,11 +32,8 @@ __all__ = ["main"]
 
 _EVAL_FUNCTIONS = ("kgamma", "kbessel", "gmkbessel", "wright", "kwright", "pfq")
 
-_THEOREM_KEYS = ("k", "nu", "gamma", "lambda1", "c", "b", "mu", "lam", "a", "y")
-_OB_KEYS = ("mu", "lam", "a")
-
-_VERIFY_DEFAULTS_OB = {"mu": 1.0, "lam": 2.0, "a": 1.0}
-_VERIFY_DEFAULTS_TH = {
+# defaults for every parameter key; each identity uses those in its IDENTITIES[id].keys
+_VERIFY_DEFAULTS = {
     "k": 1.0,
     "nu": 1.0,
     "gamma": 1.0,
@@ -221,12 +218,9 @@ def _emit_records(records, fh, fmt) -> None:
 def _cmd_verify(args) -> int:
     identity = args.identity
     kv = _parse_kv(args.params)
-    if identity == "oberhettinger":
-        allowed, defaults = _OB_KEYS, _VERIFY_DEFAULTS_OB
-    else:
-        allowed, defaults = _THEOREM_KEYS, _VERIFY_DEFAULTS_TH
-    _check_keys(kv, allowed, "parameter")
-    params = dict(defaults)
+    keys = IDENTITIES[identity].keys
+    _check_keys(kv, keys, "parameter")
+    params = {key: _VERIFY_DEFAULTS[key] for key in keys}
     for key, val in kv.items():
         params[key] = _to_float(val, key)
 
@@ -243,7 +237,7 @@ def _cmd_verify(args) -> int:
         print(f"skipped: {report.diagnostics}")
     else:
         print(f"identity={report.identity_id}")
-        for key in _THEOREM_KEYS:
+        for key in keys:
             if key in report.params:
                 print(f"{key}={_fmt(float(report.params[key]))}")
         print(f"lhs={_fmt(report.lhs)}")
@@ -294,8 +288,7 @@ def _cmd_sweep(args) -> int:
     identity = cfg.get("identity")
     if not isinstance(identity, str) or identity not in IDENTITY_IDS:
         raise UsageError(f"config needs identity set to one of {', '.join(IDENTITY_IDS)}")
-    grid_keys = _OB_KEYS if identity == "oberhettinger" else _THEOREM_KEYS
-    defaults = _VERIFY_DEFAULTS_OB if identity == "oberhettinger" else _VERIFY_DEFAULTS_TH
+    grid_keys = IDENTITIES[identity].keys
 
     known = {"identity", "lam_minus_mu", "out", "format", *grid_keys, *_CONFIG_SCALAR_KEYS}
     for key in cfg:
@@ -326,7 +319,7 @@ def _cmd_sweep(args) -> int:
         elif key in cfg:
             lists.append((key, _config_value_list(key, cfg[key])))
         else:
-            lists.append((key, [defaults[key]]))
+            lists.append((key, [_VERIFY_DEFAULTS[key]]))
 
     out_path = args.out or cfg.get("out")
     fmt = args.format or cfg.get("format") or "csv"

@@ -21,23 +21,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional
 
 from .errors import DomainError, NonConvergenceError
-from .kbessel import BesselParams, SeriesResult, _accumulate, _signed_log_poch, eval_gmk_bessel
-from .kgamma import k_gamma, log_k_gamma
+from .kbessel import BesselParams, bessel_term_logsig, eval_gmk_bessel
 from .quadrature import (
     ObParams,
+    check_theorem_args,
     oberhettinger_closed_form,
     oberhettinger_lhs,
     theorem1_lhs,
     theorem2_lhs,
 )
-from .summation import dd_add, dd_div_d, dd_mul_d
-from .wright import WrightSpec, _term_value, eval_k_wright
+from .summation import SeriesResult, accumulate, dd_add, dd_div_d, dd_mul_d, logsig_pairs
+from .wright import WrightSpec, eval_k_wright, wright_term_logsig
 
 __all__ = [
+    "IDENTITIES",
     "IDENTITY_IDS",
+    "Identity",
     "VERDICTS",
     "IdentityReport",
     "theorem1_rhs_canonical",
@@ -51,16 +54,6 @@ __all__ = [
     "to_record",
     "CSV_FIELDS",
 ]
-
-IDENTITY_IDS = (
-    "oberhettinger",
-    "theorem1",
-    "theorem2",
-    "corollary1",
-    "corollary2",
-    "corollary3",
-    "corollary4",
-)
 
 VERDICTS = ("match", "canonical_only", "mismatch", "inconclusive")
 
@@ -103,47 +96,55 @@ class IdentityReport:
     series_terms: int
 
 
+@dataclass(frozen=True)
+class Identity:
+    """How `verify` checks one identity.
+
+    family 0 is the bare kernel integral; 1 and 2 weight the kernel with
+    the Bessel series at y/phi(x, a) and x y/phi(x, a).  keys are the
+    parameter names in record order.  fixed holds (key, value) pairs that
+    replace the caller's values, which is how the corollaries specialize
+    the theorems.  reduced selects the k = 1 packaged rows over the generic
+    ones; classical_j appends the gap to the classical J reduction.
+    """
+
+    family: int
+    keys: tuple[str, ...]
+    fixed: tuple[tuple[str, float], ...] = ()
+    reduced: bool = False
+    classical_j: bool = False
+
+
+_KERNEL_PARAMS = ("mu", "lam", "a")
+_WEIGHTED_PARAMS = ("k", "nu", "gamma", "lambda1", "c", "b", *_KERNEL_PARAMS, "y")
+_K_ONE = (("k", 1.0),)
+_CLASSICAL = (("k", 1.0), ("lambda1", 1.0), ("gamma", 1.0), ("b", 1.0), ("c", -1.0))
+
+IDENTITIES = MappingProxyType({
+    "oberhettinger": Identity(0, _KERNEL_PARAMS),
+    "theorem1": Identity(1, _WEIGHTED_PARAMS),
+    "theorem2": Identity(2, _WEIGHTED_PARAMS),
+    "corollary1": Identity(1, _WEIGHTED_PARAMS, _K_ONE, reduced=True),
+    "corollary2": Identity(1, _WEIGHTED_PARAMS, _CLASSICAL, classical_j=True),
+    "corollary3": Identity(2, _WEIGHTED_PARAMS, _K_ONE, reduced=True),
+    "corollary4": Identity(2, _WEIGHTED_PARAMS, _CLASSICAL, classical_j=True),
+})
+
+IDENTITY_IDS = tuple(IDENTITIES)
+
+
 def _rel(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y), 1e-300)
-
-
-def _check_theorem_args(which: int, bp: BesselParams, mu, lam, a, y) -> tuple[float, ...]:
-    mu, lam, a, y = float(mu), float(lam), float(a), float(y)
-    for name, v in (("mu", mu), ("lam", lam), ("a", a), ("y", y)):
-        if not math.isfinite(v):
-            raise DomainError(f"precondition: {name} must be finite, got {v!r}")
-    if not a > 0:
-        raise DomainError(f"precondition: a > 0 fails (a={a!r})")
-    if y < 0:
-        raise DomainError(f"precondition: y >= 0 fails (y={y!r})")
-    if which == 1 and not (lam + bp.nu > mu > 0.0):
-        raise DomainError(
-            f"precondition: lam + nu > mu > 0 fails (mu={mu!r}, lam={lam!r}, nu={bp.nu!r})"
-        )
-    if which == 2 and not (mu + bp.nu > 0.0 and mu < lam):
-        raise DomainError(
-            f"precondition: mu + nu > 0 and mu < lam fails (mu={mu!r}, lam={lam!r}, nu={bp.nu!r})"
-        )
-    return mu, lam, a, y
 
 
 def _canonical_term_logsig(
     which: int, bp: BesselParams, mu: float, lam: float, a: float, y: float, n: int
 ) -> tuple[float, int]:
     """(log |term_n|, sign) of the canonical right-side series."""
-    if bp.c == 0.0 and n > 0:
-        return -math.inf, 0
-    lp, sg = _signed_log_poch(bp.gamma, n, bp.k)
+    lg, sg = bessel_term_logsig(bp, 0.5 * y, n)
     if sg == 0:
-        return -math.inf, 0
-    if bp.c < 0.0 and n % 2:
-        sg = -sg
-    s0 = bp.nu + 0.5 * (bp.b + 1.0)
+        return lg, sg
     ln_ = lam + bp.nu + 2.0 * n
-    lg = (n * math.log(abs(bp.c)) if n else 0.0) + lp
-    lg += (bp.nu + 2.0 * n) * math.log(0.5 * y)
-    lg -= log_k_gamma(bp.lambda1 * n + s0, bp.k)
-    lg -= 2.0 * math.lgamma(n + 1.0)
     lg += math.log(2.0 * ln_) - ln_ * math.log(a)
     if which == 1:
         lg += mu * math.log(0.5 * a)
@@ -155,31 +156,19 @@ def _canonical_term_logsig(
     return lg, sg
 
 
-def _canonical_pairs(which, bp, mu, lam, a, y, max_terms):
-    cur, sg = _canonical_term_logsig(which, bp, mu, lam, a, y, 0)
-    for n in range(max_terms):
-        if sg == 0:
-            yield 0.0, 0.0
-            return
-        nxt, sg_next = _canonical_term_logsig(which, bp, mu, lam, a, y, n + 1)
-        t = sg * math.exp(cur)
-        rho = math.exp(nxt - cur) if sg_next != 0 else 0.0
-        yield t, rho
-        cur, sg = nxt, sg_next
-
-
 def _rhs_canonical(which, bp, mu, lam, a, y, tol, max_terms) -> SeriesResult:
-    mu, lam, a, y = _check_theorem_args(which, bp, mu, lam, a, y)
+    mu, lam, a, y = check_theorem_args(which, bp, mu, lam, a, y)
     if y == 0.0:
         if bp.nu > 0.0:
             return SeriesResult(0.0, 1, 0.0, True)
         lg, sg = _canonical_term_logsig(which, bp, mu, lam, a, 1.0, 0)
         # nu = 0 kills the (y/2)^(nu+2n) factor only for n > 0
         return SeriesResult(sg * math.exp(lg), 1, 0.0, True)
-    value, terms, tail, converged = _accumulate(
-        _canonical_pairs(which, bp, mu, lam, a, y, max_terms), tol, max_terms
-    )
-    return SeriesResult(value, terms, tail, converged)
+
+    def term_logsig(n):
+        return _canonical_term_logsig(which, bp, mu, lam, a, y, n)
+
+    return accumulate(logsig_pairs(term_logsig, 0.0, max_terms), tol, max_terms)
 
 
 def theorem1_rhs_canonical(
@@ -196,12 +185,35 @@ def theorem2_rhs_canonical(
     return _rhs_canonical(2, bp, mu, lam, a, y, tol, max_terms)
 
 
-def _paper_packaging(which: int, bp: BesselParams, mu: float, lam: float, a: float, y: float):
-    """(prefactor, WrightSpec, argument) of the packaged form, rows verbatim."""
+def _packaging(
+    which: int, reduced: bool, bp: BesselParams, mu: float, lam: float, a: float, y: float
+):
+    """(prefactor, WrightSpec, argument) of a packaged form, rows verbatim.
+
+    reduced selects the k = 1 reduced displays.  Both are stated after a
+    c -> -c substitution, so their series argument carries -c relative to
+    the generic packaging.
+    """
     k = bp.k
     nu = bp.nu
     s0 = nu + 0.5 * (bp.b + 1.0)
-    if which == 1:
+    if reduced and which == 1:
+        pref = 2.0 ** (1.0 - nu - mu) * a ** (mu - lam - nu) * y**nu * math.gamma(2.0 * mu)
+        spec = WrightSpec(
+            upper=((1.0 + lam + nu, 2.0), (nu + lam - mu, 2.0)),
+            lower=((s0, bp.lambda1), (1.0 + lam + nu + mu, 2.0), (lam + nu, 2.0)),
+            k_scale=1.0,
+        )
+        arg = -bp.c * y * y / (4.0 * a * a)
+    elif reduced:
+        pref = 2.0 ** (1.0 - 2.0 * nu - mu) * y**nu * a ** (mu - lam) * math.gamma(lam - mu)
+        spec = WrightSpec(
+            upper=((2.0 * (mu + nu), 4.0), (nu + lam + 1.0, 2.0)),
+            lower=((s0, bp.lambda1), (nu + lam, 2.0), (1.0 + lam + mu + 2.0 * nu, 4.0)),
+            k_scale=1.0,
+        )
+        arg = -bp.c * y * y / 4.0
+    elif which == 1:
         pref = (
             2.0 ** (1.0 - nu - mu)
             * a ** (mu - lam - nu)
@@ -232,11 +244,13 @@ def _paper_packaging(which: int, bp: BesselParams, mu: float, lam: float, a: flo
     return pref, spec, arg
 
 
-def _rhs_paper(which, bp, mu, lam, a, y, tol, max_terms) -> SeriesResult:
-    mu, lam, a, y = _check_theorem_args(which, bp, mu, lam, a, y)
+def _rhs_paper(which, reduced, bp, mu, lam, a, y, tol, max_terms) -> SeriesResult:
+    if reduced and bp.k != 1.0:
+        raise DomainError(f"reduced form needs k = 1, got k={bp.k!r}")
+    mu, lam, a, y = check_theorem_args(which, bp, mu, lam, a, y)
     if y == 0.0 and bp.nu > 0.0:
         return SeriesResult(0.0, 1, 0.0, True)
-    pref, spec, arg = _paper_packaging(which, bp, mu, lam, a, y)
+    pref, spec, arg = _packaging(which, reduced, bp, mu, lam, a, y)
     sr = eval_k_wright(spec, arg, tol=tol, max_terms=max_terms)
     return SeriesResult(pref * sr.value, sr.terms_used, abs(pref) * sr.tail_estimate, sr.converged)
 
@@ -245,52 +259,14 @@ def theorem1_rhs_paper(
     bp: BesselParams, mu, lam, a, y, tol: float = 1e-10, max_terms: int = 400
 ) -> SeriesResult:
     """The packaged k-Wright right side of the first identity, as displayed."""
-    return _rhs_paper(1, bp, mu, lam, a, y, tol, max_terms)
+    return _rhs_paper(1, False, bp, mu, lam, a, y, tol, max_terms)
 
 
 def theorem2_rhs_paper(
     bp: BesselParams, mu, lam, a, y, tol: float = 1e-10, max_terms: int = 400
 ) -> SeriesResult:
     """The packaged k-Wright right side of the second identity, as displayed."""
-    return _rhs_paper(2, bp, mu, lam, a, y, tol, max_terms)
-
-
-def _corollary_packaging(which: int, bp: BesselParams, mu: float, lam: float, a: float, y: float):
-    """(prefactor, WrightSpec, argument) of the k = 1 reduced packaging.
-
-    Both reduced displays are stated after a c -> -c substitution, so their
-    series argument carries -c relative to the generic packaging.
-    """
-    nu = bp.nu
-    s0 = nu + 0.5 * (bp.b + 1.0)
-    if which == 1:
-        pref = 2.0 ** (1.0 - nu - mu) * a ** (mu - lam - nu) * y**nu * math.gamma(2.0 * mu)
-        spec = WrightSpec(
-            upper=((1.0 + lam + nu, 2.0), (nu + lam - mu, 2.0)),
-            lower=((s0, bp.lambda1), (1.0 + lam + nu + mu, 2.0), (lam + nu, 2.0)),
-            k_scale=1.0,
-        )
-        arg = -bp.c * y * y / (4.0 * a * a)
-    else:
-        pref = 2.0 ** (1.0 - 2.0 * nu - mu) * y**nu * a ** (mu - lam) * math.gamma(lam - mu)
-        spec = WrightSpec(
-            upper=((2.0 * (mu + nu), 4.0), (nu + lam + 1.0, 2.0)),
-            lower=((s0, bp.lambda1), (nu + lam, 2.0), (1.0 + lam + mu + 2.0 * nu, 4.0)),
-            k_scale=1.0,
-        )
-        arg = -bp.c * y * y / 4.0
-    return pref, spec, arg
-
-
-def _corollary_rhs(which, bp, mu, lam, a, y, tol, max_terms) -> SeriesResult:
-    if bp.k != 1.0:
-        raise DomainError(f"reduced form needs k = 1, got k={bp.k!r}")
-    mu, lam, a, y = _check_theorem_args(which, bp, mu, lam, a, y)
-    if y == 0.0 and bp.nu > 0.0:
-        return SeriesResult(0.0, 1, 0.0, True)
-    pref, spec, arg = _corollary_packaging(which, bp, mu, lam, a, y)
-    sr = eval_k_wright(spec, arg, tol=tol, max_terms=max_terms)
-    return SeriesResult(pref * sr.value, sr.terms_used, abs(pref) * sr.tail_estimate, sr.converged)
+    return _rhs_paper(2, False, bp, mu, lam, a, y, tol, max_terms)
 
 
 def corollary1_rhs(
@@ -302,7 +278,7 @@ def corollary1_rhs(
     series argument is -c y^2/(4 a^2); it equals the generic packaging
     evaluated with c negated.
     """
-    return _corollary_rhs(1, bp, mu, lam, a, y, tol, max_terms)
+    return _rhs_paper(1, True, bp, mu, lam, a, y, tol, max_terms)
 
 
 def corollary3_rhs(
@@ -316,7 +292,7 @@ def corollary3_rhs(
     keeps the (nu + (b+1)/2, lambda1) entry, which agrees with the generic
     packaging's (nu + 1, lambda1) only at b = 1.
     """
-    return _corollary_rhs(2, bp, mu, lam, a, y, tol, max_terms)
+    return _rhs_paper(2, True, bp, mu, lam, a, y, tol, max_terms)
 
 
 def _classical_bessel_series(sign: float, nu: float, z: float) -> float:
@@ -365,62 +341,27 @@ def classical_reduction_check(kind: str, nu: float, z: float) -> float:
     return _rel(got, ref)
 
 
-_THEOREM_PARAM_KEYS = ("k", "nu", "gamma", "lambda1", "c", "b", "mu", "lam", "a", "y")
-
-# forced parameter values per reduced identity
-_FORCED = {
-    "corollary1": {"k": 1.0},
-    "corollary3": {"k": 1.0},
-    "corollary2": {"k": 1.0, "lambda1": 1.0, "gamma": 1.0, "b": 1.0, "c": -1.0},
-    "corollary4": {"k": 1.0, "lambda1": 1.0, "gamma": 1.0, "b": 1.0, "c": -1.0},
-}
-
-_FAMILY = {
-    "theorem1": 1,
-    "corollary1": 1,
-    "corollary2": 1,
-    "theorem2": 2,
-    "corollary3": 2,
-    "corollary4": 2,
-}
-
-_PAPER_FN = {
-    "theorem1": theorem1_rhs_paper,
-    "theorem2": theorem2_rhs_paper,
-    "corollary1": corollary1_rhs,
-    "corollary2": theorem1_rhs_paper,
-    "corollary3": corollary3_rhs,
-    "corollary4": theorem2_rhs_paper,
-}
-
-# how each identity packages its audited right side
-_PACKAGING = {
-    "theorem1": lambda bp, mu, lam, a, y: _paper_packaging(1, bp, mu, lam, a, y),
-    "theorem2": lambda bp, mu, lam, a, y: _paper_packaging(2, bp, mu, lam, a, y),
-    "corollary1": lambda bp, mu, lam, a, y: _corollary_packaging(1, bp, mu, lam, a, y),
-    "corollary2": lambda bp, mu, lam, a, y: _paper_packaging(1, bp, mu, lam, a, y),
-    "corollary3": lambda bp, mu, lam, a, y: _corollary_packaging(2, bp, mu, lam, a, y),
-    "corollary4": lambda bp, mu, lam, a, y: _paper_packaging(2, bp, mu, lam, a, y),
-}
-
-
-def _ratio_diagnostics(packaging, which, bp, mu, lam, a, y) -> str:
+def _ratio_diagnostics(row: Identity, bp, mu, lam, a, y) -> str:
     """Per-term packaged/canonical ratio for the first few indices."""
     if y == 0.0:
         y = 1.0  # the y-powers cancel in each ratio; avoid log(0)
     try:
-        pref, spec, arg = packaging(bp, mu, lam, a, y)
+        pref, spec, arg = _packaging(row.family, row.reduced, bp, mu, lam, a, y)
     except DomainError as exc:
         return f"packaged-form construction failed: {exc}"
+    paper_logsig = wright_term_logsig(spec.upper, spec.lower, spec.k_scale, arg)
+    # arg = 0 only at c = 0, where every canonical term past n = 0 vanishes
+    lz = math.log(abs(arg)) if arg else 0.0
     bits = []
     for n in range(3):
-        lg, sg = _canonical_term_logsig(which, bp, mu, lam, a, y, n)
+        lg, sg = _canonical_term_logsig(row.family, bp, mu, lam, a, y, n)
         canon = sg * math.exp(lg) if sg else 0.0
-        paper = pref * _term_value(spec, arg, n)
         if canon == 0.0:
             bits.append(f"n={n} n/a")
-        else:
-            bits.append(f"n={n} {paper / canon:.6g}")
+            continue
+        plg, psg = paper_logsig(n)
+        paper = pref * psg * math.exp(plg + n * lz)
+        bits.append(f"n={n} {paper / canon:.6g}")
     return "packaged/canonical term ratios: " + ", ".join(bits)
 
 
@@ -492,17 +433,18 @@ def verify(
     reports.
     """
     identity_id = str(identity_id).lower()
-    if identity_id not in IDENTITY_IDS:
+    if identity_id not in IDENTITIES:
         raise DomainError(f"unknown identity {identity_id!r}; expected one of {IDENTITY_IDS}")
     tolerances = {"quad": tol_quad, "series": tol_series, "match": tol_match}
-    if identity_id == "oberhettinger":
+    row = IDENTITIES[identity_id]
+    if row.family == 0:
         return _verify_oberhettinger(params, tolerances, tol_quad, tol_match, quad_budget)
 
-    eff = {key: params[key] for key in _THEOREM_PARAM_KEYS if key in params}
-    eff.update(_FORCED.get(identity_id, {}))
-    which = _FAMILY[identity_id]
+    eff = {key: params[key] for key in row.keys if key in params}
+    eff.update(row.fixed)
+    which = row.family
     try:
-        missing = [key for key in _THEOREM_PARAM_KEYS if key not in eff]
+        missing = [key for key in row.keys if key not in eff]
         if missing:
             raise DomainError(f"missing parameters {missing}")
         bp = BesselParams(
@@ -513,7 +455,7 @@ def verify(
             c=float(eff["c"]),
             b=float(eff["b"]),
         )
-        mu, lam, a, y = _check_theorem_args(which, bp, eff["mu"], eff["lam"], eff["a"], eff["y"])
+        mu, lam, a, y = check_theorem_args(which, bp, eff["mu"], eff["lam"], eff["a"], eff["y"])
     except (DomainError, TypeError, ValueError) as exc:
         msg = str(exc)
         if not msg.startswith("precondition"):
@@ -529,7 +471,7 @@ def verify(
             tol=tol_quad, budget=quad_budget, series_tol=tol_series, max_terms=max_terms,
         )
         rhs_c = _rhs_canonical(which, bp, mu, lam, a, y, tol_series, max_terms)
-        rhs_p = _PAPER_FN[identity_id](bp, mu, lam, a, y, tol=tol_series, max_terms=max_terms)
+        rhs_p = _rhs_paper(which, row.reduced, bp, mu, lam, a, y, tol_series, max_terms)
     except (DomainError, NonConvergenceError, OverflowError) as exc:
         return _report(identity_id, eff, tolerances, diagnostics=f"evaluation failed: {exc}")
 
@@ -550,11 +492,11 @@ def verify(
         verdict = "match"
     elif rel_c <= tol_match:
         verdict = "canonical_only"
-        diag = _ratio_diagnostics(_PACKAGING[identity_id], which, bp, mu, lam, a, y)
+        diag = _ratio_diagnostics(row, bp, mu, lam, a, y)
     else:
         verdict = "mismatch"
 
-    if identity_id in ("corollary2", "corollary4"):
+    if row.classical_j:
         z_red = y / a if which == 1 else 0.5 * y
         red = classical_reduction_check("bessel_J", bp.nu, z_red)
         extra = f"classical J reduction gap at z={z_red:.6g}: {red:.3e}"
@@ -591,7 +533,7 @@ def to_record(report: IdentityReport) -> dict:
     """
     rec = {field: None for field in CSV_FIELDS}
     rec["identity"] = report.identity_id
-    for key in _THEOREM_PARAM_KEYS:
+    for key in _WEIGHTED_PARAMS:
         if key in report.params:
             try:
                 rec[key] = float(report.params[key])

@@ -18,9 +18,7 @@ truncation contract:
   ratio taken from consecutive log Gamma_k values, accumulated with
   Neumaier compensation.
 
-Truncation stops once the term ratio rho is below 1 and non-increasing and
-the geometric tail bound |t| rho / (1 - rho) drops under tol, both relative
-to the partial sum and absolutely.
+Truncation follows the tail rule of `summation.accumulate`.
 """
 
 from __future__ import annotations
@@ -30,11 +28,12 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .kgamma import k_gamma, log_k_gamma
-from .summation import CompensatedSum, dd_add, dd_div_d, dd_mul_d
+from .summation import SeriesResult, accumulate, check_series_args, dd_add, dd_div_d, dd_mul_d
 
 __all__ = [
     "BesselParams",
     "SeriesResult",
+    "bessel_term_logsig",
     "eval_gmk_bessel",
     "eval_k_bessel_first",
     "gmk_bessel_term",
@@ -72,50 +71,6 @@ class BesselParams:
             )
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    value: float
-    terms_used: int
-    tail_estimate: float
-    converged: bool
-
-
-def _accumulate(pairs, tol: float, max_terms: int):
-    """Drive a (term, |next/current| ratio) stream under the tail rule.
-
-    A zero ratio marks exact termination (a Pochhammer factor hit zero).
-    Returns (value, terms_used, tail_estimate, converged).
-    """
-    acc = CompensatedSum()
-    rho_prev = math.inf
-    terms = 0
-    tail = math.inf
-    converged = False
-    last = 0.0
-    rho = math.inf
-    for t, rho in pairs:
-        acc.add(t)
-        terms += 1
-        last = t
-        if rho == 0.0:
-            tail = 0.0
-            converged = True
-            break
-        if rho < 1.0 and rho <= rho_prev:
-            bound = abs(t) * rho / (1.0 - rho)
-            s = abs(acc.value)
-            if bound <= tol * min(max(s, 1e-300), 1.0):
-                tail = bound
-                converged = True
-                break
-        rho_prev = rho
-        if terms >= max_terms:
-            break
-    if not converged:
-        tail = abs(last) * rho / (1.0 - rho) if rho < 1.0 else abs(last)
-    return acc.value, max(terms, 1), tail, converged
-
-
 def _signed_log_poch(x: float, n: int, k: float) -> tuple[float, int]:
     """(log |(x)_{n,k}|, sign); sign 0 when a factor vanishes."""
     lp = 0.0
@@ -130,28 +85,34 @@ def _signed_log_poch(x: float, n: int, k: float) -> tuple[float, int]:
     return lp, sg
 
 
-def gmk_bessel_term(p: BesselParams, z: float, n: int) -> float:
-    """n-th series term assembled from scratch (reference for the recurrences)."""
-    if n < 0:
-        raise DomainError(f"term index must be >= 0, got {n}")
-    s0 = p.nu + 0.5 * (p.b + 1.0)
-    if z == 0.0:
-        if n == 0 and p.nu == 0.0:
-            return 1.0 / k_gamma(s0, p.k)
-        return 0.0
+def bessel_term_logsig(p: BesselParams, w: float, n: int) -> tuple[float, int]:
+    """(log |n-th series term|, sign) at half-argument w = z/2 > 0; sign 0
+    when the term vanishes."""
     if p.c == 0.0 and n > 0:
-        return 0.0
+        return -math.inf, 0
     lp, sg = _signed_log_poch(p.gamma, n, p.k)
     if sg == 0:
-        return 0.0
+        return -math.inf, 0
     if p.c < 0.0 and n % 2:
         sg = -sg
-    w = 0.5 * z
+    s0 = p.nu + 0.5 * (p.b + 1.0)
     lg = (n * math.log(abs(p.c)) if n else 0.0) + lp
     lg += (p.nu + 2.0 * n) * math.log(w)
     lg -= log_k_gamma(p.lambda1 * n + s0, p.k)
     lg -= 2.0 * math.lgamma(n + 1.0)
-    return sg * math.exp(lg)
+    return lg, sg
+
+
+def gmk_bessel_term(p: BesselParams, z: float, n: int) -> float:
+    """n-th series term assembled from scratch (reference for the recurrences)."""
+    if n < 0:
+        raise DomainError(f"term index must be >= 0, got {n}")
+    if z == 0.0:
+        if n == 0 and p.nu == 0.0:
+            return 1.0 / k_gamma(p.nu + 0.5 * (p.b + 1.0), p.k)
+        return 0.0
+    lg, sg = bessel_term_logsig(p, 0.5 * z, n)
+    return sg * math.exp(lg) if sg else 0.0
 
 
 def _gmk_log_pairs(p: BesselParams, z: float, max_terms: int):
@@ -239,22 +200,11 @@ def _eval_gmk_dd(p: BesselParams, z: float, tol: float, max_terms: int, m: int) 
     return SeriesResult(pref * (acc[0] + acc[1]), terms, tail, converged)
 
 
-def _validate_eval_args(z: float, tol: float, max_terms: int) -> tuple[float, int]:
-    if not (isinstance(z, (int, float)) and math.isfinite(z)):
-        raise DomainError(f"argument must be a finite real, got {z!r}")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    max_terms = int(max_terms)
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
-    return float(z), max_terms
-
-
 def eval_gmk_bessel(
     p: BesselParams, z: float, tol: float = 1e-10, max_terms: int = 400
 ) -> SeriesResult:
     """Evaluate the generalized modified k-Bessel series at real z >= 0."""
-    z, max_terms = _validate_eval_args(z, tol, max_terms)
+    z, max_terms = check_series_args(z, tol, max_terms)
     if z < 0:
         raise DomainError(f"argument must be >= 0, got {z!r}")
     s0 = p.nu + 0.5 * (p.b + 1.0)
@@ -268,8 +218,7 @@ def eval_gmk_bessel(
     mi = round(m)
     if mi >= 1 and abs(m - mi) <= 1e-12 * m:
         return _eval_gmk_dd(p, z, tol, max_terms, mi)
-    value, terms, tail, converged = _accumulate(_gmk_log_pairs(p, z, max_terms), tol, max_terms)
-    return SeriesResult(value, terms, tail, converged)
+    return accumulate(_gmk_log_pairs(p, z, max_terms), tol, max_terms)
 
 
 def _k1_log_pairs(k: float, nu: float, gamma: float, lam: float, z: float, max_terms: int):
@@ -311,7 +260,7 @@ def eval_k_bessel_first(
 
     The argument enters at the first power, as defined for this variant.
     """
-    z, max_terms = _validate_eval_args(z, tol, max_terms)
+    z, max_terms = check_series_args(z, tol, max_terms)
     for name, v in (("k", k), ("nu", nu), ("gamma", gamma), ("lam", lam)):
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
             raise DomainError(f"{name} must be a finite real, got {v!r}")
@@ -323,9 +272,8 @@ def eval_k_bessel_first(
         raise DomainError(f"nu + 1 must be positive, got nu={nu!r}")
     if z == 0.0:
         return SeriesResult(1.0 / k_gamma(nu + 1.0, k), 1, 0.0, True)
-    value, terms, tail, converged = _accumulate(
+    return accumulate(
         _k1_log_pairs(float(k), float(nu), float(gamma), float(lam), z, max_terms),
         tol,
         max_terms,
     )
-    return SeriesResult(value, terms, tail, converged)

@@ -26,6 +26,7 @@ __all__ = [
     "phi",
     "oberhettinger_lhs",
     "oberhettinger_closed_form",
+    "check_theorem_args",
     "theorem1_lhs",
     "theorem2_lhs",
 ]
@@ -203,11 +204,32 @@ def oberhettinger_closed_form(p: ObParams) -> float:
     return math.exp(lg)
 
 
-def _check_scalar(name: str, v: float, positive: bool = False, nonneg: bool = False) -> float:
-    v = float(v)
-    if not math.isfinite(v) or (positive and not v > 0) or (nonneg and v < 0):
-        raise DomainError(f"invalid {name}: {v!r}")
-    return v
+def check_theorem_args(which: int, bp: BesselParams, mu, lam, a, y) -> tuple[float, ...]:
+    """Preconditions of the first (which=1) or second (which=2) identity;
+    returns (mu, lam, a, y) as floats.
+
+    Applying the kernel's closed form to the n-th series term needs
+    0 < mu < lam + nu + 2n for the first identity and exponent pairs
+    (mu + nu + 2n, lam + nu + 2n) with mu + nu > 0, mu < lam for the
+    second; n = 0 binds.
+    """
+    mu, lam, a, y = float(mu), float(lam), float(a), float(y)
+    for name, v in (("mu", mu), ("lam", lam), ("a", a), ("y", y)):
+        if not math.isfinite(v):
+            raise DomainError(f"precondition: {name} must be finite, got {v!r}")
+    if not a > 0:
+        raise DomainError(f"precondition: a > 0 fails (a={a!r})")
+    if y < 0:
+        raise DomainError(f"precondition: y >= 0 fails (y={y!r})")
+    if which == 1 and not (lam + bp.nu > mu > 0.0):
+        raise DomainError(
+            f"precondition: lam + nu > mu > 0 fails (mu={mu!r}, lam={lam!r}, nu={bp.nu!r})"
+        )
+    if which == 2 and not (mu + bp.nu > 0.0 and mu < lam):
+        raise DomainError(
+            f"precondition: mu + nu > 0 and mu < lam fails (mu={mu!r}, lam={lam!r}, nu={bp.nu!r})"
+        )
+    return mu, lam, a, y
 
 
 def _bessel_factor(bp: BesselParams, z: float, series_tol: float, max_terms: int) -> float:
@@ -218,6 +240,22 @@ def _bessel_factor(bp: BesselParams, z: float, series_tol: float, max_terms: int
             f"(terms={sr.terms_used}, tail={sr.tail_estimate!r})"
         )
     return sr.value
+
+
+def _weighted_kernel_lhs(which, bp, mu, lam, a, y, tol, budget, series_tol, max_terms):
+    mu, lam, a, y = check_theorem_args(which, bp, mu, lam, a, y)
+
+    def f(x: float) -> float:
+        ph = phi(x, a)
+        # x/ph <= 1, so grouping this way cannot overflow for huge x
+        z = y / ph if which == 1 else x / ph * y
+        v = _bessel_factor(bp, z, series_tol, max_terms)
+        if v == 0.0:
+            return 0.0
+        lf = (mu - 1.0) * math.log(x) - lam * math.log(ph) + math.log(abs(v))
+        return math.copysign(math.exp(lf), v)
+
+    return integrate_semi_infinite(f, tol=tol, budget=budget)
 
 
 def theorem1_lhs(
@@ -233,27 +271,9 @@ def theorem1_lhs(
 ) -> QuadResult:
     """Quadrature of int_0^inf x^(mu-1) phi^(-lam) J(y / phi(x, a)) dx.
 
-    Enforces lam + nu > mu > 0: applying the kernel's closed form to the
-    n-th series term needs 0 < mu < lam + nu + 2n, and n = 0 binds.
+    Enforces lam + nu > mu > 0 (see `check_theorem_args`).
     """
-    mu = _check_scalar("mu", mu)
-    lam = _check_scalar("lam", lam)
-    a = _check_scalar("a", a, positive=True)
-    y = _check_scalar("y", y, nonneg=True)
-    if not (lam + bp.nu > mu > 0.0):
-        raise DomainError(
-            f"precondition: lam + nu > mu > 0 fails (mu={mu!r}, lam={lam!r}, nu={bp.nu!r})"
-        )
-
-    def f(x: float) -> float:
-        ph = phi(x, a)
-        v = _bessel_factor(bp, y / ph, series_tol, max_terms)
-        if v == 0.0:
-            return 0.0
-        lf = (mu - 1.0) * math.log(x) - lam * math.log(ph) + math.log(abs(v))
-        return math.copysign(math.exp(lf), v)
-
-    return integrate_semi_infinite(f, tol=tol, budget=budget)
+    return _weighted_kernel_lhs(1, bp, mu, lam, a, y, tol, budget, series_tol, max_terms)
 
 
 def theorem2_lhs(
@@ -270,25 +290,6 @@ def theorem2_lhs(
     """Quadrature of int_0^inf x^(mu-1) phi^(-lam) J(x y / phi(x, a)) dx.
 
     The series argument tends to y/2 as x grows, so all decay comes from the
-    kernel; the per-term exponent pairs (mu + nu + 2n, lam + nu + 2n) require
-    mu + nu > 0 and mu < lam.
+    kernel; enforces mu + nu > 0 and mu < lam (see `check_theorem_args`).
     """
-    mu = _check_scalar("mu", mu)
-    lam = _check_scalar("lam", lam)
-    a = _check_scalar("a", a, positive=True)
-    y = _check_scalar("y", y, nonneg=True)
-    if not (mu + bp.nu > 0.0 and mu < lam):
-        raise DomainError(
-            f"precondition: mu + nu > 0 and mu < lam fails (mu={mu!r}, lam={lam!r}, nu={bp.nu!r})"
-        )
-
-    def f(x: float) -> float:
-        ph = phi(x, a)
-        # x/ph <= 1, so grouping this way cannot overflow for huge x
-        v = _bessel_factor(bp, x / ph * y, series_tol, max_terms)
-        if v == 0.0:
-            return 0.0
-        lf = (mu - 1.0) * math.log(x) - lam * math.log(ph) + math.log(abs(v))
-        return math.copysign(math.exp(lf), v)
-
-    return integrate_semi_infinite(f, tol=tol, budget=budget)
+    return _weighted_kernel_lhs(2, bp, mu, lam, a, y, tol, budget, series_tol, max_terms)

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .kbessel import SeriesResult, _accumulate
 from .kgamma import log_k_gamma
+from .summation import SeriesResult, accumulate, check_series_args, logsig_pairs
 
 __all__ = [
     "WrightSpec",
@@ -29,6 +29,7 @@ __all__ = [
     "eval_k_wright",
     "eval_pfq",
     "wright_pfq_reduction_check",
+    "wright_term_logsig",
 ]
 
 
@@ -79,52 +80,30 @@ def convergence_margin(s: WrightSpec) -> float:
     return math.fsum(wt for _, wt in s.lower) - math.fsum(wt for _, wt in s.upper)
 
 
-def _term_log(s: WrightSpec, n: int) -> float:
-    """log of the n-th term with z^n stripped out."""
-    lg = -math.lgamma(n + 1.0)
-    for off, wt in s.upper:
-        lg += log_k_gamma(off + wt * n, s.k_scale)
-    for off, wt in s.lower:
-        lg -= log_k_gamma(off + wt * n, s.k_scale)
-    return lg
+def wright_term_logsig(upper, lower, k_scale: float, z: float):
+    """n -> (log |n-th term| without its |z|^n factor, sign of the term)
+    for the rows (a_i, alpha_i) over (b_j, beta_j)."""
 
+    def term_logsig(n: int) -> tuple[float, int]:
+        lg = -math.lgamma(n + 1.0)
+        for off, wt in upper:
+            lg += log_k_gamma(off + wt * n, k_scale)
+        for off, wt in lower:
+            lg -= log_k_gamma(off + wt * n, k_scale)
+        return lg, -1 if z < 0 and n % 2 else 1
 
-def _term_value(s: WrightSpec, z: float, n: int) -> float:
-    """n-th term including z^n / n!; diagnostics helper."""
-    if z == 0.0:
-        return math.exp(_term_log(s, 0)) if n == 0 else 0.0
-    v = math.exp(_term_log(s, n) + n * math.log(abs(z)))
-    return -v if (z < 0 and n % 2) else v
-
-
-def _wright_pairs(s: WrightSpec, z: float, max_terms: int):
-    lz = math.log(abs(z))
-    cur = _term_log(s, 0)
-    for n in range(max_terms):
-        nxt = _term_log(s, n + 1)
-        t = math.exp(cur + n * lz)
-        if z < 0 and n % 2:
-            t = -t
-        yield t, math.exp(nxt - cur + lz)
-        cur = nxt
+    return term_logsig
 
 
 def eval_k_wright(
     s: WrightSpec, z: float, tol: float = 1e-10, max_terms: int = 400
 ) -> SeriesResult:
     """Evaluate the Gamma_k-deformed Wright series at real z."""
-    if not (isinstance(z, (int, float)) and math.isfinite(z)):
-        raise DomainError(f"argument must be a finite real, got {z!r}")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    max_terms = int(max_terms)
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
-    z = float(z)
+    z, max_terms = check_series_args(z, tol, max_terms)
+    term_logsig = wright_term_logsig(s.upper, s.lower, s.k_scale, z)
     if z == 0.0:
-        return SeriesResult(math.exp(_term_log(s, 0)), 1, 0.0, True)
-    value, terms, tail, converged = _accumulate(_wright_pairs(s, z, max_terms), tol, max_terms)
-    return SeriesResult(value, terms, tail, converged)
+        return SeriesResult(math.exp(term_logsig(0)[0]), 1, 0.0, True)
+    return accumulate(logsig_pairs(term_logsig, math.log(abs(z)), max_terms), tol, max_terms)
 
 
 def eval_wright(s: WrightSpec, z: float, tol: float = 1e-10, max_terms: int = 400) -> SeriesResult:
@@ -137,10 +116,13 @@ def eval_wright(s: WrightSpec, z: float, tol: float = 1e-10, max_terms: int = 40
 def _ratio_tail_bound(upper, dens, z: float, n: int) -> float:
     """Bound on every term ratio from index n on.
 
-    Each paired factor (a+m)/(d+m) moves monotonically toward 1 for m >= n,
-    so max(|current|, 1) bounds its whole tail; unpaired denominators only
-    shrink the ratio further.  dens must be positive.
+    Each paired factor (a+m)/(d+m) moves monotonically toward 1 for m >= n
+    once d + n > 0, so max(|current|, 1) bounds its whole tail; unpaired
+    denominators only shrink the ratio further.  While some d + n <= 0 the
+    ratios can still grow, and no bound (inf) is given.
     """
+    if min(dens) + n <= 0:
+        return math.inf
     rho = abs(z)
     for j, aj in enumerate(upper):
         rho *= max(abs(aj + n) / (dens[j] + n), 1.0)
@@ -176,9 +158,7 @@ def eval_pfq(
     lower = [float(v) for v in lower]
     if not all(math.isfinite(v) for v in upper + lower):
         raise DomainError("hypergeometric parameters must be finite")
-    if not (isinstance(z, (int, float)) and math.isfinite(z)):
-        raise DomainError(f"argument must be a finite real, got {z!r}")
-    z = float(z)
+    z, max_terms = check_series_args(z, tol, max_terms)
     p, q = len(upper), len(lower)
     if p > q + 1:
         raise DomainError(f"series diverges for p > q + 1 (p={p}, q={q})")
@@ -187,35 +167,18 @@ def eval_pfq(
     for bj in lower:
         if bj <= 0 and bj == math.floor(bj):
             raise DomainError(f"lower parameter {bj!r} is a nonpositive integer")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    max_terms = int(max_terms)
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
-    value, terms, tail, converged = _accumulate(
-        _pfq_pairs(upper, lower, z, max_terms), tol, max_terms
-    )
-    return SeriesResult(value, terms, tail, converged)
+    return accumulate(_pfq_pairs(upper, lower, z, max_terms), tol, max_terms)
 
 
 def _weight1_pairs(upper, lower, z: float, max_terms: int):
-    def term_log(n: int) -> float:
-        lg = -math.lgamma(n + 1.0)
-        for a in upper:
-            lg += math.lgamma(a + n)
-        for b in lower:
-            lg -= math.lgamma(b + n)
-        return lg
-
+    """Unit-weight Wright terms, with ratios replaced by the monotone pFq
+    tail bound (the weight-1 term ratios equal the pFq ones)."""
     dens = list(lower) + [1.0]
-    lz = math.log(abs(z))
-    cur = term_log(0)
-    for n in range(max_terms):
-        t = math.exp(cur + n * lz)
-        if z < 0 and n % 2:
-            t = -t
+    term_logsig = wright_term_logsig(
+        [(a, 1.0) for a in upper], [(b, 1.0) for b in lower], 1.0, z
+    )
+    for n, (t, _) in enumerate(logsig_pairs(term_logsig, math.log(abs(z)), max_terms)):
         yield t, _ratio_tail_bound(upper, dens, z, n)
-        cur = term_log(n + 1)
 
 
 def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_terms: int = 400) -> float:
@@ -240,9 +203,7 @@ def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_t
         if z == 0.0:
             lhs = scale
         else:
-            lhs, _, _, _ = _accumulate(
-                _weight1_pairs(upper, lower, float(z), max_terms), tol, max_terms
-            )
+            lhs = accumulate(_weight1_pairs(upper, lower, float(z), max_terms), tol, max_terms).value
     else:
         spec = WrightSpec(
             tuple((a, 1.0) for a in upper), tuple((b, 1.0) for b in lower), 1.0

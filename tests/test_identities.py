@@ -189,3 +189,35 @@ def test_to_record_skipped_has_no_nan():
 def test_identity_registry():
     assert "oberhettinger" in IDENTITY_IDS
     assert len(IDENTITY_IDS) == 7
+
+
+def test_verify_corollary3_flags_fourfold_ratio():
+    r = verify("corollary3", UNIT_PARAMS)
+    assert r.verdict == "canonical_only"
+    assert "n=1 -4" in r.diagnostics
+    assert "classical J" not in r.diagnostics
+
+
+def test_verify_corollary4_flags_ratio_and_classical_gap():
+    r = verify("corollary4", UNIT_PARAMS)
+    assert r.verdict == "canonical_only"
+    assert "n=1 4" in r.diagnostics
+    assert "classical J reduction gap" in r.diagnostics
+
+
+@pytest.mark.parametrize(
+    "identity, fixed",
+    [
+        ("corollary1", dict(k=1.0)),
+        ("corollary3", dict(k=1.0)),
+        ("corollary2", dict(k=1.0, lambda1=1.0, gamma=1.0, b=1.0, c=-1.0)),
+        ("corollary4", dict(k=1.0, lambda1=1.0, gamma=1.0, b=1.0, c=-1.0)),
+    ],
+)
+def test_verify_corollaries_override_fixed_parameters(identity, fixed):
+    supplied = dict(UNIT_PARAMS, k=2, lambda1=2, gamma=1.5, b=2)
+    r = verify(identity, supplied)
+    for key, value in fixed.items():
+        assert r.params[key] == value
+    for key in set(supplied) - set(fixed):
+        assert r.params[key] == float(supplied[key])

@@ -153,3 +153,15 @@ def test_reduction_check_examples():
     assert wright_pfq_reduction_check((1.0,), (1.0,), 1.0) <= 1e-12
     assert wright_pfq_reduction_check((2.0, 3.0), (4.0,), 0.3) <= 1e-10
     assert wright_pfq_reduction_check((0.5,), (1.5,), -1.0) <= 1e-10
+
+
+def test_pfq_negative_lower_parameter():
+    # b + n < 0 for the first terms: no tail bound may be certified there
+    mpmath = pytest.importorskip("mpmath")
+    r = eval_pfq((), (-1.5,), 3.0, tol=1e-13)
+    assert r.converged
+    assert r.tail_estimate >= 0.0
+    assert r.value == pytest.approx(float(mpmath.hyp0f1(-1.5, 3.0)), rel=1e-12)
+    r = eval_pfq((2.0,), (-2.5, 0.5), -4.0, tol=1e-13)
+    assert r.converged and r.tail_estimate >= 0.0
+    assert r.value == pytest.approx(float(mpmath.hyp1f2(2.0, -2.5, 0.5, -4.0)), rel=1e-12)
