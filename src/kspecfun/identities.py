@@ -365,6 +365,10 @@ def _ratio_diagnostics(row: Identity, bp, mu, lam, a, y) -> str:
     return "packaged/canonical term ratios: " + ", ".join(bits)
 
 
+def _joined(diag: str, extra: str) -> str:
+    return f"{diag}; {extra}" if diag and extra else diag or extra
+
+
 def _report(identity_id, params, tolerances, **kw) -> IdentityReport:
     defaults = dict(
         lhs=math.nan,
@@ -442,6 +446,11 @@ def verify(
 
     eff = {key: params[key] for key in row.keys if key in params}
     eff.update(row.fixed)
+    note = "; ".join(
+        f"fixed {key}={value!r} (given {params[key]!r})"
+        for key, value in row.fixed
+        if key in params and params[key] != value
+    )
     which = row.family
     try:
         missing = [key for key in row.keys if key not in eff]
@@ -460,7 +469,7 @@ def verify(
         msg = str(exc)
         if not msg.startswith("precondition"):
             msg = f"precondition: {msg}"
-        return _report(identity_id, eff, tolerances, diagnostics=msg)
+        return _report(identity_id, eff, tolerances, diagnostics=_joined(msg, note))
     eff = {"k": bp.k, "nu": bp.nu, "gamma": bp.gamma, "lambda1": bp.lambda1,
            "c": bp.c, "b": bp.b, "mu": mu, "lam": lam, "a": a, "y": y}
 
@@ -473,7 +482,8 @@ def verify(
         rhs_c = _rhs_canonical(which, bp, mu, lam, a, y, tol_series, max_terms)
         rhs_p = _rhs_paper(which, row.reduced, bp, mu, lam, a, y, tol_series, max_terms)
     except (DomainError, NonConvergenceError, OverflowError) as exc:
-        return _report(identity_id, eff, tolerances, diagnostics=f"evaluation failed: {exc}")
+        msg = f"evaluation failed: {exc}"
+        return _report(identity_id, eff, tolerances, diagnostics=_joined(msg, note))
 
     rel_c = _rel(lhs.value, rhs_c.value)
     rel_p = _rel(lhs.value, rhs_p.value)
@@ -499,8 +509,8 @@ def verify(
     if row.classical_j:
         z_red = y / a if which == 1 else 0.5 * y
         red = classical_reduction_check("bessel_J", bp.nu, z_red)
-        extra = f"classical J reduction gap at z={z_red:.6g}: {red:.3e}"
-        diag = f"{diag}; {extra}" if diag else extra
+        diag = _joined(diag, f"classical J reduction gap at z={z_red:.6g}: {red:.3e}")
+    diag = _joined(diag, note)
 
     return _report(
         identity_id,

@@ -1,24 +1,28 @@
 """Generalized modified k-Bessel series and its first-kind companion.
 
-The central object is the series
+Both are one power series,
+
+    S(x) = sum_n (gamma)_{n,k} x^n / (Gamma_k(lambda1 n + s0) (n!)^2):
+
+the generalized series is (z/2)^nu S(c (z/2)^2) with s0 = nu + (b+1)/2,
 
     J(z) = sum_n c^n (gamma)_{n,k} / Gamma_k(lambda1 n + nu + (b+1)/2)
-                 * (z/2)^(nu+2n) / (n!)^2
+                 * (z/2)^(nu+2n) / (n!)^2,
 
-together with the first-kind variant whose argument enters at the first
-power, (z/2)^n, exactly as defined.  Two evaluation paths share one
-truncation contract:
+and the first-kind variant is S(-z/2) with s0 = nu + 1, its argument
+entering at the first power.  One recurrence sums S for both:
 
-* when lambda1/k is a positive integer m, the k-Gamma ratio between
-  consecutive terms telescopes into an exact m-factor product, and the whole
-  recurrence runs in double-double arithmetic.  This is the path the
-  classical-reduction checks exercise, where alternating sums lose ~4 digits
-  to cancellation at z = 10 and plain doubles cannot hold 1e-12 agreement.
-* otherwise terms are carried in log-magnitude/sign form with the k-Gamma
+* in general, terms are carried in log-magnitude/sign form with the k-Gamma
   ratio taken from consecutive log Gamma_k values, accumulated with
-  Neumaier compensation.
+  Neumaier compensation;
+* for the generalized series with lambda1/k a positive integer m, the
+  k-Gamma ratio between consecutive terms telescopes into an exact m-factor
+  product, and the whole recurrence runs in double-double arithmetic.  This
+  is the path the classical-reduction checks exercise, where alternating
+  sums lose ~4 digits to cancellation at z = 10 and plain doubles cannot
+  hold 1e-12 agreement.
 
-Truncation follows the tail rule of `summation.accumulate`.
+Both paths stop on the one truncation rule, `summation.TailRule`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .kgamma import k_gamma, log_k_gamma
-from .summation import SeriesResult, accumulate, check_series_args, dd_add, dd_div_d, dd_mul_d
+from .summation import SeriesResult, TailRule, accumulate, check_series_args
+from .summation import dd_add, dd_div_d, dd_mul_d
 
 __all__ = [
     "BesselParams",
@@ -115,28 +120,29 @@ def gmk_bessel_term(p: BesselParams, z: float, n: int) -> float:
     return sg * math.exp(lg) if sg else 0.0
 
 
-def _gmk_log_pairs(p: BesselParams, z: float, max_terms: int):
-    """Incremental (term, ratio) stream in log-magnitude/sign form."""
-    w = 0.5 * z
-    s0 = p.nu + 0.5 * (p.b + 1.0)
-    lac = math.log(abs(p.c))
-    lw = math.log(w)
-    lgk = log_k_gamma(s0, p.k)
-    big = p.nu * lw - lgk
+def _log_pairs(k, gamma, lam, s0, lead, lc, lu, neg, max_terms: int):
+    """(term, ratio) stream of exp(lead) S(x) in log-magnitude/sign form, where
+
+        S(x) = sum_n (gamma)_{n,k} x^n / (Gamma_k(lam n + s0) (n!)^2)
+
+    at x = c u; lc = log|c| and lu = log|u| enter each ratio, neg = x < 0.
+    """
+    lgk = log_k_gamma(s0, k)
+    big = lead - lgk
     sgn = 1
     for n in range(max_terms):
         t = sgn * math.exp(big)
-        g = p.gamma + n * p.k
+        g = gamma + n * k
         if g == 0.0:
             yield t, 0.0
             return
-        lgk_next = log_k_gamma(p.lambda1 * (n + 1) + s0, p.k)
-        dlg = lac + math.log(abs(g)) + 2.0 * lw - 2.0 * math.log(n + 1.0)
+        lgk_next = log_k_gamma(lam * (n + 1) + s0, k)
+        dlg = lc + math.log(abs(g)) + lu - 2.0 * math.log(n + 1.0)
         dlg -= lgk_next - lgk
         yield t, math.exp(dlg)
         big += dlg
         lgk = lgk_next
-        if p.c < 0.0:
+        if neg:
             sgn = -sgn
         if g < 0.0:
             sgn = -sgn
@@ -156,33 +162,19 @@ def _eval_gmk_dd(p: BesselParams, z: float, tol: float, max_terms: int, m: int) 
     pref = w**p.nu / k_gamma(s0, p.k)
     t = (1.0, 0.0)
     acc = (1.0, 0.0)
-    rho_prev = math.inf
-    terms = 1
-    tail = math.inf
-    converged = False
-    rho = math.inf
+    rule = TailRule(tol, max_terms)
     n = 0
     while True:
         g = p.gamma + n * p.k
-        if g == 0.0:
-            tail = 0.0
-            converged = True
-            break
         base = p.lambda1 * n + s0
         rden = (n + 1.0) * (n + 1.0)
-        rho = abs(p.c) * abs(g) * w2 / rden
-        for j in range(m):
-            rho /= base + j * p.k
-        th = abs(t[0]) * pref
-        if rho < 1.0 and rho <= rho_prev:
-            bound = th * rho / (1.0 - rho)
-            s = abs(acc[0] + acc[1]) * pref
-            if bound <= tol * min(max(s, 1e-300), 1.0):
-                tail = bound
-                converged = True
-                break
-        rho_prev = rho
-        if terms >= max_terms:
+        if g == 0.0:
+            rho = 0.0  # exact termination, even where w2 overflows
+        else:
+            rho = abs(p.c) * abs(g) * w2 / rden
+            for j in range(m):
+                rho /= base + j * p.k
+        if rule.stop(abs(t[0]) * pref, rho, abs(acc[0] + acc[1]) * pref):
             break
         t = dd_mul_d(t, w2)
         t = dd_mul_d(t, g)
@@ -192,12 +184,8 @@ def _eval_gmk_dd(p: BesselParams, z: float, tol: float, max_terms: int, m: int) 
         for j in range(m):
             t = dd_div_d(t, base + j * p.k)
         acc = dd_add(acc, t)
-        terms += 1
         n += 1
-    if not converged:
-        last = abs(t[0]) * pref
-        tail = last * rho / (1.0 - rho) if rho < 1.0 else last
-    return SeriesResult(pref * (acc[0] + acc[1]), terms, tail, converged)
+    return rule.result(pref * (acc[0] + acc[1]))
 
 
 def eval_gmk_bessel(
@@ -208,42 +196,19 @@ def eval_gmk_bessel(
     if z < 0:
         raise DomainError(f"argument must be >= 0, got {z!r}")
     s0 = p.nu + 0.5 * (p.b + 1.0)
-    if z == 0.0:
-        value = 1.0 / k_gamma(s0, p.k) if p.nu == 0.0 else 0.0
-        return SeriesResult(value, 1, 0.0, True)
-    if p.c == 0.0:
-        value = (0.5 * z) ** p.nu / k_gamma(s0, p.k)
-        return SeriesResult(value, 1, 0.0, True)
+    if z == 0.0 or p.c == 0.0:
+        # only the n = 0 term (0**0 = 1 at nu = 0); a zero (z/2)^nu needs no
+        # Gamma_k(s0), which may overflow
+        lead = (0.5 * z) ** p.nu
+        return SeriesResult(lead / k_gamma(s0, p.k) if lead else 0.0, 1, 0.0, True)
     m = p.lambda1 / p.k
     mi = round(m)
     if mi >= 1 and abs(m - mi) <= 1e-12 * m:
         return _eval_gmk_dd(p, z, tol, max_terms, mi)
-    return accumulate(_gmk_log_pairs(p, z, max_terms), tol, max_terms)
-
-
-def _k1_log_pairs(k: float, nu: float, gamma: float, lam: float, z: float, max_terms: int):
-    w = 0.5 * z
-    lw = math.log(abs(w))
-    lgk = log_k_gamma(nu + 1.0, k)
-    big = -lgk
-    sgn = 1
-    for n in range(max_terms):
-        t = sgn * math.exp(big)
-        g = gamma + n * k
-        if g == 0.0:
-            yield t, 0.0
-            return
-        lgk_next = log_k_gamma(lam * (n + 1) + nu + 1.0, k)
-        dlg = math.log(abs(g)) + lw - 2.0 * math.log(n + 1.0)
-        dlg -= lgk_next - lgk
-        yield t, math.exp(dlg)
-        big += dlg
-        lgk = lgk_next
-        sgn = -sgn  # the series' own (-1)^n
-        if w < 0.0:
-            sgn = -sgn
-        if g < 0.0:
-            sgn = -sgn
+    lw = math.log(0.5 * z)
+    lc = math.log(abs(p.c))
+    pairs = _log_pairs(p.k, p.gamma, p.lambda1, s0, p.nu * lw, lc, 2.0 * lw, p.c < 0.0, max_terms)
+    return accumulate(pairs, tol, max_terms)
 
 
 def eval_k_bessel_first(
@@ -272,8 +237,6 @@ def eval_k_bessel_first(
         raise DomainError(f"nu + 1 must be positive, got nu={nu!r}")
     if z == 0.0:
         return SeriesResult(1.0 / k_gamma(nu + 1.0, k), 1, 0.0, True)
-    return accumulate(
-        _k1_log_pairs(float(k), float(nu), float(gamma), float(lam), z, max_terms),
-        tol,
-        max_terms,
-    )
+    lw = math.log(abs(0.5 * z))
+    pairs = _log_pairs(float(k), float(gamma), float(lam), nu + 1.0, 0.0, 0.0, lw, z > 0.0, max_terms)
+    return accumulate(pairs, tol, max_terms)

@@ -40,15 +40,21 @@ class KScale:
     k: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k) and self.k > 0):
-            raise DomainError(f"scale parameter must be positive and finite, got {self.k!r}")
+        _check_k(self.k)
+
+
+def _check_k(k):
+    """Return k if it is a positive finite real; raise DomainError otherwise."""
+    if not (isinstance(k, (int, float)) and math.isfinite(k) and k > 0):
+        raise DomainError(f"scale parameter must be positive and finite, got {k!r}")
+    return k
 
 
 def _kval(k: KScale | float) -> float:
     """Accept either a validated KScale or a bare positive float."""
     if isinstance(k, KScale):
         return float(k.k)
-    return float(KScale(float(k)).k)
+    return _check_k(float(k))
 
 
 def classical_gamma(z: float) -> float:

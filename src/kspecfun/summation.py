@@ -8,11 +8,12 @@ the reduction checks demand.  Terms on the hot path are therefore carried as
 unevaluated double-double pairs (hi, lo) built from error-free transforms,
 and everything else goes through Neumaier accumulation.
 
-Every series evaluator feeds a (term, |next/current| ratio) stream to
-`accumulate`, which stops once the ratio rho is below 1 and non-increasing
-and the geometric tail bound |t| rho / (1 - rho) drops under tol, both
-relative to the partial sum and absolutely.  `logsig_pairs` builds that
-stream from terms given in log-magnitude/sign form.
+Every series evaluator stops on one truncation rule, `TailRule`: the ratio
+rho must be below 1 and non-increasing and the geometric tail bound
+|t| rho / (1 - rho) under tol, both relative to the partial sum and
+absolutely.  `accumulate` applies it to a (term, |next/current| ratio)
+stream, which `logsig_pairs` builds from terms given in log-magnitude/sign
+form; the double-double Bessel recurrence applies it to its own sum.
 """
 
 from __future__ import annotations
@@ -85,13 +86,6 @@ def dd_div_d(x: tuple[float, float], d: float) -> tuple[float, float]:
     return fast_two_sum(q1, r / d)
 
 
-def dd_div(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    q1 = x[0] / y[0]
-    r = dd_add(x, dd_mul_d(y, -q1))
-    q2 = (r[0] + r[1]) / y[0]
-    return fast_two_sum(q1, q2)
-
-
 class CompensatedSum:
     """Neumaier running sum; `value` folds the carried correction back in."""
 
@@ -153,37 +147,60 @@ def logsig_pairs(term_logsig, lz: float, max_terms: int):
         cur, sg = nxt, sg_next
 
 
+class TailRule:
+    """The truncation rule every series evaluator stops on.
+
+    Feed `stop` each term's magnitude |t|, the ratio rho = |next/current|
+    and the magnitude |S| of the partial sum through that term.  A zero
+    ratio ends the series exactly.  Otherwise the geometric tail
+    |t| rho / (1 - rho) is certified once rho is below 1 and non-increasing
+    and the bound is <= tol * min(max(|S|, 1e-300), 1), relative to the sum
+    and never looser than absolute.  `stop` also says stop at the term cap;
+    `result` then reports the open-tail estimate of the last term.
+    """
+
+    __slots__ = ("tol", "max_terms", "terms", "last", "rho", "tail")
+
+    def __init__(self, tol: float, max_terms: int) -> None:
+        self.tol = tol
+        self.max_terms = max_terms
+        self.terms = 0
+        self.last = 0.0
+        self.rho = math.inf
+        self.tail = None  # the certified bound, once the rule holds
+
+    def stop(self, t_abs: float, rho: float, s_abs: float) -> bool:
+        rho_prev, self.rho = self.rho, rho
+        self.terms += 1
+        self.last = t_abs
+        if rho == 0.0:
+            self.tail = 0.0
+            return True
+        if rho < 1.0 and rho <= rho_prev:
+            bound = t_abs * rho / (1.0 - rho)
+            if bound <= self.tol * min(max(s_abs, 1e-300), 1.0):
+                self.tail = bound
+                return True
+        return self.terms >= self.max_terms
+
+    def result(self, value: float) -> SeriesResult:
+        if self.tail is not None:
+            return SeriesResult(value, self.terms, self.tail, True)
+        rho = self.rho
+        tail = self.last * rho / (1.0 - rho) if rho < 1.0 else self.last
+        return SeriesResult(value, max(self.terms, 1), tail, False)
+
+
 def accumulate(pairs, tol: float, max_terms: int) -> SeriesResult:
-    """Drive a (term, |next/current| ratio) stream under the tail rule.
+    """Sum a (term, |next/current| ratio) stream under `TailRule`.
 
     A zero ratio marks exact termination (a Pochhammer factor hit zero);
     an infinite one says no tail bound holds yet.
     """
     acc = CompensatedSum()
-    rho_prev = math.inf
-    terms = 0
-    tail = math.inf
-    converged = False
-    last = 0.0
-    rho = math.inf
+    rule = TailRule(tol, max_terms)
     for t, rho in pairs:
         acc.add(t)
-        terms += 1
-        last = t
-        if rho == 0.0:
-            tail = 0.0
-            converged = True
+        if rule.stop(abs(t), rho, abs(acc.value)):
             break
-        if rho < 1.0 and rho <= rho_prev:
-            bound = abs(t) * rho / (1.0 - rho)
-            s = abs(acc.value)
-            if bound <= tol * min(max(s, 1e-300), 1.0):
-                tail = bound
-                converged = True
-                break
-        rho_prev = rho
-        if terms >= max_terms:
-            break
-    if not converged:
-        tail = abs(last) * rho / (1.0 - rho) if rho < 1.0 else abs(last)
-    return SeriesResult(acc.value, max(terms, 1), tail, converged)
+    return rule.result(acc.value)

@@ -190,6 +190,10 @@ def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_t
     """
     upper = [float(v) for v in upper]
     lower = [float(v) for v in lower]
+    for side, vals in (("upper", upper), ("lower", lower)):
+        for v in vals:
+            if not v > 0:
+                raise DomainError(f"reduction check needs positive {side} parameters, got {v!r}")
     scale = math.exp(
         math.fsum(math.lgamma(a) for a in upper) - math.fsum(math.lgamma(b) for b in lower)
     )
@@ -198,8 +202,6 @@ def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_t
         # The weight-1 margin is exactly -1 here, so WrightSpec refuses to
         # construct; the series still converges inside |z| < 1 (enforced by
         # the pFq side), so sum it term by term.
-        if any(v <= 0 for v in upper + lower):
-            raise DomainError("reduction check needs positive parameters")
         if z == 0.0:
             lhs = scale
         else:

@@ -221,3 +221,17 @@ def test_verify_corollaries_override_fixed_parameters(identity, fixed):
         assert r.params[key] == value
     for key in set(supplied) - set(fixed):
         assert r.params[key] == float(supplied[key])
+
+
+def test_verify_notes_overridden_fixed_parameters():
+    r = verify("corollary1", dict(UNIT_PARAMS, k=2.0))
+    assert r.params["k"] == 1.0
+    assert r.diagnostics.endswith("; fixed k=1.0 (given 2.0)")
+    plain = verify("corollary1", dict(UNIT_PARAMS, k=1.0))
+    assert plain.diagnostics == r.diagnostics[: -len("; fixed k=1.0 (given 2.0)")]
+    assert "fixed" not in plain.diagnostics
+    r = verify("corollary2", dict(UNIT_PARAMS, c=1.0, gamma=0.5))
+    assert r.diagnostics.endswith("; fixed gamma=1.0 (given 0.5); fixed c=-1.0 (given 1.0)")
+    bad = verify("corollary3", dict(UNIT_PARAMS, k=3.0, mu=-1.0))
+    assert bad.diagnostics.startswith("precondition:")
+    assert bad.diagnostics.endswith("; fixed k=1.0 (given 3.0)")

@@ -2,10 +2,10 @@ import math
 
 import pytest
 
+from kspecfun import kbessel
 from kspecfun.errors import DomainError
 from kspecfun.kbessel import (
     BesselParams,
-    _gmk_log_pairs,
     eval_gmk_bessel,
     eval_k_bessel_first,
     gmk_bessel_term,
@@ -13,6 +13,15 @@ from kspecfun.kbessel import (
 from kspecfun.kgamma import k_gamma, k_pochhammer
 
 UNIT_J = BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=-1, b=1)
+
+
+def _log_stream(monkeypatch, evaluate, *args, max_terms):
+    """The (term, ratio) stream the log path hands to accumulate."""
+    seen = []
+    monkeypatch.setattr(kbessel, "accumulate", lambda pairs, tol, cap: seen.extend(pairs))
+    evaluate(*args, max_terms=max_terms)
+    assert seen
+    return seen
 
 
 def test_classical_j0():
@@ -59,25 +68,25 @@ def test_c_zero_collapses_to_first_term():
     assert r.terms_used == 1
 
 
-def test_incremental_matches_direct_terms():
+def test_incremental_matches_direct_terms(monkeypatch):
     # non-integer lambda1/k exercises the log-domain path
     p = BesselParams(k=1, nu=0.5, gamma=2.0, lambda1=1.5, c=-1, b=2)
     z = 4.0
-    pairs = _gmk_log_pairs(p, z, 120)
+    pairs = _log_stream(monkeypatch, eval_gmk_bessel, p, z, max_terms=120)
     terms = [t for t, _ in pairs]
     for n in range(101):
         direct = gmk_bessel_term(p, z, n)
         assert terms[n] == pytest.approx(direct, rel=1e-12)
 
 
-def test_term_recurrence_formula():
+def test_term_recurrence_formula(monkeypatch):
     # ratio compared in log form so deep-tail indices stay representable
     from kspecfun.kgamma import log_k_gamma
 
     p = BesselParams(k=2, nu=1.0, gamma=1.5, lambda1=3.0, c=-0.7, b=2)
     z = 2.5
     s0 = p.nu + 0.5 * (p.b + 1.0)
-    rhos = [rho for _, rho in _gmk_log_pairs(p, z, 102)]
+    rhos = [rho for _, rho in _log_stream(monkeypatch, eval_gmk_bessel, p, z, max_terms=102)]
     for n in range(101):
         log_r = log_k_gamma(p.lambda1 * (n + 1) + s0, p.k) - log_k_gamma(
             p.lambda1 * n + s0, p.k
@@ -96,6 +105,71 @@ def test_term_recurrence_formula():
         t_next = gmk_bessel_term(p, z, n + 1)
         assert t_n != 0.0
         assert (t_next < 0.0) == (t_n > 0.0)
+
+
+def _first_kind_term(k, nu, gamma, lam, z, n):
+    """n-th first-kind term from its definition, in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        k, nu, gamma, lam, z = map(mpmath.mpf, (k, nu, gamma, lam, z))
+        s = lam * n + nu + 1
+        poch = k**n * mpmath.rf(gamma / k, n)
+        gk = k ** (s / k - 1) * mpmath.gamma(s / k)
+        return poch / gk * (-z / 2) ** n / mpmath.factorial(n) ** 2
+
+
+@pytest.mark.parametrize(
+    "k, nu, gamma, lam, z",
+    [
+        (1.0, 0.0, 1.0, 1.0, 3.0),
+        (1.0, -0.4, -1.3, 0.8, -3.0),  # z < 0, nu in (-1, 0), gamma < 0
+        (1.5, -0.7, 2.0, 2.5, -1.2),
+        (2.0, 0.5, -4.0, 1.0, 2.0),  # gamma = -2k: the series stops after n = 2
+    ],
+)
+def test_first_kind_incremental_matches_direct_terms(monkeypatch, k, nu, gamma, lam, z):
+    pairs = _log_stream(monkeypatch, eval_k_bessel_first, k, nu, gamma, lam, z, max_terms=101)
+    for n, (t, rho) in enumerate(pairs):
+        direct = _first_kind_term(k, nu, gamma, lam, z, n)
+        following = _first_kind_term(k, nu, gamma, lam, z, n + 1)
+        if abs(direct) > 1e-290:  # terms compared where doubles hold them
+            assert t == pytest.approx(float(direct), rel=1e-12, abs=0.0)
+        if rho == 0.0:
+            assert following == 0
+            break
+        assert rho == pytest.approx(float(abs(following / direct)), rel=1e-12)
+    assert len(pairs) == (3 if gamma == -2 * k else 101)
+
+
+@pytest.mark.parametrize(
+    "k, nu, gamma, lam, z",
+    [
+        (1.0, 0.0, 1.0, 1.0, 2.0),
+        (1.0, 0.5, 1.5, 2.0, -3.0),  # lam/k integer: the double-double path
+        (2.0, -0.5, 1.5, 3.0, 4.0),  # lam/k = 1.5: the log path
+        (1.5, 1.0, -0.7, 0.7, -1.5),
+        (0.5, -0.3, 2.0, 0.9, 0.25),
+    ],
+)
+def test_first_kind_is_generalized_series_at_square_root(k, nu, gamma, lam, z):
+    # S(-z/2) with s0 = nu + 1 is the generalized series at nu' = 0,
+    # b = 2 nu + 1, c = -sign(z) and (z'/2)^2 = |z|/2
+    first = eval_k_bessel_first(k, nu, gamma, lam, z, tol=1e-15)
+    p = BesselParams(k=k, nu=0.0, gamma=gamma, lambda1=lam, c=-math.copysign(1.0, z), b=2 * nu + 1)
+    gen = eval_gmk_bessel(p, 2.0 * math.sqrt(abs(z) / 2.0), tol=1e-15)
+    assert first.converged and gen.converged
+    assert first.value == pytest.approx(gen.value, rel=1e-13)
+
+
+@pytest.mark.parametrize("z, tol", [(30.0, 1e-12), (2.0, 1e-300)])
+def test_dd_path_cap_reports_open_tail(z, tol):
+    r = eval_gmk_bessel(UNIT_J, z, tol=tol, max_terms=4)
+    assert not r.converged
+    assert r.terms_used == 4
+    last = abs(gmk_bessel_term(UNIT_J, z, 3))
+    rho = abs(gmk_bessel_term(UNIT_J, z, 4)) / last
+    expected = last * rho / (1.0 - rho) if rho < 1.0 else last
+    assert r.tail_estimate == pytest.approx(expected, rel=1e-12)
 
 
 def test_series_result_contract():

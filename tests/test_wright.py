@@ -155,6 +155,16 @@ def test_reduction_check_examples():
     assert wright_pfq_reduction_check((0.5,), (1.5,), -1.0) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "upper, lower, z, side",
+    [((-2,), (1,), 3.0, "upper -2.0"), ((1,), (0,), 0.5, "lower 0.0")],
+)
+def test_reduction_check_rejects_nonpositive_parameters(upper, lower, z, side):
+    # both the p = q + 1 branch and the generic one; Gamma has poles here
+    with pytest.raises(DomainError, match=side.replace(" ", " parameters.*")):
+        wright_pfq_reduction_check(upper, lower, z)
+
+
 def test_pfq_negative_lower_parameter():
     # b + n < 0 for the first terms: no tail bound may be certified there
     mpmath = pytest.importorskip("mpmath")
