@@ -1,11 +1,16 @@
 """Command-line front end: eval, verify, sweep.
 
 eval prints a single function value with convergence metadata and exits 0
-only when the series converged.  verify runs one identity check and exits 0
-only on verdict match or canonical_only.  sweep expands a flat JSON
-key-to-list config into a Cartesian grid, writes one record per point in
-deterministic order, prints a summary count line, and exits 0 only when no
-point produced a mismatch.
+only when the series converged.  One `_EVAL` table drives it: each row holds
+a function's parameter keys with their text defaults and its one evaluator
+call.  verify runs one identity check and exits 0 only on verdict match or
+canonical_only.  sweep expands a flat JSON key-to-list config into a
+Cartesian grid, writes one record per point in deterministic order, prints a
+summary count line, and exits 0 only when no point produced a mismatch.
+
+The tolerance and budget flags have no defaults here: only the ones set are
+passed on, so the library's defaults hold; sweep takes the library default,
+then the config value, then the flag.
 
 Records carry a fixed field set in both formats; the verdict vocabulary in
 records is {match, canonical_only, mismatch, skipped}, with skipped covering
@@ -26,11 +31,10 @@ from .errors import DomainError, NonConvergenceError
 from .identities import CSV_FIELDS, IDENTITIES, IDENTITY_IDS, to_record, verify
 from .kbessel import BesselParams, eval_gmk_bessel, eval_k_bessel_first
 from .kgamma import k_gamma
+from .summation import SeriesResult
 from .wright import WrightSpec, eval_k_wright, eval_pfq, eval_wright
 
 __all__ = ["main"]
-
-_EVAL_FUNCTIONS = ("kgamma", "kbessel", "gmkbessel", "wright", "kwright", "pfq")
 
 # defaults for every parameter key; each identity uses those in its IDENTITIES[id].keys
 _VERIFY_DEFAULTS = {
@@ -46,7 +50,41 @@ _VERIFY_DEFAULTS = {
     "y": 1.0,
 }
 
-_CONFIG_SCALAR_KEYS = ("tol_quad", "tol_series", "tol_match", "max_terms")
+# tolerance and budget settings by flag dest and config key, with their types
+_SETTINGS = {"tol_series": float, "max_terms": int, "tol_quad": float, "tol_match": float}
+
+# Keys are in the order the unknown-key message lists them; None marks the
+# required z.  The calls look the evaluators up at call time, so a rebound one
+# is seen.
+_EVAL = {
+    "kgamma": (
+        {"z": None, "k": "1"},
+        lambda flags, z, k: SeriesResult(k_gamma(z, k), 1, 0.0, True),
+    ),
+    "kbessel": (
+        {"z": None, "k": "1", "nu": "0", "gamma": "1", "lam": "1"},
+        lambda flags, z, k, nu, gamma, lam: eval_k_bessel_first(k, nu, gamma, lam, z, **flags),
+    ),
+    "gmkbessel": (
+        {"z": None, "k": "1", "nu": "0", "gamma": "1", "lambda1": "1", "c": "-1", "b": "1"},
+        lambda flags, z, **p: eval_gmk_bessel(BesselParams(**p), z, **flags),
+    ),
+    "wright": (
+        {"upper": "", "lower": "", "z": None},
+        lambda flags, z, **rows: eval_wright(WrightSpec(**rows), z, **flags),
+    ),
+    "kwright": (
+        {"upper": "", "lower": "", "z": None, "k_scale": "1"},
+        lambda flags, z, **spec: eval_k_wright(WrightSpec(**spec), z, **flags),
+    ),
+    "pfq": (
+        {"upper": "", "lower": "", "z": None},
+        lambda flags, z, upper, lower: eval_pfq(upper, lower, z, **flags),
+    ),
+}
+
+# IdentityReport fields that verify prints after the parameters, in order
+_REPORT_LINES = CSV_FIELDS[CSV_FIELDS.index("lhs"):] + ("diagnostics",)
 
 
 class UsageError(Exception):
@@ -106,94 +144,38 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _print_eval(value: float, terms: int, tail: float, converged: bool) -> None:
-    print(f"value={_fmt(float(value))}")
-    print(f"terms_used={terms}")
-    print(f"tail_estimate={_fmt(float(tail))}")
-    print(f"converged={_fmt(converged)}")
+def _flags(args) -> dict:
+    """The tolerance and budget flags set on the command line."""
+    return {key: getattr(args, key) for key in _SETTINGS if hasattr(args, key)}
 
 
 def _cmd_eval(args) -> int:
-    kv = _parse_kv(args.params)
     fn = args.function
-    tol = args.tol_series
-    max_terms = args.max_terms
-
-    if fn == "kgamma":
-        _check_keys(kv, ("z", "k"), "parameter")
-        if "z" not in kv:
-            raise UsageError("kgamma needs z=<value>")
-        value = k_gamma(_to_float(kv["z"], "z"), _to_float(kv.get("k", "1"), "k"))
-        _print_eval(value, 1, 0.0, True)
-        return 0
-
-    if fn == "kbessel":
-        _check_keys(kv, ("z", "k", "nu", "gamma", "lam"), "parameter")
-        if "z" not in kv:
-            raise UsageError("kbessel needs z=<value>")
-        res = eval_k_bessel_first(
-            _to_float(kv.get("k", "1"), "k"),
-            _to_float(kv.get("nu", "0"), "nu"),
-            _to_float(kv.get("gamma", "1"), "gamma"),
-            _to_float(kv.get("lam", "1"), "lam"),
-            _to_float(kv["z"], "z"),
-            tol=tol,
-            max_terms=max_terms,
-        )
-        _print_eval(res.value, res.terms_used, res.tail_estimate, res.converged)
-        return 0 if res.converged else 1
-
-    if fn == "gmkbessel":
-        _check_keys(kv, ("z", "k", "nu", "gamma", "lambda1", "c", "b"), "parameter")
-        if "z" not in kv:
-            raise UsageError("gmkbessel needs z=<value>")
-        bp = BesselParams(
-            k=_to_float(kv.get("k", "1"), "k"),
-            nu=_to_float(kv.get("nu", "0"), "nu"),
-            gamma=_to_float(kv.get("gamma", "1"), "gamma"),
-            lambda1=_to_float(kv.get("lambda1", "1"), "lambda1"),
-            c=_to_float(kv.get("c", "-1"), "c"),
-            b=_to_float(kv.get("b", "1"), "b"),
-        )
-        res = eval_gmk_bessel(bp, _to_float(kv["z"], "z"), tol=tol, max_terms=max_terms)
-        _print_eval(res.value, res.terms_used, res.tail_estimate, res.converged)
-        return 0 if res.converged else 1
-
-    if fn in ("wright", "kwright"):
-        allowed = ("upper", "lower", "z") + (("k_scale",) if fn == "kwright" else ())
-        _check_keys(kv, allowed, "parameter")
-        if "z" not in kv:
-            raise UsageError(f"{fn} needs z=<value>")
-        spec = WrightSpec(
-            upper=_parse_pairs(kv.get("upper", ""), "upper"),
-            lower=_parse_pairs(kv.get("lower", ""), "lower"),
-            k_scale=_to_float(kv.get("k_scale", "1"), "k_scale") if fn == "kwright" else 1.0,
-        )
-        z = _to_float(kv["z"], "z")
-        if fn == "kwright":
-            res = eval_k_wright(spec, z, tol=tol, max_terms=max_terms)
-        else:
-            res = eval_wright(spec, z, tol=tol, max_terms=max_terms)
-        _print_eval(res.value, res.terms_used, res.tail_estimate, res.converged)
-        return 0 if res.converged else 1
-
-    # pfq
-    _check_keys(kv, ("upper", "lower", "z"), "parameter")
+    keys, evaluate = _EVAL[fn]
+    kv = _parse_kv(args.params)
+    _check_keys(kv, keys, "parameter")
     if "z" not in kv:
-        raise UsageError("pfq needs z=<value>")
-    res = eval_pfq(
-        _parse_floats(kv.get("upper", ""), "upper"),
-        _parse_floats(kv.get("lower", ""), "lower"),
-        _to_float(kv["z"], "z"),
-        tol=tol,
-        max_terms=max_terms,
-    )
-    _print_eval(res.value, res.terms_used, res.tail_estimate, res.converged)
+        raise UsageError(f"{fn} needs z=<value>")
+    rows = _parse_floats if fn == "pfq" else _parse_pairs
+    values = {}
+    for key, default in keys.items():
+        parse = rows if key in ("upper", "lower") else _to_float
+        values[key] = parse(kv.get(key, default), key)
+    flags = _flags(args)
+    if "tol_series" in flags:
+        flags["tol"] = flags.pop("tol_series")
+    res = evaluate(flags, **values)
+    for name in ("value", "terms_used", "tail_estimate", "converged"):
+        print(f"{name}={_fmt(getattr(res, name))}")
     return 0 if res.converged else 1
 
 
-def _record_verdict(report) -> str:
-    return "skipped" if report.verdict == "inconclusive" else report.verdict
+def _record(report) -> dict:
+    """The report as a record; an inconclusive verdict is recorded as skipped."""
+    rec = to_record(report)
+    if rec["verdict"] == "inconclusive":
+        rec["verdict"] = "skipped"
+    return rec
 
 
 def _write_records(records, path, fmt) -> None:
@@ -224,39 +206,20 @@ def _cmd_verify(args) -> int:
     for key, val in kv.items():
         params[key] = _to_float(val, key)
 
-    report = verify(
-        identity,
-        params,
-        tol_quad=args.tol_quad,
-        tol_series=args.tol_series,
-        tol_match=args.tol_match,
-        max_terms=args.max_terms,
-    )
+    report = verify(identity, params, **_flags(args))
 
     if report.verdict == "inconclusive" and report.diagnostics.startswith("precondition"):
         print(f"skipped: {report.diagnostics}")
     else:
-        print(f"identity={report.identity_id}")
-        for key in keys:
-            if key in report.params:
-                print(f"{key}={_fmt(float(report.params[key]))}")
-        print(f"lhs={_fmt(report.lhs)}")
-        print(f"rhs_canonical={_fmt(report.rhs_canonical)}")
-        if report.rhs_paper is not None:
-            print(f"rhs_paper={_fmt(report.rhs_paper)}")
-        print(f"rel_diff_canonical={_fmt(report.rel_diff_canonical)}")
-        if report.rel_diff_paper is not None:
-            print(f"rel_diff_paper={_fmt(report.rel_diff_paper)}")
-        print(f"verdict={report.verdict}")
-        print(f"quad_evals={report.quad_evals}")
-        print(f"series_terms={report.series_terms}")
-        if report.diagnostics:
-            print(f"diagnostics={report.diagnostics}")
+        lines = [("identity", report.identity_id)]
+        lines += [(key, float(report.params[key])) for key in keys if key in report.params]
+        lines += [(name, getattr(report, name)) for name in _REPORT_LINES]
+        for name, value in lines:
+            if value is not None and value != "":
+                print(f"{name}={_fmt(value)}")
 
     if args.out:
-        rec = to_record(report)
-        rec["verdict"] = _record_verdict(report)
-        _write_records([rec], args.out, args.format)
+        _write_records([_record(report)], args.out, args.format)
 
     return 0 if report.verdict in ("match", "canonical_only") else 1
 
@@ -290,26 +253,22 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"config needs identity set to one of {', '.join(IDENTITY_IDS)}")
     grid_keys = IDENTITIES[identity].keys
 
-    known = {"identity", "lam_minus_mu", "out", "format", *grid_keys, *_CONFIG_SCALAR_KEYS}
+    known = {"identity", "lam_minus_mu", "out", "format", *grid_keys, *_SETTINGS}
     for key in cfg:
         if key not in known:
             raise UsageError(f"unknown config key {key!r}")
     if "lam" in cfg and "lam_minus_mu" in cfg:
         raise UsageError("config keys 'lam' and 'lam_minus_mu' are mutually exclusive")
 
-    scalars = {
-        "tol_quad": args.tol_quad,
-        "tol_series": args.tol_series,
-        "tol_match": args.tol_match,
-        "max_terms": args.max_terms,
-    }
-    for key in _CONFIG_SCALAR_KEYS:
+    # library default, then config value, then flag
+    settings = {}
+    for key in _SETTINGS:
         if key in cfg:
             value = cfg[key]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise UsageError(f"config key {key!r} must be a single number")
-            scalars[key] = value
-    scalars["max_terms"] = int(scalars["max_terms"])
+            settings[key] = int(value) if key == "max_terms" else value
+    settings.update(_flags(args))
 
     offset_lam = "lam_minus_mu" in cfg
     lists = []
@@ -321,6 +280,8 @@ def _cmd_sweep(args) -> int:
         else:
             lists.append((key, [_VERIFY_DEFAULTS[key]]))
 
+    if "out" in cfg and not (isinstance(cfg["out"], str) and cfg["out"]):
+        raise UsageError(f"config key 'out' must be a nonempty string, got {cfg['out']!r}")
     out_path = args.out or cfg.get("out")
     fmt = args.format or cfg.get("format") or "csv"
     if fmt not in ("csv", "json-lines"):
@@ -337,9 +298,8 @@ def _cmd_sweep(args) -> int:
             params[key] = value
         if offset_lam:
             params["lam"] = params["mu"] + params.pop("lam_minus_mu")
-        report = verify(identity, params, **scalars)
-        rec = to_record(report)
-        rec["verdict"] = _record_verdict(report)
+        report = verify(identity, params, **settings)
+        rec = _record(report)
         counts[rec["verdict"]] += 1
         if rec["verdict"] == "skipped":
             point = " ".join(f"{key}={_fmt(params[key])}" for key in sorted(params))
@@ -362,31 +322,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_series_flags(p):
-        p.add_argument("--tol-series", type=float, default=1e-10, dest="tol_series")
-        p.add_argument("--max-terms", type=int, default=400, dest="max_terms")
-
-    def add_verify_flags(p):
-        p.add_argument("--tol-quad", type=float, default=1e-8, dest="tol_quad")
-        p.add_argument("--tol-match", type=float, default=1e-5, dest="tol_match")
+    def add_flags(p, keys):
+        for key in keys:
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, type=_SETTINGS[key], default=argparse.SUPPRESS, dest=key)
 
     p_eval = sub.add_parser("eval", help="evaluate one function at key=value parameters")
-    p_eval.add_argument("function", choices=_EVAL_FUNCTIONS)
+    p_eval.add_argument("function", choices=tuple(_EVAL))
     p_eval.add_argument("params", nargs="*", metavar="key=value")
-    add_series_flags(p_eval)
+    add_flags(p_eval, ("tol_series", "max_terms"))
 
     p_verify = sub.add_parser("verify", help="check one identity at key=value parameters")
     p_verify.add_argument("identity", choices=IDENTITY_IDS)
     p_verify.add_argument("params", nargs="*", metavar="key=value")
-    add_series_flags(p_verify)
-    add_verify_flags(p_verify)
+    add_flags(p_verify, _SETTINGS)
     p_verify.add_argument("--out", help="write the machine-readable record here")
     p_verify.add_argument("--format", choices=("csv", "json-lines"), default="csv")
 
     p_sweep = sub.add_parser("sweep", help="verify an identity over a parameter grid")
     p_sweep.add_argument("--config", required=True, help="flat JSON key-to-list grid config")
-    add_series_flags(p_sweep)
-    add_verify_flags(p_sweep)
+    add_flags(p_sweep, _SETTINGS)
     p_sweep.add_argument("--out", help="write records here (default: config 'out' or stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json-lines"), default=None)
 
@@ -402,10 +357,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_sweep(args)
-    except (UsageError, DomainError, NonConvergenceError, OverflowError) as exc:
-        print(f"kspecfun: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, DomainError, NonConvergenceError, OverflowError, OSError) as exc:
         print(f"kspecfun: {exc}", file=sys.stderr)
         return 2
 

@@ -114,10 +114,25 @@ def gmk_bessel_term(p: BesselParams, z: float, n: int) -> float:
         raise DomainError(f"term index must be >= 0, got {n}")
     if z == 0.0:
         if n == 0 and p.nu == 0.0:
-            return 1.0 / k_gamma(p.nu + 0.5 * (p.b + 1.0), p.k)
+            return _lead(0.0, 0.0, p.nu + 0.5 * (p.b + 1.0), p.k)
         return 0.0
     lg, sg = bessel_term_logsig(p, 0.5 * z, n)
     return sg * math.exp(lg) if sg else 0.0
+
+
+def _lead(w: float, e: float, s0: float, k: float) -> float:
+    """Leading factor w**e / Gamma_k(s0), 0**0 = 1; through logs where a
+    factor leaves double range (OverflowError, or Gamma_k inf or 0)."""
+    try:
+        lead = w**e
+        if not lead:
+            return 0.0  # needs no Gamma_k(s0)
+        g = k_gamma(s0, k)
+        if 0.0 < g < math.inf:
+            return lead / g
+    except OverflowError:
+        pass
+    return math.exp((e * math.log(w) if e else 0.0) - log_k_gamma(s0, k))
 
 
 def _log_pairs(k, gamma, lam, s0, lead, lc, lu, neg, max_terms: int):
@@ -153,13 +168,13 @@ def _eval_gmk_dd(p: BesselParams, z: float, tol: float, max_terms: int, m: int) 
 
     Gamma_k(s + m k) / Gamma_k(s) telescopes to prod_{j<m} (s + j k), so the
     term ratio is a short product of exact doubles and the running term never
-    leaves double-double form.  The (z/2)^nu / Gamma_k(...) prefactor is a
+    leaves double-double form.  The (z/2)^nu / Gamma_k(s0) prefactor is a
     common factor and is applied once at the end.
     """
     w = 0.5 * z
     w2 = w * w
     s0 = p.nu + 0.5 * (p.b + 1.0)
-    pref = w**p.nu / k_gamma(s0, p.k)
+    pref = _lead(w, p.nu, s0, p.k)
     t = (1.0, 0.0)
     acc = (1.0, 0.0)
     rule = TailRule(tol, max_terms)
@@ -197,10 +212,8 @@ def eval_gmk_bessel(
         raise DomainError(f"argument must be >= 0, got {z!r}")
     s0 = p.nu + 0.5 * (p.b + 1.0)
     if z == 0.0 or p.c == 0.0:
-        # only the n = 0 term (0**0 = 1 at nu = 0); a zero (z/2)^nu needs no
-        # Gamma_k(s0), which may overflow
-        lead = (0.5 * z) ** p.nu
-        return SeriesResult(lead / k_gamma(s0, p.k) if lead else 0.0, 1, 0.0, True)
+        # only the n = 0 term
+        return SeriesResult(_lead(0.5 * z, p.nu, s0, p.k), 1, 0.0, True)
     m = p.lambda1 / p.k
     mi = round(m)
     if mi >= 1 and abs(m - mi) <= 1e-12 * m:
@@ -236,7 +249,7 @@ def eval_k_bessel_first(
     if not nu + 1.0 > 0:
         raise DomainError(f"nu + 1 must be positive, got nu={nu!r}")
     if z == 0.0:
-        return SeriesResult(1.0 / k_gamma(nu + 1.0, k), 1, 0.0, True)
+        return SeriesResult(_lead(0.0, 0.0, nu + 1.0, k), 1, 0.0, True)
     lw = math.log(abs(0.5 * z))
     pairs = _log_pairs(float(k), float(gamma), float(lam), nu + 1.0, 0.0, 0.0, lw, z > 0.0, max_terms)
     return accumulate(pairs, tol, max_terms)

@@ -152,9 +152,8 @@ def integrate_semi_infinite(f, tol: float = 1e-10, budget: int = 60000) -> QuadR
         tick += 1
 
     err_total = math.fsum(item[5] for item in heap)
-    val_total = math.fsum(item[4] for item in heap)
     while err_total > tol and evals + 30 <= budget:
-        _, _, a, b, v, e = heapq.heappop(heap)
+        _, _, a, b, _, e = heapq.heappop(heap)
         midp = 0.5 * (a + b)
         v1, e1 = _gk15(g, a, midp)
         v2, e2 = _gk15(g, midp, b)
@@ -164,7 +163,6 @@ def integrate_semi_infinite(f, tol: float = 1e-10, budget: int = 60000) -> QuadR
         heapq.heappush(heap, (-e2, tick, midp, b, v2, e2))
         tick += 1
         err_total += (e1 + e2) - e
-        val_total += (v1 + v2) - v
         if err_total < 0.25 * tol or tick % 64 == 0:
             # running corrections drift; refresh before trusting a near-tol value
             err_total = math.fsum(item[5] for item in heap)

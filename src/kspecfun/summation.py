@@ -66,12 +66,6 @@ def dd_add(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float
     return fast_two_sum(s, e)
 
 
-def dd_mul(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    p, e = two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    return fast_two_sum(p, e)
-
-
 def dd_mul_d(x: tuple[float, float], d: float) -> tuple[float, float]:
     p, e = two_prod(x[0], d)
     e += x[1] * d

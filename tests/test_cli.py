@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from kspecfun import cli
+
 
 def run_cli(*args, **kw):
     return subprocess.run(
@@ -155,3 +157,112 @@ def test_sweep_stdout_records(tmp_path):
 def test_usage_error_exit_code():
     r = run_cli("eval", "kgamma", "z")
     assert r.returncode == 2
+
+
+# In-process checks of the exact bytes the CLI prints; the strings are the
+# README commands' output and must not change with refactors of cli.py.
+
+README_STDOUT = {
+    "eval kgamma z=2 k=2": "value=1.0\nterms_used=1\ntail_estimate=0.0\nconverged=true\n",
+    "eval gmkbessel z=2 k=1 nu=0 gamma=1 lambda1=1 c=-1 b=1": (
+        "value=0.2238907791487544\nterms_used=9\n"
+        "tail_estimate=7.688984158478207e-12\nconverged=true\n"
+    ),
+    "eval wright upper=1.5:0.5,2:1 lower=3:1 z=0.25": (
+        "value=0.5379715890264383\nterms_used=10\n"
+        "tail_estimate=6.671652027984662e-12\nconverged=true\n"
+    ),
+    "eval pfq upper=1,1 lower=2 z=0.5": (
+        "value=1.386294361061578\nterms_used=30\n"
+        "tail_estimate=6.208817164103191e-11\nconverged=true\n"
+    ),
+    "verify theorem1 k=2 nu=0.5 gamma=1.5 lambda1=2 c=1 b=2 mu=0.5 lam=1.5 a=2 y=0.5": (
+        "identity=theorem1\nk=2.0\nnu=0.5\ngamma=1.5\nlambda1=2.0\nc=1.0\nb=2.0\n"
+        "mu=0.5\nlam=1.5\na=2.0\ny=0.5\nlhs=0.134079063552583\n"
+        "rhs_canonical=0.13407906355308144\nrhs_paper=0.01672875071547764\n"
+        "rel_diff_canonical=3.717467990132072e-12\nrel_diff_paper=0.87523219306408\n"
+        "verdict=canonical_only\nquad_evals=240\nseries_terms=4\n"
+        "diagnostics=packaged/canonical term ratios: n=0 0.125, n=1 0.0833333, n=2 0.047619\n"
+    ),
+    "verify oberhettinger mu=1 lam=2 a=1 --out row.csv": (
+        "identity=oberhettinger\nmu=1.0\nlam=2.0\na=1.0\nlhs=0.3333333333333333\n"
+        "rhs_canonical=0.3333333333333332\nrel_diff_canonical=3.3306690738754696e-16\n"
+        "verdict=match\nquad_evals=240\nseries_terms=0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", README_STDOUT)
+def test_readme_command_stdout(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(command.split()) == 0
+    out, err = capsys.readouterr()
+    assert out == README_STDOUT[command]
+    assert err == ""
+    if "--out" in command:
+        assert (tmp_path / "row.csv").read_text() == (
+            "identity,k,nu,gamma,lambda1,c,b,mu,lam,a,y,lhs,rhs_canonical,rhs_paper,"
+            "rel_diff_canonical,rel_diff_paper,verdict,quad_evals,series_terms\n"
+            "oberhettinger,,,,,,,1.0,2.0,1.0,,0.3333333333333333,0.3333333333333332,,"
+            "3.3306690738754696e-16,,match,240,0\n"
+        )
+
+
+def test_readme_sweep_summary(capsys, tmp_path):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "identity": "oberhettinger",
+                "mu": [0.5, 1.0, 1.5],
+                "lam_minus_mu": [0.5, 1.0, 2.0],
+                "a": [0.5, 1.0, 2.0],
+            }
+        )
+    )
+    rows = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(rows)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "match=27 canonical_only=0 mismatch=0 skipped=0\n"
+    assert err == ""
+    assert len(rows.read_text().splitlines()) == 28
+
+
+@pytest.mark.parametrize(
+    "function, allowed",
+    [
+        ("kgamma", "z, k"),
+        ("kbessel", "z, k, nu, gamma, lam"),
+        ("gmkbessel", "z, k, nu, gamma, lambda1, c, b"),
+        ("wright", "upper, lower, z"),
+        ("kwright", "upper, lower, z, k_scale"),
+        ("pfq", "upper, lower, z"),
+    ],
+)
+def test_eval_unknown_key_message(function, allowed, capsys):
+    assert cli.main(["eval", function, "z=0.5", "bogus=1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"kspecfun: unknown parameter key 'bogus'; allowed: {allowed}\n"
+
+
+def test_sweep_flag_beats_config(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"identity": "theorem1", "max_terms": 1}))
+    assert cli.main(["sweep", "--config", str(cfg), "--max-terms", "400"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].split(",")[-3] == "match"
+    assert err == "match=1 canonical_only=0 mismatch=0 skipped=0\n"
+
+
+@pytest.mark.parametrize("out", [2, ["x"], "", None])
+def test_sweep_rejects_bad_config_out(out, capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "verify", lambda *a, **kw: calls.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"identity": "oberhettinger", "out": out}))
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"kspecfun: config key 'out' must be a nonempty string, got {out!r}\n"
+    assert calls == []

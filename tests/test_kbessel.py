@@ -199,6 +199,32 @@ def test_first_kind_z_zero():
     assert r.terms_used == 1
 
 
+_K10 = dict(k=10, nu=1499, gamma=1, lambda1=10, c=-1, b=1)
+
+
+@pytest.mark.parametrize(
+    "p, z, expected",
+    [
+        # Gamma_k(121) at k = 0.5 raises OverflowError: the dd path and c = 0
+        (BesselParams(k=0.5, nu=120, gamma=1, lambda1=1, c=-1, b=1), 50.0, 1.9546852475857787e-231),
+        (BesselParams(k=0.5, nu=120, gamma=1, lambda1=1, c=0, b=1), 50.0, 2.040066138757104e-231),
+        # Gamma_10(1500) comes back as inf; at z = 3.8, (z/2)^1499 also overflows
+        (BesselParams(**_K10), 3.0, 2.3952227390735614e-146),
+        (BesselParams(**_K10), 3.8, 186125580.31211775),
+    ],
+)
+def test_lead_factor_outside_double_range(p, z, expected):
+    # 50-digit mpmath sums of the defining series
+    r = eval_gmk_bessel(p, z)
+    assert r.converged
+    assert r.value == pytest.approx(expected, rel=1e-9, abs=0)
+
+
+def test_first_kind_z_zero_underflows():
+    # 1 / Gamma_k(121) at k = 0.5 is below double range
+    assert eval_k_bessel_first(0.5, 120, 1, 1, 0.0).value == 0.0
+
+
 def test_param_validation():
     with pytest.raises(DomainError):
         BesselParams(k=0, nu=0, gamma=1, lambda1=1, c=-1, b=1)

@@ -7,7 +7,6 @@ from kspecfun.summation import (
     CompensatedSum,
     dd_add,
     dd_div_d,
-    dd_mul,
     dd_mul_d,
     two_prod,
     two_sum,
@@ -39,15 +38,6 @@ def test_dd_add_recovers_cancellation():
     y = (-1.0, 0.0)
     s = dd_add(x, y)
     assert s[0] + s[1] == 1e-20
-
-
-def test_dd_mul_matches_fraction():
-    x = (1.0 / 3.0, 0.0)
-    y = (3.0, 0.0)
-    z = dd_mul(x, y)
-    exact = Fraction(1.0 / 3.0) * 3
-    got = Fraction(z[0]) + Fraction(z[1])
-    assert abs(got - exact) < Fraction(1, 10**30)
 
 
 def test_dd_scalar_roundtrip():
