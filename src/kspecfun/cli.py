@@ -25,6 +25,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 
 from .errors import DomainError, NonConvergenceError
@@ -212,7 +213,7 @@ def _cmd_verify(args) -> int:
         print(f"skipped: {report.diagnostics}")
     else:
         lines = [("identity", report.identity_id)]
-        lines += [(key, float(report.params[key])) for key in keys if key in report.params]
+        lines += report.params.items()
         lines += [(name, getattr(report, name)) for name in _REPORT_LINES]
         for name, value in lines:
             if value is not None and value != "":
@@ -235,6 +236,19 @@ def _config_value_list(key, value):
             raise UsageError(f"config key {key!r} must contain numbers, got {item!r}")
         out.append(float(item))
     return out
+
+
+def _config_setting(key, value):
+    """A config tolerance (finite, > 0) or max_terms (a whole number >= 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"config key {key!r} must be a single number")
+    if key == "max_terms":
+        if not (math.isfinite(value) and value == int(value) and value >= 1):
+            raise UsageError(f"config key {key!r} must be a whole number >= 1, got {value!r}")
+        return int(value)
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"config key {key!r} must be finite and > 0, got {value!r}")
+    return value
 
 
 def _cmd_sweep(args) -> int:
@@ -261,13 +275,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError("config keys 'lam' and 'lam_minus_mu' are mutually exclusive")
 
     # library default, then config value, then flag
-    settings = {}
-    for key in _SETTINGS:
-        if key in cfg:
-            value = cfg[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise UsageError(f"config key {key!r} must be a single number")
-            settings[key] = int(value) if key == "max_terms" else value
+    settings = {key: _config_setting(key, cfg[key]) for key in _SETTINGS if key in cfg}
     settings.update(_flags(args))
 
     offset_lam = "lam_minus_mu" in cfg

@@ -20,7 +20,9 @@ the generic packaging can be cross-checked against them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import astuple, dataclass
+from functools import partial
 from types import MappingProxyType
 from typing import Optional
 
@@ -80,20 +82,22 @@ CSV_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class IdentityReport:
+    """One verify result; the defaults are those of a point never evaluated."""
+
     identity_id: str
     params: dict
-    lhs: float
-    rhs_canonical: float
-    rhs_paper: Optional[float]
-    rel_diff_canonical: float
-    rel_diff_paper: Optional[float]
-    verdict: str
+    lhs: float = math.nan
+    rhs_canonical: float = math.nan
+    rhs_paper: Optional[float] = None
+    rel_diff_canonical: float = math.nan
+    rel_diff_paper: Optional[float] = None
+    verdict: str = "inconclusive"
     tolerances: dict
-    diagnostics: str
-    quad_evals: int
-    series_terms: int
+    diagnostics: str = ""
+    quad_evals: int = 0
+    series_terms: int = 0
 
 
 @dataclass(frozen=True)
@@ -252,7 +256,9 @@ def _rhs_paper(which, reduced, bp, mu, lam, a, y, tol, max_terms) -> SeriesResul
         return SeriesResult(0.0, 1, 0.0, True)
     pref, spec, arg = _packaging(which, reduced, bp, mu, lam, a, y)
     sr = eval_k_wright(spec, arg, tol=tol, max_terms=max_terms)
-    return SeriesResult(pref * sr.value, sr.terms_used, abs(pref) * sr.tail_estimate, sr.converged)
+    # a sum below the normal range has lost the relative accuracy the product needs
+    converged = sr.converged and abs(sr.value) >= sys.float_info.min
+    return SeriesResult(pref * sr.value, sr.terms_used, abs(pref) * sr.tail_estimate, converged)
 
 
 def theorem1_rhs_paper(
@@ -369,57 +375,6 @@ def _joined(diag: str, extra: str) -> str:
     return f"{diag}; {extra}" if diag and extra else diag or extra
 
 
-def _report(identity_id, params, tolerances, **kw) -> IdentityReport:
-    defaults = dict(
-        lhs=math.nan,
-        rhs_canonical=math.nan,
-        rhs_paper=None,
-        rel_diff_canonical=math.nan,
-        rel_diff_paper=None,
-        verdict="inconclusive",
-        diagnostics="",
-        quad_evals=0,
-        series_terms=0,
-    )
-    defaults.update(kw)
-    return IdentityReport(
-        identity_id=identity_id, params=params, tolerances=tolerances, **defaults
-    )
-
-
-def _verify_oberhettinger(params, tolerances, tol_quad, tol_match, quad_budget):
-    try:
-        op = ObParams(float(params["mu"]), float(params["lam"]), float(params["a"]))
-    except (KeyError, DomainError, TypeError, ValueError) as exc:
-        return _report(
-            "oberhettinger",
-            dict(params),
-            tolerances,
-            diagnostics=f"precondition: {exc}",
-        )
-    eff = {"mu": op.mu, "lam": op.lam, "a": op.a}
-    lhs = oberhettinger_lhs(op, tol=tol_quad, budget=quad_budget)
-    rhs = oberhettinger_closed_form(op)
-    rel = _rel(lhs.value, rhs)
-    if not lhs.converged:
-        verdict, diag = "inconclusive", "quadrature did not converge inside budget"
-    elif rel <= tol_match:
-        verdict, diag = "match", ""
-    else:
-        verdict, diag = "mismatch", ""
-    return _report(
-        "oberhettinger",
-        eff,
-        tolerances,
-        lhs=lhs.value,
-        rhs_canonical=rhs,
-        rel_diff_canonical=rel,
-        verdict=verdict,
-        diagnostics=diag,
-        quad_evals=lhs.evaluations,
-    )
-
-
 def verify(
     identity_id: str,
     params: dict,
@@ -429,20 +384,21 @@ def verify(
     max_terms: int = 400,
     quad_budget: int = 60000,
 ) -> IdentityReport:
-    """Run left-side quadrature against both right-side routes.
+    """Run left-side quadrature against the right-side routes.
 
-    Any precondition violation or operand failure yields
-    verdict="inconclusive" with the cause in the diagnostics; precondition
-    causes are prefixed "precondition:".  Identical inputs produce identical
-    reports.
+    The kernel identity has one right side, its closed form; the others
+    have the canonical series and the packaged form.  Any precondition
+    violation or operand failure yields verdict="inconclusive" with the
+    cause in the diagnostics, prefixed "precondition:", "evaluation failed:"
+    or "did not converge:".  Identical inputs produce identical reports.
     """
     identity_id = str(identity_id).lower()
     if identity_id not in IDENTITIES:
         raise DomainError(f"unknown identity {identity_id!r}; expected one of {IDENTITY_IDS}")
     tolerances = {"quad": tol_quad, "series": tol_series, "match": tol_match}
+    report = partial(IdentityReport, identity_id=identity_id, tolerances=tolerances)
     row = IDENTITIES[identity_id]
-    if row.family == 0:
-        return _verify_oberhettinger(params, tolerances, tol_quad, tol_match, quad_budget)
+    which = row.family
 
     eff = {key: params[key] for key in row.keys if key in params}
     eff.update(row.fixed)
@@ -451,87 +407,73 @@ def verify(
         for key, value in row.fixed
         if key in params and params[key] != value
     )
-    which = row.family
     try:
         missing = [key for key in row.keys if key not in eff]
         if missing:
             raise DomainError(f"missing parameters {missing}")
-        bp = BesselParams(
-            k=float(eff["k"]),
-            nu=float(eff["nu"]),
-            gamma=float(eff["gamma"]),
-            lambda1=float(eff["lambda1"]),
-            c=float(eff["c"]),
-            b=float(eff["b"]),
-        )
-        mu, lam, a, y = check_theorem_args(which, bp, eff["mu"], eff["lam"], eff["a"], eff["y"])
+        if which == 0:
+            op = ObParams(*(float(eff[key]) for key in row.keys))
+            values = astuple(op)
+        else:
+            bp = BesselParams(*(float(eff[key]) for key in row.keys[:6]))
+            args = check_theorem_args(which, bp, *(eff[key] for key in row.keys[6:]))
+            values = astuple(bp) + args
     except (DomainError, TypeError, ValueError) as exc:
         msg = str(exc)
         if not msg.startswith("precondition"):
             msg = f"precondition: {msg}"
-        return _report(identity_id, eff, tolerances, diagnostics=_joined(msg, note))
-    eff = {"k": bp.k, "nu": bp.nu, "gamma": bp.gamma, "lambda1": bp.lambda1,
-           "c": bp.c, "b": bp.b, "mu": mu, "lam": lam, "a": a, "y": y}
+        return report(params=eff, diagnostics=_joined(msg, note))
+    eff = dict(zip(row.keys, values))
 
-    lhs_fn = theorem1_lhs if which == 1 else theorem2_lhs
     try:
-        lhs = lhs_fn(
-            bp, mu, lam, a, y,
-            tol=tol_quad, budget=quad_budget, series_tol=tol_series, max_terms=max_terms,
-        )
-        rhs_c = _rhs_canonical(which, bp, mu, lam, a, y, tol_series, max_terms)
-        rhs_p = _rhs_paper(which, row.reduced, bp, mu, lam, a, y, tol_series, max_terms)
+        if which == 0:
+            lhs = oberhettinger_lhs(op, tol=tol_quad, budget=quad_budget)
+            rhs_c = SeriesResult(oberhettinger_closed_form(op), 0, 0.0, True)
+            rhs_p = None
+        else:
+            lhs_fn = theorem1_lhs if which == 1 else theorem2_lhs
+            lhs = lhs_fn(
+                bp, *args,
+                tol=tol_quad, budget=quad_budget, series_tol=tol_series, max_terms=max_terms,
+            )
+            rhs_c = _rhs_canonical(which, bp, *args, tol_series, max_terms)
+            rhs_p = _rhs_paper(which, row.reduced, bp, *args, tol_series, max_terms)
     except (DomainError, NonConvergenceError, OverflowError) as exc:
-        msg = f"evaluation failed: {exc}"
-        return _report(identity_id, eff, tolerances, diagnostics=_joined(msg, note))
+        return report(params=eff, diagnostics=_joined(f"evaluation failed: {exc}", note))
 
     rel_c = _rel(lhs.value, rhs_c.value)
-    rel_p = _rel(lhs.value, rhs_p.value)
+    rel_p = None if rhs_p is None else _rel(lhs.value, rhs_p.value)
+    routes = (("quadrature", lhs), ("canonical series", rhs_c), ("packaged series", rhs_p))
+    parts = [name for name, res in routes if res is not None and not res.converged]
     diag = ""
-    if not (lhs.converged and rhs_c.converged and rhs_p.converged):
+    if parts:
         verdict = "inconclusive"
-        parts = []
-        if not lhs.converged:
-            parts.append("quadrature")
-        if not rhs_c.converged:
-            parts.append("canonical series")
-        if not rhs_p.converged:
-            parts.append("packaged series")
         diag = "did not converge: " + ", ".join(parts)
-    elif rel_c <= tol_match and rel_p <= tol_match:
+    elif rel_c <= tol_match and (rel_p is None or rel_p <= tol_match):
         verdict = "match"
     elif rel_c <= tol_match:
         verdict = "canonical_only"
-        diag = _ratio_diagnostics(row, bp, mu, lam, a, y)
+        diag = _ratio_diagnostics(row, bp, *args)
     else:
         verdict = "mismatch"
 
     if row.classical_j:
-        z_red = y / a if which == 1 else 0.5 * y
+        z_red = eff["y"] / eff["a"] if which == 1 else 0.5 * eff["y"]
         red = classical_reduction_check("bessel_J", bp.nu, z_red)
         diag = _joined(diag, f"classical J reduction gap at z={z_red:.6g}: {red:.3e}")
-    diag = _joined(diag, note)
 
-    return _report(
-        identity_id,
-        eff,
-        tolerances,
+    return report(
+        params=eff,
         lhs=lhs.value,
         rhs_canonical=rhs_c.value,
-        rhs_paper=rhs_p.value,
+        rhs_paper=None if rhs_p is None else rhs_p.value,
         rel_diff_canonical=rel_c,
         rel_diff_paper=rel_p,
         verdict=verdict,
-        diagnostics=diag,
+        diagnostics=_joined(diag, note),
         quad_evals=lhs.evaluations,
         series_terms=rhs_c.terms_used,
     )
-
-
-def _none_if_nan(v):
-    if v is None or math.isnan(v):
-        return None
-    return float(v)
 
 
 def to_record(report: IdentityReport) -> dict:
@@ -549,12 +491,7 @@ def to_record(report: IdentityReport) -> dict:
                 rec[key] = float(report.params[key])
             except (TypeError, ValueError):
                 rec[key] = None
-    rec["lhs"] = _none_if_nan(report.lhs)
-    rec["rhs_canonical"] = _none_if_nan(report.rhs_canonical)
-    rec["rhs_paper"] = _none_if_nan(report.rhs_paper)
-    rec["rel_diff_canonical"] = _none_if_nan(report.rel_diff_canonical)
-    rec["rel_diff_paper"] = _none_if_nan(report.rel_diff_paper)
-    rec["verdict"] = report.verdict
-    rec["quad_evals"] = report.quad_evals
-    rec["series_terms"] = report.series_terms
+    for field in CSV_FIELDS[CSV_FIELDS.index("lhs"):]:
+        value = getattr(report, field)
+        rec[field] = None if isinstance(value, float) and math.isnan(value) else value
     return rec

@@ -10,9 +10,11 @@ import csv
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,10 +186,16 @@ def test_wright_k_one_degeneracy():
 # ------------------------------------------------------- sweep CLI
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_sweep(cfg_path, out_path):
+    # the child imports kspecfun from this checkout, installed or not
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "kspecfun", "sweep", "--config", str(cfg_path),
          "--out", str(out_path)],
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=300,

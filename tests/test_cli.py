@@ -1,17 +1,25 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from kspecfun import cli
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args, **kw):
+    # the child imports kspecfun from this checkout, installed or not
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "kspecfun", *args],
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,
@@ -265,4 +273,28 @@ def test_sweep_rejects_bad_config_out(out, capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"kspecfun: config key 'out' must be a nonempty string, got {out!r}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_terms", math.nan),
+        ("max_terms", math.inf),
+        ("max_terms", 2.5),
+        ("tol_quad", math.nan),
+        ("tol_series", 0),
+        ("tol_match", -1),
+    ],
+)
+def test_sweep_rejects_bad_config_setting(key, value, capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "verify", lambda *a, **kw: calls.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"identity": "oberhettinger", key: value}))
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    rule = "a whole number >= 1" if key == "max_terms" else "finite and > 0"
+    assert captured.err == f"kspecfun: config key {key!r} must be {rule}, got {value!r}\n"
     assert calls == []

@@ -112,15 +112,17 @@ def test_verify_theorem2_unit_canonical_only():
     assert "n=1 4" in r.diagnostics
 
 
-def test_verify_precondition_inconclusive():
-    r = verify("theorem1", dict(UNIT_PARAMS, mu=5, lam=1))
+@pytest.mark.parametrize("identity", ["theorem1", "oberhettinger"])
+def test_verify_precondition_inconclusive(identity):
+    r = verify(identity, dict(UNIT_PARAMS, mu=5, lam=1))
     assert r.verdict == "inconclusive"
     assert r.diagnostics.startswith("precondition")
     assert math.isnan(r.lhs)
 
 
-def test_verify_missing_parameter():
-    r = verify("theorem1", {"mu": 1})
+@pytest.mark.parametrize("identity", ["theorem1", "oberhettinger"])
+def test_verify_missing_parameter(identity):
+    r = verify(identity, {"mu": 1})
     assert r.verdict == "inconclusive"
     assert "missing" in r.diagnostics
 
@@ -132,10 +134,30 @@ def test_verify_non_convergence_series():
     assert "evaluation failed" in r.diagnostics and "converge" in r.diagnostics
 
 
-def test_verify_non_convergence_quadrature():
-    r = verify("theorem1", UNIT_PARAMS, tol_quad=1e-15, quad_budget=250)
+@pytest.mark.parametrize("identity", ["theorem1", "oberhettinger"])
+def test_verify_non_convergence_quadrature(identity):
+    r = verify(identity, UNIT_PARAMS, tol_quad=1e-15, quad_budget=250)
     assert r.verdict == "inconclusive"
     assert "did not converge: quadrature" in r.diagnostics
+
+
+@pytest.mark.parametrize("identity", ["theorem1", "oberhettinger"])
+def test_verify_evaluation_error_inconclusive(identity):
+    r = verify(identity, UNIT_PARAMS, tol_quad=0)
+    assert r.verdict == "inconclusive"
+    assert r.diagnostics == "evaluation failed: tolerance must be positive, got 0"
+
+
+def test_verify_packaged_underflow_inconclusive():
+    # the packaged k-Wright sum underflows to 0.0 at z = -625 and is multiplied by 2.26e168
+    p = dict(UNIT_PARAMS, k=0.5, nu=120, y=50)
+    r = verify("theorem1", p)
+    assert r.verdict == "inconclusive"
+    assert r.diagnostics == "did not converge: packaged series"
+    assert r.lhs == pytest.approx(1.3151761756614128e-235, rel=1e-9, abs=0)
+    assert r.rhs_canonical == pytest.approx(1.3151761756799195e-235, rel=1e-9, abs=0)
+    bp = BesselParams(k=0.5, nu=120, gamma=1, lambda1=1, c=-1, b=1)
+    assert not theorem1_rhs_paper(bp, 1.0, 2.0, 1.0, 50.0).converged
 
 
 def test_verify_is_deterministic():
@@ -184,6 +206,11 @@ def test_to_record_skipped_has_no_nan():
     rec = to_record(verify("theorem1", dict(UNIT_PARAMS, mu=5, lam=1)))
     assert rec["verdict"] == "inconclusive"
     assert rec["lhs"] is None and rec["rhs_canonical"] is None
+    # a failed kernel point records the kernel's parameters only
+    rec = to_record(verify("oberhettinger", dict(UNIT_PARAMS, mu=5, lam=1)))
+    assert rec["verdict"] == "inconclusive" and rec["lhs"] is None
+    assert (rec["mu"], rec["lam"], rec["a"]) == (5.0, 1.0, 1.0)
+    assert all(rec[key] is None for key in ("k", "nu", "gamma", "lambda1", "c", "b", "y"))
 
 
 def test_identity_registry():
