@@ -408,6 +408,8 @@ def verify(
         if key in params and params[key] != value
     )
     try:
+        if not (isinstance(tol_match, (int, float)) and math.isfinite(tol_match) and tol_match > 0):
+            raise DomainError(f"precondition: tol_match must be finite and > 0, got {tol_match!r}")
         missing = [key for key in row.keys if key not in eff]
         if missing:
             raise DomainError(f"missing parameters {missing}")

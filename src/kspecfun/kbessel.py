@@ -23,6 +23,18 @@ entering at the first power.  One recurrence sums S for both:
   hold 1e-12 agreement.
 
 Both paths stop on the one truncation rule, `summation.TailRule`.
+
+Every part of a term ratio except the power of the argument depends on the
+parameters alone: the Pochhammer factor, the factorials and the k-Gamma
+ratio, and on the double-double path the whole double-double ratio.  These
+z-free parts live in a term table on the `BesselParams` object.  Row n is
+built the first time any evaluation on that object reaches term n, and
+every later call reads it, so the ~240 quadrature nodes of an integral pay
+for each row once instead of at every node.  The table is not a dataclass
+field, so equality, hashing, repr and astuple ignore it, and it is dropped
+with its object; there is no module-level cache.  A row's content does not
+depend on which call built it, and each node combines it with its argument
+in the order of the per-term recurrence.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .kgamma import k_gamma, log_k_gamma
 from .summation import SeriesResult, TailRule, accumulate, check_series_args
-from .summation import dd_add, dd_div_d, dd_mul_d
+from .summation import dd_add, dd_div_d, dd_mul, dd_mul_d
 
 __all__ = [
     "BesselParams",
@@ -74,6 +86,25 @@ class BesselParams:
             raise DomainError(
                 f"nu + (b+1)/2 must be positive, got nu={self.nu!r} b={self.b!r}"
             )
+
+    def _term_table(self) -> _DDTable | _LogTable:
+        """The term table of this parameter set (see the module docstring),
+        made on first use; needs c != 0.
+
+        It is kept in the instance dict, which fields, ==, hash and repr
+        never read.  setdefault leaves one table if two threads race here.
+        """
+        table = self.__dict__.get("_table")
+        if table is None:
+            s0 = self.nu + 0.5 * (self.b + 1.0)
+            m = self.lambda1 / self.k
+            mi = round(m)
+            if mi >= 1 and abs(m - mi) <= 1e-12 * m:
+                table = _DDTable(self.k, self.gamma, self.lambda1, self.c, s0, mi)
+            else:
+                table = _LogTable(self.k, self.gamma, self.lambda1, s0, math.log(abs(self.c)))
+            table = self.__dict__.setdefault("_table", table)
+        return table
 
 
 def _signed_log_poch(x: float, n: int, k: float) -> tuple[float, int]:
@@ -135,72 +166,117 @@ def _lead(w: float, e: float, s0: float, k: float) -> float:
     return math.exp((e * math.log(w) if e else 0.0) - log_k_gamma(s0, k))
 
 
-def _log_pairs(k, gamma, lam, s0, lead, lc, lu, neg, max_terms: int):
-    """(term, ratio) stream of exp(lead) S(x) in log-magnitude/sign form, where
+# Rows are stored by slice assignment: if another thread sharing the object
+# added row n meanwhile, it is replaced by an equal row, never duplicated.
+
+
+class _LogTable:
+    """z-free rows of the log/sign recurrence for
 
         S(x) = sum_n (gamma)_{n,k} x^n / (Gamma_k(lam n + s0) (n!)^2)
 
-    at x = c u; lc = log|c| and lu = log|u| enter each ratio, neg = x < 0.
+    at x = c u, with lc = log|c|.  With g = gamma + n k and
+    L_n = log Gamma_k(lam n + s0), row n is (lc + log|g|, 2 log(n+1),
+    L_{n+1} - L_n, g < 0, L_{n+1}), or None where g = 0 ends the series.
     """
-    lgk = log_k_gamma(s0, k)
-    big = lead - lgk
-    sgn = 1
-    for n in range(max_terms):
-        t = sgn * math.exp(big)
-        g = gamma + n * k
-        if g == 0.0:
-            yield t, 0.0
-            return
-        lgk_next = log_k_gamma(lam * (n + 1) + s0, k)
-        dlg = lc + math.log(abs(g)) + lu - 2.0 * math.log(n + 1.0)
-        dlg -= lgk_next - lgk
-        yield t, math.exp(dlg)
-        big += dlg
-        lgk = lgk_next
-        if neg:
-            sgn = -sgn
-        if g < 0.0:
-            sgn = -sgn
+
+    __slots__ = ("k", "gamma", "lam", "s0", "lc", "lgk0", "rows")
+
+    def __init__(self, k, gamma, lam, s0, lc) -> None:
+        self.k, self.gamma, self.lam, self.s0, self.lc = k, gamma, lam, s0, lc
+        self.lgk0 = log_k_gamma(s0, k)
+        self.rows = []
+
+    def pairs(self, lead: float, lu: float, neg: bool, max_terms: int):
+        """(term, ratio) stream of exp(lead) S(c u); lu = log|u|, neg = c u < 0.
+
+        Builds row n here the first time any stream reaches term n.
+        """
+        k, gamma, lam, s0, lc, rows = self.k, self.gamma, self.lam, self.s0, self.lc, self.rows
+        lgk = self.lgk0
+        big = lead - lgk
+        sgn = 1
+        for n in range(max_terms):
+            t = sgn * math.exp(big)
+            if n < len(rows):
+                row = rows[n]
+            else:
+                g = gamma + n * k
+                row = None
+                if g != 0.0:
+                    lgk_next = log_k_gamma(lam * (n + 1) + s0, k)
+                    row = (lc + math.log(abs(g)), 2.0 * math.log(n + 1.0), lgk_next - lgk,
+                           g < 0.0, lgk_next)
+                rows[n:n + 1] = (row,)
+            if row is None:
+                yield t, 0.0
+                return
+            a, b, d, flip, lgk = row
+            dlg = a + lu - b
+            dlg -= d
+            yield t, math.exp(dlg)
+            big += dlg
+            if neg != flip:
+                sgn = -sgn
 
 
-def _eval_gmk_dd(p: BesselParams, z: float, tol: float, max_terms: int, m: int) -> SeriesResult:
-    """Double-double recurrence for integer lambda1/k = m.
+class _DDTable:
+    """z-free rows of the double-double recurrence for integer lambda1/k = m.
 
     Gamma_k(s + m k) / Gamma_k(s) telescopes to prod_{j<m} (s + j k), so the
-    term ratio is a short product of exact doubles and the running term never
-    leaves double-double form.  The (z/2)^nu / Gamma_k(s0) prefactor is a
-    common factor and is applied once at the end.
+    term ratio is c g w^2 / ((n+1)^2 prod_j (lambda1 n + s0 + j k)) with
+    g = gamma + n k and w = z/2.  Row n holds |c| |g|, (n+1)^2, the m
+    divisors and the z-free ratio in double-double, or None where g = 0
+    ends the series.
     """
-    w = 0.5 * z
-    w2 = w * w
-    s0 = p.nu + 0.5 * (p.b + 1.0)
-    pref = _lead(w, p.nu, s0, p.k)
-    t = (1.0, 0.0)
-    acc = (1.0, 0.0)
-    rule = TailRule(tol, max_terms)
-    n = 0
-    while True:
-        g = p.gamma + n * p.k
-        base = p.lambda1 * n + s0
-        rden = (n + 1.0) * (n + 1.0)
-        if g == 0.0:
-            rho = 0.0  # exact termination, even where w2 overflows
-        else:
-            rho = abs(p.c) * abs(g) * w2 / rden
-            for j in range(m):
-                rho /= base + j * p.k
-        if rule.stop(abs(t[0]) * pref, rho, abs(acc[0] + acc[1]) * pref):
-            break
-        t = dd_mul_d(t, w2)
-        t = dd_mul_d(t, g)
-        if p.c != 1.0:
-            t = dd_mul_d(t, p.c)
-        t = dd_div_d(t, rden)
-        for j in range(m):
-            t = dd_div_d(t, base + j * p.k)
-        acc = dd_add(acc, t)
-        n += 1
-    return rule.result(pref * (acc[0] + acc[1]))
+
+    __slots__ = ("k", "gamma", "lambda1", "c", "s0", "m", "rows")
+
+    def __init__(self, k, gamma, lambda1, c, s0, m) -> None:
+        self.k, self.gamma, self.lambda1, self.c, self.s0, self.m = k, gamma, lambda1, c, s0, m
+        self.rows = []
+
+    def evaluate(self, w: float, pref: float, tol: float, max_terms: int) -> SeriesResult:
+        """pref * S(c w^2); the prefactor is a common factor, applied once
+        at the end.  Builds row n here the first time any call reaches
+        term n."""
+        k, gamma, lambda1, c, s0, m, rows = (
+            self.k, self.gamma, self.lambda1, self.c, self.s0, self.m, self.rows)
+        w2 = w * w
+        t = (1.0, 0.0)
+        acc = (1.0, 0.0)
+        rule = TailRule(tol, max_terms)
+        n = 0
+        while True:
+            if n < len(rows):
+                row = rows[n]
+            else:
+                g = gamma + n * k
+                row = None
+                if g != 0.0:
+                    base = lambda1 * n + s0
+                    rden = (n + 1.0) * (n + 1.0)
+                    divs = tuple(base + j * k for j in range(m))
+                    r = (g, 0.0)
+                    if c != 1.0:
+                        r = dd_mul_d(r, c)
+                    r = dd_div_d(r, rden)
+                    for d in divs:
+                        r = dd_div_d(r, d)
+                    row = (abs(c) * abs(g), rden, divs, r)
+                rows[n:n + 1] = (row,)
+            if row is None:
+                rho = 0.0  # exact termination, even where w2 overflows
+            else:
+                rho = row[0] * w2 / row[1]
+                for d in row[2]:
+                    rho /= d
+            if rule.stop(abs(t[0]) * pref, rho, abs(acc[0] + acc[1]) * pref):
+                break
+            t = dd_mul(dd_mul_d(t, w2), row[3])
+            acc = dd_add(acc, t)
+            n += 1
+        return rule.result(pref * (acc[0] + acc[1]))
 
 
 def eval_gmk_bessel(
@@ -214,14 +290,12 @@ def eval_gmk_bessel(
     if z == 0.0 or p.c == 0.0:
         # only the n = 0 term
         return SeriesResult(_lead(0.5 * z, p.nu, s0, p.k), 1, 0.0, True)
-    m = p.lambda1 / p.k
-    mi = round(m)
-    if mi >= 1 and abs(m - mi) <= 1e-12 * m:
-        return _eval_gmk_dd(p, z, tol, max_terms, mi)
+    table = p._term_table()
+    if isinstance(table, _DDTable):
+        w = 0.5 * z
+        return table.evaluate(w, _lead(w, p.nu, s0, p.k), tol, max_terms)
     lw = math.log(0.5 * z)
-    lc = math.log(abs(p.c))
-    pairs = _log_pairs(p.k, p.gamma, p.lambda1, s0, p.nu * lw, lc, 2.0 * lw, p.c < 0.0, max_terms)
-    return accumulate(pairs, tol, max_terms)
+    return accumulate(table.pairs(p.nu * lw, 2.0 * lw, p.c < 0.0, max_terms), tol, max_terms)
 
 
 def eval_k_bessel_first(
@@ -250,6 +324,5 @@ def eval_k_bessel_first(
         raise DomainError(f"nu + 1 must be positive, got nu={nu!r}")
     if z == 0.0:
         return SeriesResult(_lead(0.0, 0.0, nu + 1.0, k), 1, 0.0, True)
-    lw = math.log(abs(0.5 * z))
-    pairs = _log_pairs(float(k), float(gamma), float(lam), nu + 1.0, 0.0, 0.0, lw, z > 0.0, max_terms)
-    return accumulate(pairs, tol, max_terms)
+    table = _LogTable(float(k), float(gamma), float(lam), nu + 1.0, 0.0)
+    return accumulate(table.pairs(0.0, math.log(abs(0.5 * z)), z > 0.0, max_terms), tol, max_terms)

@@ -52,9 +52,10 @@ def _check_k(k):
 
 def _kval(k: KScale | float) -> float:
     """Accept either a validated KScale or a bare positive float."""
-    if isinstance(k, KScale):
-        return float(k.k)
-    return _check_k(float(k))
+    kk = float(k.k if isinstance(k, KScale) else k)
+    if not 0.0 < kk < math.inf:
+        raise DomainError(f"scale parameter must be positive and finite, got {kk!r}")
+    return kk
 
 
 def classical_gamma(z: float) -> float:

@@ -42,42 +42,88 @@ def fast_two_sum(a: float, b: float) -> tuple[float, float]:
     return s, e
 
 
-def _split(a: float) -> tuple[float, float]:
-    c = _SPLIT * a
-    hi = c - (c - a)
-    return hi, a - hi
+# The products and sums below write their error-free transforms out in
+# place: they run once or more per series term, where call overhead would
+# cost as much as the arithmetic.  The operations and their order are those
+# of two_sum, fast_two_sum and the Dekker split.
 
 
 def two_prod(a: float, b: float) -> tuple[float, float]:
     """Dekker product: p + e == a * b exactly, p = fl(a * b)."""
     p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLIT * b
+    bh = c - (c - b)
+    bl = b - bh
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, e
 
 
 def dd_add(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    s, e = two_sum(x[0], y[0])
-    t, f = two_sum(x[1], y[1])
+    a, b = x[0], y[0]
+    s = a + b
+    v = s - a
+    e = (a - (s - v)) + (b - v)
+    a, b = x[1], y[1]
+    t = a + b
+    v = t - a
+    f = (a - (t - v)) + (b - v)
     e += t
-    s, e = fast_two_sum(s, e)
+    v = s + e
+    e = e - (v - s)
     e += f
-    return fast_two_sum(s, e)
+    s = v + e
+    return s, e - (s - v)
 
 
 def dd_mul_d(x: tuple[float, float], d: float) -> tuple[float, float]:
-    p, e = two_prod(x[0], d)
+    a = x[0]
+    p = a * d
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLIT * d
+    dh = c - (c - d)
+    dl = d - dh
+    e = ((ah * dh - p) + ah * dl + al * dh) + al * dl
     e += x[1] * d
-    return fast_two_sum(p, e)
+    s = p + e
+    return s, e - (s - p)
+
+
+def dd_mul(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
+    """Double-double product, rounded to double-double."""
+    a, b = x[0], y[0]
+    p = a * b
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLIT * b
+    bh = c - (c - b)
+    bl = b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e += a * y[1] + x[1] * b
+    s = p + e
+    return s, e - (s - p)
 
 
 def dd_div_d(x: tuple[float, float], d: float) -> tuple[float, float]:
-    q1 = x[0] / d
-    p, e = two_prod(q1, d)
-    # x[0] - p is exact (Sterbenz: p agrees with x[0] to within a factor of 2)
-    r = (x[0] - p) - e + x[1]
-    return fast_two_sum(q1, r / d)
+    a = x[0]
+    q = a / d
+    p = q * d
+    c = _SPLIT * q
+    qh = c - (c - q)
+    ql = q - qh
+    c = _SPLIT * d
+    dh = c - (c - d)
+    dl = d - dh
+    e = ((qh * dh - p) + qh * dl + ql * dh) + ql * dl
+    # a - p is exact (Sterbenz: p agrees with a to within a factor of 2)
+    r = ((a - p) - e + x[1]) / d
+    s = q + r
+    return s, r - (s - q)
 
 
 class CompensatedSum:
@@ -191,10 +237,15 @@ def accumulate(pairs, tol: float, max_terms: int) -> SeriesResult:
     A zero ratio marks exact termination (a Pochhammer factor hit zero);
     an infinite one says no tail bound holds yet.
     """
-    acc = CompensatedSum()
+    s = c = 0.0  # the Neumaier step of CompensatedSum.add, written out
     rule = TailRule(tol, max_terms)
     for t, rho in pairs:
-        acc.add(t)
-        if rule.stop(abs(t), rho, abs(acc.value)):
+        u = s + t
+        if abs(s) >= abs(t):
+            c += (s - u) + t
+        else:
+            c += (t - u) + s
+        s = u
+        if rule.stop(abs(t), rho, abs(s + c)):
             break
-    return rule.result(acc.value)
+    return rule.result(s + c)

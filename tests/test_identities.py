@@ -120,6 +120,17 @@ def test_verify_precondition_inconclusive(identity):
     assert math.isnan(r.lhs)
 
 
+@pytest.mark.parametrize("tol_match", [math.nan, -1.0, 0.0])
+@pytest.mark.parametrize("identity", ["theorem1", "oberhettinger"])
+def test_verify_rejects_bad_tol_match(identity, tol_match):
+    # every `rel <= tol_match` comparison is false here, which used to read
+    # as a mismatch for a point that agrees to 3e-16
+    r = verify(identity, UNIT_PARAMS, tol_match=tol_match)
+    assert r.verdict == "inconclusive"
+    assert r.diagnostics == f"precondition: tol_match must be finite and > 0, got {tol_match!r}"
+    assert math.isnan(r.lhs)
+
+
 @pytest.mark.parametrize("identity", ["theorem1", "oberhettinger"])
 def test_verify_missing_parameter(identity):
     r = verify(identity, {"mu": 1})
@@ -262,3 +273,115 @@ def test_verify_notes_overridden_fixed_parameters():
     bad = verify("corollary3", dict(UNIT_PARAMS, k=3.0, mu=-1.0))
     assert bad.diagnostics.startswith("precondition:")
     assert bad.diagnostics.endswith("; fixed k=1.0 (given 3.0)")
+
+
+# Records of a slice of the benchmark grid: both theorems at lambda1/k in
+# {0.5, 1, 2} (the log/sign path and both double-double paths) and c = -1, 1.
+# repr pins every bit of the left side and both right sides, so any drift in
+# the series evaluation fails here.  Frozen from the per-node recurrences
+# that preceded the per-parameter term table.
+GRID_SLICE = dict(nu=0.5, gamma=1.5, b=1.0, mu=0.5, lam=1.5, a=0.75, y=3.0)
+GRID_SLICE_RECORDS = {
+    ('theorem1', 2.0, 1.0, -1.0): (
+        "{'identity': 'theorem1', 'k': 2.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
+        " -1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
+        "0.2537720718330204, 'rhs_canonical': 0.2537720718267932, 'rhs_paper': "
+        "0.032472322858321793, 'rel_diff_canonical': 2.453871657406008e-11, "
+        "'rel_diff_paper': 0.8720413849176899, 'verdict': 'canonical_only', 'quad_evals':"
+        " 240, 'series_terms': 20}"
+    ),
+    ('theorem1', 2.0, 1.0, 1.0): (
+        "{'identity': 'theorem1', 'k': 2.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
+        " 1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
+        "26.858053972053053, 'rhs_canonical': 26.858053972006687, 'rhs_paper': "
+        "1.0328478943284833, 'rel_diff_canonical': 1.7263524107246048e-12, "
+        "'rel_diff_paper': 0.9615442021449803, 'verdict': 'canonical_only', 'quad_evals':"
+        " 270, 'series_terms': 19}"
+    ),
+    ('theorem1', 1.0, 1.0, -1.0): (
+        "{'identity': 'theorem1', 'k': 1.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
+        " -1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
+        "0.014569021262457125, 'rhs_canonical': 0.014569021263281244, 'rhs_paper': "
+        "0.38585680781261394, 'rel_diff_canonical': 5.65665006788277e-11, "
+        "'rel_diff_paper': 0.9622424148868914, 'verdict': 'canonical_only', 'quad_evals':"
+        " 240, 'series_terms': 13}"
+    ),
+    ('theorem1', 1.0, 1.0, 1.0): (
+        "{'identity': 'theorem1', 'k': 1.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
+        " 1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
+        "7.5066659576133565, 'rhs_canonical': 7.506665957635196, 'rhs_paper': "
+        "5.088580845876595, 'rel_diff_canonical': 2.9093367528620376e-12, "
+        "'rel_diff_paper': 0.3221250453118017, 'verdict': 'canonical_only', 'quad_evals':"
+        " 240, 'series_terms': 12}"
+    ),
+    ('theorem1', 1.0, 2.0, -1.0): (
+        "{'identity': 'theorem1', 'k': 1.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 2.0, 'c':"
+        " -1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
+        "0.5062385118616817, 'rhs_canonical': 0.506238511861911, 'rhs_paper': "
+        "0.8561859261028033, 'rel_diff_canonical': 4.530909275233572e-13, "
+        "'rel_diff_paper': 0.4087282955397506, 'verdict': 'canonical_only', 'quad_evals':"
+        " 240, 'series_terms': 7}"
+    ),
+    ('theorem1', 1.0, 2.0, 1.0): (
+        "{'identity': 'theorem1', 'k': 1.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 2.0, 'c':"
+        " 1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
+        "2.9600034334923206, 'rhs_canonical': 2.960003433502631, 'rhs_paper': "
+        "2.4902803687761548, 'rel_diff_canonical': 3.4832456842417845e-12, "
+        "'rel_diff_paper': 0.15869004049159813, 'verdict': 'canonical_only', "
+        "'quad_evals': 240, 'series_terms': 7}"
+    ),
+    ('theorem2', 2.0, 1.0, -1.0): (
+        "{'identity': 'theorem2', 'k': 2.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
+        " -1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
+        "0.4274515782906544, 'rhs_canonical': 0.4274515782890347, 'rhs_paper': "
+        "0.31371984375279893, 'rel_diff_canonical': 3.7892113467043744e-12, "
+        "'rel_diff_paper': 0.26606928202876173, 'verdict': 'canonical_only', "
+        "'quad_evals': 240, 'series_terms': 10}"
+    ),
+    ('theorem2', 2.0, 1.0, 1.0): (
+        "{'identity': 'theorem2', 'k': 2.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
+        " 1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
+        "0.6775724639685666, 'rhs_canonical': 0.6775724639784652, 'rhs_paper': "
+        "1.053758409261901, 'rel_diff_canonical': 1.4608808605993717e-11, "
+        "'rel_diff_paper': 0.35699448942650114, 'verdict': 'canonical_only', "
+        "'quad_evals': 240, 'series_terms': 10}"
+    ),
+    ('theorem2', 1.0, 1.0, -1.0): (
+        "{'identity': 'theorem2', 'k': 1.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
+        " -1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
+        "0.523111657875022, 'rhs_canonical': 0.5231116578966388, 'rhs_paper': "
+        "0.4095798910450061, 'rel_diff_canonical': 4.132352838873318e-11, "
+        "'rel_diff_paper': 0.21703161288969036, 'verdict': 'canonical_only', "
+        "'quad_evals': 240, 'series_terms': 7}"
+    ),
+    ('theorem2', 1.0, 1.0, 1.0): (
+        "{'identity': 'theorem2', 'k': 1.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
+        " 1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
+        "0.72123130102684, 'rhs_canonical': 0.7212313010169777, 'rhs_paper': "
+        "0.9564832809502734, 'rel_diff_canonical': 1.367414605551169e-11, "
+        "'rel_diff_paper': 0.2459551406792064, 'verdict': 'canonical_only', 'quad_evals':"
+        " 240, 'series_terms': 7}"
+    ),
+    ('theorem2', 1.0, 2.0, -1.0): (
+        "{'identity': 'theorem2', 'k': 1.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 2.0, 'c':"
+        " -1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
+        "0.5752294029666392, 'rhs_canonical': 0.5752294029693347, 'rhs_paper': "
+        "0.5131631386363469, 'rel_diff_canonical': 4.685974791227969e-12, "
+        "'rel_diff_paper': 0.1078982819901017, 'verdict': 'canonical_only', 'quad_evals':"
+        " 240, 'series_terms': 5}"
+    ),
+    ('theorem2', 1.0, 2.0, 1.0): (
+        "{'identity': 'theorem2', 'k': 1.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 2.0, 'c':"
+        " 1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
+        "0.6542038086358345, 'rhs_canonical': 0.6542038086395744, 'rhs_paper': "
+        "0.7238762778383591, 'rel_diff_canonical': 5.716715848123032e-12, "
+        "'rel_diff_paper': 0.09624913999196195, 'verdict': 'canonical_only', "
+        "'quad_evals': 240, 'series_terms': 5}"
+    ),
+}
+
+
+@pytest.mark.parametrize("identity, k, lambda1, c", list(GRID_SLICE_RECORDS))
+def test_grid_slice_records_are_pinned(identity, k, lambda1, c):
+    report = verify(identity, dict(GRID_SLICE, k=k, lambda1=lambda1, c=c))
+    assert repr(to_record(report)) == GRID_SLICE_RECORDS[identity, k, lambda1, c]

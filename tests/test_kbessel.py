@@ -1,4 +1,8 @@
 import math
+import random
+import sys
+import threading
+from dataclasses import astuple
 
 import pytest
 
@@ -247,3 +251,71 @@ def test_pochhammer_weight_visible():
     assert t2 / t1 == pytest.approx(
         k_pochhammer(2.0, 1, 1.0) / k_pochhammer(1.0, 1, 1.0), rel=1e-14
     )
+
+
+# The term table: one BesselParams object evaluated at many z must give what
+# a fresh object gives, bit for bit, whether its rows are new or reused.
+TABLE_CASES = {
+    "log, lambda1/k=0.5, c=-1": dict(k=2, nu=0.5, gamma=1.5, lambda1=1, c=-1, b=1),
+    "log, lambda1/k=0.5, c=2.5": dict(k=2, nu=1.0, gamma=1.5, lambda1=1, c=2.5, b=2),
+    "log, lambda1/k=0.7, c=-0.6": dict(k=1.5, nu=0.5, gamma=1.5, lambda1=1.05, c=-0.6, b=1),
+    "dd, lambda1/k=1, c=1": dict(k=1, nu=0.5, gamma=1.5, lambda1=1, c=1, b=1),
+    "dd, lambda1/k=1, c=-1.3": dict(k=1, nu=0, gamma=1, lambda1=1, c=-1.3, b=1),
+    "dd, lambda1/k=2, c=-0.7": dict(k=1, nu=1.0, gamma=1.5, lambda1=2, c=-0.7, b=2),
+    "dd, gamma=-2k terminates": dict(k=1.5, nu=0.5, gamma=-3, lambda1=3, c=-1, b=1),
+    "log, gamma=-2k terminates": dict(k=2, nu=0.5, gamma=-4, lambda1=1, c=-1.5, b=1),
+}
+
+
+@pytest.mark.parametrize("params", TABLE_CASES.values(), ids=TABLE_CASES)
+def test_table_reuse_is_bit_identical_to_fresh_evaluation(params):
+    rng = random.Random(1)
+    zs = [0.0, 0.3, 30.0] + [rng.uniform(0.05, 20.0) for _ in range(40)]
+    rng.shuffle(zs)
+    shared = BesselParams(**params)
+    for z in zs:
+        for max_terms in (1, 3, 400):
+            reused = eval_gmk_bessel(shared, z, tol=1e-12, max_terms=max_terms)
+            fresh = eval_gmk_bessel(BesselParams(**params), z, tol=1e-12, max_terms=max_terms)
+            assert repr(reused) == repr(fresh), (z, max_terms)
+
+
+def test_table_is_invisible_to_params_identity():
+    params = TABLE_CASES["dd, lambda1/k=2, c=-0.7"]
+    used, unused = BesselParams(**params), BesselParams(**params)
+    for z in (0.5, 8.0, 25.0):
+        eval_gmk_bessel(used, z)
+    assert used == unused
+    assert hash(used) == hash(unused)
+    assert repr(used) == repr(unused)
+    assert astuple(used) == astuple(unused)
+
+
+@pytest.mark.parametrize("case", ["log, lambda1/k=0.5, c=-1", "dd, lambda1/k=1, c=1"])
+def test_table_shared_between_threads(case):
+    # eight threads grow one table at once; a duplicated or skipped row
+    # would shift every later term
+    params = TABLE_CASES[case]
+    zs = [0.25 * i for i in range(1, 61)]
+    fresh = {z: repr(eval_gmk_bessel(BesselParams(**params), z)) for z in zs}
+    shared = BesselParams(**params)
+    seen = []
+
+    def work(seed):
+        order = zs[:]
+        random.Random(seed).shuffle(order)
+        seen.extend((z, repr(eval_gmk_bessel(shared, z))) for z in order)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 * len(zs)
+    assert all(got == fresh[z] for z, got in seen)

@@ -7,6 +7,7 @@ from kspecfun.summation import (
     CompensatedSum,
     dd_add,
     dd_div_d,
+    dd_mul,
     dd_mul_d,
     two_prod,
     two_sum,
@@ -47,6 +48,20 @@ def test_dd_scalar_roundtrip():
     for d in (3.0, 7.0, 11.0, 1.5):
         t = dd_mul_d(t, d)
     assert abs((t[0] - 1.0) + t[1]) < 1e-30
+
+
+@given(small, small, small, small)
+def test_dd_mul_is_double_double_accurate(a, b, c, d):
+    assume(all(x == 0.0 or 1e-40 < abs(x) < 1e40 for x in (a, b, c, d)))
+    x = two_sum(a, b * 1e-17)
+    y = two_sum(c, d * 1e-17)
+    p = dd_mul(x, y)
+    exact = (Fraction(x[0]) + Fraction(x[1])) * (Fraction(y[0]) + Fraction(y[1]))
+    assert abs(Fraction(p[0]) + Fraction(p[1]) - exact) <= Fraction(2) ** -100 * abs(exact)
+
+
+def test_dd_mul_of_doubles_is_two_prod():
+    assert dd_mul((0.1, 0.0), (3.3, 0.0)) == two_prod(0.1, 3.3)
 
 
 def test_compensated_sum_rescues_big_small():
