@@ -27,7 +27,7 @@ from types import MappingProxyType
 from typing import Optional
 
 from .errors import DomainError, NonConvergenceError
-from .kbessel import BesselParams, bessel_term_logsig, eval_gmk_bessel
+from .kbessel import BesselParams, bessel_terms_logsig, eval_gmk_bessel
 from .quadrature import (
     ObParams,
     check_theorem_args,
@@ -37,7 +37,7 @@ from .quadrature import (
     theorem2_lhs,
 )
 from .summation import SeriesResult, accumulate, dd_add, dd_div_d, dd_mul_d, logsig_pairs
-from .wright import WrightSpec, eval_k_wright, wright_term_logsig
+from .wright import WrightSpec, eval_k_wright, wright_terms_logsig
 
 __all__ = [
     "IDENTITIES",
@@ -141,23 +141,25 @@ def _rel(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y), 1e-300)
 
 
-def _canonical_term_logsig(
-    which: int, bp: BesselParams, mu: float, lam: float, a: float, y: float, n: int
-) -> tuple[float, int]:
-    """(log |term_n|, sign) of the canonical right-side series."""
-    lg, sg = bessel_term_logsig(bp, 0.5 * y, n)
-    if sg == 0:
-        return lg, sg
-    ln_ = lam + bp.nu + 2.0 * n
-    lg += math.log(2.0 * ln_) - ln_ * math.log(a)
-    if which == 1:
-        lg += mu * math.log(0.5 * a)
-        lg += math.lgamma(2.0 * mu) + math.lgamma(ln_ - mu) - math.lgamma(1.0 + ln_ + mu)
-    else:
-        mn = mu + bp.nu + 2.0 * n
-        lg += mn * math.log(0.5 * a)
-        lg += math.lgamma(2.0 * mn) + math.lgamma(lam - mu) - math.lgamma(1.0 + ln_ + mn)
-    return lg, sg
+def _canonical_terms_logsig(
+    which: int, bp: BesselParams, mu: float, lam: float, a: float, y: float
+):
+    """(log |term_n|, sign) of the canonical right-side series for
+    n = 0, 1, 2, ...: the Bessel terms times the kernel's closed form."""
+    la = math.log(a)
+    lha = math.log(0.5 * a)
+    for n, (lg, sg) in enumerate(bessel_terms_logsig(bp, 0.5 * y)):
+        if sg:
+            ln_ = lam + bp.nu + 2.0 * n
+            lg += math.log(2.0 * ln_) - ln_ * la
+            if which == 1:
+                lg += mu * lha
+                lg += math.lgamma(2.0 * mu) + math.lgamma(ln_ - mu) - math.lgamma(1.0 + ln_ + mu)
+            else:
+                mn = mu + bp.nu + 2.0 * n
+                lg += mn * lha
+                lg += math.lgamma(2.0 * mn) + math.lgamma(lam - mu) - math.lgamma(1.0 + ln_ + mn)
+        yield lg, sg
 
 
 def _rhs_canonical(which, bp, mu, lam, a, y, tol, max_terms) -> SeriesResult:
@@ -165,14 +167,11 @@ def _rhs_canonical(which, bp, mu, lam, a, y, tol, max_terms) -> SeriesResult:
     if y == 0.0:
         if bp.nu > 0.0:
             return SeriesResult(0.0, 1, 0.0, True)
-        lg, sg = _canonical_term_logsig(which, bp, mu, lam, a, 1.0, 0)
+        lg, sg = next(_canonical_terms_logsig(which, bp, mu, lam, a, 1.0))
         # nu = 0 kills the (y/2)^(nu+2n) factor only for n > 0
         return SeriesResult(sg * math.exp(lg), 1, 0.0, True)
-
-    def term_logsig(n):
-        return _canonical_term_logsig(which, bp, mu, lam, a, y, n)
-
-    return accumulate(logsig_pairs(term_logsig, 0.0, max_terms), tol, max_terms)
+    terms = _canonical_terms_logsig(which, bp, mu, lam, a, y)
+    return accumulate(logsig_pairs(terms, 0.0, max_terms), tol, max_terms)
 
 
 def theorem1_rhs_canonical(
@@ -355,17 +354,16 @@ def _ratio_diagnostics(row: Identity, bp, mu, lam, a, y) -> str:
         pref, spec, arg = _packaging(row.family, row.reduced, bp, mu, lam, a, y)
     except DomainError as exc:
         return f"packaged-form construction failed: {exc}"
-    paper_logsig = wright_term_logsig(spec.upper, spec.lower, spec.k_scale, arg)
+    canonical = _canonical_terms_logsig(row.family, bp, mu, lam, a, y)
+    packaged = wright_terms_logsig(spec.upper, spec.lower, spec.k_scale, arg)
     # arg = 0 only at c = 0, where every canonical term past n = 0 vanishes
     lz = math.log(abs(arg)) if arg else 0.0
     bits = []
-    for n in range(3):
-        lg, sg = _canonical_term_logsig(row.family, bp, mu, lam, a, y, n)
+    for n, (lg, sg), (plg, psg) in zip(range(3), canonical, packaged):
         canon = sg * math.exp(lg) if sg else 0.0
         if canon == 0.0:
             bits.append(f"n={n} n/a")
             continue
-        plg, psg = paper_logsig(n)
         paper = pref * psg * math.exp(plg + n * lz)
         bits.append(f"n={n} {paper / canon:.6g}")
     return "packaged/canonical term ratios: " + ", ".join(bits)

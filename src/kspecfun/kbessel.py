@@ -22,7 +22,10 @@ entering at the first power.  One recurrence sums S for both:
   sums lose ~4 digits to cancellation at z = 10 and plain doubles cannot
   hold 1e-12 agreement.
 
-Both paths stop on the one truncation rule, `summation.TailRule`.
+Both paths stop on the one truncation rule, `summation.TailRule`.  Term by
+term, the generalized series is also a forward (log |t_n|, sign_n) stream,
+`bessel_terms_logsig`, which carries the Pochhammer log and sign from one
+term to the next; the canonical right sides of the identities sum it.
 
 Every part of a term ratio except the power of the argument depends on the
 parameters alone: the Pochhammer factor, the factorials and the k-Gamma
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice, repeat
 
 from .errors import DomainError
 from .kgamma import k_gamma, log_k_gamma
@@ -50,7 +54,7 @@ from .summation import dd_add, dd_div_d, dd_mul, dd_mul_d
 __all__ = [
     "BesselParams",
     "SeriesResult",
-    "bessel_term_logsig",
+    "bessel_terms_logsig",
     "eval_gmk_bessel",
     "eval_k_bessel_first",
     "gmk_bessel_term",
@@ -107,58 +111,53 @@ class BesselParams:
         return table
 
 
-def _signed_log_poch(x: float, n: int, k: float) -> tuple[float, int]:
-    """(log |(x)_{n,k}|, sign); sign 0 when a factor vanishes."""
+def bessel_terms_logsig(p: BesselParams, w: float):
+    """(log |t_n|, sign_n) of the series terms at half-argument w = z/2 > 0
+    for n = 0, 1, 2, ...; (-inf, 0) forever once a Pochhammer factor
+    vanishes, and past n = 0 when c = 0.
+
+    The Pochhammer log and sign are carried from term to term.
+    """
+    s0 = p.nu + 0.5 * (p.b + 1.0)
+    lc = math.log(abs(p.c)) if p.c else 0.0
+    lw = math.log(w)
     lp = 0.0
     sg = 1
-    for j in range(n):
-        f = x + j * k
-        if f == 0.0:
-            return -math.inf, 0
+    for n in count():
+        lg = (n * lc + lp + (p.nu + 2.0 * n) * lw
+              - log_k_gamma(p.lambda1 * n + s0, p.k) - 2.0 * math.lgamma(n + 1.0))
+        yield lg, -sg if p.c < 0.0 and n % 2 else sg
+        f = p.gamma + n * p.k
+        if f == 0.0 or p.c == 0.0:
+            yield from repeat((-math.inf, 0))
         if f < 0.0:
             sg = -sg
         lp += math.log(abs(f))
-    return lp, sg
-
-
-def bessel_term_logsig(p: BesselParams, w: float, n: int) -> tuple[float, int]:
-    """(log |n-th series term|, sign) at half-argument w = z/2 > 0; sign 0
-    when the term vanishes."""
-    if p.c == 0.0 and n > 0:
-        return -math.inf, 0
-    lp, sg = _signed_log_poch(p.gamma, n, p.k)
-    if sg == 0:
-        return -math.inf, 0
-    if p.c < 0.0 and n % 2:
-        sg = -sg
-    s0 = p.nu + 0.5 * (p.b + 1.0)
-    lg = (n * math.log(abs(p.c)) if n else 0.0) + lp
-    lg += (p.nu + 2.0 * n) * math.log(w)
-    lg -= log_k_gamma(p.lambda1 * n + s0, p.k)
-    lg -= 2.0 * math.lgamma(n + 1.0)
-    return lg, sg
 
 
 def gmk_bessel_term(p: BesselParams, z: float, n: int) -> float:
-    """n-th series term assembled from scratch (reference for the recurrences)."""
-    if n < 0:
-        raise DomainError(f"term index must be >= 0, got {n}")
+    """n-th series term, the n-th item of `bessel_terms_logsig` (reference
+    for the recurrences)."""
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"term index must be an integer >= 0, got {n!r}")
     if z == 0.0:
         if n == 0 and p.nu == 0.0:
             return _lead(0.0, 0.0, p.nu + 0.5 * (p.b + 1.0), p.k)
         return 0.0
-    lg, sg = bessel_term_logsig(p, 0.5 * z, n)
+    lg, sg = next(islice(bessel_terms_logsig(p, 0.5 * z), n, None))
     return sg * math.exp(lg) if sg else 0.0
 
 
-def _lead(w: float, e: float, s0: float, k: float) -> float:
+def _lead(w: float, e: float, s0: float, k: float, g: float | None = None) -> float:
     """Leading factor w**e / Gamma_k(s0), 0**0 = 1; through logs where a
-    factor leaves double range (OverflowError, or Gamma_k inf or 0)."""
+    factor leaves double range (OverflowError, or Gamma_k inf or 0).  g is
+    Gamma_k(s0) where the caller has it, inf where k_gamma overflowed."""
     try:
         lead = w**e
         if not lead:
             return 0.0  # needs no Gamma_k(s0)
-        g = k_gamma(s0, k)
+        if g is None:
+            g = k_gamma(s0, k)
         if 0.0 < g < math.inf:
             return lead / g
     except OverflowError:
@@ -227,21 +226,27 @@ class _DDTable:
     term ratio is c g w^2 / ((n+1)^2 prod_j (lambda1 n + s0 + j k)) with
     g = gamma + n k and w = z/2.  Row n holds |c| |g|, (n+1)^2, the m
     divisors and the z-free ratio in double-double, or None where g = 0
-    ends the series.
+    ends the series.  gk0 is Gamma_k(s0) of the prefactor w^nu / Gamma_k(s0),
+    inf where it overflows.
     """
 
-    __slots__ = ("k", "gamma", "lambda1", "c", "s0", "m", "rows")
+    __slots__ = ("k", "gamma", "lambda1", "c", "s0", "m", "gk0", "rows")
 
     def __init__(self, k, gamma, lambda1, c, s0, m) -> None:
         self.k, self.gamma, self.lambda1, self.c, self.s0, self.m = k, gamma, lambda1, c, s0, m
+        try:
+            self.gk0 = k_gamma(s0, k)
+        except OverflowError:
+            self.gk0 = math.inf
         self.rows = []
 
-    def evaluate(self, w: float, pref: float, tol: float, max_terms: int) -> SeriesResult:
-        """pref * S(c w^2); the prefactor is a common factor, applied once
-        at the end.  Builds row n here the first time any call reaches
-        term n."""
+    def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
+        """w^nu / Gamma_k(s0) * S(c w^2); the prefactor is a common factor,
+        applied once at the end.  Builds row n here the first time any call
+        reaches term n."""
         k, gamma, lambda1, c, s0, m, rows = (
             self.k, self.gamma, self.lambda1, self.c, self.s0, self.m, self.rows)
+        pref = _lead(w, nu, s0, k, self.gk0)
         w2 = w * w
         t = (1.0, 0.0)
         acc = (1.0, 0.0)
@@ -292,8 +297,7 @@ def eval_gmk_bessel(
         return SeriesResult(_lead(0.5 * z, p.nu, s0, p.k), 1, 0.0, True)
     table = p._term_table()
     if isinstance(table, _DDTable):
-        w = 0.5 * z
-        return table.evaluate(w, _lead(w, p.nu, s0, p.k), tol, max_terms)
+        return table.evaluate(0.5 * z, p.nu, tol, max_terms)
     lw = math.log(0.5 * z)
     return accumulate(table.pairs(p.nu * lw, 2.0 * lw, p.c < 0.0, max_terms), tol, max_terms)
 

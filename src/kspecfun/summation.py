@@ -12,8 +12,9 @@ Every series evaluator stops on one truncation rule, `TailRule`: the ratio
 rho must be below 1 and non-increasing and the geometric tail bound
 |t| rho / (1 - rho) under tol, both relative to the partial sum and
 absolutely.  `accumulate` applies it to a (term, |next/current| ratio)
-stream, which `logsig_pairs` builds from terms given in log-magnitude/sign
-form; the double-double Bessel recurrence applies it to its own sum.
+stream, which `logsig_pairs` builds from a forward stream of terms in
+log-magnitude/sign form, (L_n, sign_n) for n = 0, 1, 2, ...; the
+double-double Bessel recurrence applies it to its own sum.
 """
 
 from __future__ import annotations
@@ -35,17 +36,11 @@ def two_sum(a: float, b: float) -> tuple[float, float]:
     return s, e
 
 
-def fast_two_sum(a: float, b: float) -> tuple[float, float]:
-    """Dekker two-sum, valid only for |a| >= |b| (or a == 0)."""
-    s = a + b
-    e = b - (s - a)
-    return s, e
-
-
 # The products and sums below write their error-free transforms out in
 # place: they run once or more per series term, where call overhead would
 # cost as much as the arithmetic.  The operations and their order are those
-# of two_sum, fast_two_sum and the Dekker split.
+# of two_sum, the Dekker fast two-sum (s = a + b, e = b - (s - a) for
+# |a| >= |b|) and the Dekker split.
 
 
 def two_prod(a: float, b: float) -> tuple[float, float]:
@@ -169,19 +164,20 @@ def check_series_args(z: float, tol: float, max_terms: int) -> tuple[float, int]
     return float(z), max_terms
 
 
-def logsig_pairs(term_logsig, lz: float, max_terms: int):
+def logsig_pairs(terms, lz: float, max_terms: int):
     """(term, ratio) stream of sum_n sign_n exp(L_n + n lz).
 
-    term_logsig(n) gives (L_n, sign_n), sign 0 for a vanishing term, which
-    ends the series exactly; lz is log |z| for a power series in z, or 0.0
-    when the terms already carry their argument.
+    terms is an iterator of (L_n, sign_n) for n = 0, 1, 2, ..., at least
+    max_terms + 1 long; sign 0 marks a vanishing term, which ends the
+    series exactly.  lz is log |z| for a power series in z, or 0.0 when the
+    terms already carry their argument.
     """
-    cur, sg = term_logsig(0)
+    cur, sg = next(terms)
     for n in range(max_terms):
         if sg == 0:
             yield 0.0, 0.0
             return
-        nxt, sg_next = term_logsig(n + 1)
+        nxt, sg_next = next(terms)
         t = sg * math.exp(cur + n * lz)
         yield t, math.exp(nxt - cur + lz) if sg_next != 0 else 0.0
         cur, sg = nxt, sg_next

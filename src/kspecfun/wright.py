@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import DomainError
 from .kgamma import log_k_gamma
@@ -29,7 +30,7 @@ __all__ = [
     "eval_k_wright",
     "eval_pfq",
     "wright_pfq_reduction_check",
-    "wright_term_logsig",
+    "wright_terms_logsig",
 ]
 
 
@@ -80,19 +81,16 @@ def convergence_margin(s: WrightSpec) -> float:
     return math.fsum(wt for _, wt in s.lower) - math.fsum(wt for _, wt in s.upper)
 
 
-def wright_term_logsig(upper, lower, k_scale: float, z: float):
-    """n -> (log |n-th term| without its |z|^n factor, sign of the term)
-    for the rows (a_i, alpha_i) over (b_j, beta_j)."""
-
-    def term_logsig(n: int) -> tuple[float, int]:
+def wright_terms_logsig(upper, lower, k_scale: float, z: float):
+    """(log |n-th term| without its |z|^n factor, sign of the term) for
+    n = 0, 1, 2, ... and the rows (a_i, alpha_i) over (b_j, beta_j)."""
+    for n in count():
         lg = -math.lgamma(n + 1.0)
         for off, wt in upper:
             lg += log_k_gamma(off + wt * n, k_scale)
         for off, wt in lower:
             lg -= log_k_gamma(off + wt * n, k_scale)
-        return lg, -1 if z < 0 and n % 2 else 1
-
-    return term_logsig
+        yield lg, -1 if z < 0 and n % 2 else 1
 
 
 def eval_k_wright(
@@ -100,10 +98,10 @@ def eval_k_wright(
 ) -> SeriesResult:
     """Evaluate the Gamma_k-deformed Wright series at real z."""
     z, max_terms = check_series_args(z, tol, max_terms)
-    term_logsig = wright_term_logsig(s.upper, s.lower, s.k_scale, z)
+    terms = wright_terms_logsig(s.upper, s.lower, s.k_scale, z)
     if z == 0.0:
-        return SeriesResult(math.exp(term_logsig(0)[0]), 1, 0.0, True)
-    return accumulate(logsig_pairs(term_logsig, math.log(abs(z)), max_terms), tol, max_terms)
+        return SeriesResult(math.exp(next(terms)[0]), 1, 0.0, True)
+    return accumulate(logsig_pairs(terms, math.log(abs(z)), max_terms), tol, max_terms)
 
 
 def eval_wright(s: WrightSpec, z: float, tol: float = 1e-10, max_terms: int = 400) -> SeriesResult:
@@ -174,10 +172,8 @@ def _weight1_pairs(upper, lower, z: float, max_terms: int):
     """Unit-weight Wright terms, with ratios replaced by the monotone pFq
     tail bound (the weight-1 term ratios equal the pFq ones)."""
     dens = list(lower) + [1.0]
-    term_logsig = wright_term_logsig(
-        [(a, 1.0) for a in upper], [(b, 1.0) for b in lower], 1.0, z
-    )
-    for n, (t, _) in enumerate(logsig_pairs(term_logsig, math.log(abs(z)), max_terms)):
+    terms = wright_terms_logsig([(a, 1.0) for a in upper], [(b, 1.0) for b in lower], 1.0, z)
+    for n, (t, _) in enumerate(logsig_pairs(terms, math.log(abs(z)), max_terms)):
         yield t, _ratio_tail_bound(upper, dens, z, n)
 
 

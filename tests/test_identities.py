@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from kspecfun import kbessel
 from kspecfun.errors import DomainError
 from kspecfun.identities import (
     CSV_FIELDS,
@@ -62,6 +63,74 @@ def test_canonical_c_zero_collapse():
 def test_canonical_y_zero():
     r = theorem1_rhs_canonical(UNIT, 1.0, 2.0, 1.0, 0.0)
     assert r.value == 0.0 and r.converged
+
+
+def _canonical_sum(which, p, mu, lam, a, y):
+    """Canonical right side from its definition, term by term in 40-digit
+    arithmetic: the series term times the kernel's closed form
+    2 l a^-l (a/2)^m Gamma(2m) Gamma(l - m) / Gamma(1 + l + m) with
+    (m, l) = (mu, lam + nu + 2n) or (mu + nu + 2n, lam + nu + 2n); the
+    sum stops at the first vanishing term."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        k, nu, gamma, lam1, c, b = map(mpmath.mpf, (p.k, p.nu, p.gamma, p.lambda1, p.c, p.b))
+        mu, lam, a, y = map(mpmath.mpf, (mu, lam, a, y))
+        total, n = mpmath.mpf(0), 0
+        while True:
+            poch = mpmath.fprod(gamma + j * k for j in range(n))
+            if poch == 0:
+                return total, n
+            s = lam1 * n + nu + (b + 1) / 2
+            gk = k ** (s / k - 1) * mpmath.gamma(s / k)
+            term = c**n * poch / gk * (y / 2) ** (nu + 2 * n) / mpmath.factorial(n) ** 2
+            ln = lam + nu + 2 * n
+            m = mu if which == 1 else mu + nu + 2 * n
+            total += term * 2 * ln * a**-ln * (a / 2) ** m * mpmath.gamma(2 * m) * mpmath.gamma(
+                (ln if which == 1 else lam) - mu) / mpmath.gamma(1 + ln + m)
+            n += 1
+
+
+@pytest.mark.parametrize("which, rhs", [(1, theorem1_rhs_canonical), (2, theorem2_rhs_canonical)])
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(k=1.5, nu=0.5, gamma=-3.0, lambda1=1.05, c=-1.0, b=1.0),  # log path
+        dict(k=1.0, nu=1.0, gamma=-2.0, lambda1=2.0, c=0.7, b=2.0),
+    ],
+)
+def test_canonical_terminates_at_gamma_minus_2k(which, rhs, params):
+    p = BesselParams(**params)
+    mu, lam, a, y = 0.5, 1.5, 0.75, 3.0
+    expected, nonzero = _canonical_sum(which, p, mu, lam, a, y)
+    assert nonzero == 3
+    r = rhs(p, mu, lam, a, y)
+    assert r.converged and r.terms_used == 3 and r.tail_estimate == 0.0
+    assert r.value == pytest.approx(float(expected), rel=1e-13)
+
+
+class _CountingMath:
+    """Stands in for the math module and counts calls of log."""
+
+    def __init__(self):
+        self.log_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.log_calls += 1
+        return math.log(x)
+
+
+def test_canonical_series_log_work_is_linear_in_terms(monkeypatch):
+    # The H1 point: ~100 terms.  Rebuilding the Pochhammer product at every
+    # term takes ~n^2/2 logs; carrying it takes one per term.
+    counting = _CountingMath()
+    monkeypatch.setattr(kbessel, "math", counting)
+    p = BesselParams(k=1.5, nu=0.5, gamma=1.5, lambda1=0.7, c=-1.0, b=1.0)
+    r = theorem1_rhs_canonical(p, 0.5, 1.5, 0.5, 10.0)
+    assert r.terms_used > 50
+    assert counting.log_calls <= 3 * r.terms_used
 
 
 def test_corollary1_matches_negated_paper_form():

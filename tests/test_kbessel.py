@@ -253,6 +253,59 @@ def test_pochhammer_weight_visible():
     )
 
 
+def _gmk_term(p, z, n):
+    """n-th generalized series term from its definition, in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        k, nu, gamma, lam, c, b, z = map(mpmath.mpf, (p.k, p.nu, p.gamma, p.lambda1, p.c, p.b, z))
+        s = lam * n + nu + (b + 1) / 2
+        poch = mpmath.fprod(gamma + j * k for j in range(n))
+        gk = k ** (s / k - 1) * mpmath.gamma(s / k)
+        return c**n * poch / gk * (z / 2) ** (nu + 2 * n) / mpmath.factorial(n) ** 2
+
+
+@pytest.mark.parametrize(
+    "params, z",
+    [
+        # gamma < 0: the Pochhammer sign flips at each of the first three factors
+        (dict(k=1.0, nu=0.5, gamma=-2.5, lambda1=0.7, c=1.0, b=1.0), 3.0),
+        (dict(k=1.5, nu=0.0, gamma=-4.0, lambda1=3.0, c=-0.8, b=2.0), 2.5),
+        (dict(k=0.7, nu=1.2, gamma=-1.9, lambda1=1.3, c=-1.3, b=0.5), 6.0),
+        # gamma = -2k: the factor at j = 2 vanishes, so every term past n = 2 is 0
+        (dict(k=1.5, nu=0.5, gamma=-3.0, lambda1=1.05, c=-1.0, b=1.0), 4.0),
+        (dict(k=2.0, nu=0.0, gamma=-4.0, lambda1=4.0, c=0.6, b=3.0), 1.5),
+    ],
+)
+def test_term_matches_definition(params, z):
+    p = BesselParams(**params)
+    for n in range(30):
+        expected = _gmk_term(p, z, n)
+        got = gmk_bessel_term(p, z, n)
+        if expected == 0:
+            assert got == 0.0 and params["gamma"] == -2 * params["k"] and n > 2
+        else:
+            assert got == pytest.approx(float(expected), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("z", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("n", [2.5, 0.5, -1])
+def test_term_index_must_be_a_whole_number(z, n):
+    # nu = 0 at z = 0 takes the n == 0 branch; the others build the stream
+    for nu in (0.0, 0.5):
+        with pytest.raises(DomainError):
+            gmk_bessel_term(BesselParams(k=1, nu=nu, gamma=1, lambda1=1, c=-1, b=1), z, n)
+
+
+def test_dd_prefactor_gamma_once_per_table(monkeypatch):
+    calls = []
+    real = kbessel.k_gamma
+    monkeypatch.setattr(kbessel, "k_gamma", lambda s, k: calls.append(s) or real(s, k))
+    p = BesselParams(k=1, nu=0.5, gamma=1.5, lambda1=2, c=-1, b=1)
+    for i in range(1, 60):
+        eval_gmk_bessel(p, 0.1 * i)
+    assert len(calls) == 1
+
+
 # The term table: one BesselParams object evaluated at many z must give what
 # a fresh object gives, bit for bit, whether its rows are new or reused.
 TABLE_CASES = {
