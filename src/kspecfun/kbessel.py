@@ -22,10 +22,10 @@ entering at the first power.  One recurrence sums S for both:
   sums lose ~4 digits to cancellation at z = 10 and plain doubles cannot
   hold 1e-12 agreement.
 
-Both paths stop on the one truncation rule, `summation.TailRule`.  Term by
-term, the generalized series is also a forward (log |t_n|, sign_n) stream,
-`bessel_terms_logsig`, which carries the Pochhammer log and sign from one
-term to the next; the canonical right sides of the identities sum it.
+Both paths stop on the one truncation rule, `summation.certified_tail`.
+Term by term, the generalized series is also a forward (log |t_n|, sign_n)
+stream, `bessel_terms_logsig`, carrying the Pochhammer log and sign from
+term to term; the canonical right sides of the identities sum it.
 
 Every part of a term ratio except the power of the argument depends on the
 parameters alone: the Pochhammer factor, the factorials and the k-Gamma
@@ -48,8 +48,8 @@ from itertools import count, islice, repeat
 
 from .errors import DomainError
 from .kgamma import k_gamma, log_k_gamma
-from .summation import SeriesResult, TailRule, accumulate, check_series_args
-from .summation import dd_add, dd_div_d, dd_mul, dd_mul_d
+from .summation import SeriesResult, accumulate, certified_tail, check_arg, check_series_args
+from .summation import dd_add, dd_div_d, dd_mul, dd_mul_d, open_tail
 
 __all__ = [
     "BesselParams",
@@ -136,10 +136,13 @@ def bessel_terms_logsig(p: BesselParams, w: float):
 
 
 def gmk_bessel_term(p: BesselParams, z: float, n: int) -> float:
-    """n-th series term, the n-th item of `bessel_terms_logsig` (reference
-    for the recurrences)."""
+    """n-th series term at real z >= 0, the n-th item of
+    `bessel_terms_logsig` (reference for the recurrences)."""
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"term index must be an integer >= 0, got {n!r}")
+    z = check_arg(z)
+    if z < 0:
+        raise DomainError(f"argument must be >= 0, got {z!r}")
     if z == 0.0:
         if n == 0 and p.nu == 0.0:
             return _lead(0.0, 0.0, p.nu + 0.5 * (p.b + 1.0), p.k)
@@ -250,9 +253,8 @@ class _DDTable:
         w2 = w * w
         t = (1.0, 0.0)
         acc = (1.0, 0.0)
-        rule = TailRule(tol, max_terms)
-        n = 0
-        while True:
+        rho = math.inf
+        for n in count():
             if n < len(rows):
                 row = rows[n]
             else:
@@ -270,18 +272,21 @@ class _DDTable:
                         r = dd_div_d(r, d)
                     row = (abs(c) * abs(g), rden, divs, r)
                 rows[n:n + 1] = (row,)
+            rho_prev = rho
             if row is None:
                 rho = 0.0  # exact termination, even where w2 overflows
             else:
                 rho = row[0] * w2 / row[1]
                 for d in row[2]:
                     rho /= d
-            if rule.stop(abs(t[0]) * pref, rho, abs(acc[0] + acc[1]) * pref):
-                break
+            t_abs = abs(t[0]) * pref
+            tail = certified_tail(t_abs, rho, rho_prev, abs(acc[0] + acc[1]) * pref, tol)
+            if tail is not None:
+                return SeriesResult(pref * (acc[0] + acc[1]), n + 1, tail, True)
+            if n + 1 >= max_terms:
+                return SeriesResult(pref * (acc[0] + acc[1]), n + 1, open_tail(t_abs, rho), False)
             t = dd_mul(dd_mul_d(t, w2), row[3])
             acc = dd_add(acc, t)
-            n += 1
-        return rule.result(pref * (acc[0] + acc[1]))
 
 
 def eval_gmk_bessel(

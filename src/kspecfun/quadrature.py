@@ -242,12 +242,17 @@ def _bessel_factor(bp: BesselParams, z: float, series_tol: float, max_terms: int
 
 def _weighted_kernel_lhs(which, bp, mu, lam, a, y, tol, budget, series_tol, max_terms):
     mu, lam, a, y = check_theorem_args(which, bp, mu, lam, a, y)
+    # Bessel factor by argument, for this integral only: near x = 0 (first
+    # identity) or x = inf (second) z stops changing in floating point.
+    factors: dict[float, float] = {}
 
     def f(x: float) -> float:
         ph = phi(x, a)
         # x/ph <= 1, so grouping this way cannot overflow for huge x
         z = y / ph if which == 1 else x / ph * y
-        v = _bessel_factor(bp, z, series_tol, max_terms)
+        v = factors.get(z)
+        if v is None:
+            v = factors[z] = _bessel_factor(bp, z, series_tol, max_terms)
         if v == 0.0:
             return 0.0
         lf = (mu - 1.0) * math.log(x) - lam * math.log(ph) + math.log(abs(v))

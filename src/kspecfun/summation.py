@@ -8,8 +8,8 @@ the reduction checks demand.  Terms on the hot path are therefore carried as
 unevaluated double-double pairs (hi, lo) built from error-free transforms,
 and everything else goes through Neumaier accumulation.
 
-Every series evaluator stops on one truncation rule, `TailRule`: the ratio
-rho must be below 1 and non-increasing and the geometric tail bound
+Every series evaluator stops on one truncation rule, `certified_tail`: the
+ratio rho must be below 1 and non-increasing and the geometric tail bound
 |t| rho / (1 - rho) under tol, both relative to the partial sum and
 absolutely.  `accumulate` applies it to a (term, |next/current| ratio)
 stream, which `logsig_pairs` builds from a forward stream of terms in
@@ -152,16 +152,22 @@ class SeriesResult:
     converged: bool
 
 
-def check_series_args(z: float, tol: float, max_terms: int) -> tuple[float, int]:
-    """Validate a series argument, tolerance and term cap; return (z, max_terms)."""
+def check_arg(z: float) -> float:
+    """Validate a series argument; return it as a float."""
     if not (isinstance(z, (int, float)) and math.isfinite(z)):
         raise DomainError(f"argument must be a finite real, got {z!r}")
+    return float(z)
+
+
+def check_series_args(z: float, tol: float, max_terms: int) -> tuple[float, int]:
+    """Validate a series argument, tolerance and term cap; return (z, max_terms)."""
+    z = check_arg(z)
     if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     max_terms = int(max_terms)
     if max_terms < 1:
         raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
-    return float(z), max_terms
+    return z, max_terms
 
 
 def logsig_pairs(terms, lz: float, max_terms: int):
@@ -183,65 +189,47 @@ def logsig_pairs(terms, lz: float, max_terms: int):
         cur, sg = nxt, sg_next
 
 
-class TailRule:
-    """The truncation rule every series evaluator stops on.
+def certified_tail(t_abs: float, rho: float, rho_prev: float, s_abs: float,
+                   tol: float) -> float | None:
+    """The certified tail of a term |t| = t_abs with ratio rho (rho_prev before
+    it, inf at the first term) and partial sum |S| = s_abs, or None while the
+    rule does not hold; a zero ratio ends the series exactly."""
+    if rho == 0.0:
+        return 0.0
+    if rho < 1.0 and rho <= rho_prev:
+        bound = t_abs * rho / (1.0 - rho)
+        if bound <= tol * min(max(s_abs, 1e-300), 1.0):
+            return bound
+    return None
 
-    Feed `stop` each term's magnitude |t|, the ratio rho = |next/current|
-    and the magnitude |S| of the partial sum through that term.  A zero
-    ratio ends the series exactly.  Otherwise the geometric tail
-    |t| rho / (1 - rho) is certified once rho is below 1 and non-increasing
-    and the bound is <= tol * min(max(|S|, 1e-300), 1), relative to the sum
-    and never looser than absolute.  `stop` also says stop at the term cap;
-    `result` then reports the open-tail estimate of the last term.
-    """
 
-    __slots__ = ("tol", "max_terms", "terms", "last", "rho", "tail")
-
-    def __init__(self, tol: float, max_terms: int) -> None:
-        self.tol = tol
-        self.max_terms = max_terms
-        self.terms = 0
-        self.last = 0.0
-        self.rho = math.inf
-        self.tail = None  # the certified bound, once the rule holds
-
-    def stop(self, t_abs: float, rho: float, s_abs: float) -> bool:
-        rho_prev, self.rho = self.rho, rho
-        self.terms += 1
-        self.last = t_abs
-        if rho == 0.0:
-            self.tail = 0.0
-            return True
-        if rho < 1.0 and rho <= rho_prev:
-            bound = t_abs * rho / (1.0 - rho)
-            if bound <= self.tol * min(max(s_abs, 1e-300), 1.0):
-                self.tail = bound
-                return True
-        return self.terms >= self.max_terms
-
-    def result(self, value: float) -> SeriesResult:
-        if self.tail is not None:
-            return SeriesResult(value, self.terms, self.tail, True)
-        rho = self.rho
-        tail = self.last * rho / (1.0 - rho) if rho < 1.0 else self.last
-        return SeriesResult(value, max(self.terms, 1), tail, False)
+def open_tail(t_abs: float, rho: float) -> float:
+    """Tail estimate of a series cut at its term cap, from its last term."""
+    return t_abs * rho / (1.0 - rho) if rho < 1.0 else t_abs
 
 
 def accumulate(pairs, tol: float, max_terms: int) -> SeriesResult:
-    """Sum a (term, |next/current| ratio) stream under `TailRule`.
+    """Sum a (term, |next/current| ratio) stream under `certified_tail`.
 
     A zero ratio marks exact termination (a Pochhammer factor hit zero);
     an infinite one says no tail bound holds yet.
     """
     s = c = 0.0  # the Neumaier step of CompensatedSum.add, written out
-    rule = TailRule(tol, max_terms)
-    for t, rho in pairs:
+    n = 0
+    t_abs = 0.0
+    rho = math.inf
+    for n, (t, r) in enumerate(pairs, 1):
         u = s + t
         if abs(s) >= abs(t):
             c += (s - u) + t
         else:
             c += (t - u) + s
         s = u
-        if rule.stop(abs(t), rho, abs(s + c)):
+        t_abs = abs(t)
+        tail = certified_tail(t_abs, r, rho, abs(s + c), tol)
+        rho = r
+        if tail is not None:
+            return SeriesResult(s + c, n, tail, True)
+        if n >= max_terms:
             break
-    return rule.result(s + c)
+    return SeriesResult(s + c, max(n, 1), open_tail(t_abs, rho), False)

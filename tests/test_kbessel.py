@@ -296,6 +296,17 @@ def test_term_index_must_be_a_whole_number(z, n):
             gmk_bessel_term(BesselParams(k=1, nu=nu, gamma=1, lambda1=1, c=-1, b=1), z, n)
 
 
+@pytest.mark.parametrize("z", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_term_rejects_the_arguments_eval_rejects(z):
+    p = BesselParams(k=1, nu=0.5, gamma=1, lambda1=1, c=-1, b=1)
+    with pytest.raises(DomainError) as expected:
+        eval_gmk_bessel(p, z)
+    for n in (0, 3):
+        with pytest.raises(DomainError) as got:
+            gmk_bessel_term(p, z, n)
+        assert str(got.value) == str(expected.value)
+
+
 def test_dd_prefactor_gamma_once_per_table(monkeypatch):
     calls = []
     real = kbessel.k_gamma

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from kspecfun import quadrature
 from kspecfun.errors import DomainError
 from kspecfun.kbessel import BesselParams
 from kspecfun.kgamma import k_gamma
@@ -157,3 +158,35 @@ def test_theorem_preconditions():
         theorem1_lhs(UNIT, 1.0, 2.0, -1.0, 1.0)
     with pytest.raises(DomainError):
         theorem1_lhs(UNIT, 1.0, 2.0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("lhs, expected", [
+    (theorem1_lhs, "QuadResult(value=0.014569021263106193, abs_err_estimate=7.85214236524927e-12,"
+                   " evaluations=240, converged=True)"),
+    (theorem2_lhs, "QuadResult(value=0.5231116578745755, abs_err_estimate=8.795000713356589e-13,"
+                   " evaluations=240, converged=True)"),
+], ids=["theorem1", "theorem2"])
+def test_bessel_factor_once_per_distinct_argument(monkeypatch, lhs, expected):
+    # Near x = 0 (first identity) and x = inf (second) the argument y/phi
+    # or x y/phi stops changing in floating point, so nodes repeat it.
+    bp = BesselParams(k=1, nu=0.5, gamma=1.5, lambda1=1, c=-1, b=1)
+    mu, lam, a, y = 0.5, 1.5, 0.75, 3.0
+    seen, calls = [], []
+    real_phi, real_eval = quadrature.phi, quadrature.eval_gmk_bessel
+
+    def recording_phi(x, a):
+        ph = real_phi(x, a)
+        seen.append(y / ph if lhs is theorem1_lhs else x / ph * y)
+        return ph
+
+    def counted(p, z, *args, **kwargs):
+        calls.append(z)
+        return real_eval(p, z, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "phi", recording_phi)
+    monkeypatch.setattr(quadrature, "eval_gmk_bessel", counted)
+    q = lhs(bp, mu, lam, a, y)
+    assert repr(q) == expected
+    assert len(seen) == q.evaluations
+    assert sorted(calls) == sorted(set(seen))
+    assert len(calls) < q.evaluations

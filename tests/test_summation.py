@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
-from hypothesis import assume, given, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kspecfun.summation import (
     CompensatedSum,
+    accumulate,
     dd_add,
     dd_div_d,
     dd_mul,
@@ -50,9 +52,14 @@ def test_dd_scalar_roundtrip():
     assert abs((t[0] - 1.0) + t[1]) < 1e-30
 
 
-@given(small, small, small, small)
+# 0.0, -0.0, or a magnitude in (1e-40, 1e40)
+magnitude = st.floats(min_value=1e-40, max_value=1e40, exclude_min=True, exclude_max=True)
+mid = st.sampled_from((0.0, -0.0)) | magnitude | magnitude.map(lambda x: -x)
+
+
+@settings(deadline=None)
+@given(mid, mid, mid, mid)
 def test_dd_mul_is_double_double_accurate(a, b, c, d):
-    assume(all(x == 0.0 or 1e-40 < abs(x) < 1e40 for x in (a, b, c, d)))
     x = two_sum(a, b * 1e-17)
     y = two_sum(c, d * 1e-17)
     p = dd_mul(x, y)
@@ -80,3 +87,42 @@ def test_compensated_sum_tracks_fsum(xs):
         cs.add(x)
     ref = math.fsum(xs)
     assert abs(cs.value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+_STREAMS = {
+    "empty": [],
+    "zero_ratio": [(1.0, 0.5), (0.5, 0.0), (7.0, 0.5)],
+    "nan_ratio": [(1.0, math.nan), (0.5, 0.1), (0.05, 0.1)],
+    "inf_ratio": [(1.0, math.inf), (0.5, 0.1), (0.05, 0.1)],
+    "rising": [(1.0, 0.9), (0.9, 0.95), (1e-3, 0.99), (1e-4, 0.5)],
+    "alternating": [(1.0, 0.5), (-0.5, 0.5), (0.25, 0.5), (-0.125, 0.5)],
+    "subnormal": [(5e-324, 0.9), (5e-324, 0.9), (1e-323, 0.9)],
+}
+
+
+# expected (value, terms_used, tail_estimate, converged), bit for bit
+@pytest.mark.parametrize("stream, max_terms, tol, expected", [
+    ("empty", 400, 1.0, (0.0, 1, 0.0, False)),
+    ("empty", 400, 1e-300, (0.0, 1, 0.0, False)),
+    ("zero_ratio", 400, 1.0, (1.0, 1, 1.0, True)),
+    ("zero_ratio", 400, 1e-300, (1.5, 2, 0.0, True)),
+    ("nan_ratio", 400, 1.0, (1.55, 3, 0.005555555555555557, True)),
+    ("nan_ratio", 400, 1e-300, (1.55, 3, 0.005555555555555557, False)),
+    ("inf_ratio", 400, 1.0, (1.5, 2, 0.05555555555555556, True)),
+    ("inf_ratio", 400, 1e-300, (1.55, 3, 0.005555555555555557, False)),
+    ("rising", 400, 1.0, (1.9011, 4, 0.0001, True)),
+    ("rising", 400, 1e-300, (1.9011, 4, 0.0001, False)),
+    ("alternating", 400, 1.0, (1.0, 1, 1.0, True)),
+    ("alternating", 400, 1e-300, (0.625, 4, 0.125, False)),
+    ("subnormal", 400, 1.0, (5e-324, 1, 5e-323, True)),
+    ("subnormal", 400, 1e-300, (2e-323, 3, 1e-322, False)),
+    ("rising", 1, 1e-300, (1.0, 1, 9.000000000000002, False)),
+    ("rising", 2, 1e-300, (1.9, 2, 17.099999999999984, False)),
+    ("rising", 3, 1e-300, (1.901, 3, 0.09899999999999991, False)),
+    ("alternating", 1, 1e-300, (1.0, 1, 1.0, False)),
+    ("alternating", 2, 1e-300, (0.5, 2, 0.5, False)),
+    ("alternating", 3, 1e-300, (0.75, 3, 0.25, False)),
+])
+def test_accumulate_on_crafted_streams(stream, max_terms, tol, expected):
+    r = accumulate(iter(_STREAMS[stream]), tol, max_terms)
+    assert repr((r.value, r.terms_used, r.tail_estimate, r.converged)) == repr(expected)
