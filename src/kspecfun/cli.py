@@ -10,7 +10,8 @@ summary count line, and exits 0 only when no point produced a mismatch.
 
 The tolerance and budget flags have no defaults here: only the ones set are
 passed on, so the library's defaults hold; sweep takes the library default,
-then the config value, then the flag.
+then the config value, then the flag.  Flags and config values follow one
+rule, `_setting`, checked before any point runs.
 
 Records carry a fixed field set in both formats; the verdict vocabulary in
 records is {match, canonical_only, mismatch, skipped}, with skipped covering
@@ -145,9 +146,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _flags(args) -> dict:
-    """The tolerance and budget flags set on the command line."""
-    return {key: getattr(args, key) for key in _SETTINGS if hasattr(args, key)}
+    """The tolerance and budget flags set on the command line, checked by the
+    rule the config settings follow."""
+    return {
+        key: _setting(key, getattr(args, key), f"flag {_flag(key)}")
+        for key in _SETTINGS
+        if hasattr(args, key)
+    }
 
 
 def _cmd_eval(args) -> int:
@@ -238,16 +248,17 @@ def _config_value_list(key, value):
     return out
 
 
-def _config_setting(key, value):
-    """A config tolerance (finite, > 0) or max_terms (a whole number >= 1)."""
+def _setting(key, value, name):
+    """A tolerance (finite, > 0) or max_terms (a whole number >= 1); name is
+    the config key or flag that gave it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"config key {key!r} must be a single number")
+        raise UsageError(f"{name} must be a single number")
     if key == "max_terms":
         if not (math.isfinite(value) and value == int(value) and value >= 1):
-            raise UsageError(f"config key {key!r} must be a whole number >= 1, got {value!r}")
+            raise UsageError(f"{name} must be a whole number >= 1, got {value!r}")
         return int(value)
     if not (math.isfinite(value) and value > 0):
-        raise UsageError(f"config key {key!r} must be finite and > 0, got {value!r}")
+        raise UsageError(f"{name} must be finite and > 0, got {value!r}")
     return value
 
 
@@ -275,7 +286,9 @@ def _cmd_sweep(args) -> int:
         raise UsageError("config keys 'lam' and 'lam_minus_mu' are mutually exclusive")
 
     # library default, then config value, then flag
-    settings = {key: _config_setting(key, cfg[key]) for key in _SETTINGS if key in cfg}
+    settings = {
+        key: _setting(key, cfg[key], f"config key {key!r}") for key in _SETTINGS if key in cfg
+    }
     settings.update(_flags(args))
 
     offset_lam = "lam_minus_mu" in cfg
@@ -332,8 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_flags(p, keys):
         for key in keys:
-            flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, type=_SETTINGS[key], default=argparse.SUPPRESS, dest=key)
+            p.add_argument(_flag(key), type=_SETTINGS[key], default=argparse.SUPPRESS, dest=key)
 
     p_eval = sub.add_parser("eval", help="evaluate one function at key=value parameters")
     p_eval.add_argument("function", choices=tuple(_EVAL))

@@ -36,7 +36,8 @@ from .quadrature import (
     theorem1_lhs,
     theorem2_lhs,
 )
-from .summation import SeriesResult, accumulate, dd_add, dd_div_d, dd_mul_d, logsig_pairs
+from .summation import SeriesResult, accumulate, check_series_args, dd_add, dd_div_d, dd_mul_d
+from .summation import logsig_pairs
 from .wright import WrightSpec, eval_k_wright, wright_terms_logsig
 
 __all__ = [
@@ -164,6 +165,7 @@ def _canonical_terms_logsig(
 
 def _rhs_canonical(which, bp, mu, lam, a, y, tol, max_terms) -> SeriesResult:
     mu, lam, a, y = check_theorem_args(which, bp, mu, lam, a, y)
+    check_series_args(y, tol, max_terms)
     if y == 0.0:
         if bp.nu > 0.0:
             return SeriesResult(0.0, 1, 0.0, True)
@@ -171,7 +173,7 @@ def _rhs_canonical(which, bp, mu, lam, a, y, tol, max_terms) -> SeriesResult:
         # nu = 0 kills the (y/2)^(nu+2n) factor only for n > 0
         return SeriesResult(sg * math.exp(lg), 1, 0.0, True)
     terms = _canonical_terms_logsig(which, bp, mu, lam, a, y)
-    return accumulate(logsig_pairs(terms, 0.0, max_terms), tol, max_terms)
+    return accumulate(logsig_pairs(terms, 0.0), tol, max_terms)
 
 
 def theorem1_rhs_canonical(
@@ -251,6 +253,7 @@ def _rhs_paper(which, reduced, bp, mu, lam, a, y, tol, max_terms) -> SeriesResul
     if reduced and bp.k != 1.0:
         raise DomainError(f"reduced form needs k = 1, got k={bp.k!r}")
     mu, lam, a, y = check_theorem_args(which, bp, mu, lam, a, y)
+    check_series_args(y, tol, max_terms)
     if y == 0.0 and bp.nu > 0.0:
         return SeriesResult(0.0, 1, 0.0, True)
     pref, spec, arg = _packaging(which, reduced, bp, mu, lam, a, y)

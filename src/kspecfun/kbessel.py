@@ -22,7 +22,7 @@ entering at the first power.  One recurrence sums S for both:
   sums lose ~4 digits to cancellation at z = 10 and plain doubles cannot
   hold 1e-12 agreement.
 
-Both paths stop on the one truncation rule, `summation.certified_tail`.
+Both paths stop where `summation.settle` says, called once per term.
 Term by term, the generalized series is also a forward (log |t_n|, sign_n)
 stream, `bessel_terms_logsig`, carrying the Pochhammer log and sign from
 term to term; the canonical right sides of the identities sum it.
@@ -48,8 +48,8 @@ from itertools import count, islice, repeat
 
 from .errors import DomainError
 from .kgamma import k_gamma, log_k_gamma
-from .summation import SeriesResult, accumulate, certified_tail, check_arg, check_series_args
-from .summation import dd_add, dd_div_d, dd_mul, dd_mul_d, open_tail
+from .summation import SeriesResult, accumulate, check_arg, check_series_args, settle
+from .summation import dd_add, dd_div_d, dd_mul, dd_mul_d
 
 __all__ = [
     "BesselParams",
@@ -189,8 +189,8 @@ class _LogTable:
         self.lgk0 = log_k_gamma(s0, k)
         self.rows = []
 
-    def pairs(self, lead: float, lu: float, neg: bool, max_terms: int):
-        """(term, ratio) stream of exp(lead) S(c u); lu = log|u|, neg = c u < 0.
+    def pairs(self, lead: float, lu: float, neg: bool):
+        """Unbounded (term, ratio) stream of exp(lead) S(c u); lu = log|u|, neg = c u < 0.
 
         Builds row n here the first time any stream reaches term n.
         """
@@ -198,7 +198,7 @@ class _LogTable:
         lgk = self.lgk0
         big = lead - lgk
         sgn = 1
-        for n in range(max_terms):
+        for n in count():
             t = sgn * math.exp(big)
             if n < len(rows):
                 row = rows[n]
@@ -279,12 +279,10 @@ class _DDTable:
                 rho = row[0] * w2 / row[1]
                 for d in row[2]:
                     rho /= d
-            t_abs = abs(t[0]) * pref
-            tail = certified_tail(t_abs, rho, rho_prev, abs(acc[0] + acc[1]) * pref, tol)
-            if tail is not None:
-                return SeriesResult(pref * (acc[0] + acc[1]), n + 1, tail, True)
-            if n + 1 >= max_terms:
-                return SeriesResult(pref * (acc[0] + acc[1]), n + 1, open_tail(t_abs, rho), False)
+            res = settle(n + 1, abs(t[0]) * pref, rho, rho_prev, pref * (acc[0] + acc[1]), tol,
+                         max_terms)
+            if res is not None:
+                return res
             t = dd_mul(dd_mul_d(t, w2), row[3])
             acc = dd_add(acc, t)
 
@@ -304,7 +302,7 @@ def eval_gmk_bessel(
     if isinstance(table, _DDTable):
         return table.evaluate(0.5 * z, p.nu, tol, max_terms)
     lw = math.log(0.5 * z)
-    return accumulate(table.pairs(p.nu * lw, 2.0 * lw, p.c < 0.0, max_terms), tol, max_terms)
+    return accumulate(table.pairs(p.nu * lw, 2.0 * lw, p.c < 0.0), tol, max_terms)
 
 
 def eval_k_bessel_first(
@@ -334,4 +332,4 @@ def eval_k_bessel_first(
     if z == 0.0:
         return SeriesResult(_lead(0.0, 0.0, nu + 1.0, k), 1, 0.0, True)
     table = _LogTable(float(k), float(gamma), float(lam), nu + 1.0, 0.0)
-    return accumulate(table.pairs(0.0, math.log(abs(0.5 * z)), z > 0.0, max_terms), tol, max_terms)
+    return accumulate(table.pairs(0.0, math.log(abs(0.5 * z)), z > 0.0), tol, max_terms)

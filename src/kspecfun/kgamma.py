@@ -104,18 +104,26 @@ def log_k_gamma(z: float, k: KScale | float = 1.0) -> float:
 _POCH_DIRECT_LIMIT = 64
 
 
+def _poch_args(x, n: int) -> float:
+    """Check a Pochhammer start point (finite) and order (an integer >= 0,
+    not a bool); return x as a float."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise DomainError(f"pochhammer order must be an integer >= 0, got {n!r}")
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"pochhammer start must be finite, got {x!r}")
+    return x
+
+
 def k_pochhammer(x: float, n: int, k: KScale | float = 1.0) -> float:
     """Step-k rising product (x)_{n,k}; empty product 1 at n = 0.
 
-    Any real x is accepted (the product semantics are exact, including zero
-    and sign-alternating factors).  Large n with x > 0 switches to the
-    Gamma_k-ratio form Gamma_k(x + n k) / Gamma_k(x).
+    Any finite real x is accepted (the product semantics are exact,
+    including zero and sign-alternating factors).  Large n with x > 0
+    switches to the Gamma_k-ratio form Gamma_k(x + n k) / Gamma_k(x).
     """
     kk = _kval(k)
-    x = float(x)
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"pochhammer order must be >= 0, got {n}")
+    x = _poch_args(x, n)
     if n == 0:
         return 1.0
     if n <= _POCH_DIRECT_LIMIT or x <= 0:
@@ -129,10 +137,7 @@ def k_pochhammer(x: float, n: int, k: KScale | float = 1.0) -> float:
 def log_k_pochhammer(x: float, n: int, k: KScale | float = 1.0) -> float:
     """ln (x)_{n,k} for x > 0 (all factors positive)."""
     kk = _kval(k)
-    x = float(x)
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"pochhammer order must be >= 0, got {n}")
+    x = _poch_args(x, n)
     if x <= 0:
         raise DomainError(f"log pochhammer requires x > 0, got {x!r}")
     if n == 0:

@@ -129,16 +129,24 @@ def integrate_semi_infinite(f, tol: float = 1e-10, budget: int = 60000) -> QuadR
 
     f may have an integrable power singularity at 0 and must decay at least
     like a power x^(-s), s > 1, at infinity.  converged=False with the best
-    estimate is returned when the evaluation budget runs out.
+    estimate is returned when the evaluation budget runs out.  tol must be
+    finite and > 0, and budget a whole number of at least the 240 nodes of
+    the 16 starting panels.
     """
-    if not tol > 0:
+    n0 = 16
+    if not ((isinstance(tol, float) or isinstance(tol, int) and not isinstance(tol, bool))
+            and tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol!r}")
+    if tol == math.inf:
+        raise DomainError(f"tolerance must be finite, got {tol!r}")
+    if not ((type(budget) is int or isinstance(budget, float) and budget.is_integer())
+            and budget >= 15 * n0):
+        raise DomainError(f"budget must be a whole number >= {15 * n0}, got {budget!r}")
 
     def g(u: float) -> float:
         x = math.exp(_DE_C * math.sinh(u))
         return f(x) * x * _DE_C * math.cosh(u)
 
-    n0 = 16
     step = 2.0 * _DE_UMAX / n0
     heap: list[tuple[float, int, float, float, float, float]] = []
     tick = 0

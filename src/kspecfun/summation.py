@@ -8,19 +8,20 @@ the reduction checks demand.  Terms on the hot path are therefore carried as
 unevaluated double-double pairs (hi, lo) built from error-free transforms,
 and everything else goes through Neumaier accumulation.
 
-Every series evaluator stops on one truncation rule, `certified_tail`: the
-ratio rho must be below 1 and non-increasing and the geometric tail bound
-|t| rho / (1 - rho) under tol, both relative to the partial sum and
-absolutely.  `accumulate` applies it to a (term, |next/current| ratio)
-stream, which `logsig_pairs` builds from a forward stream of terms in
-log-magnitude/sign form, (L_n, sign_n) for n = 0, 1, 2, ...; the
-double-double Bessel recurrence applies it to its own sum.
+Every series stops where one function, `settle`, says: at an exact end,
+once the ratio rho is below 1 and non-increasing and the geometric tail
+bound |t| rho / (1 - rho) is under tol (relative to the partial sum and
+absolutely), or at the term cap.  Term streams are unbounded.  `accumulate`
+calls `settle` per term of a (term, |next/current| ratio) stream, which
+`logsig_pairs` builds from a forward stream of (L_n, sign_n), n = 0, 1,
+...; the double-double Bessel recurrence calls it per term of its own sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import DomainError
 
@@ -160,56 +161,61 @@ def check_arg(z: float) -> float:
 
 
 def check_series_args(z: float, tol: float, max_terms: int) -> tuple[float, int]:
-    """Validate a series argument, tolerance and term cap; return (z, max_terms)."""
+    """Validate a series argument, tolerance (a finite real > 0) and term cap
+    (an int or integral float >= 1; a bool is neither); return (z, max_terms).
+
+    The common types are tested first: this runs at every quadrature node.
+    """
     z = check_arg(z)
-    if not tol > 0:
+    if not ((isinstance(tol, float) or isinstance(tol, int) and not isinstance(tol, bool))
+            and tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    max_terms = int(max_terms)
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
-    return z, max_terms
+    if tol == math.inf:
+        raise DomainError(f"tolerance must be finite, got {tol!r}")
+    if not ((type(max_terms) is int or isinstance(max_terms, float) and max_terms.is_integer())
+            and max_terms >= 1):
+        raise DomainError(f"max_terms must be a whole number >= 1, got {max_terms!r}")
+    return z, int(max_terms)
 
 
-def logsig_pairs(terms, lz: float, max_terms: int):
-    """(term, ratio) stream of sum_n sign_n exp(L_n + n lz).
+def logsig_pairs(terms, lz: float):
+    """Unbounded (term, ratio) stream of sum_n sign_n exp(L_n + n lz).
 
-    terms is an iterator of (L_n, sign_n) for n = 0, 1, 2, ..., at least
-    max_terms + 1 long; sign 0 marks a vanishing term, which ends the
-    series exactly.  lz is log |z| for a power series in z, or 0.0 when the
-    terms already carry their argument.
+    terms is an unbounded iterator of (L_n, sign_n) for n = 0, 1, 2, ...;
+    sign 0 marks a vanishing term, a zero ratio on the term before it.  lz
+    is log |z| for a power series in z, or 0.0 when the terms carry z.
     """
     cur, sg = next(terms)
-    for n in range(max_terms):
-        if sg == 0:
-            yield 0.0, 0.0
-            return
+    for n in count():
         nxt, sg_next = next(terms)
         t = sg * math.exp(cur + n * lz)
         yield t, math.exp(nxt - cur + lz) if sg_next != 0 else 0.0
         cur, sg = nxt, sg_next
 
 
-def certified_tail(t_abs: float, rho: float, rho_prev: float, s_abs: float,
-                   tol: float) -> float | None:
-    """The certified tail of a term |t| = t_abs with ratio rho (rho_prev before
-    it, inf at the first term) and partial sum |S| = s_abs, or None while the
-    rule does not hold; a zero ratio ends the series exactly."""
+def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: float,
+           max_terms: int) -> SeriesResult | None:
+    """The finished sum if term n (from 1) ends the series, else None.
+
+    t_abs is the term's size, rho its ratio to the next (rho_prev the one
+    before, inf at the first term) and s the partial sum through it.  At the
+    cap the tail estimate is reported unconverged, |t| where rho >= 1.
+    """
     if rho == 0.0:
-        return 0.0
-    if rho < 1.0 and rho <= rho_prev:
-        bound = t_abs * rho / (1.0 - rho)
-        if bound <= tol * min(max(s_abs, 1e-300), 1.0):
-            return bound
+        return SeriesResult(s, n, 0.0, True)
+    if rho < 1.0:
+        tail = t_abs * rho / (1.0 - rho)
+        if rho <= rho_prev and tail <= tol * min(max(abs(s), 1e-300), 1.0):
+            return SeriesResult(s, n, tail, True)
+    else:
+        tail = t_abs
+    if n >= max_terms:
+        return SeriesResult(s, n, tail, False)
     return None
 
 
-def open_tail(t_abs: float, rho: float) -> float:
-    """Tail estimate of a series cut at its term cap, from its last term."""
-    return t_abs * rho / (1.0 - rho) if rho < 1.0 else t_abs
-
-
 def accumulate(pairs, tol: float, max_terms: int) -> SeriesResult:
-    """Sum a (term, |next/current| ratio) stream under `certified_tail`.
+    """Sum a (term, |next/current| ratio) stream until `settle` ends it.
 
     A zero ratio marks exact termination (a Pochhammer factor hit zero);
     an infinite one says no tail bound holds yet.
@@ -226,10 +232,9 @@ def accumulate(pairs, tol: float, max_terms: int) -> SeriesResult:
             c += (t - u) + s
         s = u
         t_abs = abs(t)
-        tail = certified_tail(t_abs, r, rho, abs(s + c), tol)
+        res = settle(n, t_abs, r, rho, s + c, tol, max_terms)
+        if res is not None:
+            return res
         rho = r
-        if tail is not None:
-            return SeriesResult(s + c, n, tail, True)
-        if n >= max_terms:
-            break
-    return SeriesResult(s + c, max(n, 1), open_tail(t_abs, rho), False)
+    # a stream that ran out is cut at its last term: rho_prev = -inf certifies nothing
+    return settle(max(n, 1), t_abs, rho, -math.inf, s + c, tol, 1)

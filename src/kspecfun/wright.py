@@ -101,7 +101,7 @@ def eval_k_wright(
     terms = wright_terms_logsig(s.upper, s.lower, s.k_scale, z)
     if z == 0.0:
         return SeriesResult(math.exp(next(terms)[0]), 1, 0.0, True)
-    return accumulate(logsig_pairs(terms, math.log(abs(z)), max_terms), tol, max_terms)
+    return accumulate(logsig_pairs(terms, math.log(abs(z))), tol, max_terms)
 
 
 def eval_wright(s: WrightSpec, z: float, tol: float = 1e-10, max_terms: int = 400) -> SeriesResult:
@@ -129,10 +129,10 @@ def _ratio_tail_bound(upper, dens, z: float, n: int) -> float:
     return rho
 
 
-def _pfq_pairs(upper, lower, z: float, max_terms: int):
+def _pfq_pairs(upper, lower, z: float):
     dens = list(lower) + [1.0]
     t = 1.0
-    for n in range(max_terms):
+    for n in count():
         r = z / (n + 1.0)
         for aj in upper:
             r *= aj + n
@@ -165,15 +165,15 @@ def eval_pfq(
     for bj in lower:
         if bj <= 0 and bj == math.floor(bj):
             raise DomainError(f"lower parameter {bj!r} is a nonpositive integer")
-    return accumulate(_pfq_pairs(upper, lower, z, max_terms), tol, max_terms)
+    return accumulate(_pfq_pairs(upper, lower, z), tol, max_terms)
 
 
-def _weight1_pairs(upper, lower, z: float, max_terms: int):
+def _weight1_pairs(upper, lower, z: float):
     """Unit-weight Wright terms, with ratios replaced by the monotone pFq
     tail bound (the weight-1 term ratios equal the pFq ones)."""
     dens = list(lower) + [1.0]
     terms = wright_terms_logsig([(a, 1.0) for a in upper], [(b, 1.0) for b in lower], 1.0, z)
-    for n, (t, _) in enumerate(logsig_pairs(terms, math.log(abs(z)), max_terms)):
+    for n, (t, _) in enumerate(logsig_pairs(terms, math.log(abs(z)))):
         yield t, _ratio_tail_bound(upper, dens, z, n)
 
 
@@ -201,7 +201,7 @@ def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_t
         if z == 0.0:
             lhs = scale
         else:
-            lhs = accumulate(_weight1_pairs(upper, lower, float(z), max_terms), tol, max_terms).value
+            lhs = accumulate(_weight1_pairs(upper, lower, float(z)), tol, max_terms).value
     else:
         spec = WrightSpec(
             tuple((a, 1.0) for a in upper), tuple((b, 1.0) for b in lower), 1.0

@@ -298,3 +298,45 @@ def test_sweep_rejects_bad_config_setting(key, value, capsys, tmp_path, monkeypa
     rule = "a whole number >= 1" if key == "max_terms" else "finite and > 0"
     assert captured.err == f"kspecfun: config key {key!r} must be {rule}, got {value!r}\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["verify oberhettinger", "verify theorem1", "sweep"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tol-quad", "nan", "must be finite and > 0, got nan"),
+        ("--tol-quad", "-1", "must be finite and > 0, got -1.0"),
+        ("--max-terms", "0", "must be a whole number >= 1, got 0"),
+        ("--tol-series", "inf", "must be finite and > 0, got inf"),
+        ("--tol-match", "0", "must be finite and > 0, got 0.0"),
+    ],
+)
+def test_rejects_bad_setting_flag(command, flag, value, message, capsys, tmp_path, monkeypatch):
+    # the rule a sweep config setting follows; these used to reach verify
+    calls = []
+    monkeypatch.setattr(cli, "verify", lambda *a, **kw: calls.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"identity": "oberhettinger"}))
+    argv = command.split() + (["--config", str(cfg)] if command == "sweep" else [])
+    assert cli.main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"kspecfun: flag {flag} {message}\n"
+    assert calls == []
+
+
+def test_eval_rejects_bad_setting_flag(capsys):
+    assert cli.main(["eval", "kgamma", "z=2", "--tol-series", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "kspecfun: flag --tol-series must be finite and > 0, got inf\n"
+
+
+def test_sweep_mismatch_exits_one(capsys, tmp_path):
+    # the README unit point agrees to 7e-12, which tol_match = 1e-15 calls a mismatch
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"identity": "theorem1", "tol_match": 1e-15}))
+    assert cli.main(["sweep", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].split(",")[-3] == "mismatch"
+    assert err == "match=0 canonical_only=0 mismatch=1 skipped=0\n"

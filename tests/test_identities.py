@@ -20,6 +20,7 @@ from kspecfun.identities import (
 from kspecfun.kbessel import BesselParams
 from kspecfun.kgamma import k_gamma
 from kspecfun.quadrature import ObParams, oberhettinger_closed_form
+from kspecfun.summation import SeriesResult
 
 UNIT = BesselParams(k=1, nu=1, gamma=1, lambda1=1, c=-1, b=1)
 GEN = BesselParams(k=2, nu=0.5, gamma=1.5, lambda1=2, c=1, b=2)
@@ -454,3 +455,75 @@ GRID_SLICE_RECORDS = {
 def test_grid_slice_records_are_pinned(identity, k, lambda1, c):
     report = verify(identity, dict(GRID_SLICE, k=k, lambda1=lambda1, c=c))
     assert repr(to_record(report)) == GRID_SLICE_RECORDS[identity, k, lambda1, c]
+
+
+@pytest.mark.parametrize("which, rhs", [(1, theorem1_rhs_canonical), (2, theorem2_rhs_canonical)])
+def test_canonical_y_zero_nu_zero(which, rhs):
+    # only the n = 0 term survives: the kernel closed form over Gamma_k(s0),
+    # with exponent pair (mu, lam) for both identities at nu = 0
+    p = BesselParams(k=2, nu=0, gamma=1.5, lambda1=2, c=1, b=2)
+    r = rhs(p, 0.5, 1.5, 2.0, 0.0)
+    expected = oberhettinger_closed_form(ObParams(0.5, 1.5, 2.0)) / k_gamma(1.5, 2.0)
+    assert (r.terms_used, r.tail_estimate, r.converged) == (1, 0.0, True)
+    assert r.value == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("rhs, p", [
+    (theorem1_rhs_paper, GEN),
+    (theorem2_rhs_paper, GEN),
+    (corollary1_rhs, UNIT),
+    (corollary3_rhs, UNIT),
+])
+def test_packaged_y_zero_nu_positive(rhs, p):
+    # every term carries (y/2)^(nu+2n) with nu > 0
+    assert rhs(p, 0.5, 1.5, 2.0, 0.0) == SeriesResult(0.0, 1, 0.0, True)
+
+
+@pytest.mark.parametrize("kind", ["bessel_J", "bessel_I"])
+def test_classical_reduction_check_both_zero(kind):
+    # at z = 0 and nu > 0 both routes are exactly 0; the gap is 0, not 0/0
+    assert classical_reduction_check(kind, 1.5, 0.0) == 0.0
+
+
+def test_verify_mismatch_verdict():
+    # the routes agree to 7e-12 here, which a 1e-15 tolerance calls a mismatch
+    r = verify("theorem1", UNIT_PARAMS, tol_match=1e-15)
+    assert r.verdict == "mismatch"
+    assert r.diagnostics == ""
+    assert 1e-15 < r.rel_diff_canonical < 1e-10
+    assert r.lhs == pytest.approx(r.rhs_canonical, rel=1e-10)
+    assert to_record(r)["verdict"] == "mismatch"
+
+
+@pytest.mark.parametrize("setting, value, message", [
+    # tol_series = inf used to read mismatch at a point that matches at the default
+    ("tol_series", math.inf, "tolerance must be finite, got inf"),
+    # max_terms = nan used to raise a bare ValueError out of verify
+    ("max_terms", math.nan, "max_terms must be a whole number >= 1, got nan"),
+    ("max_terms", 2.7, "max_terms must be a whole number >= 1, got 2.7"),
+    ("tol_quad", math.inf, "tolerance must be finite, got inf"),
+    # quad_budget = 0 used to read match with quad_evals = 240
+    ("quad_budget", 0, "budget must be a whole number >= 240, got 0"),
+])
+def test_verify_bad_setting_inconclusive(setting, value, message):
+    r = verify("theorem1", dict(UNIT_PARAMS, y=3), **{setting: value})
+    assert r.verdict == "inconclusive"
+    assert r.diagnostics == f"evaluation failed: {message}"
+    assert r.quad_evals == 0
+
+
+def test_verify_kernel_bad_budget_inconclusive():
+    r = verify("oberhettinger", {"mu": 1, "lam": 2, "a": 1}, quad_budget=0)
+    assert r.verdict == "inconclusive"
+    assert r.diagnostics == "evaluation failed: budget must be a whole number >= 240, got 0"
+
+
+@pytest.mark.parametrize("rhs", [theorem1_rhs_canonical, theorem1_rhs_paper, theorem2_rhs_canonical,
+                                 theorem2_rhs_paper])
+@pytest.mark.parametrize("y", [0.0, 1.0])
+def test_right_sides_check_settings_at_every_y(rhs, y):
+    # the y = 0 shortcuts used to return before the settings were looked at
+    with pytest.raises(DomainError, match="tolerance must be finite"):
+        rhs(UNIT, 0.5, 2.0, 1.0, y, tol=math.inf)
+    with pytest.raises(DomainError, match="max_terms must be a whole number"):
+        rhs(UNIT, 0.5, 2.0, 1.0, y, max_terms=0)

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 from dataclasses import astuple
+from itertools import islice
 
 import pytest
 
@@ -22,7 +23,8 @@ UNIT_J = BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=-1, b=1)
 def _log_stream(monkeypatch, evaluate, *args, max_terms):
     """The (term, ratio) stream the log path hands to accumulate."""
     seen = []
-    monkeypatch.setattr(kbessel, "accumulate", lambda pairs, tol, cap: seen.extend(pairs))
+    monkeypatch.setattr(
+        kbessel, "accumulate", lambda pairs, tol, cap: seen.extend(islice(pairs, cap)))
     evaluate(*args, max_terms=max_terms)
     assert seen
     return seen
@@ -383,3 +385,49 @@ def test_table_shared_between_threads(case):
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == 8 * len(zs)
     assert all(got == fresh[z] for z, got in seen)
+
+
+# one call on each Bessel series path; the tests pass the settings
+SERIES_CALLS = {
+    "gmk dd": lambda **kw: eval_gmk_bessel(UNIT_J, 2.0, **kw),
+    "gmk log": lambda **kw: eval_gmk_bessel(BesselParams(1, 0.5, 1, 0.5, -1, 1), 2.0, **kw),
+    "first kind": lambda **kw: eval_k_bessel_first(1.0, 0.0, 1.0, 1.0, 2.0, **kw),
+}
+
+
+@pytest.mark.parametrize("call", SERIES_CALLS)
+@pytest.mark.parametrize("tol, message", [
+    (math.inf, "tolerance must be finite, got inf"),
+    (math.nan, "tolerance must be positive, got nan"),
+    (0.0, "tolerance must be positive, got 0.0"),
+    (True, "tolerance must be positive, got True"),
+    ("1e-10", "tolerance must be positive, got '1e-10'"),
+])
+def test_series_rejects_bad_tolerance(call, tol, message):
+    # tol = inf used to end J_0(2) at its first term: value 0.0, converged
+    with pytest.raises(DomainError) as err:
+        SERIES_CALLS[call](tol=tol)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call", SERIES_CALLS)
+@pytest.mark.parametrize("max_terms", [2.7, "3", True, math.nan, math.inf, 0, -1])
+def test_series_rejects_bad_max_terms(call, max_terms):
+    # 2.7 used to sum 2 terms; "3" and True were taken as 3 and 1
+    with pytest.raises(DomainError) as err:
+        SERIES_CALLS[call](max_terms=max_terms)
+    assert str(err.value) == f"max_terms must be a whole number >= 1, got {max_terms!r}"
+
+
+@pytest.mark.parametrize("call", SERIES_CALLS)
+def test_series_takes_whole_float_max_terms(call):
+    assert SERIES_CALLS[call](max_terms=3.0) == SERIES_CALLS[call](max_terms=3)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_term_at_zero_argument(nu, n):
+    # at z = 0 only the n = 0 term of nu = 0 survives: (z/2)^0 / Gamma_k(s0), s0 = (b+1)/2
+    p = BesselParams(k=2, nu=nu, gamma=1.5, lambda1=2, c=-1, b=2)
+    expected = 1.0 / k_gamma(1.5, 2.0) if n == 0 and nu == 0.0 else 0.0
+    assert gmk_bessel_term(p, 0.0, n) == pytest.approx(expected, rel=1e-15, abs=0)

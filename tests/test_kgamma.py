@@ -135,3 +135,21 @@ def test_kscale_type():
         KScale(0.0)
     with pytest.raises(DomainError):
         KScale(math.inf)
+
+
+@pytest.mark.parametrize("fn", [k_pochhammer, log_k_pochhammer])
+@pytest.mark.parametrize("x, n, message", [
+    (1.0, 2.7, "pochhammer order must be an integer >= 0, got 2.7"),
+    (1.0, 3.0, "pochhammer order must be an integer >= 0, got 3.0"),
+    (1.0, True, "pochhammer order must be an integer >= 0, got True"),
+    (1.0, "2", "pochhammer order must be an integer >= 0, got '2'"),
+    (1.0, -1, "pochhammer order must be an integer >= 0, got -1"),
+    (math.nan, 3, "pochhammer start must be finite, got nan"),
+    (math.inf, 2, "pochhammer start must be finite, got inf"),
+    (math.inf, 0, "pochhammer start must be finite, got inf"),
+])
+def test_pochhammer_rejects_bad_arguments(fn, x, n, message):
+    # k_pochhammer(1, 2.7) used to return (1)_2 = 2 and k_pochhammer(nan, 3) nan
+    with pytest.raises(DomainError) as err:
+        fn(x, n, 1.0)
+    assert str(err.value) == message

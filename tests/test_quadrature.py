@@ -190,3 +190,30 @@ def test_bessel_factor_once_per_distinct_argument(monkeypatch, lhs, expected):
     assert len(seen) == q.evaluations
     assert sorted(calls) == sorted(set(seen))
     assert len(calls) < q.evaluations
+
+
+@pytest.mark.parametrize("setting, value, message", [
+    ("tol", math.inf, "tolerance must be finite, got inf"),
+    ("tol", math.nan, "tolerance must be positive, got nan"),
+    ("tol", True, "tolerance must be positive, got True"),
+    ("budget", 0, "budget must be a whole number >= 240, got 0"),
+    ("budget", -600, "budget must be a whole number >= 240, got -600"),
+    ("budget", math.nan, "budget must be a whole number >= 240, got nan"),
+    ("budget", 239, "budget must be a whole number >= 240, got 239"),
+    ("budget", 600.5, "budget must be a whole number >= 240, got 600.5"),
+    ("budget", True, "budget must be a whole number >= 240, got True"),
+    ("budget", "600", "budget must be a whole number >= 240, got '600'"),
+])
+def test_integrator_rejects_bad_settings(setting, value, message):
+    # these used to evaluate the 240 nodes of the starting panels anyway
+    calls = []
+    with pytest.raises(DomainError) as err:
+        integrate_semi_infinite(lambda x: calls.append(x) or math.exp(-x), **{setting: value})
+    assert str(err.value) == message
+    assert calls == []
+
+
+def test_integrator_budget_of_the_starting_panels():
+    q = integrate_semi_infinite(lambda x: math.exp(-x), tol=1e-10, budget=240.0)
+    assert q.evaluations == 240
+    assert q.value == pytest.approx(1.0, rel=1e-10)
