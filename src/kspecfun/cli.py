@@ -26,14 +26,13 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import sys
 
 from .errors import DomainError, NonConvergenceError
 from .identities import CSV_FIELDS, IDENTITIES, IDENTITY_IDS, to_record, verify
 from .kbessel import BesselParams, eval_gmk_bessel, eval_k_bessel_first
 from .kgamma import k_gamma
-from .summation import SeriesResult
+from .summation import SeriesResult, is_positive, is_whole
 from .wright import WrightSpec, eval_k_wright, eval_pfq, eval_wright
 
 __all__ = ["main"]
@@ -249,15 +248,14 @@ def _config_value_list(key, value):
 
 
 def _setting(key, value, name):
-    """A tolerance (finite, > 0) or max_terms (a whole number >= 1); name is
-    the config key or flag that gave it."""
+    """A tolerance or max_terms, checked by its rule; name is the key or flag that gave it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"{name} must be a single number")
     if key == "max_terms":
-        if not (math.isfinite(value) and value == int(value) and value >= 1):
+        if not is_whole(value, 1):
             raise UsageError(f"{name} must be a whole number >= 1, got {value!r}")
         return int(value)
-    if not (math.isfinite(value) and value > 0):
+    if not is_positive(value):
         raise UsageError(f"{name} must be finite and > 0, got {value!r}")
     return value
 

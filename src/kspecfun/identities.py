@@ -37,7 +37,7 @@ from .quadrature import (
     theorem2_lhs,
 )
 from .summation import SeriesResult, accumulate, check_series_args, dd_add, dd_div_d, dd_mul_d
-from .summation import logsig_pairs
+from .summation import check_settings, is_positive, logsig_pairs
 from .wright import WrightSpec, eval_k_wright, wright_terms_logsig
 
 __all__ = [
@@ -409,7 +409,7 @@ def verify(
         if key in params and params[key] != value
     )
     try:
-        if not (isinstance(tol_match, (int, float)) and math.isfinite(tol_match) and tol_match > 0):
+        if not is_positive(tol_match):
             raise DomainError(f"precondition: tol_match must be finite and > 0, got {tol_match!r}")
         missing = [key for key in row.keys if key not in eff]
         if missing:
@@ -430,6 +430,7 @@ def verify(
 
     try:
         if which == 0:
+            check_settings(tol_series, "max_terms", max_terms, 1)  # no series here; checked alike
             lhs = oberhettinger_lhs(op, tol=tol_quad, budget=quad_budget)
             rhs_c = SeriesResult(oberhettinger_closed_form(op), 0, 0.0, True)
             rhs_p = None

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 from itertools import count, islice, repeat
 
 from .errors import DomainError
-from .kgamma import k_gamma, log_k_gamma
-from .summation import SeriesResult, accumulate, check_arg, check_series_args, settle
+from .kgamma import KScale, k_gamma, log_k_gamma
+from .summation import SeriesResult, accumulate, check_arg, check_series_args, is_positive, settle
 from .summation import dd_add, dd_div_d, dd_mul, dd_mul_d
 
 __all__ = [
@@ -80,7 +80,7 @@ class BesselParams:
         vals = (self.k, self.nu, self.gamma, self.lambda1, self.c, self.b)
         if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in vals):
             raise DomainError(f"parameters must be finite reals, got {vals!r}")
-        if not self.k > 0:
+        if not is_positive(self.k):
             raise DomainError(f"k must be positive, got {self.k!r}")
         if not self.lambda1 > 0:
             raise DomainError(f"lambda1 must be positive, got {self.lambda1!r}")
@@ -180,13 +180,13 @@ class _LogTable:
     at x = c u, with lc = log|c|.  With g = gamma + n k and
     L_n = log Gamma_k(lam n + s0), row n is (lc + log|g|, 2 log(n+1),
     L_{n+1} - L_n, g < 0, L_{n+1}), or None where g = 0 ends the series.
-    """
+    k is held as a KScale, so log_k_gamma does not check it at every row."""
 
     __slots__ = ("k", "gamma", "lam", "s0", "lc", "lgk0", "rows")
 
     def __init__(self, k, gamma, lam, s0, lc) -> None:
-        self.k, self.gamma, self.lam, self.s0, self.lc = k, gamma, lam, s0, lc
-        self.lgk0 = log_k_gamma(s0, k)
+        self.k, self.gamma, self.lam, self.s0, self.lc = KScale(k), gamma, lam, s0, lc
+        self.lgk0 = log_k_gamma(s0, self.k)
         self.rows = []
 
     def pairs(self, lead: float, lu: float, neg: bool):
@@ -203,7 +203,7 @@ class _LogTable:
             if n < len(rows):
                 row = rows[n]
             else:
-                g = gamma + n * k
+                g = gamma + n * k.k
                 row = None
                 if g != 0.0:
                     lgk_next = log_k_gamma(lam * (n + 1) + s0, k)
@@ -323,7 +323,7 @@ def eval_k_bessel_first(
     for name, v in (("k", k), ("nu", nu), ("gamma", gamma), ("lam", lam)):
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
             raise DomainError(f"{name} must be a finite real, got {v!r}")
-    if not k > 0:
+    if not is_positive(k):
         raise DomainError(f"k must be positive, got {k!r}")
     if not lam > 0:
         raise DomainError(f"lam must be positive, got {lam!r}")

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .summation import is_positive
 
 __all__ = [
     "KScale",
@@ -40,22 +41,16 @@ class KScale:
     k: float
 
     def __post_init__(self) -> None:
-        _check_k(self.k)
-
-
-def _check_k(k):
-    """Return k if it is a positive finite real; raise DomainError otherwise."""
-    if not (isinstance(k, (int, float)) and math.isfinite(k) and k > 0):
-        raise DomainError(f"scale parameter must be positive and finite, got {k!r}")
-    return k
+        object.__setattr__(self, "k", _kval(self.k))
 
 
 def _kval(k: KScale | float) -> float:
-    """Accept either a validated KScale or a bare positive float."""
-    kk = float(k.k if isinstance(k, KScale) else k)
-    if not 0.0 < kk < math.inf:
-        raise DomainError(f"scale parameter must be positive and finite, got {kk!r}")
-    return kk
+    """The scale as a float: a KScale's k, checked when made, or k under the positive rule."""
+    if isinstance(k, KScale):
+        return k.k
+    if not is_positive(k):
+        raise DomainError(f"scale parameter must be positive and finite, got {k!r}")
+    return k if type(k) is float else float(k)
 
 
 def classical_gamma(z: float) -> float:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NonConvergenceError
 from .kbessel import BesselParams, eval_gmk_bessel
+from .summation import check_settings
 
 __all__ = [
     "QuadResult",
@@ -129,19 +130,11 @@ def integrate_semi_infinite(f, tol: float = 1e-10, budget: int = 60000) -> QuadR
 
     f may have an integrable power singularity at 0 and must decay at least
     like a power x^(-s), s > 1, at infinity.  converged=False with the best
-    estimate is returned when the evaluation budget runs out.  tol must be
-    finite and > 0, and budget a whole number of at least the 240 nodes of
-    the 16 starting panels.
+    estimate is returned when the evaluation budget runs out.  tol and budget
+    follow the rules of `summation`; budget >= 240, the 16 starting panels.
     """
     n0 = 16
-    if not ((isinstance(tol, float) or isinstance(tol, int) and not isinstance(tol, bool))
-            and tol > 0):
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    if tol == math.inf:
-        raise DomainError(f"tolerance must be finite, got {tol!r}")
-    if not ((type(budget) is int or isinstance(budget, float) and budget.is_integer())
-            and budget >= 15 * n0):
-        raise DomainError(f"budget must be a whole number >= {15 * n0}, got {budget!r}")
+    check_settings(tol, "budget", budget, 15 * n0)
 
     def g(u: float) -> float:
         x = math.exp(_DE_C * math.sinh(u))
@@ -182,7 +175,7 @@ def integrate_semi_infinite(f, tol: float = 1e-10, budget: int = 60000) -> QuadR
 
 def phi(x: float, a: float) -> float:
     """Kernel x + a + sqrt(x^2 + 2ax); strictly increasing, phi(0, a) = a."""
-    if x < 0 or not a > 0:
+    if not (x >= 0 and a > 0):
         raise DomainError(f"phi needs x >= 0 and a > 0, got x={x!r} a={a!r}")
     # hypot keeps x^2 from overflowing for x near the top of double range
     return x + a + math.hypot(x, math.sqrt(2.0 * a * x))

@@ -15,7 +15,9 @@ absolutely), or at the term cap.  Term streams are unbounded.  `accumulate`
 calls `settle` per term of a (term, |next/current| ratio) stream, which
 `logsig_pairs` builds from a forward stream of (L_n, sign_n), n = 0, 1,
 ...; the double-double Bessel recurrence calls it per term of its own sum.
-"""
+
+Every tolerance and scale follows one rule, `is_positive`, and every count
+another, `is_whole`; `check_settings` raises their shared messages."""
 
 from __future__ import annotations
 
@@ -157,25 +159,35 @@ def check_arg(z: float) -> float:
     """Validate a series argument; return it as a float."""
     if not (isinstance(z, (int, float)) and math.isfinite(z)):
         raise DomainError(f"argument must be a finite real, got {z!r}")
-    return float(z)
+    return z if type(z) is float else float(z)
+
+
+def is_positive(x) -> bool:
+    """The positive rule: a finite real > 0, not a bool or a string."""
+    return (isinstance(x, float) or isinstance(x, int) and not isinstance(x, bool)) and 0.0 < x < math.inf
+
+
+def is_whole(n, least: int) -> bool:
+    """The whole-number rule: an int or an integral float >= least, not a bool."""
+    return (type(n) is int or isinstance(n, float) and n.is_integer()) and n >= least
+
+
+def check_settings(tol, name: str, n, least: int) -> None:
+    """Raise DomainError if tol breaks the positive rule or count n (called name) the whole-number one."""
+    if not is_positive(tol):
+        raise DomainError(f"tolerance must be {'finite' if tol == math.inf else 'positive'}, got {tol!r}")
+    if not is_whole(n, least):
+        raise DomainError(f"{name} must be a whole number >= {least}, got {n!r}")
 
 
 def check_series_args(z: float, tol: float, max_terms: int) -> tuple[float, int]:
-    """Validate a series argument, tolerance (a finite real > 0) and term cap
-    (an int or integral float >= 1; a bool is neither); return (z, max_terms).
+    """Validate a series argument, tolerance and term cap; return (z, max_terms).
 
-    The common types are tested first: this runs at every quadrature node.
-    """
+    It runs at every quadrature node, so it raises and converts only where it must."""
     z = check_arg(z)
-    if not ((isinstance(tol, float) or isinstance(tol, int) and not isinstance(tol, bool))
-            and tol > 0):
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    if tol == math.inf:
-        raise DomainError(f"tolerance must be finite, got {tol!r}")
-    if not ((type(max_terms) is int or isinstance(max_terms, float) and max_terms.is_integer())
-            and max_terms >= 1):
-        raise DomainError(f"max_terms must be a whole number >= 1, got {max_terms!r}")
-    return z, int(max_terms)
+    if not (is_positive(tol) and is_whole(max_terms, 1)):
+        check_settings(tol, "max_terms", max_terms, 1)
+    return z, max_terms if type(max_terms) is int else int(max_terms)
 
 
 def logsig_pairs(terms, lz: float):

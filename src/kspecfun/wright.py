@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import count
 
 from .errors import DomainError
-from .kgamma import log_k_gamma
-from .summation import SeriesResult, accumulate, check_series_args, logsig_pairs
+from .kgamma import KScale, log_k_gamma
+from .summation import SeriesResult, accumulate, check_series_args, is_positive, logsig_pairs
 
 __all__ = [
     "WrightSpec",
@@ -62,9 +62,9 @@ class WrightSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "upper", _as_rows(self.upper, "upper"))
         object.__setattr__(self, "lower", _as_rows(self.lower, "lower"))
-        object.__setattr__(self, "k_scale", float(self.k_scale))
-        if not (math.isfinite(self.k_scale) and self.k_scale > 0):
+        if not is_positive(self.k_scale):
             raise DomainError(f"k_scale must be positive, got {self.k_scale!r}")
+        object.__setattr__(self, "k_scale", float(self.k_scale))
         # Gamma_k(a + wn) = k^((a+wn)/k - 1) Gamma((a+wn)/k), so the series
         # behaves like a plain Wright series with weights w/k_scale and the
         # entirety threshold scales accordingly.
@@ -84,12 +84,13 @@ def convergence_margin(s: WrightSpec) -> float:
 def wright_terms_logsig(upper, lower, k_scale: float, z: float):
     """(log |n-th term| without its |z|^n factor, sign of the term) for
     n = 0, 1, 2, ... and the rows (a_i, alpha_i) over (b_j, beta_j)."""
+    k = KScale(k_scale)  # checked here once, not at every term
     for n in count():
         lg = -math.lgamma(n + 1.0)
         for off, wt in upper:
-            lg += log_k_gamma(off + wt * n, k_scale)
+            lg += log_k_gamma(off + wt * n, k)
         for off, wt in lower:
-            lg -= log_k_gamma(off + wt * n, k_scale)
+            lg -= log_k_gamma(off + wt * n, k)
         yield lg, -1 if z < 0 and n % 2 else 1
 
 

@@ -190,7 +190,7 @@ def test_verify_precondition_inconclusive(identity):
     assert math.isnan(r.lhs)
 
 
-@pytest.mark.parametrize("tol_match", [math.nan, -1.0, 0.0])
+@pytest.mark.parametrize("tol_match", [math.nan, -1.0, 0.0, True])
 @pytest.mark.parametrize("identity", ["theorem1", "oberhettinger"])
 def test_verify_rejects_bad_tol_match(identity, tol_match):
     # every `rel <= tol_match` comparison is false here, which used to read
@@ -507,6 +507,19 @@ def test_verify_mismatch_verdict():
 ])
 def test_verify_bad_setting_inconclusive(setting, value, message):
     r = verify("theorem1", dict(UNIT_PARAMS, y=3), **{setting: value})
+    assert r.verdict == "inconclusive"
+    assert r.diagnostics == f"evaluation failed: {message}"
+    assert r.quad_evals == 0
+
+
+@pytest.mark.parametrize("settings, message", [
+    # each of these used to read match: the closed form sums no series
+    ({"tol_series": math.inf, "max_terms": -3}, "tolerance must be finite, got inf"),
+    ({"max_terms": -3}, "max_terms must be a whole number >= 1, got -3"),
+    ({"tol_series": True}, "tolerance must be positive, got True"),
+])
+def test_verify_kernel_bad_series_setting_inconclusive(settings, message):
+    r = verify("oberhettinger", {"mu": 1, "lam": 2, "a": 1}, **settings)
     assert r.verdict == "inconclusive"
     assert r.diagnostics == f"evaluation failed: {message}"
     assert r.quad_evals == 0

@@ -242,6 +242,11 @@ def test_param_validation():
         eval_gmk_bessel(UNIT_J, -1.0)
     with pytest.raises(DomainError):
         eval_k_bessel_first(1.0, -2.0, 1.0, 1.0, 1.0)
+    # a bool scale used to be taken as k = 1
+    with pytest.raises(DomainError, match="k must be positive, got True"):
+        BesselParams(k=True, nu=0, gamma=1, lambda1=1, c=-1, b=1)
+    with pytest.raises(DomainError, match="k must be positive, got True"):
+        eval_k_bessel_first(True, 0.0, 1.0, 1.0, 1.0)
 
 
 def test_pochhammer_weight_visible():

@@ -135,6 +135,12 @@ def test_kscale_type():
         KScale(0.0)
     with pytest.raises(DomainError):
         KScale(math.inf)
+    # a bool or a string used to be taken as a number: k_gamma(2.0, True) was 1.0
+    for call, k in ((KScale, True), (lambda k: k_gamma(2.0, k), True), (lambda k: k_gamma(2.0, k), "2"),
+                    (lambda k: k_pochhammer(1.0, 3, k), True)):
+        with pytest.raises(DomainError) as err:
+            call(k)
+        assert str(err.value) == f"scale parameter must be positive and finite, got {k!r}"
 
 
 @pytest.mark.parametrize("fn", [k_pochhammer, log_k_pochhammer])

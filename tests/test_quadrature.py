@@ -81,6 +81,14 @@ def test_phi_monotone_and_bounded_below():
             prev = cur
 
 
+@pytest.mark.parametrize("x, a", [(-1.0, 1.0), (math.nan, 1.0), (1.0, 0.0), (1.0, math.nan)])
+def test_phi_rejects_bad_arguments(x, a):
+    # phi(nan, a) used to return nan
+    with pytest.raises(DomainError) as err:
+        phi(x, a)
+    assert str(err.value) == f"phi needs x >= 0 and a > 0, got x={x!r} a={a!r}"
+
+
 def test_ob_params_validation():
     with pytest.raises(DomainError):
         ObParams(2.0, 2.0, 1.0)  # mu < lam violated at equality

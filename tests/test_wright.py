@@ -49,6 +49,11 @@ def test_row_validation():
         WrightSpec(upper=(), lower=((1.0, -0.5),))
     with pytest.raises(DomainError):
         WrightSpec(upper=(), lower=(), k_scale=0.0)
+    # both used to construct, as k_scale 1.0 and 2.0
+    for k_scale in (True, "2"):
+        with pytest.raises(DomainError) as err:
+            WrightSpec(((1.0, 1.0),), ((2.0, 1.0),), k_scale=k_scale)
+        assert str(err.value) == f"k_scale must be positive, got {k_scale!r}"
 
 
 def test_exponential_case():
