@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
 from typing import Optional
@@ -37,7 +37,7 @@ from .quadrature import (
     theorem2_lhs,
 )
 from .summation import SeriesResult, accumulate, check_series_args, dd_add, dd_div_d, dd_mul_d
-from .summation import check_settings, is_positive, logsig_pairs
+from .summation import check_settings, is_positive, is_real, logsig_pairs
 from .wright import WrightSpec, eval_k_wright, wright_terms_logsig
 
 __all__ = [
@@ -336,10 +336,9 @@ def classical_reduction_check(kind: str, nu: float, z: float) -> float:
     series at order nu."""
     if kind not in ("bessel_J", "bessel_I"):
         raise DomainError(f"kind must be 'bessel_J' or 'bessel_I', got {kind!r}")
-    nu = float(nu)
-    z = float(z)
-    if nu < 0 or z < 0 or not (math.isfinite(nu) and math.isfinite(z)):
+    if not (is_real(nu) and is_real(z) and nu >= 0 and z >= 0):
         raise DomainError(f"need nu >= 0 and z >= 0, got nu={nu!r} z={z!r}")
+    nu, z = float(nu), float(z)
     c = -1.0 if kind == "bessel_J" else 1.0
     bp = BesselParams(k=1.0, nu=nu, gamma=1.0, lambda1=1.0, c=c, b=1.0)
     got = eval_gmk_bessel(bp, z, tol=1e-14, max_terms=400).value
@@ -414,14 +413,16 @@ def verify(
         missing = [key for key in row.keys if key not in eff]
         if missing:
             raise DomainError(f"missing parameters {missing}")
+        for key in row.keys:
+            if not is_real(eff[key]):
+                raise DomainError(f"{key} must be a finite real, got {eff[key]!r}")
+        values = [float(eff[key]) for key in row.keys]
         if which == 0:
-            op = ObParams(*(float(eff[key]) for key in row.keys))
-            values = astuple(op)
+            op = ObParams(*values)
         else:
-            bp = BesselParams(*(float(eff[key]) for key in row.keys[:6]))
-            args = check_theorem_args(which, bp, *(eff[key] for key in row.keys[6:]))
-            values = astuple(bp) + args
-    except (DomainError, TypeError, ValueError) as exc:
+            bp = BesselParams(*values[:6])
+            args = check_theorem_args(which, bp, *values[6:])
+    except DomainError as exc:
         msg = str(exc)
         if not msg.startswith("precondition"):
             msg = f"precondition: {msg}"

@@ -48,8 +48,8 @@ from itertools import count, islice, repeat
 
 from .errors import DomainError
 from .kgamma import KScale, k_gamma, log_k_gamma
-from .summation import SeriesResult, accumulate, check_arg, check_series_args, is_positive, settle
-from .summation import dd_add, dd_div_d, dd_mul, dd_mul_d
+from .summation import SeriesResult, accumulate, check_arg, check_series_args, settle
+from .summation import dd_add, dd_div_d, dd_mul, dd_mul_d, is_positive, is_real, is_whole
 
 __all__ = [
     "BesselParams",
@@ -77,19 +77,17 @@ class BesselParams:
     b: float
 
     def __post_init__(self) -> None:
-        vals = (self.k, self.nu, self.gamma, self.lambda1, self.c, self.b)
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in vals):
-            raise DomainError(f"parameters must be finite reals, got {vals!r}")
         if not is_positive(self.k):
             raise DomainError(f"k must be positive, got {self.k!r}")
+        vals = (self.k, self.nu, self.gamma, self.lambda1, self.c, self.b)
+        if not all(map(is_real, vals)):
+            raise DomainError(f"parameters must be finite reals, got {vals!r}")
         if not self.lambda1 > 0:
             raise DomainError(f"lambda1 must be positive, got {self.lambda1!r}")
         if self.nu < 0:
             raise DomainError(f"nu must be nonnegative, got {self.nu!r}")
         if not self.nu + 0.5 * (self.b + 1.0) > 0:
-            raise DomainError(
-                f"nu + (b+1)/2 must be positive, got nu={self.nu!r} b={self.b!r}"
-            )
+            raise DomainError(f"nu + (b+1)/2 must be positive, got nu={self.nu!r} b={self.b!r}")
 
     def _term_table(self) -> _DDTable | _LogTable:
         """The term table of this parameter set (see the module docstring),
@@ -138,7 +136,7 @@ def bessel_terms_logsig(p: BesselParams, w: float):
 def gmk_bessel_term(p: BesselParams, z: float, n: int) -> float:
     """n-th series term at real z >= 0, the n-th item of
     `bessel_terms_logsig` (reference for the recurrences)."""
-    if not isinstance(n, int) or n < 0:
+    if not is_whole(n, 0):
         raise DomainError(f"term index must be an integer >= 0, got {n!r}")
     z = check_arg(z)
     if z < 0:
@@ -147,7 +145,7 @@ def gmk_bessel_term(p: BesselParams, z: float, n: int) -> float:
         if n == 0 and p.nu == 0.0:
             return _lead(0.0, 0.0, p.nu + 0.5 * (p.b + 1.0), p.k)
         return 0.0
-    lg, sg = next(islice(bessel_terms_logsig(p, 0.5 * z), n, None))
+    lg, sg = next(islice(bessel_terms_logsig(p, 0.5 * z), int(n), None))
     return sg * math.exp(lg) if sg else 0.0
 
 
@@ -320,11 +318,11 @@ def eval_k_bessel_first(
     The argument enters at the first power, as defined for this variant.
     """
     z, max_terms = check_series_args(z, tol, max_terms)
-    for name, v in (("k", k), ("nu", nu), ("gamma", gamma), ("lam", lam)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise DomainError(f"{name} must be a finite real, got {v!r}")
     if not is_positive(k):
         raise DomainError(f"k must be positive, got {k!r}")
+    for name, v in (("nu", nu), ("gamma", gamma), ("lam", lam)):
+        if not is_real(v):
+            raise DomainError(f"{name} must be a finite real, got {v!r}")
     if not lam > 0:
         raise DomainError(f"lam must be positive, got {lam!r}")
     if not nu + 1.0 > 0:

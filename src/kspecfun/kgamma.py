@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .summation import is_positive
+from .summation import is_positive, is_real
 
 __all__ = [
     "KScale",
@@ -53,6 +53,14 @@ def _kval(k: KScale | float) -> float:
     return k if type(k) is float else float(k)
 
 
+def _gamma_arg(z, name: str) -> float:
+    """z as a float under the positive rule, else `<name> requires z > 0`.  Run once per
+    series term, k_gamma and log_k_gamma call it only for z not a finite float > 0."""
+    if not is_positive(z):
+        raise DomainError(f"{name} requires z > 0, got {z!r}")
+    return float(z)
+
+
 def classical_gamma(z: float) -> float:
     """Gamma(z) for real z > 0.
 
@@ -60,26 +68,19 @@ def classical_gamma(z: float) -> float:
     arguments past the double-precision range raise OverflowError rather
     than returning inf.
     """
-    z = float(z)
-    if not (z > 0 and math.isfinite(z)):
-        raise DomainError(f"gamma requires z > 0, got {z!r}")
-    return math.gamma(z)
+    return math.gamma(_gamma_arg(z, "gamma"))
 
 
 def log_classical_gamma(z: float) -> float:
     """ln Gamma(z) for real z > 0."""
-    z = float(z)
-    if not (z > 0 and math.isfinite(z)):
-        raise DomainError(f"log-gamma requires z > 0, got {z!r}")
-    return math.lgamma(z)
+    return math.lgamma(_gamma_arg(z, "log-gamma"))
 
 
 def k_gamma(z: float, k: KScale | float = 1.0) -> float:
     """Gamma_k(z) = k**(z/k - 1) * Gamma(z/k) for z > 0."""
     kk = _kval(k)
-    z = float(z)
-    if not (z > 0 and math.isfinite(z)):
-        raise DomainError(f"k-gamma requires z > 0, got {z!r}")
+    if type(z) is not float or not 0.0 < z < math.inf:
+        z = _gamma_arg(z, "k-gamma")
     w = z / kk
     return kk ** (w - 1.0) * math.gamma(w)
 
@@ -87,9 +88,8 @@ def k_gamma(z: float, k: KScale | float = 1.0) -> float:
 def log_k_gamma(z: float, k: KScale | float = 1.0) -> float:
     """ln Gamma_k(z) = (z/k - 1) ln k + ln Gamma(z/k)."""
     kk = _kval(k)
-    z = float(z)
-    if not (z > 0 and math.isfinite(z)):
-        raise DomainError(f"log k-gamma requires z > 0, got {z!r}")
+    if type(z) is not float or not 0.0 < z < math.inf:
+        z = _gamma_arg(z, "log k-gamma")
     w = z / kk
     return (w - 1.0) * math.log(kk) + math.lgamma(w)
 
@@ -100,14 +100,12 @@ _POCH_DIRECT_LIMIT = 64
 
 
 def _poch_args(x, n: int) -> float:
-    """Check a Pochhammer start point (finite) and order (an integer >= 0,
-    not a bool); return x as a float."""
+    """Check a Pochhammer start (real rule) and order (an int >= 0, not a bool); x as a float."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise DomainError(f"pochhammer order must be an integer >= 0, got {n!r}")
-    x = float(x)
-    if not math.isfinite(x):
+    if not is_real(x):
         raise DomainError(f"pochhammer start must be finite, got {x!r}")
-    return x
+    return float(x)
 
 
 def k_pochhammer(x: float, n: int, k: KScale | float = 1.0) -> float:
@@ -149,9 +147,7 @@ def k_gamma_oracle(z: float, k: KScale | float = 1.0, tol: float = 1e-10, budget
     absorbed by the integrator's variable change.  Returns a QuadResult.
     """
     kk = _kval(k)
-    z = float(z)
-    if not (z > 0 and math.isfinite(z)):
-        raise DomainError(f"k-gamma oracle requires z > 0, got {z!r}")
+    z = _gamma_arg(z, "k-gamma oracle")
 
     from .quadrature import integrate_semi_infinite
 

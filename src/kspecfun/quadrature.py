@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NonConvergenceError
 from .kbessel import BesselParams, eval_gmk_bessel
-from .summation import check_settings
+from .summation import check_settings, is_real
 
 __all__ = [
     "QuadResult",
@@ -50,17 +50,11 @@ class ObParams:
     a: float
 
     def __post_init__(self) -> None:
-        ok = (
-            math.isfinite(self.mu)
-            and math.isfinite(self.lam)
-            and math.isfinite(self.a)
-            and 0.0 < self.mu < self.lam
-            and self.a > 0.0
-        )
-        if not ok:
-            raise DomainError(
-                f"need 0 < mu < lam and a > 0, got mu={self.mu!r} lam={self.lam!r} a={self.a!r}"
-            )
+        mu, lam, a = vals = (self.mu, self.lam, self.a)
+        if not all(map(is_real, vals)):
+            raise DomainError(f"parameters must be finite reals, got {vals!r}")
+        if not (0.0 < mu < lam and a > 0.0):
+            raise DomainError(f"need 0 < mu < lam and a > 0, got mu={mu!r} lam={lam!r} a={a!r}")
 
 
 # 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule.
@@ -212,10 +206,10 @@ def check_theorem_args(which: int, bp: BesselParams, mu, lam, a, y) -> tuple[flo
     (mu + nu + 2n, lam + nu + 2n) with mu + nu > 0, mu < lam for the
     second; n = 0 binds.
     """
-    mu, lam, a, y = float(mu), float(lam), float(a), float(y)
     for name, v in (("mu", mu), ("lam", lam), ("a", a), ("y", y)):
-        if not math.isfinite(v):
-            raise DomainError(f"precondition: {name} must be finite, got {v!r}")
+        if not is_real(v):
+            raise DomainError(f"precondition: {name} must be a finite real, got {v!r}")
+    mu, lam, a, y = float(mu), float(lam), float(a), float(y)
     if not a > 0:
         raise DomainError(f"precondition: a > 0 fails (a={a!r})")
     if y < 0:

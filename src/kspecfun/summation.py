@@ -16,12 +16,16 @@ calls `settle` per term of a (term, |next/current| ratio) stream, which
 `logsig_pairs` builds from a forward stream of (L_n, sign_n), n = 0, 1,
 ...; the double-double Bessel recurrence calls it per term of its own sum.
 
-Every tolerance and scale follows one rule, `is_positive`, and every count
-another, `is_whole`; `check_settings` raises their shared messages."""
+The real rule `is_real` (a finite int or float; not a bool or a string)
+covers arguments and parameters, the positive rule `is_positive` (the real
+rule and > 0) tolerances, scales and Gamma arguments, and the whole-number
+rule `is_whole` (an int or an integral float >= a least value; not a bool)
+counts and term indices.  `check_settings` raises the last two's messages."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import count
 
@@ -29,34 +33,12 @@ from .errors import DomainError
 
 # Dekker splitting constant, 2**27 + 1; no hardware fma is assumed.
 _SPLIT = 134217729.0
+_MAX = sys.float_info.max  # the largest finite double; an int past it has no float value
 
-
-def two_sum(a: float, b: float) -> tuple[float, float]:
-    """Knuth two-sum: s + e == a + b exactly, s = fl(a + b)."""
-    s = a + b
-    t = s - a
-    e = (a - (s - t)) + (b - t)
-    return s, e
-
-
-# The products and sums below write their error-free transforms out in
-# place: they run once or more per series term, where call overhead would
-# cost as much as the arithmetic.  The operations and their order are those
-# of two_sum, the Dekker fast two-sum (s = a + b, e = b - (s - a) for
-# |a| >= |b|) and the Dekker split.
-
-
-def two_prod(a: float, b: float) -> tuple[float, float]:
-    """Dekker product: p + e == a * b exactly, p = fl(a * b)."""
-    p = a * b
-    c = _SPLIT * a
-    ah = c - (c - a)
-    al = a - ah
-    c = _SPLIT * b
-    bh = c - (c - b)
-    bl = b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, e
+# The error-free transforms below are written out in place: they run once or
+# more per series term, where call overhead would cost as much as the
+# arithmetic.  Their operations and order are those of the Knuth two-sum, the
+# Dekker fast two-sum (for |a| >= |b|) and the Dekker split and product.
 
 
 def dd_add(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
@@ -155,16 +137,21 @@ class SeriesResult:
     converged: bool
 
 
-def check_arg(z: float) -> float:
-    """Validate a series argument; return it as a float."""
-    if not (isinstance(z, (int, float)) and math.isfinite(z)):
-        raise DomainError(f"argument must be a finite real, got {z!r}")
-    return z if type(z) is float else float(z)
+def is_real(x) -> bool:
+    """The real rule: a finite int or float (or float subclass), not a bool or a string."""
+    return (isinstance(x, float) or isinstance(x, int) and not isinstance(x, bool)) and abs(x) <= _MAX
 
 
 def is_positive(x) -> bool:
-    """The positive rule: a finite real > 0, not a bool or a string."""
-    return (isinstance(x, float) or isinstance(x, int) and not isinstance(x, bool)) and 0.0 < x < math.inf
+    """The positive rule: the real rule and > 0."""
+    return is_real(x) and x > 0
+
+
+def check_arg(z: float) -> float:
+    """Validate a series argument under the real rule; return it as a float."""
+    if not is_real(z):
+        raise DomainError(f"argument must be a finite real, got {z!r}")
+    return z if type(z) is float else float(z)
 
 
 def is_whole(n, least: int) -> bool:

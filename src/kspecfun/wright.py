@@ -21,7 +21,7 @@ from itertools import count
 
 from .errors import DomainError
 from .kgamma import KScale, log_k_gamma
-from .summation import SeriesResult, accumulate, check_series_args, is_positive, logsig_pairs
+from .summation import SeriesResult, accumulate, check_series_args, is_positive, is_real, logsig_pairs
 
 __all__ = [
     "WrightSpec",
@@ -41,10 +41,9 @@ def _as_rows(rows, side: str) -> tuple[tuple[float, float], ...]:
             off, wt = row
         except (TypeError, ValueError):
             raise DomainError(f"{side} rows must be (offset, weight) pairs, got {row!r}") from None
-        off = float(off)
-        wt = float(wt)
-        if not (math.isfinite(off) and math.isfinite(wt)):
+        if not (is_real(off) and is_real(wt)):
             raise DomainError(f"{side} row not finite: {row!r}")
+        off, wt = float(off), float(wt)
         if not off > 0:
             raise DomainError(f"{side} offset must be positive, got {off!r}")
         if wt < 0:
@@ -145,6 +144,14 @@ def _pfq_pairs(upper, lower, z: float):
         t *= r
 
 
+def _real_params(upper, lower) -> tuple[list[float], list[float]]:
+    """Upper and lower parameters as float lists, under the real rule."""
+    upper, lower = list(upper), list(lower)
+    if not all(map(is_real, upper + lower)):
+        raise DomainError(f"hypergeometric parameters must be finite reals, got {upper!r} and {lower!r}")
+    return [float(v) for v in upper], [float(v) for v in lower]
+
+
 def eval_pfq(
     upper, lower, z: float, tol: float = 1e-10, max_terms: int = 400
 ) -> SeriesResult:
@@ -153,10 +160,7 @@ def eval_pfq(
     Converges for p <= q everywhere and for p = q + 1 inside |z| < 1; other
     shapes are rejected.  Lower parameters must avoid nonpositive integers.
     """
-    upper = [float(v) for v in upper]
-    lower = [float(v) for v in lower]
-    if not all(math.isfinite(v) for v in upper + lower):
-        raise DomainError("hypergeometric parameters must be finite")
+    upper, lower = _real_params(upper, lower)
     z, max_terms = check_series_args(z, tol, max_terms)
     p, q = len(upper), len(lower)
     if p > q + 1:
@@ -185,8 +189,7 @@ def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_t
     (prod Gamma(a_i) / prod Gamma(b_j)) * pFq; returns the relative
     discrepancy between the two independently summed sides.
     """
-    upper = [float(v) for v in upper]
-    lower = [float(v) for v in lower]
+    upper, lower = _real_params(upper, lower)
     for side, vals in (("upper", upper), ("lower", lower)):
         for v in vals:
             if not v > 0:

@@ -190,6 +190,21 @@ def test_verify_precondition_inconclusive(identity):
     assert math.isnan(r.lhs)
 
 
+@pytest.mark.parametrize("identity, params, diagnostics", [
+    ("oberhettinger", {"mu": "1", "lam": True, "a": 1}, "precondition: mu must be a finite real, got '1'"),
+    ("oberhettinger", {"mu": 1, "lam": True, "a": 1}, "precondition: lam must be a finite real, got True"),
+    ("theorem1", dict(UNIT_PARAMS, y="1"), "precondition: y must be a finite real, got '1'"),
+    ("theorem2", dict(UNIT_PARAMS, mu=0.5, k=True), "precondition: k must be a finite real, got True"),
+], ids=["oberhettinger str mu", "oberhettinger bool lam", "theorem1 str y", "theorem2 bool k"])
+def test_verify_rejects_non_real_parameters(identity, params, diagnostics):
+    # each used to be converted: the first two read a wrong ordering
+    # (mu=1.0 lam=1.0), the last two a verdict on y = 1 and k = 1
+    r = verify(identity, params)
+    assert r.verdict == "inconclusive"
+    assert r.diagnostics == diagnostics
+    assert r.params == params and math.isnan(r.lhs)
+
+
 @pytest.mark.parametrize("tol_match", [math.nan, -1.0, 0.0, True])
 @pytest.mark.parametrize("identity", ["theorem1", "oberhettinger"])
 def test_verify_rejects_bad_tol_match(identity, tol_match):
@@ -269,6 +284,11 @@ def test_classical_reduction_check():
     assert classical_reduction_check("bessel_J", 0.0, 2.0) <= 1e-12
     assert classical_reduction_check("bessel_I", 1.0, 1.0) <= 1e-12
     assert classical_reduction_check("bessel_J", 0.0, 0.0) == 0.0
+    # both used to be converted: True as order 1, "2" as z = 2
+    with pytest.raises(DomainError, match="got nu=True"):
+        classical_reduction_check("bessel_J", True, 2.0)
+    with pytest.raises(DomainError, match="got nu=0.0 z='2'"):
+        classical_reduction_check("bessel_J", 0.0, "2")
     with pytest.raises(DomainError):
         classical_reduction_check("bessel_K", 0.0, 1.0)
 

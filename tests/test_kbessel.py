@@ -247,6 +247,13 @@ def test_param_validation():
         BesselParams(k=True, nu=0, gamma=1, lambda1=1, c=-1, b=1)
     with pytest.raises(DomainError, match="k must be positive, got True"):
         eval_k_bessel_first(True, 0.0, 1.0, 1.0, 1.0)
+    # a bool parameter used to be taken as a number
+    with pytest.raises(DomainError, match="parameters must be finite reals"):
+        BesselParams(k=1, nu=True, gamma=1, lambda1=1, c=-1, b=1)
+    with pytest.raises(DomainError, match="parameters must be finite reals"):
+        BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=False, b=1)
+    with pytest.raises(DomainError, match="nu must be a finite real, got True"):
+        eval_k_bessel_first(1.0, True, 1.0, 1.0, 1.0)
 
 
 def test_pochhammer_weight_visible():
@@ -295,7 +302,7 @@ def test_term_matches_definition(params, z):
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0, 4.0])
-@pytest.mark.parametrize("n", [2.5, 0.5, -1])
+@pytest.mark.parametrize("n", [2.5, 0.5, -1, True])
 def test_term_index_must_be_a_whole_number(z, n):
     # nu = 0 at z = 0 takes the n == 0 branch; the others build the stream
     for nu in (0.0, 0.5):
@@ -303,7 +310,16 @@ def test_term_index_must_be_a_whole_number(z, n):
             gmk_bessel_term(BesselParams(k=1, nu=nu, gamma=1, lambda1=1, c=-1, b=1), z, n)
 
 
-@pytest.mark.parametrize("z", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_term_index_takes_whole_floats():
+    p = BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=-1, b=1)
+    assert gmk_bessel_term(p, 2.0, 2.0) == gmk_bessel_term(p, 2.0, 2)
+    # True used to be taken as n = 1
+    with pytest.raises(DomainError) as err:
+        gmk_bessel_term(p, 2.0, True)
+    assert str(err.value) == "term index must be an integer >= 0, got True"
+
+
+@pytest.mark.parametrize("z", [-1.0, -1e-300, math.nan, math.inf, -math.inf, True, "1"])
 def test_term_rejects_the_arguments_eval_rejects(z):
     p = BesselParams(k=1, nu=0.5, gamma=1, lambda1=1, c=-1, b=1)
     with pytest.raises(DomainError) as expected:

@@ -128,6 +128,21 @@ def test_domain_errors():
         k_gamma_oracle(0.0, 1.0)
 
 
+@pytest.mark.parametrize("fn, name", [
+    (classical_gamma, "gamma"),
+    (log_classical_gamma, "log-gamma"),
+    (k_gamma, "k-gamma"),
+    (log_k_gamma, "log k-gamma"),
+    (k_gamma_oracle, "k-gamma oracle"),
+])
+@pytest.mark.parametrize("z", [True, "2"])
+def test_gamma_argument_follows_the_positive_rule(fn, name, z):
+    # both used to be converted: k_gamma(True, 1.0) and k_gamma("2", 1.0) were 1.0
+    with pytest.raises(DomainError) as err:
+        fn(z)
+    assert str(err.value) == f"{name} requires z > 0, got {z!r}"
+
+
 def test_kscale_type():
     s = KScale(2.0)
     assert k_gamma(4.0, s) == pytest.approx(2.0, rel=1e-14)
@@ -153,6 +168,8 @@ def test_kscale_type():
     (math.nan, 3, "pochhammer start must be finite, got nan"),
     (math.inf, 2, "pochhammer start must be finite, got inf"),
     (math.inf, 0, "pochhammer start must be finite, got inf"),
+    (True, 3, "pochhammer start must be finite, got True"),
+    ("2", 3, "pochhammer start must be finite, got '2'"),
 ])
 def test_pochhammer_rejects_bad_arguments(fn, x, n, message):
     # k_pochhammer(1, 2.7) used to return (1)_2 = 2 and k_pochhammer(nan, 3) nan

@@ -96,6 +96,11 @@ def test_ob_params_validation():
         ObParams(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         ObParams(1.0, 2.0, 0.0)
+    # "1" used to raise TypeError and True to be taken as mu = 1
+    for mu in ("1", True):
+        with pytest.raises(DomainError) as err:
+            ObParams(mu, 2.0, 1.0)
+        assert str(err.value) == f"parameters must be finite reals, got ({mu!r}, 2.0, 1.0)"
 
 
 def test_oberhettinger_worked_values():
@@ -166,6 +171,11 @@ def test_theorem_preconditions():
         theorem1_lhs(UNIT, 1.0, 2.0, -1.0, 1.0)
     with pytest.raises(DomainError):
         theorem1_lhs(UNIT, 1.0, 2.0, 1.0, -1.0)
+    # both used to be converted and integrated
+    with pytest.raises(DomainError, match="precondition: y must be a finite real, got '1'"):
+        theorem1_lhs(UNIT, 1.0, 2.0, 1.0, "1")
+    with pytest.raises(DomainError, match="precondition: a must be a finite real, got True"):
+        theorem2_lhs(UNIT, 0.5, 2.0, True, 1.0)
 
 
 @pytest.mark.parametrize("lhs, expected", [

@@ -170,6 +170,20 @@ def test_reduction_check_rejects_nonpositive_parameters(upper, lower, z, side):
         wright_pfq_reduction_check(upper, lower, z)
 
 
+@pytest.mark.parametrize("call", [
+    lambda v: WrightSpec(((v, 1.0),), ((2.0, 1.0),)),
+    lambda v: WrightSpec(((1.0, 1.0),), ((2.0, v),)),
+    lambda v: eval_pfq((v,), (2.0,), 0.5),
+    lambda v: eval_pfq((1.0,), (v,), 0.5),
+    lambda v: wright_pfq_reduction_check((v,), (2.0,), 0.5),
+], ids=["upper offset", "lower weight", "pfq upper", "pfq lower", "reduction check"])
+@pytest.mark.parametrize("v", [True, "2"])
+def test_parameters_follow_the_real_rule(call, v):
+    # each used to be converted to 1.0 or 2.0 and evaluated
+    with pytest.raises(DomainError, match="finite"):
+        call(v)
+
+
 def test_pfq_negative_lower_parameter():
     # b + n < 0 for the first terms: no tail bound may be certified there
     mpmath = pytest.importorskip("mpmath")
