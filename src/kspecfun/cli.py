@@ -32,7 +32,7 @@ from .errors import DomainError, NonConvergenceError
 from .identities import CSV_FIELDS, IDENTITIES, IDENTITY_IDS, to_record, verify
 from .kbessel import BesselParams, eval_gmk_bessel, eval_k_bessel_first
 from .kgamma import k_gamma
-from .summation import SeriesResult, is_positive, is_whole
+from .summation import SeriesResult, is_positive, is_real, is_whole
 from .wright import WrightSpec, eval_k_wright, eval_pfq, eval_wright
 
 __all__ = ["main"]
@@ -53,6 +53,10 @@ _VERIFY_DEFAULTS = {
 
 # tolerance and budget settings by flag dest and config key, with their types
 _SETTINGS = {"tol_series": float, "max_terms": int, "tol_quad": float, "tol_match": float}
+_HELP = {
+    "tol_quad": "relative tolerance of the left-side quadrature, with a rounding floor "
+    "of 50 eps times the integral of |f|",
+}
 
 # Keys are in the order the unknown-key message lists them; None marks the
 # required z.  The calls look the evaluators up at call time, so a rebound one
@@ -235,22 +239,18 @@ def _cmd_verify(args) -> int:
 
 
 def _config_value_list(key, value):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if is_real(value):
         value = [value]
     if not isinstance(value, list) or not value:
-        raise UsageError(f"config key {key!r} must be a number or nonempty list of numbers")
-    out = []
+        raise UsageError(f"config key {key!r} must be a finite number or nonempty list of them")
     for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise UsageError(f"config key {key!r} must contain numbers, got {item!r}")
-        out.append(float(item))
-    return out
+        if not is_real(item):
+            raise UsageError(f"config key {key!r} must contain finite numbers, got {item!r}")
+    return [float(item) for item in value]
 
 
 def _setting(key, value, name):
     """A tolerance or max_terms, checked by its rule; name is the key or flag that gave it."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"{name} must be a single number")
     if key == "max_terms":
         if not is_whole(value, 1):
             raise UsageError(f"{name} must be a whole number >= 1, got {value!r}")
@@ -343,7 +343,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_flags(p, keys):
         for key in keys:
-            p.add_argument(_flag(key), type=_SETTINGS[key], default=argparse.SUPPRESS, dest=key)
+            p.add_argument(
+                _flag(key), type=_SETTINGS[key], default=argparse.SUPPRESS, dest=key,
+                help=_HELP.get(key),
+            )
 
     p_eval = sub.add_parser("eval", help="evaluate one function at key=value parameters")
     p_eval.add_argument("function", choices=tuple(_EVAL))

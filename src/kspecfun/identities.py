@@ -448,8 +448,15 @@ def verify(
 
     rel_c = _rel(lhs.value, rhs_c.value)
     rel_p = None if rhs_p is None else _rel(lhs.value, rhs_p.value)
-    routes = (("quadrature", lhs), ("canonical series", rhs_c), ("packaged series", rhs_p))
-    parts = [name for name, res in routes if res is not None and not res.converged]
+    # an estimate above tol_match |lhs| (tol_quad > tol_match, or a left side that
+    # cancels to about 0) is too loose to decide any verdict
+    quad_ok = lhs.converged and lhs.abs_err_estimate <= tol_match * abs(lhs.value)
+    routes = (
+        ("quadrature", quad_ok),
+        ("canonical series", rhs_c.converged),
+        ("packaged series", rhs_p is None or rhs_p.converged),
+    )
+    parts = [name for name, ok in routes if not ok]
     diag = ""
     if parts:
         verdict = "inconclusive"
@@ -491,11 +498,9 @@ def to_record(report: IdentityReport) -> dict:
     rec = {field: None for field in CSV_FIELDS}
     rec["identity"] = report.identity_id
     for key in _WEIGHTED_PARAMS:
-        if key in report.params:
-            try:
-                rec[key] = float(report.params[key])
-            except (TypeError, ValueError):
-                rec[key] = None
+        value = report.params.get(key)
+        # echo only what the real rule accepts
+        rec[key] = float(value) if is_real(value) else None
     for field in CSV_FIELDS[CSV_FIELDS.index("lhs"):]:
         value = getattr(report, field)
         rec[field] = None if isinstance(value, float) and math.isnan(value) else value

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, NonConvergenceError
@@ -85,13 +86,15 @@ _WG = (
 )
 
 
-def _gk15(g, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7/15 panel; returns (integral, error estimate)."""
+def _gk15(g, a: float, b: float) -> tuple[float, float, float]:
+    """One Gauss-Kronrod 7/15 panel; returns (integral, error estimate,
+    integral of |g|)."""
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fc = g(mid)
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
+    resabs = _WGK[7] * abs(fc)
     pairs = []
     for i in range(7):
         dx = h * _XGK[i]
@@ -99,6 +102,7 @@ def _gk15(g, a: float, b: float) -> tuple[float, float]:
         f2 = g(mid + dx)
         pairs.append((f1, f2))
         resk += _WGK[i] * (f1 + f2)
+        resabs += _WGK[i] * (abs(f1) + abs(f2))
         if i % 2 == 1:
             resg += _WG[i // 2] * (f1 + f2)
     value = resk * h
@@ -111,21 +115,27 @@ def _gk15(g, a: float, b: float) -> tuple[float, float]:
     if asc != 0.0 and err != 0.0:
         # standard damped scaling; raw |K-G| grossly overestimates on smooth panels
         err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
-    return value, err
+    return value, err, resabs * abs(h)
 
 
 _DE_C = math.pi / 2.0
 # |log x| capped at 700 so x and 1/x stay inside double range
 _DE_UMAX = math.asinh(700.0 / _DE_C)
+# QUADPACK's rounding floor: 50 eps times the integral of |f|
+_ROUNDING = 50.0 * sys.float_info.epsilon
 
 
 def integrate_semi_infinite(f, tol: float = 1e-10, budget: int = 60000) -> QuadResult:
-    """Integrate f over (0, inf) to absolute tolerance tol.
+    """Integrate f over (0, inf) to relative tolerance tol.
 
-    f may have an integrable power singularity at 0 and must decay at least
-    like a power x^(-s), s > 1, at infinity.  converged=False with the best
-    estimate is returned when the evaluation budget runs out.  tol and budget
-    follow the rules of `summation`; budget >= 240, the 16 starting panels.
+    Panels are refined until the error estimate is at most
+    max(tol |Q|, 50 eps A), with Q the integral and A the integral of |f|;
+    the second term is the rounding floor that stops an integral cancelling
+    to about 0.  f may have an integrable power singularity at 0 and must
+    decay at least like a power x^(-s), s > 1, at infinity.
+    converged=False with the best estimate is returned when the evaluation
+    budget runs out.  tol and budget follow the rules of `summation`;
+    budget >= 240, the 16 starting panels.
     """
     n0 = 16
     check_settings(tol, "budget", budget, 15 * n0)
@@ -134,52 +144,65 @@ def integrate_semi_infinite(f, tol: float = 1e-10, budget: int = 60000) -> QuadR
         x = math.exp(_DE_C * math.sinh(u))
         return f(x) * x * _DE_C * math.cosh(u)
 
+    def sums() -> tuple[float, float, float]:
+        return tuple(math.fsum(item[i] for item in heap) for i in (4, 5, 6))
+
+    def goal(value: float, abs_total: float) -> float:
+        return max(tol * abs(value), _ROUNDING * abs_total)
+
     step = 2.0 * _DE_UMAX / n0
-    heap: list[tuple[float, int, float, float, float, float]] = []
+    heap: list[tuple[float, int, float, float, float, float, float]] = []
     tick = 0
     evals = 0
     for i in range(n0):
         a = -_DE_UMAX + i * step
         b = a + step
-        v, e = _gk15(g, a, b)
+        v, e, r = _gk15(g, a, b)
         evals += 15
-        heapq.heappush(heap, (-e, tick, a, b, v, e))
+        heapq.heappush(heap, (-e, tick, a, b, v, e, r))
         tick += 1
 
-    err_total = math.fsum(item[5] for item in heap)
-    while err_total > tol and evals + 30 <= budget:
-        _, _, a, b, _, e = heapq.heappop(heap)
+    value, err_total, abs_total = sums()
+    while err_total > goal(value, abs_total) and evals + 30 <= budget:
+        _, _, a, b, v, e, r = heapq.heappop(heap)
         midp = 0.5 * (a + b)
-        v1, e1 = _gk15(g, a, midp)
-        v2, e2 = _gk15(g, midp, b)
+        v1, e1, r1 = _gk15(g, a, midp)
+        v2, e2, r2 = _gk15(g, midp, b)
         evals += 30
-        heapq.heappush(heap, (-e1, tick, a, midp, v1, e1))
+        heapq.heappush(heap, (-e1, tick, a, midp, v1, e1, r1))
         tick += 1
-        heapq.heappush(heap, (-e2, tick, midp, b, v2, e2))
+        heapq.heappush(heap, (-e2, tick, midp, b, v2, e2, r2))
         tick += 1
+        value += (v1 + v2) - v
         err_total += (e1 + e2) - e
-        if err_total < 0.25 * tol or tick % 64 == 0:
-            # running corrections drift; refresh before trusting a near-tol value
-            err_total = math.fsum(item[5] for item in heap)
+        abs_total += (r1 + r2) - r
+        if err_total < 0.25 * goal(value, abs_total) or tick % 64 == 0:
+            # running corrections drift; refresh before trusting a near-goal value
+            value, err_total, abs_total = sums()
 
-    value = math.fsum(item[4] for item in heap)
-    err = math.fsum(item[5] for item in heap)
-    return QuadResult(value, err, evals, err <= tol)
+    value, err, abs_total = sums()
+    return QuadResult(value, err, evals, err <= goal(value, abs_total))
 
 
 def phi(x: float, a: float) -> float:
     """Kernel x + a + sqrt(x^2 + 2ax); strictly increasing, phi(0, a) = a."""
-    if not (x >= 0 and a > 0):
+    if not (is_real(x) and is_real(a) and x >= 0 and a > 0):
         raise DomainError(f"phi needs x >= 0 and a > 0, got x={x!r} a={a!r}")
+    return _phi(x, a)
+
+
+def _phi(x: float, a: float) -> float:
+    # unchecked: the integrands check a once per integral, and the DE map gives x > 0
     # hypot keeps x^2 from overflowing for x near the top of double range
     return x + a + math.hypot(x, math.sqrt(2.0 * a * x))
 
 
 def oberhettinger_lhs(p: ObParams, tol: float = 1e-8, budget: int = 60000) -> QuadResult:
-    """Quadrature of int_0^inf x^(mu-1) phi(x,a)^(-lam) dx."""
+    """Quadrature of int_0^inf x^(mu-1) phi(x,a)^(-lam) dx to relative
+    tolerance tol, with the rounding floor of `integrate_semi_infinite`."""
 
     def f(x: float) -> float:
-        return math.exp((p.mu - 1.0) * math.log(x) - p.lam * math.log(phi(x, p.a)))
+        return math.exp((p.mu - 1.0) * math.log(x) - p.lam * math.log(_phi(x, p.a)))
 
     return integrate_semi_infinite(f, tol=tol, budget=budget)
 
@@ -242,7 +265,7 @@ def _weighted_kernel_lhs(which, bp, mu, lam, a, y, tol, budget, series_tol, max_
     factors: dict[float, float] = {}
 
     def f(x: float) -> float:
-        ph = phi(x, a)
+        ph = _phi(x, a)
         # x/ph <= 1, so grouping this way cannot overflow for huge x
         z = y / ph if which == 1 else x / ph * y
         v = factors.get(z)
@@ -269,6 +292,7 @@ def theorem1_lhs(
 ) -> QuadResult:
     """Quadrature of int_0^inf x^(mu-1) phi^(-lam) J(y / phi(x, a)) dx.
 
+    tol is relative, with the rounding floor of `integrate_semi_infinite`.
     Enforces lam + nu > mu > 0 (see `check_theorem_args`).
     """
     return _weighted_kernel_lhs(1, bp, mu, lam, a, y, tol, budget, series_tol, max_terms)
@@ -288,6 +312,8 @@ def theorem2_lhs(
     """Quadrature of int_0^inf x^(mu-1) phi^(-lam) J(x y / phi(x, a)) dx.
 
     The series argument tends to y/2 as x grows, so all decay comes from the
-    kernel; enforces mu + nu > 0 and mu < lam (see `check_theorem_args`).
+    kernel.  tol is relative, with the rounding floor of
+    `integrate_semi_infinite`.  Enforces mu + nu > 0 and mu < lam (see
+    `check_theorem_args`).
     """
     return _weighted_kernel_lhs(2, bp, mu, lam, a, y, tol, budget, series_tol, max_terms)

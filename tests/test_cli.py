@@ -276,6 +276,19 @@ def test_sweep_rejects_bad_config_out(out, capsys, tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_sweep_rejects_non_finite_axis_value(capsys, tmp_path, monkeypatch):
+    # a JSON NaN used to pass as a number and be skipped per point, with exit 0
+    calls = []
+    monkeypatch.setattr(cli, "verify", lambda *a, **kw: calls.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"identity": "oberhettinger", "mu": [NaN, 1], "lam": [2], "a": [1]}')
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "kspecfun: config key 'mu' must contain finite numbers, got nan\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -283,6 +296,8 @@ def test_sweep_rejects_bad_config_out(out, capsys, tmp_path, monkeypatch):
         ("max_terms", math.inf),
         ("max_terms", 2.5),
         ("tol_quad", math.nan),
+        ("tol_quad", [1e-8]),
+        ("max_terms", "400"),
         ("tol_series", 0),
         ("tol_match", -1),
     ],
@@ -333,9 +348,9 @@ def test_eval_rejects_bad_setting_flag(capsys):
 
 
 def test_sweep_mismatch_exits_one(capsys, tmp_path):
-    # the README unit point agrees to 7e-12, which tol_match = 1e-15 calls a mismatch
+    # the README unit point agrees to 6e-12, which tol_match = 1e-12 calls a mismatch
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"identity": "theorem1", "tol_match": 1e-15}))
+    cfg.write_text(json.dumps({"identity": "theorem1", "tol_quad": 1e-12, "tol_match": 1e-12}))
     assert cli.main(["sweep", "--config", str(cfg)]) == 1
     out, err = capsys.readouterr()
     assert out.splitlines()[1].split(",")[-3] == "mismatch"

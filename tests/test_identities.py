@@ -314,6 +314,44 @@ def test_to_record_skipped_has_no_nan():
     assert all(rec[key] is None for key in ("k", "nu", "gamma", "lambda1", "c", "b", "y"))
 
 
+def test_to_record_echoes_only_real_parameters():
+    # mu=True and a="1" used to be echoed as 1.0 beside a diagnostic saying "got True"
+    report = verify("oberhettinger", {"mu": True, "lam": 2, "a": "1"})
+    rec = to_record(report)
+    assert report.diagnostics == "precondition: mu must be a finite real, got True"
+    assert (rec["mu"], rec["lam"], rec["a"]) == (None, 2.0, None)
+
+
+H2 = dict(k=1, nu=0, gamma=1, lambda1=1, c=1, b=1, mu=0.5, lam=0.6, a=0.01, y=1)
+
+
+def test_verify_h2_matches_within_400_nodes():
+    # the integral is 2.4e40, so an absolute 1e-8 spent the 60000-node budget
+    r = verify("theorem1", H2)
+    assert r.verdict == "match"
+    assert r.quad_evals <= 400
+    assert r.rel_diff_canonical < 1e-12
+
+
+@pytest.mark.parametrize("tol_quad, verdict, diagnostics", [
+    (1e-3, "inconclusive", "did not converge: quadrature"),
+    (1e-5, "match", ""),
+])
+def test_verify_loose_quadrature_cannot_match(tol_quad, verdict, diagnostics):
+    # at 1e-3 the quadrature stops with a relative estimate of 1.1e-4, above tol_match
+    r = verify("theorem1", H2, tol_quad=tol_quad)
+    assert (r.verdict, r.diagnostics) == (verdict, diagnostics)
+
+
+@pytest.mark.parametrize("a", [1e8, 1e11])
+def test_verify_tiny_kernel_integral_matches(a):
+    # the integral is about 1e-21 or less, so an absolute tolerance was met
+    # at once and the verdict was a mismatch of quadrature noise
+    r = verify("oberhettinger", dict(mu=0.5, lam=3, a=a))
+    assert r.verdict == "match"
+    assert r.rel_diff_canonical < 1e-12
+
+
 def test_identity_registry():
     assert "oberhettinger" in IDENTITY_IDS
     assert len(IDENTITY_IDS) == 7
@@ -383,10 +421,10 @@ GRID_SLICE_RECORDS = {
     ('theorem1', 2.0, 1.0, 1.0): (
         "{'identity': 'theorem1', 'k': 2.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
         " 1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
-        "26.858053972053053, 'rhs_canonical': 26.858053972006687, 'rhs_paper': "
-        "1.0328478943284833, 'rel_diff_canonical': 1.7263524107246048e-12, "
-        "'rel_diff_paper': 0.9615442021449803, 'verdict': 'canonical_only', 'quad_evals':"
-        " 270, 'series_terms': 19}"
+        "26.858053972053554, 'rhs_canonical': 26.858053972006687, 'rhs_paper': "
+        "1.0328478943284833, 'rel_diff_canonical': 1.7450035248087169e-12, "
+        "'rel_diff_paper': 0.9615442021449809, 'verdict': 'canonical_only', 'quad_evals':"
+        " 240, 'series_terms': 19}"
     ),
     ('theorem1', 1.0, 1.0, -1.0): (
         "{'identity': 'theorem1', 'k': 1.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
@@ -506,8 +544,11 @@ def test_classical_reduction_check_both_zero(kind):
 
 
 def test_verify_mismatch_verdict():
-    # the routes agree to 7e-12 here, which a 1e-15 tolerance calls a mismatch
-    r = verify("theorem1", UNIT_PARAMS, tol_match=1e-15)
+    # the routes agree to 6e-12 here, which a 1e-12 tolerance calls a mismatch
+    # once the quadrature is as tight; at tol_quad = 1e-8 it reads inconclusive
+    loose = verify("theorem1", UNIT_PARAMS, tol_match=1e-15)
+    assert (loose.verdict, loose.diagnostics) == ("inconclusive", "did not converge: quadrature")
+    r = verify("theorem1", UNIT_PARAMS, tol_quad=1e-12, tol_match=1e-12)
     assert r.verdict == "mismatch"
     assert r.diagnostics == ""
     assert 1e-15 < r.rel_diff_canonical < 1e-10

@@ -61,6 +61,25 @@ def test_quad_result_contract():
     assert q.evaluations > 0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e12])
+def test_cancelling_integral_stops_at_the_rounding_floor(scale):
+    # int_0^inf (1+x)^-2 - 2 (1+x)^-3 dx = 0 with int |f| = 1/2; at 1e12 no
+    # absolute tolerance is reachable, and a relative one alone never is
+    q = integrate_semi_infinite(lambda x: scale * ((1.0 + x) ** -2 - 2.0 * (1.0 + x) ** -3))
+    assert q.converged
+    assert q.evaluations <= 600
+    assert abs(q.value) <= 1e-14 * scale
+    assert q.abs_err_estimate <= 50.0 * 2.0**-52 * 0.5 * scale
+
+
+def test_relative_tolerance_is_scale_free():
+    # the same integrand at any scale takes the same panels
+    scales = (1e-30, 1.0, 1e30)
+    runs = [integrate_semi_infinite(lambda x: s * math.exp(-x) / math.sqrt(x)) for s in scales]
+    assert len({q.evaluations for q in runs}) == 1
+    assert all(q.converged for q in runs)
+
+
 def test_phi_values():
     assert phi(0.0, 1.0) == pytest.approx(1.0, abs=0.0)
     assert phi(3.0, 1.0) == pytest.approx(3.0 + 1.0 + math.sqrt(15.0), rel=1e-15)
@@ -81,9 +100,11 @@ def test_phi_monotone_and_bounded_below():
             prev = cur
 
 
-@pytest.mark.parametrize("x, a", [(-1.0, 1.0), (math.nan, 1.0), (1.0, 0.0), (1.0, math.nan)])
+@pytest.mark.parametrize("x, a", [
+    (-1.0, 1.0), (math.nan, 1.0), (1.0, 0.0), (1.0, math.nan), (True, 1.0), ("1", 1.0), (1.0, True),
+])
 def test_phi_rejects_bad_arguments(x, a):
-    # phi(nan, a) used to return nan
+    # phi(nan, a) used to return nan, phi(True, 1.0) 3.732 and phi("1", 1.0) a TypeError
     with pytest.raises(DomainError) as err:
         phi(x, a)
     assert str(err.value) == f"phi needs x >= 0 and a > 0, got x={x!r} a={a!r}"
@@ -190,7 +211,7 @@ def test_bessel_factor_once_per_distinct_argument(monkeypatch, lhs, expected):
     bp = BesselParams(k=1, nu=0.5, gamma=1.5, lambda1=1, c=-1, b=1)
     mu, lam, a, y = 0.5, 1.5, 0.75, 3.0
     seen, calls = [], []
-    real_phi, real_eval = quadrature.phi, quadrature.eval_gmk_bessel
+    real_phi, real_eval = quadrature._phi, quadrature.eval_gmk_bessel
 
     def recording_phi(x, a):
         ph = real_phi(x, a)
@@ -201,7 +222,7 @@ def test_bessel_factor_once_per_distinct_argument(monkeypatch, lhs, expected):
         calls.append(z)
         return real_eval(p, z, *args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "phi", recording_phi)
+    monkeypatch.setattr(quadrature, "_phi", recording_phi)
     monkeypatch.setattr(quadrature, "eval_gmk_bessel", counted)
     q = lhs(bp, mu, lam, a, y)
     assert repr(q) == expected
