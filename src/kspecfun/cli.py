@@ -29,7 +29,7 @@ import json
 import sys
 
 from .errors import DomainError, NonConvergenceError
-from .identities import CSV_FIELDS, IDENTITIES, IDENTITY_IDS, to_record, verify
+from .identities import CSV_FIELDS, IDENTITIES, IDENTITY_IDS, RESULT_FIELDS, to_record, verify
 from .kbessel import BesselParams, eval_gmk_bessel, eval_k_bessel_first
 from .kgamma import k_gamma
 from .summation import SeriesResult, is_positive, is_real, is_whole
@@ -89,7 +89,7 @@ _EVAL = {
 }
 
 # IdentityReport fields that verify prints after the parameters, in order
-_REPORT_LINES = CSV_FIELDS[CSV_FIELDS.index("lhs"):] + ("diagnostics",)
+_REPORT_LINES = (*RESULT_FIELDS, "diagnostics")
 
 
 class UsageError(Exception):
@@ -306,8 +306,8 @@ def _cmd_sweep(args) -> int:
     if fmt not in ("csv", "json-lines"):
         raise UsageError(f"unknown format {fmt!r}; expected csv or json-lines")
 
-    # skip reasons and the summary share the text stream; records get the file
-    text = sys.stdout if out_path else sys.stderr
+    # skip reasons and the summary go to stderr when the records go to stdout (no file or "-")
+    text = sys.stderr if out_path in (None, "-") else sys.stdout
 
     records = []
     counts = {"match": 0, "canonical_only": 0, "mismatch": 0, "skipped": 0}

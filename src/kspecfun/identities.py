@@ -36,8 +36,8 @@ from .quadrature import (
     theorem1_lhs,
     theorem2_lhs,
 )
-from .summation import SeriesResult, accumulate, check_series_args, dd_add, dd_div_d, dd_mul_d
-from .summation import check_settings, is_positive, is_real, logsig_pairs
+from .summation import SeriesResult, accumulate, check_arg, check_series_args, dd_add, dd_div_d
+from .summation import check_settings, dd_mul_d, is_positive, is_real, logsig_pairs, rel_diff
 from .wright import WrightSpec, eval_k_wright, wright_terms_logsig
 
 __all__ = [
@@ -60,18 +60,8 @@ __all__ = [
 
 VERDICTS = ("match", "canonical_only", "mismatch", "inconclusive")
 
-CSV_FIELDS = (
-    "identity",
-    "k",
-    "nu",
-    "gamma",
-    "lambda1",
-    "c",
-    "b",
-    "mu",
-    "lam",
-    "a",
-    "y",
+# the report fields a record carries after the parameters, in order
+RESULT_FIELDS = (
     "lhs",
     "rhs_canonical",
     "rhs_paper",
@@ -122,6 +112,7 @@ class Identity:
 
 _KERNEL_PARAMS = ("mu", "lam", "a")
 _WEIGHTED_PARAMS = ("k", "nu", "gamma", "lambda1", "c", "b", *_KERNEL_PARAMS, "y")
+CSV_FIELDS = ("identity", *_WEIGHTED_PARAMS, *RESULT_FIELDS)
 _K_ONE = (("k", 1.0),)
 _CLASSICAL = (("k", 1.0), ("lambda1", 1.0), ("gamma", 1.0), ("b", 1.0), ("c", -1.0))
 
@@ -136,10 +127,6 @@ IDENTITIES = MappingProxyType({
 })
 
 IDENTITY_IDS = tuple(IDENTITIES)
-
-
-def _rel(x: float, y: float) -> float:
-    return abs(x - y) / max(abs(x), abs(y), 1e-300)
 
 
 def _canonical_terms_logsig(
@@ -345,7 +332,7 @@ def classical_reduction_check(kind: str, nu: float, z: float) -> float:
     ref = _classical_bessel_series(c, nu, z)
     if got == 0.0 and ref == 0.0:
         return 0.0
-    return _rel(got, ref)
+    return rel_diff(got, ref)
 
 
 def _ratio_diagnostics(row: Identity, bp, mu, lam, a, y) -> str:
@@ -413,10 +400,7 @@ def verify(
         missing = [key for key in row.keys if key not in eff]
         if missing:
             raise DomainError(f"missing parameters {missing}")
-        for key in row.keys:
-            if not is_real(eff[key]):
-                raise DomainError(f"{key} must be a finite real, got {eff[key]!r}")
-        values = [float(eff[key]) for key in row.keys]
+        values = [check_arg(eff[key], key) for key in row.keys]
         if which == 0:
             op = ObParams(*values)
         else:
@@ -446,17 +430,17 @@ def verify(
     except (DomainError, NonConvergenceError, OverflowError) as exc:
         return report(params=eff, diagnostics=_joined(f"evaluation failed: {exc}", note))
 
-    rel_c = _rel(lhs.value, rhs_c.value)
-    rel_p = None if rhs_p is None else _rel(lhs.value, rhs_p.value)
-    # an estimate above tol_match |lhs| (tol_quad > tol_match, or a left side that
-    # cancels to about 0) is too loose to decide any verdict
-    quad_ok = lhs.converged and lhs.abs_err_estimate <= tol_match * abs(lhs.value)
-    routes = (
-        ("quadrature", quad_ok),
-        ("canonical series", rhs_c.converged),
-        ("packaged series", rhs_p is None or rhs_p.converged),
-    )
-    parts = [name for name, ok in routes if not ok]
+    rel_c = rel_diff(lhs.value, rhs_c.value)
+    rel_p = None if rhs_p is None else rel_diff(lhs.value, rhs_p.value)
+    # a route decides a verdict only converged with an error estimate within tol_match
+    # |value|, which a looser tolerance or a value cancelling to about 0 can break
+    routes = [
+        ("quadrature", lhs, lhs.abs_err_estimate),
+        ("canonical series", rhs_c, rhs_c.tail_estimate),
+    ]
+    if rhs_p is not None:
+        routes.append(("packaged series", rhs_p, rhs_p.tail_estimate))
+    parts = [name for name, r, err in routes if not (r.converged and err <= tol_match * abs(r.value))]
     diag = ""
     if parts:
         verdict = "inconclusive"
@@ -501,7 +485,7 @@ def to_record(report: IdentityReport) -> dict:
         value = report.params.get(key)
         # echo only what the real rule accepts
         rec[key] = float(value) if is_real(value) else None
-    for field in CSV_FIELDS[CSV_FIELDS.index("lhs"):]:
+    for field in RESULT_FIELDS:
         value = getattr(report, field)
         rec[field] = None if isinstance(value, float) and math.isnan(value) else value
     return rec

@@ -29,10 +29,11 @@ term to term; the canonical right sides of the identities sum it.
 
 Every part of a term ratio except the power of the argument depends on the
 parameters alone: the Pochhammer factor, the factorials and the k-Gamma
-ratio, and on the double-double path the whole double-double ratio.  These
-z-free parts live in a term table on the `BesselParams` object.  Row n is
-built the first time any evaluation on that object reaches term n, and
-every later call reads it, so the ~240 quadrature nodes of an integral pay
+ratio; on the double-double path a row is their product alone, whose
+leading double times w^2 is the truncation test's ratio.  These z-free
+parts live in a term table on the `BesselParams` object.  Row n is built
+the first time any evaluation on that object reaches term n, and every
+later call reads it, so the ~240 quadrature nodes of an integral pay
 for each row once instead of at every node.  The table is not a dataclass
 field, so equality, hashing, repr and astuple ignore it, and it is dropped
 with its object; there is no module-level cache.  A row's content does not
@@ -86,8 +87,13 @@ class BesselParams:
             raise DomainError(f"lambda1 must be positive, got {self.lambda1!r}")
         if self.nu < 0:
             raise DomainError(f"nu must be nonnegative, got {self.nu!r}")
-        if not self.nu + 0.5 * (self.b + 1.0) > 0:
+        if not self.s0 > 0:
             raise DomainError(f"nu + (b+1)/2 must be positive, got nu={self.nu!r} b={self.b!r}")
+
+    @property
+    def s0(self) -> float:
+        """nu + (b+1)/2, the Gamma_k argument of the n = 0 term; not a field."""
+        return self.nu + 0.5 * (self.b + 1.0)
 
     def _term_table(self) -> _DDTable | _LogTable:
         """The term table of this parameter set (see the module docstring),
@@ -98,13 +104,12 @@ class BesselParams:
         """
         table = self.__dict__.get("_table")
         if table is None:
-            s0 = self.nu + 0.5 * (self.b + 1.0)
             m = self.lambda1 / self.k
             mi = round(m)
             if mi >= 1 and abs(m - mi) <= 1e-12 * m:
-                table = _DDTable(self.k, self.gamma, self.lambda1, self.c, s0, mi)
+                table = _DDTable(self.k, self.gamma, self.lambda1, self.c, self.s0, mi)
             else:
-                table = _LogTable(self.k, self.gamma, self.lambda1, s0, math.log(abs(self.c)))
+                table = _LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(abs(self.c)))
             table = self.__dict__.setdefault("_table", table)
         return table
 
@@ -116,14 +121,13 @@ def bessel_terms_logsig(p: BesselParams, w: float):
 
     The Pochhammer log and sign are carried from term to term.
     """
-    s0 = p.nu + 0.5 * (p.b + 1.0)
     lc = math.log(abs(p.c)) if p.c else 0.0
     lw = math.log(w)
     lp = 0.0
     sg = 1
     for n in count():
         lg = (n * lc + lp + (p.nu + 2.0 * n) * lw
-              - log_k_gamma(p.lambda1 * n + s0, p.k) - 2.0 * math.lgamma(n + 1.0))
+              - log_k_gamma(p.lambda1 * n + p.s0, p.k) - 2.0 * math.lgamma(n + 1.0))
         yield lg, -sg if p.c < 0.0 and n % 2 else sg
         f = p.gamma + n * p.k
         if f == 0.0 or p.c == 0.0:
@@ -143,7 +147,7 @@ def gmk_bessel_term(p: BesselParams, z: float, n: int) -> float:
         raise DomainError(f"argument must be >= 0, got {z!r}")
     if z == 0.0:
         if n == 0 and p.nu == 0.0:
-            return _lead(0.0, 0.0, p.nu + 0.5 * (p.b + 1.0), p.k)
+            return _lead(0.0, 0.0, p.s0, p.k)
         return 0.0
     lg, sg = next(islice(bessel_terms_logsig(p, 0.5 * z), int(n), None))
     return sg * math.exp(lg) if sg else 0.0
@@ -225,10 +229,10 @@ class _DDTable:
 
     Gamma_k(s + m k) / Gamma_k(s) telescopes to prod_{j<m} (s + j k), so the
     term ratio is c g w^2 / ((n+1)^2 prod_j (lambda1 n + s0 + j k)) with
-    g = gamma + n k and w = z/2.  Row n holds |c| |g|, (n+1)^2, the m
-    divisors and the z-free ratio in double-double, or None where g = 0
-    ends the series.  gk0 is Gamma_k(s0) of the prefactor w^nu / Gamma_k(s0),
-    inf where it overflows.
+    g = gamma + n k and w = z/2.  Row n is the z-free ratio in double-double,
+    c g divided by (n+1)^2 and then by each of the m factors, or None where
+    g = 0 ends the series.  gk0 is Gamma_k(s0) of the prefactor
+    w^nu / Gamma_k(s0), inf where it overflows.
     """
 
     __slots__ = ("k", "gamma", "lambda1", "c", "s0", "m", "gk0", "rows")
@@ -244,7 +248,8 @@ class _DDTable:
     def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
         """w^nu / Gamma_k(s0) * S(c w^2); the prefactor is a common factor,
         applied once at the end.  Builds row n here the first time any call
-        reaches term n."""
+        reaches term n.  Raises OverflowError where the finished sum is not
+        finite, as the log path does."""
         k, gamma, lambda1, c, s0, m, rows = (
             self.k, self.gamma, self.lambda1, self.c, self.s0, self.m, self.rows)
         pref = _lead(w, nu, s0, k, self.gk0)
@@ -259,29 +264,23 @@ class _DDTable:
                 g = gamma + n * k
                 row = None
                 if g != 0.0:
-                    base = lambda1 * n + s0
-                    rden = (n + 1.0) * (n + 1.0)
-                    divs = tuple(base + j * k for j in range(m))
-                    r = (g, 0.0)
+                    row = (g, 0.0)
                     if c != 1.0:
-                        r = dd_mul_d(r, c)
-                    r = dd_div_d(r, rden)
-                    for d in divs:
-                        r = dd_div_d(r, d)
-                    row = (abs(c) * abs(g), rden, divs, r)
+                        row = dd_mul_d(row, c)
+                    row = dd_div_d(row, (n + 1.0) * (n + 1.0))
+                    for j in range(m):
+                        row = dd_div_d(row, lambda1 * n + s0 + j * k)
                 rows[n:n + 1] = (row,)
             rho_prev = rho
-            if row is None:
-                rho = 0.0  # exact termination, even where w2 overflows
-            else:
-                rho = row[0] * w2 / row[1]
-                for d in row[2]:
-                    rho /= d
+            # row None: exact termination, even where w2 overflows
+            rho = 0.0 if row is None else abs(row[0]) * w2
             res = settle(n + 1, abs(t[0]) * pref, rho, rho_prev, pref * (acc[0] + acc[1]), tol,
                          max_terms)
             if res is not None:
+                if not math.isfinite(res.value):
+                    raise OverflowError("math range error")
                 return res
-            t = dd_mul(dd_mul_d(t, w2), row[3])
+            t = dd_mul(dd_mul_d(t, w2), row)
             acc = dd_add(acc, t)
 
 
@@ -292,10 +291,9 @@ def eval_gmk_bessel(
     z, max_terms = check_series_args(z, tol, max_terms)
     if z < 0:
         raise DomainError(f"argument must be >= 0, got {z!r}")
-    s0 = p.nu + 0.5 * (p.b + 1.0)
     if z == 0.0 or p.c == 0.0:
         # only the n = 0 term
-        return SeriesResult(_lead(0.5 * z, p.nu, s0, p.k), 1, 0.0, True)
+        return SeriesResult(_lead(0.5 * z, p.nu, p.s0, p.k), 1, 0.0, True)
     table = p._term_table()
     if isinstance(table, _DDTable):
         return table.evaluate(0.5 * z, p.nu, tol, max_terms)
@@ -321,8 +319,7 @@ def eval_k_bessel_first(
     if not is_positive(k):
         raise DomainError(f"k must be positive, got {k!r}")
     for name, v in (("nu", nu), ("gamma", gamma), ("lam", lam)):
-        if not is_real(v):
-            raise DomainError(f"{name} must be a finite real, got {v!r}")
+        check_arg(v, name)
     if not lam > 0:
         raise DomainError(f"lam must be positive, got {lam!r}")
     if not nu + 1.0 > 0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NonConvergenceError
 from .kbessel import BesselParams, eval_gmk_bessel
-from .summation import check_settings, is_real
+from .summation import check_arg, check_settings, is_real
 
 __all__ = [
     "QuadResult",
@@ -229,10 +229,8 @@ def check_theorem_args(which: int, bp: BesselParams, mu, lam, a, y) -> tuple[flo
     (mu + nu + 2n, lam + nu + 2n) with mu + nu > 0, mu < lam for the
     second; n = 0 binds.
     """
-    for name, v in (("mu", mu), ("lam", lam), ("a", a), ("y", y)):
-        if not is_real(v):
-            raise DomainError(f"precondition: {name} must be a finite real, got {v!r}")
-    mu, lam, a, y = float(mu), float(lam), float(a), float(y)
+    names = ("mu", "lam", "a", "y")
+    mu, lam, a, y = (check_arg(v, f"precondition: {n}") for n, v in zip(names, (mu, lam, a, y)))
     if not a > 0:
         raise DomainError(f"precondition: a > 0 fails (a={a!r})")
     if y < 0:

@@ -147,11 +147,16 @@ def is_positive(x) -> bool:
     return is_real(x) and x > 0
 
 
-def check_arg(z: float) -> float:
-    """Validate a series argument under the real rule; return it as a float."""
+def check_arg(z: float, name: str = "argument") -> float:
+    """Validate value z (called name) under the real rule; return it as a float."""
     if not is_real(z):
-        raise DomainError(f"argument must be a finite real, got {z!r}")
+        raise DomainError(f"{name} must be a finite real, got {z!r}")
     return z if type(z) is float else float(z)
+
+
+def rel_diff(x: float, y: float) -> float:
+    """|x - y| relative to the larger magnitude, floored at 1e-300."""
+    return abs(x - y) / max(abs(x), abs(y), 1e-300)
 
 
 def is_whole(n, least: int) -> bool:

@@ -22,6 +22,7 @@ from itertools import count
 from .errors import DomainError
 from .kgamma import KScale, log_k_gamma
 from .summation import SeriesResult, accumulate, check_series_args, is_positive, is_real, logsig_pairs
+from .summation import rel_diff
 
 __all__ = [
     "WrightSpec",
@@ -211,4 +212,4 @@ def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_t
             tuple((a, 1.0) for a in upper), tuple((b, 1.0) for b in lower), 1.0
         )
         lhs = eval_wright(spec, z, tol=tol, max_terms=max_terms).value
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    return rel_diff(lhs, rhs)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kspecfun import cli
+from kspecfun import cli, identities
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -160,6 +160,25 @@ def test_sweep_stdout_records(tmp_path):
     assert r.returncode == 0
     assert r.stdout.splitlines()[0].startswith("identity,")
     assert "match=1 canonical_only=0 mismatch=0 skipped=0" in r.stderr
+
+
+def test_sweep_out_dash_keeps_text_off_records(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"identity": "oberhettinger", "mu": [1.0, 0.5]}))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", "-"]) == 0
+    out, err = capsys.readouterr()
+    rows = out.splitlines()
+    assert rows[0] == ",".join(identities.CSV_FIELDS)
+    assert len(rows) == 3 and all(row.startswith("oberhettinger,") for row in rows[1:])
+    assert err == "match=2 canonical_only=0 mismatch=0 skipped=0\n"
+
+
+def test_eval_dd_overflow_exit_code(capsys):
+    # the dd path (lambda1 = k) overflows like the log path (lambda1 = 0.5)
+    for lambda1 in ("1", "0.5"):
+        assert cli.main(["eval", "gmkbessel", "z=1e5", "c=1", f"lambda1={lambda1}"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "kspecfun: math range error\n")
 
 
 def test_usage_error_exit_code():
@@ -347,10 +366,12 @@ def test_eval_rejects_bad_setting_flag(capsys):
     assert captured.err == "kspecfun: flag --tol-series must be finite and > 0, got inf\n"
 
 
-def test_sweep_mismatch_exits_one(capsys, tmp_path):
-    # the README unit point agrees to 6e-12, which tol_match = 1e-12 calls a mismatch
+def test_sweep_mismatch_exits_one(capsys, tmp_path, monkeypatch):
+    # a closed form 1% off makes the kernel point a genuine mismatch
+    closed_form = identities.oberhettinger_closed_form
+    monkeypatch.setattr(identities, "oberhettinger_closed_form", lambda p: 1.01 * closed_form(p))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"identity": "theorem1", "tol_quad": 1e-12, "tol_match": 1e-12}))
+    cfg.write_text(json.dumps({"identity": "oberhettinger"}))
     assert cli.main(["sweep", "--config", str(cfg)]) == 1
     out, err = capsys.readouterr()
     assert out.splitlines()[1].split(",")[-3] == "mismatch"

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from kspecfun import kbessel
+from kspecfun import identities, kbessel
 from kspecfun.errors import DomainError
 from kspecfun.identities import (
     CSV_FIELDS,
@@ -543,17 +543,39 @@ def test_classical_reduction_check_both_zero(kind):
     assert classical_reduction_check(kind, 1.5, 0.0) == 0.0
 
 
-def test_verify_mismatch_verdict():
-    # the routes agree to 6e-12 here, which a 1e-12 tolerance calls a mismatch
-    # once the quadrature is as tight; at tol_quad = 1e-8 it reads inconclusive
+def test_bessel_overflow_raises():
+    # I_0(1000) ~ 1e432 leaves double range; this used to return nan
+    with pytest.raises(OverflowError, match="math range error"):
+        classical_reduction_check("bessel_I", 0.0, 1e3)
+    r = verify("theorem1", dict(UNIT_PARAMS, c=1, y=2000))
+    assert (r.verdict, r.diagnostics) == ("inconclusive", "evaluation failed: math range error")
+
+
+def test_verify_mismatch_verdict(monkeypatch):
+    # no route's error estimate is within tol_match = 1e-15 of its value
     loose = verify("theorem1", UNIT_PARAMS, tol_match=1e-15)
-    assert (loose.verdict, loose.diagnostics) == ("inconclusive", "did not converge: quadrature")
-    r = verify("theorem1", UNIT_PARAMS, tol_quad=1e-12, tol_match=1e-12)
+    assert (loose.verdict, loose.diagnostics) == (
+        "inconclusive", "did not converge: quadrature, canonical series, packaged series")
+    # a closed form 1% off is a genuine mismatch
+    monkeypatch.setattr(
+        identities, "oberhettinger_closed_form", lambda p: 1.01 * oberhettinger_closed_form(p))
+    r = verify("oberhettinger", {"mu": 1, "lam": 2, "a": 1})
     assert r.verdict == "mismatch"
     assert r.diagnostics == ""
-    assert 1e-15 < r.rel_diff_canonical < 1e-10
-    assert r.lhs == pytest.approx(r.rhs_canonical, rel=1e-10)
+    assert r.rel_diff_canonical == pytest.approx(0.01 / 1.01, rel=1e-6)
     assert to_record(r)["verdict"] == "mismatch"
+
+
+def test_verify_series_tail_above_tol_match_is_inconclusive():
+    # the README unit point agrees to 6e-12, but at tol_series = 1e-10 the
+    # canonical tail (1.5e-13) exceeds tol_match |rhs| (6e-14): no verdict
+    r = verify("theorem1", UNIT_PARAMS, tol_quad=1e-12, tol_match=1e-12)
+    assert r.verdict == "inconclusive"
+    assert r.diagnostics == "did not converge: canonical series, packaged series"
+    # tight series tolerances bring the tails under it, and the routes agree
+    r = verify("theorem1", UNIT_PARAMS, tol_quad=1e-12, tol_match=1e-12, tol_series=1e-14)
+    assert r.verdict == "match"
+    assert r.rel_diff_canonical < 1e-12
 
 
 @pytest.mark.parametrize("setting, value, message", [

@@ -2,7 +2,7 @@ import math
 import random
 import sys
 import threading
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from itertools import islice
 
 import pytest
@@ -372,10 +372,22 @@ def test_table_is_invisible_to_params_identity():
     used, unused = BesselParams(**params), BesselParams(**params)
     for z in (0.5, 8.0, 25.0):
         eval_gmk_bessel(used, z)
+    # s0 is a property, not a field: the identity below ignores it too
+    assert used.s0 == used.nu + 0.5 * (used.b + 1.0)
+    assert "s0" not in [f.name for f in fields(used)]
+    assert "s0" not in repr(used) and len(astuple(used)) == 6
     assert used == unused
     assert hash(used) == hash(unused)
     assert repr(used) == repr(unused)
     assert astuple(used) == astuple(unused)
+
+
+@pytest.mark.parametrize("lambda1", [1.0, 0.5])
+def test_overflow_raises_on_both_paths(lambda1):
+    # the dd path (lambda1 = k) used to spend 400 terms and return nan
+    p = BesselParams(k=1, nu=0, gamma=1, lambda1=lambda1, c=1, b=1)
+    with pytest.raises(OverflowError, match="math range error"):
+        eval_gmk_bessel(p, 1e5)
 
 
 @pytest.mark.parametrize("case", ["log, lambda1/k=0.5, c=-1", "dd, lambda1/k=1, c=1"])
