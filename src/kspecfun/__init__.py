@@ -13,106 +13,20 @@ The package has three layers:
   against two independent closed-form series routes (the term-wise
   canonical series, trusted, and the packaged k-Wright form, audited), with
   a report/record layer the CLI exposes as eval/verify/sweep.
+
+Each submodule's ``__all__`` lists its public names; the package re-exports
+them all, so that list is the only one.
 """
 
-from .errors import DomainError, NonConvergenceError
-from .identities import (
-    CSV_FIELDS,
-    IDENTITY_IDS,
-    VERDICTS,
-    IdentityReport,
-    classical_reduction_check,
-    corollary1_rhs,
-    corollary3_rhs,
-    theorem1_rhs_canonical,
-    theorem1_rhs_paper,
-    theorem2_rhs_canonical,
-    theorem2_rhs_paper,
-    to_record,
-    verify,
-)
-from .kbessel import (
-    BesselParams,
-    SeriesResult,
-    eval_gmk_bessel,
-    eval_k_bessel_first,
-    gmk_bessel_term,
-)
-from .kgamma import (
-    KScale,
-    classical_gamma,
-    k_gamma,
-    k_gamma_oracle,
-    k_pochhammer,
-    log_classical_gamma,
-    log_k_gamma,
-    log_k_pochhammer,
-)
-from .quadrature import (
-    ObParams,
-    QuadResult,
-    integrate_semi_infinite,
-    oberhettinger_closed_form,
-    oberhettinger_lhs,
-    phi,
-    theorem1_lhs,
-    theorem2_lhs,
-)
-from .summation import CompensatedSum
-from .wright import (
-    WrightSpec,
-    convergence_margin,
-    eval_k_wright,
-    eval_pfq,
-    eval_wright,
-    wright_pfq_reduction_check,
-)
+from .errors import *
+from .identities import *
+from .kbessel import *
+from .kgamma import *
+from .quadrature import *
+from .summation import *
+from .wright import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BesselParams",
-    "CSV_FIELDS",
-    "CompensatedSum",
-    "DomainError",
-    "IDENTITY_IDS",
-    "IdentityReport",
-    "KScale",
-    "NonConvergenceError",
-    "ObParams",
-    "QuadResult",
-    "SeriesResult",
-    "VERDICTS",
-    "WrightSpec",
-    "classical_gamma",
-    "classical_reduction_check",
-    "convergence_margin",
-    "corollary1_rhs",
-    "corollary3_rhs",
-    "eval_gmk_bessel",
-    "eval_k_bessel_first",
-    "eval_k_wright",
-    "eval_pfq",
-    "eval_wright",
-    "gmk_bessel_term",
-    "integrate_semi_infinite",
-    "k_gamma",
-    "k_gamma_oracle",
-    "k_pochhammer",
-    "log_classical_gamma",
-    "log_k_gamma",
-    "log_k_pochhammer",
-    "oberhettinger_closed_form",
-    "oberhettinger_lhs",
-    "phi",
-    "theorem1_lhs",
-    "theorem1_rhs_canonical",
-    "theorem1_rhs_paper",
-    "theorem2_lhs",
-    "theorem2_rhs_canonical",
-    "theorem2_rhs_paper",
-    "to_record",
-    "verify",
-    "wright_pfq_reduction_check",
-    "__version__",
-]
+__all__ = (errors.__all__ + identities.__all__ + kbessel.__all__ + kgamma.__all__
+           + quadrature.__all__ + summation.__all__ + wright.__all__ + ["__version__"])

@@ -17,7 +17,7 @@ Records carry a fixed field set in both formats; the verdict vocabulary in
 records is {match, canonical_only, mismatch, skipped}, with skipped covering
 every point that produced no usable comparison (failed preconditions and
 non-convergence alike).  Skip reasons are printed to the text stream, never
-dropped.
+dropped; it is stderr when the records go to stdout.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import csv
 import itertools
 import json
 import sys
+from contextlib import nullcontext
 
 from .errors import DomainError, NonConvergenceError
 from .identities import CSV_FIELDS, IDENTITIES, IDENTITY_IDS, RESULT_FIELDS, to_record, verify
@@ -193,22 +194,17 @@ def _record(report) -> dict:
 
 
 def _write_records(records, path, fmt) -> None:
-    if path == "-":
-        _emit_records(records, sys.stdout, fmt)
-        return
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        _emit_records(records, fh, fmt)
-
-
-def _emit_records(records, fh, fmt) -> None:
-    if fmt == "csv":
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        for rec in records:
-            writer.writerow(["" if rec[f] is None else _fmt(rec[f]) for f in CSV_FIELDS])
-    else:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    """Write the records to file path, or to stdout where path is "-"."""
+    out = nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="ascii", newline="")
+    with out as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_FIELDS)
+            for rec in records:
+                writer.writerow(["" if rec[f] is None else _fmt(rec[f]) for f in CSV_FIELDS])
+        else:
+            for rec in records:
+                fh.write(json.dumps(rec) + "\n")
 
 
 def _cmd_verify(args) -> int:
@@ -222,15 +218,17 @@ def _cmd_verify(args) -> int:
 
     report = verify(identity, params, **_flags(args))
 
+    # the report goes to stderr when the record goes to stdout, as in sweep
+    text = sys.stderr if args.out == "-" else sys.stdout
     if report.verdict == "inconclusive" and report.diagnostics.startswith("precondition"):
-        print(f"skipped: {report.diagnostics}")
+        print(f"skipped: {report.diagnostics}", file=text)
     else:
         lines = [("identity", report.identity_id)]
         lines += report.params.items()
         lines += [(name, getattr(report, name)) for name in _REPORT_LINES]
         for name, value in lines:
             if value is not None and value != "":
-                print(f"{name}={_fmt(value)}")
+                print(f"{name}={_fmt(value)}", file=text)
 
     if args.out:
         _write_records([_record(report)], args.out, args.format)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "NonConvergenceError"]
+
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""

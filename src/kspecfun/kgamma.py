@@ -77,12 +77,15 @@ def log_classical_gamma(z: float) -> float:
 
 
 def k_gamma(z: float, k: KScale | float = 1.0) -> float:
-    """Gamma_k(z) = k**(z/k - 1) * Gamma(z/k) for z > 0."""
+    """Gamma_k(z) = k**(z/k - 1) * Gamma(z/k) for z > 0; OverflowError past double range."""
     kk = _kval(k)
     if type(z) is not float or not 0.0 < z < math.inf:
         z = _gamma_arg(z, "k-gamma")
     w = z / kk
-    return kk ** (w - 1.0) * math.gamma(w)
+    g = math.pow(kk, w - 1.0) * math.gamma(w)
+    if not math.isfinite(g):
+        raise OverflowError("math range error")
+    return g
 
 
 def log_k_gamma(z: float, k: KScale | float = 1.0) -> float:
@@ -114,6 +117,7 @@ def k_pochhammer(x: float, n: int, k: KScale | float = 1.0) -> float:
     Any finite real x is accepted (the product semantics are exact,
     including zero and sign-alternating factors).  Large n with x > 0
     switches to the Gamma_k-ratio form Gamma_k(x + n k) / Gamma_k(x).
+    Both raise OverflowError past double range.
     """
     kk = _kval(k)
     x = _poch_args(x, n)
@@ -123,6 +127,8 @@ def k_pochhammer(x: float, n: int, k: KScale | float = 1.0) -> float:
         p = 1.0
         for j in range(n):
             p *= x + j * kk
+        if not math.isfinite(p):
+            raise OverflowError("math range error")
         return p
     return math.exp(log_k_gamma(x + n * kk, kk) - log_k_gamma(x, kk))
 

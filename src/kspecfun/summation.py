@@ -11,10 +11,11 @@ and everything else goes through Neumaier accumulation.
 Every series stops where one function, `settle`, says: at an exact end,
 once the ratio rho is below 1 and non-increasing and the geometric tail
 bound |t| rho / (1 - rho) is under tol (relative to the partial sum and
-absolutely), or at the term cap.  Term streams are unbounded.  `accumulate`
-calls `settle` per term of a (term, |next/current| ratio) stream, which
-`logsig_pairs` builds from a forward stream of (L_n, sign_n), n = 0, 1,
-...; the double-double Bessel recurrence calls it per term of its own sum.
+absolutely), or, unconverged, at the term cap or at the first term that is
+not finite.  Term streams are unbounded.  `accumulate` calls `settle` per
+term of a (term, |next/current| ratio) stream, which `logsig_pairs` builds
+from a forward stream of (L_n, sign_n), n = 0, 1, ...; the double-double
+Bessel recurrence calls it per term of its own sum.
 
 The real rule `is_real` (a finite int or float; not a bool or a string)
 covers arguments and parameters, the positive rule `is_positive` (the real
@@ -30,6 +31,8 @@ from dataclasses import dataclass
 from itertools import count
 
 from .errors import DomainError
+
+__all__ = ["CompensatedSum"]
 
 # Dekker splitting constant, 2**27 + 1; no hardware fma is assumed.
 _SPLIT = 134217729.0
@@ -203,7 +206,9 @@ def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: flo
 
     t_abs is the term's size, rho its ratio to the next (rho_prev the one
     before, inf at the first term) and s the partial sum through it.  At the
-    cap the tail estimate is reported unconverged, |t| where rho >= 1.
+    cap, or at a term that is not finite (inf, or nan from a double-double
+    split of inf), the tail estimate is reported unconverged, |t| where
+    rho >= 1.
     """
     if rho == 0.0:
         return SeriesResult(s, n, 0.0, True)
@@ -213,7 +218,7 @@ def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: flo
             return SeriesResult(s, n, tail, True)
     else:
         tail = t_abs
-    if n >= max_terms:
+    if n >= max_terms or not t_abs <= _MAX:
         return SeriesResult(s, n, tail, False)
     return None
 

@@ -173,10 +173,33 @@ def test_sweep_out_dash_keeps_text_off_records(capsys, tmp_path):
     assert err == "match=2 canonical_only=0 mismatch=0 skipped=0\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+@pytest.mark.parametrize("params, verdict, report", [
+    (["mu=1", "lam=2", "a=1"], "match", "identity=oberhettinger\n"),
+    (["mu=1", "lam=0.5", "a=1"], "skipped", "skipped: precondition"),
+], ids=["match", "skipped"])
+def test_verify_out_dash_keeps_report_off_records(capsys, fmt, params, verdict, report):
+    # the report used to share stdout with the record
+    code = cli.main(["verify", "oberhettinger", *params, "--out", "-", "--format", fmt])
+    assert code == (0 if verdict == "match" else 1)
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    if fmt == "csv":
+        assert lines[0] == ",".join(identities.CSV_FIELDS)
+        records = list(csv.DictReader(lines))
+    else:
+        records = [json.loads(line) for line in lines]
+    assert len(records) == 1 and records[0]["verdict"] == verdict
+    assert err.startswith(report)
+
+
 def test_eval_dd_overflow_exit_code(capsys):
-    # the dd path (lambda1 = k) overflows like the log path (lambda1 = 0.5)
-    for lambda1 in ("1", "0.5"):
-        assert cli.main(["eval", "gmkbessel", "z=1e5", "c=1", f"lambda1={lambda1}"]) == 2
+    # the dd path (lambda1 = k) overflows like the log path (lambda1 = 0.5);
+    # k_gamma past double range used to print value=inf and exit 0
+    for args in (["gmkbessel", "z=1e5", "c=1", "lambda1=1"],
+                 ["gmkbessel", "z=1e5", "c=1", "lambda1=0.5"],
+                 ["kgamma", "z=340", "k=2"]):
+        assert cli.main(["eval", *args]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", "kspecfun: math range error\n")
 

@@ -383,11 +383,21 @@ def test_table_is_invisible_to_params_identity():
 
 
 @pytest.mark.parametrize("lambda1", [1.0, 0.5])
-def test_overflow_raises_on_both_paths(lambda1):
-    # the dd path (lambda1 = k) used to spend 400 terms and return nan
+def test_overflow_raises_on_both_paths(lambda1, monkeypatch):
+    # the dd path (lambda1 = k) used to sum all 400 terms (399 dd_add calls)
+    # before raising; it stops at its first inf term
+    calls = []
+    add = kbessel.dd_add
+
+    def counted(x, y):
+        calls.append(1)
+        return add(x, y)
+
+    monkeypatch.setattr(kbessel, "dd_add", counted)
     p = BesselParams(k=1, nu=0, gamma=1, lambda1=lambda1, c=1, b=1)
     with pytest.raises(OverflowError, match="math range error"):
         eval_gmk_bessel(p, 1e5)
+    assert len(calls) < 60
 
 
 @pytest.mark.parametrize("case", ["log, lambda1/k=0.5, c=-1", "dd, lambda1/k=1, c=1"])

@@ -85,6 +85,20 @@ def test_pochhammer_nonpositive_start():
     assert k_pochhammer(-2.0, 2, 1.0) == pytest.approx(2.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: k_gamma(340.0, 2.0),  # the product of two finite factors overflows
+    lambda: k_gamma(170000.0, 1000.0),  # k**(z/k - 1) overflows
+    lambda: k_pochhammer(1e300, 2),
+    lambda: k_pochhammer(-1e300, 3),
+    lambda: k_pochhammer(1.5, 10**6),  # the Gamma_k-ratio branch
+], ids=["k_gamma-product", "k_gamma-power", "k_pochhammer-positive", "k_pochhammer-negative",
+        "k_pochhammer-ratio"])
+def test_overflow_raises(call):
+    # the first, third and fourth used to return inf or -inf
+    with pytest.raises(OverflowError, match="^math range error$"):
+        call()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(min_value=0.5, max_value=10.0),

@@ -83,6 +83,7 @@ _STREAMS = {
     "rising": [(1.0, 0.9), (0.9, 0.95), (1e-3, 0.99), (1e-4, 0.5)],
     "alternating": [(1.0, 0.5), (-0.5, 0.5), (0.25, 0.5), (-0.125, 0.5)],
     "subnormal": [(5e-324, 0.9), (5e-324, 0.9), (1e-323, 0.9)],
+    "inf_term": [(1.0, 2.0), (math.inf, 2.0), (7.0, 0.5)],
 }
 
 
@@ -108,6 +109,8 @@ _STREAMS = {
     ("alternating", 1, 1e-300, (1.0, 1, 1.0, False)),
     ("alternating", 2, 1e-300, (0.5, 2, 0.5, False)),
     ("alternating", 3, 1e-300, (0.75, 3, 0.25, False)),
+    # the series stops, unconverged, at its first term that is not finite
+    ("inf_term", 400, 1e-300, (math.nan, 2, math.inf, False)),
 ])
 def test_accumulate_on_crafted_streams(stream, max_terms, tol, expected):
     r = accumulate(iter(_STREAMS[stream]), tol, max_terms)

@@ -146,6 +146,12 @@ def test_pfq_domain():
         eval_pfq((1.0,), (-2.0,), 0.5)
 
 
+def test_pfq_stops_at_first_inf_term():
+    # 1F1(1;2;1e5) overflows at term 91; it used to run all 400 terms
+    r = eval_pfq((1.0,), (2.0,), 1e5)
+    assert math.isnan(r.value) and r.terms_used == 91 and not r.converged
+
+
 def test_pfq_terminating_series():
     # upper parameter -2 terminates after three terms
     r = eval_pfq((-2.0,), (1.0,), 3.0, tol=1e-14)
