@@ -31,20 +31,21 @@ Every part of a term ratio except the power of the argument depends on the
 parameters alone: the Pochhammer factor, the factorials and the k-Gamma
 ratio; on the double-double path a row is their product alone, whose
 leading double times w^2 is the truncation test's ratio.  These z-free
-parts live in a term table on the `BesselParams` object.  Row n is built
-the first time any evaluation on that object reaches term n, and every
-later call reads it, so the ~240 quadrature nodes of an integral pay
-for each row once instead of at every node.  The table is not a dataclass
-field, so equality, hashing, repr and astuple ignore it, and it is dropped
-with its object; there is no module-level cache.  A row's content does not
-depend on which call built it, and each node combines it with its argument
-in the order of the per-term recurrence.
+parts live in a term table, the cached property `_table` of the
+`BesselParams` object, and each table sums its own path with `evaluate`.
+Row n is built the first time any evaluation on that object reaches term
+n and read by every later call, so the ~240 nodes of an integral pay for
+each row once.  The table is not a dataclass field, so equality, hashing,
+repr and astuple ignore it, and it goes with its object; there is no
+module-level cache.  A row's content does not depend on which call built
+it, and each node combines it with its argument in per-term order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, islice, repeat
 
 from .errors import DomainError
@@ -54,7 +55,6 @@ from .summation import dd_add, dd_div_d, dd_mul, dd_mul_d, is_positive, is_real,
 
 __all__ = [
     "BesselParams",
-    "SeriesResult",
     "bessel_terms_logsig",
     "eval_gmk_bessel",
     "eval_k_bessel_first",
@@ -95,23 +95,16 @@ class BesselParams:
         """nu + (b+1)/2, the Gamma_k argument of the n = 0 term; not a field."""
         return self.nu + 0.5 * (self.b + 1.0)
 
-    def _term_table(self) -> _DDTable | _LogTable:
+    @cached_property
+    def _table(self) -> _DDTable | _LogTable:
         """The term table of this parameter set (see the module docstring),
-        made on first use; needs c != 0.
-
-        It is kept in the instance dict, which fields, ==, hash and repr
-        never read.  setdefault leaves one table if two threads race here.
-        """
-        table = self.__dict__.get("_table")
-        if table is None:
-            m = self.lambda1 / self.k
-            mi = round(m)
-            if mi >= 1 and abs(m - mi) <= 1e-12 * m:
-                table = _DDTable(self.k, self.gamma, self.lambda1, self.c, self.s0, mi)
-            else:
-                table = _LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(abs(self.c)))
-            table = self.__dict__.setdefault("_table", table)
-        return table
+        made on first use; needs c != 0.  cached_property keeps it in the
+        instance dict, which fields, ==, hash and repr never read."""
+        m = self.lambda1 / self.k
+        mi = round(m)
+        if mi >= 1 and abs(m - mi) <= 1e-12 * m:
+            return _DDTable(self.k, self.gamma, self.lambda1, self.c, self.s0, mi)
+        return _LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(abs(self.c)), self.c < 0.0)
 
 
 def bessel_terms_logsig(p: BesselParams, w: float):
@@ -179,24 +172,30 @@ class _LogTable:
 
         S(x) = sum_n (gamma)_{n,k} x^n / (Gamma_k(lam n + s0) (n!)^2)
 
-    at x = c u, with lc = log|c|.  With g = gamma + n k and
-    L_n = log Gamma_k(lam n + s0), row n is (lc + log|g|, 2 log(n+1),
-    L_{n+1} - L_n, g < 0, L_{n+1}), or None where g = 0 ends the series.
-    k is held as a KScale, so log_k_gamma does not check it at every row."""
+    at x = c u, lc = log|c|, neg = c u < 0 (c < 0 for the generalized series, z > 0
+    for the first kind).  With g = gamma + n k and L_n = log Gamma_k(lam n + s0), row n
+    is (lc + log|g|, 2 log(n+1), L_{n+1} - L_n, g < 0, L_{n+1}), or None where g = 0 ends
+    the series.  k is held as a KScale, so log_k_gamma does not check it at every row."""
 
-    __slots__ = ("k", "gamma", "lam", "s0", "lc", "lgk0", "rows")
+    __slots__ = ("k", "gamma", "lam", "s0", "lc", "neg", "lgk0", "rows")
 
-    def __init__(self, k, gamma, lam, s0, lc) -> None:
-        self.k, self.gamma, self.lam, self.s0, self.lc = KScale(k), gamma, lam, s0, lc
+    def __init__(self, k, gamma, lam, s0, lc, neg) -> None:
+        self.k, self.gamma, self.lam, self.s0, self.lc, self.neg = KScale(k), gamma, lam, s0, lc, neg
         self.lgk0 = log_k_gamma(s0, self.k)
         self.rows = []
 
-    def pairs(self, lead: float, lu: float, neg: bool):
-        """Unbounded (term, ratio) stream of exp(lead) S(c u); lu = log|u|, neg = c u < 0.
+    def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
+        """w^nu / Gamma_k(s0) * S(c w^2) at w > 0."""
+        lw = math.log(w)
+        return accumulate(self.pairs(nu * lw, 2.0 * lw), tol, max_terms)
+
+    def pairs(self, lead: float, lu: float):
+        """Unbounded (term, ratio) stream of exp(lead) S(c u); lu = log|u|.
 
         Builds row n here the first time any stream reaches term n.
         """
-        k, gamma, lam, s0, lc, rows = self.k, self.gamma, self.lam, self.s0, self.lc, self.rows
+        k, gamma, lam, s0, lc, neg, rows = (
+            self.k, self.gamma, self.lam, self.s0, self.lc, self.neg, self.rows)
         lgk = self.lgk0
         big = lead - lgk
         sgn = 1
@@ -294,11 +293,7 @@ def eval_gmk_bessel(
     if z == 0.0 or p.c == 0.0:
         # only the n = 0 term
         return SeriesResult(_lead(0.5 * z, p.nu, p.s0, p.k), 1, 0.0, True)
-    table = p._term_table()
-    if isinstance(table, _DDTable):
-        return table.evaluate(0.5 * z, p.nu, tol, max_terms)
-    lw = math.log(0.5 * z)
-    return accumulate(table.pairs(p.nu * lw, 2.0 * lw, p.c < 0.0), tol, max_terms)
+    return p._table.evaluate(0.5 * z, p.nu, tol, max_terms)
 
 
 def eval_k_bessel_first(
@@ -326,5 +321,5 @@ def eval_k_bessel_first(
         raise DomainError(f"nu + 1 must be positive, got nu={nu!r}")
     if z == 0.0:
         return SeriesResult(_lead(0.0, 0.0, nu + 1.0, k), 1, 0.0, True)
-    table = _LogTable(float(k), float(gamma), float(lam), nu + 1.0, 0.0)
-    return accumulate(table.pairs(0.0, math.log(abs(0.5 * z)), z > 0.0), tol, max_terms)
+    table = _LogTable(float(k), float(gamma), float(lam), nu + 1.0, 0.0, z > 0.0)
+    return accumulate(table.pairs(0.0, math.log(abs(0.5 * z))), tol, max_terms)

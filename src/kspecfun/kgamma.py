@@ -97,8 +97,8 @@ def log_k_gamma(z: float, k: KScale | float = 1.0) -> float:
     return (w - 1.0) * math.log(kk) + math.lgamma(w)
 
 
-# Exact products stay cheap and exact up to here; past it the log-ratio form
-# avoids overflow for the long series tails in the Bessel/Wright modules.
+# Direct products stay cheap up to this order; past it, for x > 0, the
+# Gamma_k-ratio form costs two log-gamma calls whatever the order.
 _POCH_DIRECT_LIMIT = 64
 
 
@@ -115,18 +115,20 @@ def k_pochhammer(x: float, n: int, k: KScale | float = 1.0) -> float:
     """Step-k rising product (x)_{n,k}; empty product 1 at n = 0.
 
     Any finite real x is accepted (the product semantics are exact,
-    including zero and sign-alternating factors).  Large n with x > 0
-    switches to the Gamma_k-ratio form Gamma_k(x + n k) / Gamma_k(x).
-    Both raise OverflowError past double range.
+    including sign-alternating factors, and a zero factor gives an exact 0
+    whatever the other factors are).  Large n with x > 0 switches to the
+    Gamma_k-ratio form Gamma_k(x + n k) / Gamma_k(x).  Both raise
+    OverflowError past double range.
     """
     kk = _kval(k)
     x = _poch_args(x, n)
-    if n == 0:
-        return 1.0
     if n <= _POCH_DIRECT_LIMIT or x <= 0:
         p = 1.0
         for j in range(n):
-            p *= x + j * kk
+            f = x + j * kk
+            if f == 0.0:
+                return math.copysign(0.0, p)  # the factors past a zero are positive
+            p *= f
         if not math.isfinite(p):
             raise OverflowError("math range error")
         return p
@@ -139,8 +141,6 @@ def log_k_pochhammer(x: float, n: int, k: KScale | float = 1.0) -> float:
     x = _poch_args(x, n)
     if x <= 0:
         raise DomainError(f"log pochhammer requires x > 0, got {x!r}")
-    if n == 0:
-        return 0.0
     if n <= _POCH_DIRECT_LIMIT:
         return math.fsum(math.log(x + j * kk) for j in range(n))
     return log_k_gamma(x + n * kk, kk) - log_k_gamma(x, kk)

@@ -32,7 +32,7 @@ from itertools import count
 
 from .errors import DomainError
 
-__all__ = ["CompensatedSum"]
+__all__ = ["CompensatedSum", "SeriesResult"]
 
 # Dekker splitting constant, 2**27 + 1; no hardware fma is assumed.
 _SPLIT = 134217729.0

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import count
 
-from .errors import DomainError
+from .errors import DomainError, NonConvergenceError
 from .kgamma import KScale, log_k_gamma
 from .summation import SeriesResult, accumulate, check_series_args, is_positive, is_real, logsig_pairs
 from .summation import rel_diff
@@ -188,7 +188,8 @@ def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_t
 
     With unit weights the Wright series equals
     (prod Gamma(a_i) / prod Gamma(b_j)) * pFq; returns the relative
-    discrepancy between the two independently summed sides.
+    discrepancy between the two independently summed sides, or raises
+    NonConvergenceError naming a side that stopped short of tol.
     """
     upper, lower = _real_params(upper, lower)
     for side, vals in (("upper", upper), ("lower", lower)):
@@ -198,18 +199,22 @@ def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_t
     scale = math.exp(
         math.fsum(math.lgamma(a) for a in upper) - math.fsum(math.lgamma(b) for b in lower)
     )
-    rhs = scale * eval_pfq(upper, lower, z, tol=tol, max_terms=max_terms).value
+    pfq = eval_pfq(upper, lower, z, tol=tol, max_terms=max_terms)
     if len(upper) == len(lower) + 1:
         # The weight-1 margin is exactly -1 here, so WrightSpec refuses to
         # construct; the series still converges inside |z| < 1 (enforced by
         # the pFq side), so sum it term by term.
         if z == 0.0:
-            lhs = scale
+            lhs = SeriesResult(scale, 1, 0.0, True)
         else:
-            lhs = accumulate(_weight1_pairs(upper, lower, float(z)), tol, max_terms).value
+            lhs = accumulate(_weight1_pairs(upper, lower, float(z)), tol, max_terms)
     else:
         spec = WrightSpec(
             tuple((a, 1.0) for a in upper), tuple((b, 1.0) for b in lower), 1.0
         )
-        lhs = eval_wright(spec, z, tol=tol, max_terms=max_terms).value
-    return rel_diff(lhs, rhs)
+        lhs = eval_wright(spec, z, tol=tol, max_terms=max_terms)
+    for side, sr in (("pFq", pfq), ("Wright", lhs)):
+        if not sr.converged:
+            raise NonConvergenceError(f"{side} side of the reduction check did not converge "
+                                      f"(terms={sr.terms_used}, tail={sr.tail_estimate!r})")
+    return rel_diff(lhs.value, scale * pfq.value)

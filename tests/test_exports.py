@@ -38,6 +38,14 @@ def test_names_are_the_module_objects(module):
         assert getattr(kspecfun, name) is getattr(module, name), name
 
 
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_names_are_listed_where_defined(module):
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if callable(obj):
+            assert obj.__module__ == module.__name__, name
+
+
 def test_earlier_names_kept():
     assert len(EARLIER_ALL) == 44
     assert set(EARLIER_ALL) <= set(kspecfun.__all__)

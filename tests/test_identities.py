@@ -182,6 +182,17 @@ def test_verify_theorem2_unit_canonical_only():
     assert "n=1 4" in r.diagnostics
 
 
+@pytest.mark.parametrize("point, ratios", [
+    # c = 0: every canonical term past n = 0 vanishes
+    (dict(c=0, b=2), "n=0 1.32934, n=1 n/a, n=2 n/a"),
+    # y = 0: the ratios are taken at y = 1, where the y-powers cancel
+    (dict(nu=0, c=-1, b=2, y=0), "n=0 0.886227, n=1 5.31736, n=2 26.5868"),
+])
+def test_verify_theorem2_ratio_diagnostics(point, ratios):
+    r = verify("theorem2", dict(UNIT_PARAMS, mu=0.5, **point))
+    assert (r.verdict, r.diagnostics) == ("canonical_only", "packaged/canonical term ratios: " + ratios)
+
+
 @pytest.mark.parametrize("identity", ["theorem1", "oberhettinger"])
 def test_verify_precondition_inconclusive(identity):
     r = verify(identity, dict(UNIT_PARAMS, mu=5, lam=1))

@@ -254,6 +254,10 @@ def test_param_validation():
         BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=False, b=1)
     with pytest.raises(DomainError, match="nu must be a finite real, got True"):
         eval_k_bessel_first(1.0, True, 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="^nu must be nonnegative, got -0.5$"):
+        BesselParams(1, -0.5, 1, 1, -1, 1)
+    with pytest.raises(DomainError, match="^lam must be positive, got 0$"):
+        eval_k_bessel_first(1, 0, 1, 0, 1.0)
 
 
 def test_pochhammer_weight_visible():

@@ -83,6 +83,9 @@ def test_pochhammer_nonpositive_start():
     assert k_pochhammer(0.0, 3, 1.0) == 0.0
     assert k_pochhammer(-2.0, 4, 1.0) == 0.0
     assert k_pochhammer(-2.0, 2, 1.0) == pytest.approx(2.0, rel=1e-15)
+    # a factor past the zero overflows; 0 * inf used to give nan, then an OverflowError
+    assert k_pochhammer(0.0, 3, 1e308) == 0.0
+    assert k_pochhammer(-1e308, 3, 1e308) == 0.0
 
 
 @pytest.mark.parametrize("call", [
@@ -113,6 +116,7 @@ def test_pochhammer_gamma_bridge(x, n, k):
 
 
 def test_log_pochhammer_matches_product():
+    assert log_k_pochhammer(2.0, 0) == 0.0  # the empty product
     for x, n, k in ((0.5, 5, 1.0), (2.0, 12, 2.0), (1.5, 80, 0.5)):
         assert math.exp(log_k_pochhammer(x, n, k)) == pytest.approx(
             k_pochhammer(x, n, k), rel=1e-11

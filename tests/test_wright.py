@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from kspecfun.errors import DomainError
+from kspecfun.errors import DomainError, NonConvergenceError
 from kspecfun.wright import (
     WrightSpec,
     convergence_margin,
@@ -164,6 +164,13 @@ def test_reduction_check_examples():
     assert wright_pfq_reduction_check((1.0,), (1.0,), 1.0) <= 1e-12
     assert wright_pfq_reduction_check((2.0, 3.0), (4.0,), 0.3) <= 1e-10
     assert wright_pfq_reduction_check((0.5,), (1.5,), -1.0) <= 1e-10
+
+
+def test_reduction_check_raises_on_unconverged_side():
+    # both sides cut at term 5 agree to 4e-15 although the pFq tail is 7e4
+    assert not eval_pfq((1.5,), (2.5,), 50.0, max_terms=5).converged
+    with pytest.raises(NonConvergenceError, match=r"^pFq side .* not converge \(terms=5, tail="):
+        wright_pfq_reduction_check((1.5,), (2.5,), 50.0, max_terms=5)
 
 
 @pytest.mark.parametrize(
