@@ -247,8 +247,8 @@ class _DDTable:
     def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
         """w^nu / Gamma_k(s0) * S(c w^2); the prefactor is a common factor,
         applied once at the end.  Builds row n here the first time any call
-        reaches term n.  Raises OverflowError where the finished sum is not
-        finite, as the log path does."""
+        reaches term n.  Raises OverflowError, through `settle`, at the first
+        partial sum past double range, as the log path does."""
         k, gamma, lambda1, c, s0, m, rows = (
             self.k, self.gamma, self.lambda1, self.c, self.s0, self.m, self.rows)
         pref = _lead(w, nu, s0, k, self.gk0)
@@ -271,13 +271,11 @@ class _DDTable:
                         row = dd_div_d(row, lambda1 * n + s0 + j * k)
                 rows[n:n + 1] = (row,)
             rho_prev = rho
-            # row None: exact termination, even where w2 overflows
+            # row None: exact termination with no tail, even where w2 or the scaled term overflows
             rho = 0.0 if row is None else abs(row[0]) * w2
-            res = settle(n + 1, abs(t[0]) * pref, rho, rho_prev, pref * (acc[0] + acc[1]), tol,
-                         max_terms)
+            res = settle(n + 1, 0.0 if row is None else abs(t[0]) * pref, rho, rho_prev,
+                         pref * (acc[0] + acc[1]), tol, max_terms)
             if res is not None:
-                if not math.isfinite(res.value):
-                    raise OverflowError("math range error")
                 return res
             t = dd_mul(dd_mul_d(t, w2), row)
             acc = dd_add(acc, t)

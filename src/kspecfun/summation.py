@@ -11,11 +11,11 @@ and everything else goes through Neumaier accumulation.
 Every series stops where one function, `settle`, says: at an exact end,
 once the ratio rho is below 1 and non-increasing and the geometric tail
 bound |t| rho / (1 - rho) is under tol (relative to the partial sum and
-absolutely), or, unconverged, at the term cap or at the first term that is
-not finite.  Term streams are unbounded.  `accumulate` calls `settle` per
-term of a (term, |next/current| ratio) stream, which `logsig_pairs` builds
-from a forward stream of (L_n, sign_n), n = 0, 1, ...; the double-double
-Bessel recurrence calls it per term of its own sum.
+absolutely), or, unconverged, at the term cap; a partial sum that is not
+finite raises OverflowError.  Term streams are unbounded.  `accumulate`
+calls `settle` per term of a (term, |next/current| ratio) stream, which
+`logsig_pairs` builds from a forward stream of (L_n, sign_n), n = 0, 1,
+...; the double-double Bessel recurrence calls it per term of its own sum.
 
 The real rule `is_real` (a finite int or float; not a bool or a string)
 covers arguments and parameters, the positive rule `is_positive` (the real
@@ -205,20 +205,17 @@ def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: flo
     """The finished sum if term n (from 1) ends the series, else None.
 
     t_abs is the term's size, rho its ratio to the next (rho_prev the one
-    before, inf at the first term) and s the partial sum through it.  At the
-    cap, or at a term that is not finite (inf, or nan from a double-double
-    split of inf), the tail estimate is reported unconverged, |t| where
-    rho >= 1.
+    before, inf at the first term) and s the partial sum through it.  A
+    partial sum that is not finite (an inf or nan term, or finite terms
+    whose sum overflows) raises OverflowError.  At the cap the tail
+    estimate is reported unconverged, |t| where rho >= 1.
     """
-    if rho == 0.0:
-        return SeriesResult(s, n, 0.0, True)
-    if rho < 1.0:
-        tail = t_abs * rho / (1.0 - rho)
-        if rho <= rho_prev and tail <= tol * min(max(abs(s), 1e-300), 1.0):
-            return SeriesResult(s, n, tail, True)
-    else:
-        tail = t_abs
-    if n >= max_terms or not t_abs <= _MAX:
+    if not abs(s) <= _MAX:
+        raise OverflowError("math range error")
+    tail = t_abs * rho / (1.0 - rho) if rho < 1.0 else t_abs
+    if rho < 1.0 and rho <= rho_prev and tail <= tol * min(max(abs(s), 1e-300), 1.0):
+        return SeriesResult(s, n, tail, True)
+    if n >= max_terms:
         return SeriesResult(s, n, tail, False)
     return None
 

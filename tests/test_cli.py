@@ -47,6 +47,14 @@ def test_eval_gmkbessel_defaults_give_classical_j():
     assert "converged=true" in r.stdout
 
 
+def test_eval_accepts_unicode_minus(capsys):
+    # U+2212, which some shells and editors produce for "-"
+    assert cli.main(["eval", "gmkbessel", "z=2", "c=\u22121"]) == 0
+    unicode = capsys.readouterr().out
+    assert cli.main(["eval", "gmkbessel", "z=2", "c=-1"]) == 0
+    assert unicode == capsys.readouterr().out and len(unicode.splitlines()) == 4
+
+
 def test_eval_wright_margin_rejected():
     r = run_cli("eval", "wright", "upper=1:1,2:1", "lower=", "z=0.5")
     assert r.returncode == 2
@@ -160,6 +168,16 @@ def test_sweep_stdout_records(tmp_path):
     assert r.returncode == 0
     assert r.stdout.splitlines()[0].startswith("identity,")
     assert "match=1 canonical_only=0 mismatch=0 skipped=0" in r.stderr
+
+
+def test_sweep_records_a_point_whose_classical_check_overflows(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"identity": "corollary2", "nu": [1.0, 171.0]}))
+    assert cli.main(["sweep", "--config", str(cfg), "--out", "-"]) == 0
+    out, err = capsys.readouterr()
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [(row["nu"], row["verdict"]) for row in rows] == [("1.0", "match"), ("171.0", "skipped")]
+    assert "classical J reduction failed: math range error" in err
 
 
 def test_sweep_out_dash_keeps_text_off_records(capsys, tmp_path):

@@ -382,6 +382,16 @@ def test_verify_corollary4_flags_ratio_and_classical_gap():
     assert "classical J reduction gap" in r.diagnostics
 
 
+@pytest.mark.parametrize("identity", ["corollary2", "corollary4"])
+def test_verify_reports_a_classical_check_past_double_range(identity):
+    # Gamma(nu + 1) of the classical reference overflows at nu = 171; the
+    # side check is named as failed and the two routes keep the verdict
+    r = verify(identity, dict(UNIT_PARAMS, nu=171))
+    assert r.verdict == "inconclusive"
+    assert r.diagnostics == ("did not converge: packaged series; "
+                             "classical J reduction failed: math range error")
+
+
 @pytest.mark.parametrize(
     "identity, fixed",
     [

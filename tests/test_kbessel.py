@@ -404,6 +404,25 @@ def test_overflow_raises_on_both_paths(lambda1, monkeypatch):
     assert len(calls) < 60
 
 
+def test_log_path_raises_where_finite_terms_sum_past_double_range():
+    # every term stays finite, but the sum overflows at term 196; this used
+    # to build all 400 rows and return nan, unconverged
+    p = BesselParams(0.7533495573085514, 1.7040731115061964, 1.0, 1.8770842544690318,
+                     1.2053806720858349, 1.8124746143650992)
+    with pytest.raises(OverflowError, match="math range error"):
+        eval_gmk_bessel(p, 50000.1)
+    assert len(p._table.rows) < 200
+
+
+def test_dd_exact_end_keeps_a_finite_sum_past_an_overflowing_term():
+    # gamma = -k ends the series after two terms; the scaled second term
+    # (2.4e308) overflows but the sum, prefactor times 1 - 700/347, does not
+    p = BesselParams(k=1, nu=346, gamma=-1, lambda1=1, c=7e-4, b=1)
+    r = eval_gmk_bessel(p, 2000.0)
+    assert (r.value, r.terms_used, r.tail_estimate, r.converged) == (
+        -1.2141524049024425e+308, 2, 0.0, True)
+
+
 @pytest.mark.parametrize("case", ["log, lambda1/k=0.5, c=-1", "dd, lambda1/k=1, c=1"])
 def test_table_shared_between_threads(case):
     # eight threads grow one table at once; a duplicated or skipped row

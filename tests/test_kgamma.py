@@ -121,6 +121,9 @@ def test_log_pochhammer_matches_product():
         assert math.exp(log_k_pochhammer(x, n, k)) == pytest.approx(
             k_pochhammer(x, n, k), rel=1e-11
         )
+    with pytest.raises(DomainError) as err:
+        log_k_pochhammer(-1.0, 2)
+    assert str(err.value) == "log pochhammer requires x > 0, got -1.0"
 
 
 def test_integral_oracle_grid():

@@ -84,6 +84,7 @@ _STREAMS = {
     "alternating": [(1.0, 0.5), (-0.5, 0.5), (0.25, 0.5), (-0.125, 0.5)],
     "subnormal": [(5e-324, 0.9), (5e-324, 0.9), (1e-323, 0.9)],
     "inf_term": [(1.0, 2.0), (math.inf, 2.0), (7.0, 0.5)],
+    "sum_overflows": [(1e308, 0.9), (1e308, 0.9), (7.0, 0.5)],
 }
 
 
@@ -109,9 +110,17 @@ _STREAMS = {
     ("alternating", 1, 1e-300, (1.0, 1, 1.0, False)),
     ("alternating", 2, 1e-300, (0.5, 2, 0.5, False)),
     ("alternating", 3, 1e-300, (0.75, 3, 0.25, False)),
-    # the series stops, unconverged, at its first term that is not finite
-    ("inf_term", 400, 1e-300, (math.nan, 2, math.inf, False)),
 ])
 def test_accumulate_on_crafted_streams(stream, max_terms, tol, expected):
     r = accumulate(iter(_STREAMS[stream]), tol, max_terms)
     assert repr((r.value, r.terms_used, r.tail_estimate, r.converged)) == repr(expected)
+
+
+@pytest.mark.parametrize("stream", ["inf_term", "sum_overflows"])
+def test_accumulate_raises_at_first_partial_sum_past_double_range(stream):
+    # an inf term, or finite terms whose sum overflows, ends the series with
+    # OverflowError; the term after it is never drawn
+    pairs = iter(_STREAMS[stream])
+    with pytest.raises(OverflowError, match="math range error"):
+        accumulate(pairs, 1e-300, 400)
+    assert list(pairs) == [(7.0, 0.5)]

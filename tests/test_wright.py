@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from kspecfun import wright
 from kspecfun.errors import DomainError, NonConvergenceError
 from kspecfun.wright import (
     WrightSpec,
@@ -49,6 +50,9 @@ def test_row_validation():
         WrightSpec(upper=(), lower=((1.0, -0.5),))
     with pytest.raises(DomainError):
         WrightSpec(upper=(), lower=(), k_scale=0.0)
+    with pytest.raises(DomainError) as err:
+        WrightSpec(((1.0,),), ())
+    assert str(err.value) == "upper rows must be (offset, weight) pairs, got (1.0,)"
     # both used to construct, as k_scale 1.0 and 2.0
     for k_scale in (True, "2"):
         with pytest.raises(DomainError) as err:
@@ -146,10 +150,20 @@ def test_pfq_domain():
         eval_pfq((1.0,), (-2.0,), 0.5)
 
 
-def test_pfq_stops_at_first_inf_term():
-    # 1F1(1;2;1e5) overflows at term 91; it used to run all 400 terms
-    r = eval_pfq((1.0,), (2.0,), 1e5)
-    assert math.isnan(r.value) and r.terms_used == 91 and not r.converged
+def test_pfq_stops_at_first_inf_term(monkeypatch):
+    # 1F1(1;2;1e5) overflows at term 91 and raises there; it once ran all 400 terms
+    drawn = []
+    pairs = wright._pfq_pairs
+
+    def counted(*args):
+        for pair in pairs(*args):
+            drawn.append(pair)
+            yield pair
+
+    monkeypatch.setattr(wright, "_pfq_pairs", counted)
+    with pytest.raises(OverflowError, match="math range error"):
+        eval_pfq((1.0,), (2.0,), 1e5)
+    assert len(drawn) <= 91
 
 
 def test_pfq_terminating_series():
@@ -164,6 +178,8 @@ def test_reduction_check_examples():
     assert wright_pfq_reduction_check((1.0,), (1.0,), 1.0) <= 1e-12
     assert wright_pfq_reduction_check((2.0, 3.0), (4.0,), 0.3) <= 1e-10
     assert wright_pfq_reduction_check((0.5,), (1.5,), -1.0) <= 1e-10
+    # p = q + 1 at z = 0: both sides are their n = 0 term
+    assert wright_pfq_reduction_check((1.0, 2.0), (3.0,), 0.0) == 0.0
 
 
 def test_reduction_check_raises_on_unconverged_side():
