@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
 from typing import Optional
@@ -36,8 +37,8 @@ from .quadrature import (
     theorem1_lhs,
     theorem2_lhs,
 )
-from .summation import SeriesResult, accumulate, check_arg, check_series_args, dd_add, dd_div_d
-from .summation import check_settings, dd_mul_d, is_positive, is_real, logsig_pairs, rel_diff
+from .summation import SeriesResult, accumulate, check_arg, check_series_args, check_settings
+from .summation import is_positive, is_real, logsig_pairs, rel_diff, side_value
 from .wright import WrightSpec, eval_k_wright, wright_terms_logsig
 
 __all__ = [
@@ -185,12 +186,11 @@ def _packaging(
     """
     k = bp.k
     nu = bp.nu
-    s0 = nu + 0.5 * (bp.b + 1.0)
     if reduced and which == 1:
         pref = 2.0 ** (1.0 - nu - mu) * a ** (mu - lam - nu) * y**nu * math.gamma(2.0 * mu)
         spec = WrightSpec(
             upper=((1.0 + lam + nu, 2.0), (nu + lam - mu, 2.0)),
-            lower=((s0, bp.lambda1), (1.0 + lam + nu + mu, 2.0), (lam + nu, 2.0)),
+            lower=((bp.s0, bp.lambda1), (1.0 + lam + nu + mu, 2.0), (lam + nu, 2.0)),
             k_scale=1.0,
         )
         arg = -bp.c * y * y / (4.0 * a * a)
@@ -198,7 +198,7 @@ def _packaging(
         pref = 2.0 ** (1.0 - 2.0 * nu - mu) * y**nu * a ** (mu - lam) * math.gamma(lam - mu)
         spec = WrightSpec(
             upper=((2.0 * (mu + nu), 4.0), (nu + lam + 1.0, 2.0)),
-            lower=((s0, bp.lambda1), (nu + lam, 2.0), (1.0 + lam + mu + 2.0 * nu, 4.0)),
+            lower=((bp.s0, bp.lambda1), (nu + lam, 2.0), (1.0 + lam + mu + 2.0 * nu, 4.0)),
             k_scale=1.0,
         )
         arg = -bp.c * y * y / 4.0
@@ -212,7 +212,7 @@ def _packaging(
         )
         spec = WrightSpec(
             upper=((lam + nu + k, 2.0), (k * (nu + lam - mu), 2.0 * k)),
-            lower=((s0, bp.lambda1), (k * (1.0 + lam + nu + mu), 2.0 * k), (lam + nu, 2.0)),
+            lower=((bp.s0, bp.lambda1), (k * (1.0 + lam + nu + mu), 2.0 * k), (lam + nu, 2.0)),
             k_scale=k,
         )
         arg = bp.c * y * y / (4.0 * a * a)
@@ -287,37 +287,34 @@ def corollary3_rhs(
     return _rhs_paper(2, True, bp, mu, lam, a, y, tol, max_terms)
 
 
-def _classical_bessel_series(sign: float, nu: float, z: float) -> float:
-    """sum_n sign^n (z/2)^(nu+2n) / (n! Gamma(n+nu+1)), double-double.
+def _classical_bessel_series(sign: float, nu: float, z: float) -> SeriesResult:
+    """sum_n sign^n (z/2)^(nu+2n) / (n! Gamma(n+nu+1)), summed exactly in rationals.
 
-    Independent reference route for the classical reduction check; shares no
-    recurrence structure with the generalized evaluator.
+    Independent reference route for the classical reduction check: it shares
+    no recurrence and no arithmetic with the generalized evaluator.  The
+    doubles (z/2)^2 and nu enter as exact fractions, so each divisor
+    (n+1)(n+1+nu) and partial sum is exact; the sum stops once a geometric
+    tail bound is under 2^-64 of it, or unconverged at 400 terms, and is
+    rounded to a double once before the prefactor (z/2)^nu / Gamma(nu+1).
     """
-    if z == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
     w = 0.5 * z
-    w2 = w * w
     pref = w**nu / math.gamma(nu + 1.0)
-    t = (1.0, 0.0)
-    acc = (1.0, 0.0)
-    n = 0
-    while n < 400:
-        t = dd_mul_d(t, w2)
-        t = dd_div_d(t, n + 1.0)
-        t = dd_div_d(t, n + nu + 1.0)
-        if sign < 0:
-            t = (-t[0], -t[1])
-        acc = dd_add(acc, t)
-        n += 1
-        if abs(t[0]) <= 1e-22 * (abs(acc[0]) + 1e-300) and w2 < (n + 1.0) * (n + nu + 1.0):
-            break
-    return pref * (acc[0] + acc[1])
+    x, nu_q = Fraction(sign * (w * w)), Fraction(nu)
+    t = acc = Fraction(1)
+    for n in range(1, 400):
+        t *= x / (n * (n + nu_q))
+        acc += t
+        r = abs(x) / ((n + 1) * (n + 1 + nu_q))  # once below 1, it bounds every later ratio
+        if r < 1 and (tail := abs(t) * r / (1 - r)) <= abs(acc) / 2**64:
+            return SeriesResult(pref * float(acc), n + 1, abs(pref) * float(tail), True)
+    return SeriesResult(pref * float(acc), 400, math.inf, False)
 
 
 def classical_reduction_check(kind: str, nu: float, z: float) -> float:
     """Relative gap between the unit-parameter generalized series and the
     classical Bessel J (kind="bessel_J") or modified Bessel I ("bessel_I")
-    series at order nu."""
+    series at order nu; raises NonConvergenceError naming a side that stopped
+    at its term cap, the generalized one before the exact sum is spent."""
     if kind not in ("bessel_J", "bessel_I"):
         raise DomainError(f"kind must be 'bessel_J' or 'bessel_I', got {kind!r}")
     if not (is_real(nu) and is_real(z) and nu >= 0 and z >= 0):
@@ -325,9 +322,8 @@ def classical_reduction_check(kind: str, nu: float, z: float) -> float:
     nu, z = float(nu), float(z)
     c = -1.0 if kind == "bessel_J" else 1.0
     bp = BesselParams(k=1.0, nu=nu, gamma=1.0, lambda1=1.0, c=c, b=1.0)
-    got = eval_gmk_bessel(bp, z, tol=1e-14, max_terms=400).value
-    ref = _classical_bessel_series(c, nu, z)
-    return rel_diff(got, ref)
+    got = side_value("generalized", eval_gmk_bessel(bp, z, tol=1e-14, max_terms=400))
+    return rel_diff(got, side_value("classical", _classical_bessel_series(c, nu, z)))
 
 
 def _ratio_diagnostics(row: Identity, bp, mu, lam, a, y) -> str:
@@ -450,7 +446,7 @@ def verify(
         try:
             gap = classical_reduction_check("bessel_J", bp.nu, z_red)
             red = f"gap at z={z_red:.6g}: {gap:.3e}"
-        except OverflowError as exc:  # a side check; the routes above decide the verdict
+        except (NonConvergenceError, OverflowError) as exc:  # a side check; it sets no verdict
             red = f"failed: {exc}"
         diag = _joined(diag, f"classical J reduction {red}")
 

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from itertools import count
 
-from .errors import DomainError
+from .errors import DomainError, NonConvergenceError
 
 __all__ = ["CompensatedSum", "SeriesResult"]
 
@@ -160,6 +160,14 @@ def check_arg(z: float, name: str = "argument") -> float:
 def rel_diff(x: float, y: float) -> float:
     """|x - y| relative to the larger magnitude, floored at 1e-300."""
     return abs(x - y) / max(abs(x), abs(y), 1e-300)
+
+
+def side_value(side: str, sr: SeriesResult) -> float:
+    """The value of one side of a reduction check, or NonConvergenceError naming it."""
+    if not sr.converged:
+        raise NonConvergenceError(f"{side} side of the reduction check did not converge "
+                                  f"(terms={sr.terms_used}, tail={sr.tail_estimate!r})")
+    return sr.value
 
 
 def is_whole(n, least: int) -> bool:

@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass
 from itertools import count
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError
 from .kgamma import KScale, log_k_gamma
 from .summation import SeriesResult, accumulate, check_series_args, is_positive, is_real, logsig_pairs
-from .summation import rel_diff
+from .summation import rel_diff, side_value
 
 __all__ = [
     "WrightSpec",
@@ -213,8 +213,4 @@ def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_t
             tuple((a, 1.0) for a in upper), tuple((b, 1.0) for b in lower), 1.0
         )
         lhs = eval_wright(spec, z, tol=tol, max_terms=max_terms)
-    for side, sr in (("pFq", pfq), ("Wright", lhs)):
-        if not sr.converged:
-            raise NonConvergenceError(f"{side} side of the reduction check did not converge "
-                                      f"(terms={sr.terms_used}, tail={sr.tail_estimate!r})")
-    return rel_diff(lhs.value, scale * pfq.value)
+    return rel_diff(scale * side_value("pFq", pfq), side_value("Wright", lhs))

@@ -64,7 +64,7 @@ def test_kgamma_integral_oracle_grid():
 
 def test_classical_bessel_reduction_grid():
     for kind in ("bessel_J", "bessel_I"):
-        for nu in (0.0, 0.5, 1.0, 2.0):
+        for nu in (0.0, 0.5, 1.0, 2.0, 0.3, 1.7):
             for z in (0.1, 1.0, 2.0, 5.0, 10.0):
                 assert classical_reduction_check(kind, nu, z) <= 1e-12
 

@@ -55,6 +55,13 @@ def test_eval_accepts_unicode_minus(capsys):
     assert unicode == capsys.readouterr().out and len(unicode.splitlines()) == 4
 
 
+def test_eval_tol_series_sets_the_series_tolerance(capsys):
+    # --tol-series reaches the evaluator as tol; 22 terms at the default 1e-10
+    for flags, terms in (([], 22), (["--tol-series", "1e-14"], 25)):
+        assert cli.main(["eval", "gmkbessel", "z=10", *flags]) == 0
+        assert f"terms_used={terms}\n" in capsys.readouterr().out
+
+
 def test_eval_wright_margin_rejected():
     r = run_cli("eval", "wright", "upper=1:1,2:1", "lower=", "z=0.5")
     assert r.returncode == 2

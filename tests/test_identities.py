@@ -3,7 +3,7 @@ import math
 import pytest
 
 from kspecfun import identities, kbessel
-from kspecfun.errors import DomainError
+from kspecfun.errors import DomainError, NonConvergenceError
 from kspecfun.identities import (
     CSV_FIELDS,
     IDENTITY_IDS,
@@ -556,6 +556,40 @@ def test_canonical_y_zero_nu_zero(which, rhs):
 def test_packaged_y_zero_nu_positive(rhs, p):
     # every term carries (y/2)^(nu+2n) with nu > 0
     assert rhs(p, 0.5, 1.5, 2.0, 0.0) == SeriesResult(0.0, 1, 0.0, True)
+
+
+@pytest.mark.parametrize("nu", [0.3, 1.7])
+@pytest.mark.parametrize("z", [0.1, 1.0, 5.0, 10.0, 20.0, 50.0, 100.0])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_classical_bessel_series_matches_mpmath(nu, z, sign):
+    # a non-dyadic nu makes every divisor n + 1 + nu a rounded double in a
+    # double-double sum; the exact rational sum is off only by its prefactor and final rounding
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        ref = (mpmath.besselj if sign < 0 else mpmath.besseli)(mpmath.mpf(nu), mpmath.mpf(z))
+        got = identities._classical_bessel_series(sign, nu, z)
+        assert got.converged
+        assert abs((got.value - ref) / ref) <= 1e-15
+
+
+@pytest.mark.parametrize("nu, z, side", [(1.0, 300.0, "generalized"), (0.0, 282.0, "classical")])
+def test_classical_reduction_check_raises_on_unconverged_side(nu, z, side):
+    # two sums cut at their term caps would be compared whatever their tails;
+    # at z = 300 the generalized side used to return a gap of 1.704 after 400 terms
+    with pytest.raises(NonConvergenceError, match=rf"^{side} side .* not converge \(terms=400, tail="):
+        classical_reduction_check("bessel_J", nu, z)
+
+
+def test_verify_reports_an_unconverged_classical_check():
+    r = verify("corollary2", dict(nu=0, mu=1, lam=2, a=0.5, y=141), quad_budget=240)
+    assert r.diagnostics == ("did not converge: quadrature; classical J reduction failed: classical side "
+                             "of the reduction check did not converge (terms=400, tail=inf)")
+
+
+@pytest.mark.xfail(strict=True, reason="eval_gmk_bessel divides by the rounded double n + nu + 1 "
+                   "and is 7.8e-10 off at nu = 1.7, z = 20; ROADMAP item 1 makes its inputs exact")
+def test_classical_reduction_sees_evaluator_rounding_at_non_dyadic_nu():
+    assert classical_reduction_check("bessel_J", 1.7, 20.0) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["bessel_J", "bessel_I"])
