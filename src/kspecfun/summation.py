@@ -8,14 +8,14 @@ the reduction checks demand.  Terms on the hot path are therefore carried as
 unevaluated double-double pairs (hi, lo) built from error-free transforms,
 and everything else goes through Neumaier accumulation.
 
-Every series stops where one function, `settle`, says: at an exact end,
-once the ratio rho is below 1 and non-increasing and the geometric tail
-bound |t| rho / (1 - rho) is under tol (relative to the partial sum and
-absolutely), or, unconverged, at the term cap; a partial sum that is not
-finite raises OverflowError.  Term streams are unbounded.  `accumulate`
+Every series stops where one function, `settle`, says: once the ratio rho of
+term t to the next is below 1 and non-increasing and |t| rho / (1 - rho) <=
+tol min(max(|s|, 1e-300), 1), relative to the partial sum s up to |s| = 1
+and absolute above, or, unconverged, at the term cap; a partial sum that is
+not finite raises OverflowError.  Term streams are unbounded.  `accumulate`
 calls `settle` per term of a (term, |next/current| ratio) stream, which
-`logsig_pairs` builds from a forward stream of (L_n, sign_n), n = 0, 1,
-...; the double-double Bessel recurrence calls it per term of its own sum.
+`logsig_pairs` builds from a forward stream of (L_n, sign_n), n = 0, 1, ...;
+the double-double Bessel recurrence calls it per term of its own sum.
 
 The real rule `is_real` (a finite int or float; not a bool or a string)
 covers arguments and parameters, the positive rule `is_positive` (the real
@@ -213,16 +213,19 @@ def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: flo
     """The finished sum if term n (from 1) ends the series, else None.
 
     t_abs is the term's size, rho its ratio to the next (rho_prev the one
-    before, inf at the first term) and s the partial sum through it.  A
-    partial sum that is not finite (an inf or nan term, or finite terms
-    whose sum overflows) raises OverflowError.  At the cap the tail
-    estimate is reported unconverged, |t| where rho >= 1.
+    before, inf at the first term) and s the partial sum through it.  It has
+    converged when rho < 1, rho <= rho_prev and t_abs rho / (1 - rho) <= tol
+    min(max(|s|, 1e-300), 1).  A partial sum that is not finite (an inf or
+    nan term, or finite terms whose sum overflows) raises OverflowError.  At
+    the cap the tail estimate is reported unconverged, |t| where rho >= 1.
     """
-    if not abs(s) <= _MAX:
+    if not (a := abs(s)) <= _MAX:  # a is finite below: min(max(a, 1e-300), 1) needs no builtin
         raise OverflowError("math range error")
-    tail = t_abs * rho / (1.0 - rho) if rho < 1.0 else t_abs
-    if rho < 1.0 and rho <= rho_prev and tail <= tol * min(max(abs(s), 1e-300), 1.0):
-        return SeriesResult(s, n, tail, True)
+    tail = t_abs
+    if rho < 1.0:
+        tail = t_abs * rho / (1.0 - rho)
+        if rho <= rho_prev and tail <= tol * (1.0 if a > 1.0 else a if a > 1e-300 else 1e-300):
+            return SeriesResult(s, n, tail, True)
     if n >= max_terms:
         return SeriesResult(s, n, tail, False)
     return None
@@ -240,12 +243,12 @@ def accumulate(pairs, tol: float, max_terms: int) -> SeriesResult:
     rho = math.inf
     for n, (t, r) in enumerate(pairs, 1):
         u = s + t
-        if abs(s) >= abs(t):
+        t_abs = abs(t)
+        if abs(s) >= t_abs:
             c += (s - u) + t
         else:
             c += (t - u) + s
         s = u
-        t_abs = abs(t)
         res = settle(n, t_abs, r, rho, s + c, tol, max_terms)
         if res is not None:
             return res

@@ -112,19 +112,20 @@ def eval_wright(s: WrightSpec, z: float, tol: float = 1e-10, max_terms: int = 40
     return eval_k_wright(s, z, tol=tol, max_terms=max_terms)
 
 
-def _ratio_tail_bound(upper, dens, z: float, n: int) -> float:
-    """Bound on every term ratio from index n on.
+def _ratio_tail_bound(upper, dens, least: float, z: float, n: int) -> float:
+    """Bound on every term ratio from index n on; least is min(dens).
 
     Each paired factor (a+m)/(d+m) moves monotonically toward 1 for m >= n
     once d + n > 0, so max(|current|, 1) bounds its whole tail; unpaired
     denominators only shrink the ratio further.  While some d + n <= 0 the
     ratios can still grow, and no bound (inf) is given.
     """
-    if min(dens) + n <= 0:
+    if least + n <= 0:
         return math.inf
     rho = abs(z)
     for j, aj in enumerate(upper):
-        rho *= max(abs(aj + n) / (dens[j] + n), 1.0)
+        x = abs(aj + n) / (dens[j] + n)  # finite: d + n > 0 was checked
+        rho *= x if x > 1.0 else 1.0
     for d in dens[len(upper):]:
         rho /= d + n
     return rho
@@ -132,6 +133,7 @@ def _ratio_tail_bound(upper, dens, z: float, n: int) -> float:
 
 def _pfq_pairs(upper, lower, z: float):
     dens = list(lower) + [1.0]
+    least = min(dens)
     t = 1.0
     for n in count():
         r = z / (n + 1.0)
@@ -140,7 +142,7 @@ def _pfq_pairs(upper, lower, z: float):
         for bj in lower:
             r /= bj + n
         # r == 0 means a Pochhammer factor hit zero: exact termination
-        rho = 0.0 if r == 0.0 else _ratio_tail_bound(upper, dens, z, n)
+        rho = 0.0 if r == 0.0 else _ratio_tail_bound(upper, dens, least, z, n)
         yield t, rho
         t *= r
 
@@ -178,9 +180,10 @@ def _weight1_pairs(upper, lower, z: float):
     """Unit-weight Wright terms, with ratios replaced by the monotone pFq
     tail bound (the weight-1 term ratios equal the pFq ones)."""
     dens = list(lower) + [1.0]
+    least = min(dens)
     terms = wright_terms_logsig([(a, 1.0) for a in upper], [(b, 1.0) for b in lower], 1.0, z)
     for n, (t, _) in enumerate(logsig_pairs(terms, math.log(abs(z)))):
-        yield t, _ratio_tail_bound(upper, dens, z, n)
+        yield t, _ratio_tail_bound(upper, dens, least, z, n)
 
 
 def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_terms: int = 400) -> float:

@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import kspecfun as ks
 from kspecfun.summation import (
     CompensatedSum,
+    SeriesResult,
     accumulate,
     dd_add,
     dd_div_d,
     dd_mul,
     dd_mul_d,
+    settle,
 )
 
 small = st.floats(min_value=-1e60, max_value=1e60, allow_nan=False, allow_infinity=False)
@@ -124,3 +127,66 @@ def test_accumulate_raises_at_first_partial_sum_past_double_range(stream):
     with pytest.raises(OverflowError, match="math range error"):
         accumulate(pairs, 1e-300, 400)
     assert list(pairs) == [(7.0, 0.5)]
+
+
+def _stated_rule(n, t_abs, rho, rho_prev, s, tol, max_terms):
+    """The stop rule as the documentation states it, builtins and all."""
+    tail = t_abs * rho / (1 - rho) if rho < 1 else t_abs
+    if rho < 1 and rho <= rho_prev and tail <= tol * min(max(abs(s), 1e-300), 1):
+        return SeriesResult(s, n, tail, True)
+    return SeriesResult(s, n, tail, False) if n >= max_terms else None
+
+
+_SIZES = (0.0, 5e-324, 1e-300, math.nextafter(1e-300, 1.0), 0.5, 1.0, math.nextafter(1.0, 2.0),
+          1e300)
+# at rho = 0.5 the tail is |t|, so it sits on the bound exactly at |t| = |s|,
+# tol = 1 and 1e-300 <= |s| <= 1, and at |t| = 0.5, tol = 0.5 and |s| >= 1
+_RATIOS = (0.0, 0.5, math.nextafter(1.0, 0.0), 1.0, 2.0, math.inf, math.nan)
+
+
+@pytest.mark.parametrize("s", [x for v in _SIZES for x in (v, -v)])
+def test_settle_matches_the_stated_rule_bit_for_bit(s):
+    outcomes = set()
+    for rho in _RATIOS:
+        # rho_prev equal to rho, larger, smaller, and -inf
+        for rho_prev in (rho, math.nextafter(rho, math.inf), math.nextafter(rho, -math.inf), -math.inf):
+            for t_abs in (0.0, 5e-324, 0.5, 1.0, abs(s)):
+                for tol in (1e-300, 1e-10, 0.5, 1.0):
+                    for max_terms in (3, 4):  # the term cap reached at n = 3, and not
+                        got = settle(3, t_abs, rho, rho_prev, s, tol, max_terms)
+                        want = _stated_rule(3, t_abs, rho, rho_prev, s, tol, max_terms)
+                        assert repr(got) == repr(want), (t_abs, rho, rho_prev, tol, max_terms)
+                        outcomes.add(None if got is None else got.converged)
+    assert outcomes == {None, True, False}
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_settle_raises_on_a_partial_sum_that_is_not_finite(s):
+    with pytest.raises(OverflowError, match="math range error"):
+        settle(1, 0.0, 0.0, math.inf, s, 1.0, 1)
+
+
+# (value, terms_used, tail_estimate) of one call on each caller of settle, bit for bit
+@pytest.mark.parametrize("call, expected", [
+    # the double-double path, I_0(264): an absolute tail once |s| > 1
+    (lambda: ks.eval_gmk_bessel(ks.BesselParams(1, 0, 1, 1, 1, 1), 264.0, tol=1e-14),
+     (1.1067699210422132e+113, 371, 8.471389436144775e-15)),
+    # the log path at H1's Bessel factor
+    (lambda: ks.eval_gmk_bessel(ks.BesselParams(1.5, 0.5, 1.5, 0.7, -1.0, 1.0), 10.0),
+     (-1.4605341591524655e-05, 53, 1.074964246256837e-15)),
+    (lambda: ks.eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, 10.0),
+     (-0.004462866618452489, 24, 2.884181040496636e-13)),
+    (lambda: ks.eval_k_wright(ks.WrightSpec(((1.5, 0.5),), ((2.0, 1.0), (0.5, 0.7)), 1.5), -8.0),
+     (0.07086190364878453, 17, 6.628745009858519e-12)),
+    # no ratio bound while -1.5 + n <= 0
+    (lambda: ks.eval_pfq((0.5, 1.5), (-1.5,), -0.75),
+     (1.198907716146378, 129, 9.116885699310524e-11)),
+    # H2's canonical right side
+    (lambda: ks.theorem1_rhs_canonical(ks.BesselParams(1.0, 0.0, 1.0, 1.0, 1.0, 1.0),
+                                       0.5, 0.6, 0.01, 1.0),
+     (2.428862381341323e+40, 142, 3.977257232976681e-11)),
+])
+def test_settle_callers_keep_their_bits(call, expected):
+    r = call()
+    assert r.converged
+    assert repr((r.value, r.terms_used, r.tail_estimate)) == repr(expected)
