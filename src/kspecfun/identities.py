@@ -38,7 +38,7 @@ from .quadrature import (
     theorem2_lhs,
 )
 from .summation import SeriesResult, accumulate, check_arg, check_series_args, check_settings
-from .summation import is_positive, is_real, logsig_pairs, rel_diff, side_value
+from .summation import ONE_SIGN_FLOOR, is_positive, is_real, logsig_pairs, rel_diff, side_value
 from .wright import WrightSpec, eval_k_wright, wright_terms_logsig
 
 __all__ = [
@@ -158,7 +158,9 @@ def _rhs_canonical(which, bp, mu, lam, a, y, tol, max_terms) -> SeriesResult:
         # nu = 0 kills the (y/2)^(nu+2n) factor only for n > 0
         return SeriesResult(sg * math.exp(lg), 1, 0.0, True)
     terms = _canonical_terms_logsig(which, bp, mu, lam, a, y)
-    return accumulate(logsig_pairs(terms, 0.0), tol, max_terms)
+    # the kernel factors are positive Gammas, so c > 0 and gamma > 0 give one sign
+    floor = ONE_SIGN_FLOOR if bp.c > 0.0 and bp.gamma > 0.0 else 0.0
+    return accumulate(logsig_pairs(terms, 0.0), tol, max_terms, floor)
 
 
 def theorem1_rhs_canonical(

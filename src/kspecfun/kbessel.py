@@ -22,7 +22,9 @@ entering at the first power.  One recurrence sums S for both:
   sums lose ~4 digits to cancellation at z = 10 and plain doubles cannot
   hold 1e-12 agreement.
 
-Both paths stop where `summation.settle` says, called once per term.
+Both paths stop where `summation.settle` says, called once per term.  Each
+table's `floor` is the one-sign floor where c > 0 (z < 0 for the first
+kind) and gamma > 0 make every term positive, else 0.
 Term by term, the generalized series is also a forward (log |t_n|, sign_n)
 stream, `bessel_terms_logsig`, carrying the Pochhammer log and sign from
 term to term; the canonical right sides of the identities sum it.
@@ -50,7 +52,7 @@ from itertools import count, islice, repeat
 
 from .errors import DomainError
 from .kgamma import KScale, k_gamma, log_k_gamma
-from .summation import SeriesResult, accumulate, check_arg, check_series_args, settle
+from .summation import ONE_SIGN_FLOOR, SeriesResult, accumulate, check_arg, check_series_args, settle
 from .summation import dd_add, dd_div_d, dd_mul, dd_mul_d, is_positive, is_real, is_whole
 
 __all__ = [
@@ -177,17 +179,18 @@ class _LogTable:
     is (lc + log|g|, 2 log(n+1), L_{n+1} - L_n, g < 0, L_{n+1}), or None where g = 0 ends
     the series.  k is held as a KScale, so log_k_gamma does not check it at every row."""
 
-    __slots__ = ("k", "gamma", "lam", "s0", "lc", "neg", "lgk0", "rows")
+    __slots__ = ("k", "gamma", "lam", "s0", "lc", "neg", "lgk0", "floor", "rows")
 
     def __init__(self, k, gamma, lam, s0, lc, neg) -> None:
         self.k, self.gamma, self.lam, self.s0, self.lc, self.neg = KScale(k), gamma, lam, s0, lc, neg
         self.lgk0 = log_k_gamma(s0, self.k)
+        self.floor = ONE_SIGN_FLOOR if gamma > 0.0 and not neg else 0.0
         self.rows = []
 
     def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
         """w^nu / Gamma_k(s0) * S(c w^2) at w > 0."""
         lw = math.log(w)
-        return accumulate(self.pairs(nu * lw, 2.0 * lw), tol, max_terms)
+        return accumulate(self.pairs(nu * lw, 2.0 * lw), tol, max_terms, self.floor)
 
     def pairs(self, lead: float, lu: float):
         """Unbounded (term, ratio) stream of exp(lead) S(c u); lu = log|u|.
@@ -234,7 +237,7 @@ class _DDTable:
     w^nu / Gamma_k(s0), inf where it overflows.
     """
 
-    __slots__ = ("k", "gamma", "lambda1", "c", "s0", "m", "gk0", "rows")
+    __slots__ = ("k", "gamma", "lambda1", "c", "s0", "m", "gk0", "floor", "rows")
 
     def __init__(self, k, gamma, lambda1, c, s0, m) -> None:
         self.k, self.gamma, self.lambda1, self.c, self.s0, self.m = k, gamma, lambda1, c, s0, m
@@ -242,6 +245,7 @@ class _DDTable:
             self.gk0 = k_gamma(s0, k)
         except OverflowError:
             self.gk0 = math.inf
+        self.floor = ONE_SIGN_FLOOR if gamma > 0.0 and c > 0.0 else 0.0
         self.rows = []
 
     def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
@@ -249,8 +253,8 @@ class _DDTable:
         applied once at the end.  Builds row n here the first time any call
         reaches term n.  Raises OverflowError, through `settle`, at the first
         partial sum past double range, as the log path does."""
-        k, gamma, lambda1, c, s0, m, rows = (
-            self.k, self.gamma, self.lambda1, self.c, self.s0, self.m, self.rows)
+        k, gamma, lambda1, c, s0, m, floor, rows = (
+            self.k, self.gamma, self.lambda1, self.c, self.s0, self.m, self.floor, self.rows)
         pref = _lead(w, nu, s0, k, self.gk0)
         w2 = w * w
         t = (1.0, 0.0)
@@ -274,7 +278,7 @@ class _DDTable:
             # row None: exact termination with no tail, even where w2 or the scaled term overflows
             rho = 0.0 if row is None else abs(row[0]) * w2
             res = settle(n + 1, 0.0 if row is None else abs(t[0]) * pref, rho, rho_prev,
-                         pref * (acc[0] + acc[1]), tol, max_terms)
+                         pref * (acc[0] + acc[1]), tol, max_terms, floor)
             if res is not None:
                 return res
             t = dd_mul(dd_mul_d(t, w2), row)
@@ -320,4 +324,4 @@ def eval_k_bessel_first(
     if z == 0.0:
         return SeriesResult(_lead(0.0, 0.0, nu + 1.0, k), 1, 0.0, True)
     table = _LogTable(float(k), float(gamma), float(lam), nu + 1.0, 0.0, z > 0.0)
-    return accumulate(table.pairs(0.0, math.log(abs(0.5 * z))), tol, max_terms)
+    return accumulate(table.pairs(0.0, math.log(abs(0.5 * z))), tol, max_terms, table.floor)

@@ -12,10 +12,15 @@ Every series stops where one function, `settle`, says: once the ratio rho of
 term t to the next is below 1 and non-increasing and |t| rho / (1 - rho) <=
 tol min(max(|s|, 1e-300), 1), relative to the partial sum s up to |s| = 1
 and absolute above, or, unconverged, at the term cap; a partial sum that is
-not finite raises OverflowError.  Term streams are unbounded.  `accumulate`
-calls `settle` per term of a (term, |next/current| ratio) stream, which
-`logsig_pairs` builds from a forward stream of (L_n, sign_n), n = 0, 1, ...;
-the double-double Bessel recurrence calls it per term of its own sum.
+not finite raises OverflowError.  A series whose terms share one sign cannot
+cancel, so it also stops once that tail is <= 2^-64 |s| (ONE_SIGN_FLOOR,
+2^-11 of an ulp): above |s| = 2^64 tol its tail_estimate may exceed tol.  The
+generalized k-Bessel series and its canonical images take this floor where
+c > 0 and gamma > 0, the first kind where z < 0 and gamma > 0; no other
+series does.  Term streams are unbounded.  `accumulate` calls `settle` per
+term of a (term, |next/current| ratio) stream, which `logsig_pairs` builds
+from a forward stream of (L_n, sign_n), n = 0, 1, ...; the double-double
+Bessel recurrence calls it per term of its own sum.
 
 The real rule `is_real` (a finite int or float; not a bool or a string)
 covers arguments and parameters, the positive rule `is_positive` (the real
@@ -37,6 +42,7 @@ __all__ = ["CompensatedSum", "SeriesResult"]
 # Dekker splitting constant, 2**27 + 1; no hardware fma is assumed.
 _SPLIT = 134217729.0
 _MAX = sys.float_info.max  # the largest finite double; an int past it has no float value
+ONE_SIGN_FLOOR = 2.0**-64  # the relative tail at which a one-sign series stops
 
 # The error-free transforms below are written out in place: they run once or
 # more per series term, where call overhead would cost as much as the
@@ -209,33 +215,36 @@ def logsig_pairs(terms, lz: float):
 
 
 def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: float,
-           max_terms: int) -> SeriesResult | None:
+           max_terms: int, floor: float = 0.0) -> SeriesResult | None:
     """The finished sum if term n (from 1) ends the series, else None.
 
     t_abs is the term's size, rho its ratio to the next (rho_prev the one
     before, inf at the first term) and s the partial sum through it.  It has
-    converged when rho < 1, rho <= rho_prev and t_abs rho / (1 - rho) <= tol
-    min(max(|s|, 1e-300), 1).  A partial sum that is not finite (an inf or
-    nan term, or finite terms whose sum overflows) raises OverflowError.  At
-    the cap the tail estimate is reported unconverged, |t| where rho >= 1.
+    converged when rho < 1, rho <= rho_prev and the tail t_abs rho / (1 - rho)
+    is <= tol min(max(|s|, 1e-300), 1) or <= floor |s|; floor is 0 but on a
+    series whose terms share one sign, ONE_SIGN_FLOOR.  A partial sum that is
+    not finite (an inf or nan term, or finite terms whose sum overflows)
+    raises OverflowError.  At the cap the tail estimate is reported
+    unconverged, |t| where rho >= 1.
     """
     if not (a := abs(s)) <= _MAX:  # a is finite below: min(max(a, 1e-300), 1) needs no builtin
         raise OverflowError("math range error")
     tail = t_abs
     if rho < 1.0:
         tail = t_abs * rho / (1.0 - rho)
-        if rho <= rho_prev and tail <= tol * (1.0 if a > 1.0 else a if a > 1e-300 else 1e-300):
+        if rho <= rho_prev and (tail <= tol * (1.0 if a > 1.0 else a if a > 1e-300 else 1e-300)
+                                or tail <= floor * a):
             return SeriesResult(s, n, tail, True)
     if n >= max_terms:
         return SeriesResult(s, n, tail, False)
     return None
 
 
-def accumulate(pairs, tol: float, max_terms: int) -> SeriesResult:
+def accumulate(pairs, tol: float, max_terms: int, floor: float = 0.0) -> SeriesResult:
     """Sum a (term, |next/current| ratio) stream until `settle` ends it.
 
     A zero ratio marks exact termination (a Pochhammer factor hit zero);
-    an infinite one says no tail bound holds yet.
+    an infinite one says no tail bound holds yet.  floor goes to `settle`.
     """
     s = c = 0.0  # the Neumaier step of CompensatedSum.add, written out
     n = 0
@@ -249,9 +258,9 @@ def accumulate(pairs, tol: float, max_terms: int) -> SeriesResult:
         else:
             c += (t - u) + s
         s = u
-        res = settle(n, t_abs, r, rho, s + c, tol, max_terms)
+        res = settle(n, t_abs, r, rho, s + c, tol, max_terms, floor)
         if res is not None:
             return res
         rho = r
     # a stream that ran out is cut at its last term: rho_prev = -inf certifies nothing
-    return settle(max(n, 1), t_abs, rho, -math.inf, s + c, tol, 1)
+    return settle(max(n, 1), t_abs, rho, -math.inf, s + c, tol, 1, floor)

@@ -20,7 +20,7 @@ from kspecfun.identities import (
 from kspecfun.kbessel import BesselParams
 from kspecfun.kgamma import k_gamma
 from kspecfun.quadrature import ObParams, oberhettinger_closed_form
-from kspecfun.summation import SeriesResult
+from kspecfun.summation import ONE_SIGN_FLOOR, SeriesResult
 
 UNIT = BesselParams(k=1, nu=1, gamma=1, lambda1=1, c=-1, b=1)
 GEN = BesselParams(k=2, nu=0.5, gamma=1.5, lambda1=2, c=1, b=2)
@@ -132,6 +132,18 @@ def test_canonical_series_log_work_is_linear_in_terms(monkeypatch):
     r = theorem1_rhs_canonical(p, 0.5, 1.5, 0.5, 10.0)
     assert r.terms_used > 50
     assert counting.log_calls <= 3 * r.terms_used
+
+
+@pytest.mark.parametrize("rhs", [theorem1_rhs_canonical, theorem2_rhs_canonical])
+def test_canonical_takes_the_floor_only_where_its_terms_share_one_sign(monkeypatch, rhs):
+    # the kernel factors are positive Gammas, so the Bessel signs decide
+    floors = []
+    real = identities.accumulate
+    monkeypatch.setattr(identities, "accumulate",
+                        lambda pairs, tol, cap, floor: floors.append(floor) or real(pairs, tol, cap, floor))
+    for c, gamma in ((1.0, 1.5), (-1.0, 1.5), (1.0, -0.5)):
+        rhs(BesselParams(k=1, nu=0.5, gamma=gamma, lambda1=0.7, c=c, b=1), 0.5, 1.5, 1.0, 2.0)
+    assert floors == [ONE_SIGN_FLOOR, 0.0, 0.0]
 
 
 def test_corollary1_matches_negated_paper_form():

@@ -16,6 +16,7 @@ from kspecfun.kbessel import (
     gmk_bessel_term,
 )
 from kspecfun.kgamma import k_gamma, k_pochhammer
+from kspecfun.summation import ONE_SIGN_FLOOR
 
 UNIT_J = BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=-1, b=1)
 
@@ -24,7 +25,7 @@ def _log_stream(monkeypatch, evaluate, *args, max_terms):
     """The (term, ratio) stream the log path hands to accumulate."""
     seen = []
     monkeypatch.setattr(
-        kbessel, "accumulate", lambda pairs, tol, cap: seen.extend(islice(pairs, cap)))
+        kbessel, "accumulate", lambda pairs, tol, cap, floor: seen.extend(islice(pairs, cap)))
     evaluate(*args, max_terms=max_terms)
     assert seen
     return seen
@@ -197,6 +198,47 @@ def test_first_kind_general_value():
     # 200-term extended-precision reference
     r = eval_k_bessel_first(2.0, 1.0, 2.0, 1.0, 1.0, tol=1e-14)
     assert r.value == pytest.approx(0.41258107308286099768, rel=1e-13)
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+@pytest.mark.parametrize("z", [264.0, 300.0, 400.0, 500.0])
+def test_one_sign_i_nu_converges_at_large_argument(nu, z):
+    # every term of I_nu is positive, so the sum stops at a 2^-64 relative tail;
+    # the absolute tail of |s| > 1 ran I_0(300) into the 400-term cap
+    mpmath = pytest.importorskip("mpmath")
+    r = eval_gmk_bessel(BesselParams(1, nu, 1, 1, 1, 1), z, tol=1e-14)
+    assert r.converged and r.terms_used < 400
+    assert r.tail_estimate <= 2.0**-64 * r.value
+    with mpmath.workdps(40):
+        assert abs(r.value / mpmath.besseli(nu, z) - 1) <= 1e-15
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+@pytest.mark.parametrize("z", [300.0, 400.0])
+def test_alternating_j_nu_keeps_the_absolute_tail(nu, z):
+    # J_nu alternates: its sum at these arguments is cancellation noise, and
+    # the floor would report it converged
+    r = eval_gmk_bessel(BesselParams(1, nu, 1, 1, -1, 1), z)
+    assert not r.converged and r.terms_used == 400
+
+
+def test_first_kind_takes_the_floor_only_where_its_terms_share_one_sign(monkeypatch):
+    floors = []
+    real = kbessel.accumulate
+    monkeypatch.setattr(kbessel, "accumulate",
+                        lambda pairs, tol, cap, floor: floors.append(floor) or real(pairs, tol, cap, floor))
+    for gamma, z in ((1.5, -3.0), (1.5, 3.0), (-1.3, -3.0)):
+        eval_k_bessel_first(1.0, 0.5, gamma, 0.7, z)
+    assert floors == [ONE_SIGN_FLOOR, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("lambda1", [1.0, 0.7])  # the double-double path, the log path
+@pytest.mark.parametrize("c, gamma, floor", [
+    (1.0, 1.5, ONE_SIGN_FLOOR), (2.5, 0.5, ONE_SIGN_FLOOR), (1.0, -0.5, 0.0), (1.0, -2.0, 0.0),
+    (-1.0, 1.5, 0.0), (1.0, 0.0, 0.0),
+])
+def test_table_floor_needs_positive_c_and_gamma(lambda1, c, gamma, floor):
+    assert BesselParams(1.0, 0.5, gamma, lambda1, c, 1.0)._table.floor == floor
 
 
 def test_first_kind_z_zero():

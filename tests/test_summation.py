@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import kspecfun as ks
 from kspecfun.summation import (
+    ONE_SIGN_FLOOR,
     CompensatedSum,
     SeriesResult,
     accumulate,
@@ -129,16 +130,19 @@ def test_accumulate_raises_at_first_partial_sum_past_double_range(stream):
     assert list(pairs) == [(7.0, 0.5)]
 
 
-def _stated_rule(n, t_abs, rho, rho_prev, s, tol, max_terms):
-    """The stop rule as the documentation states it, builtins and all."""
+def _stated_rule(n, t_abs, rho, rho_prev, s, tol, max_terms, one_sign):
+    """The stop rule as the documentation states it, builtins and all; one_sign
+    adds the floor 2^-64 |s| of a series whose terms share one sign."""
     tail = t_abs * rho / (1 - rho) if rho < 1 else t_abs
-    if rho < 1 and rho <= rho_prev and tail <= tol * min(max(abs(s), 1e-300), 1):
+    bound = tol * min(max(abs(s), 1e-300), 1)
+    if rho < 1 and rho <= rho_prev and (tail <= bound or one_sign and tail <= 2**-64 * abs(s)):
         return SeriesResult(s, n, tail, True)
     return SeriesResult(s, n, tail, False) if n >= max_terms else None
 
 
+# 2^63 and 2^64 put |t| = 1 at rho = 0.5 just past and exactly on the floor
 _SIZES = (0.0, 5e-324, 1e-300, math.nextafter(1e-300, 1.0), 0.5, 1.0, math.nextafter(1.0, 2.0),
-          1e300)
+          2.0**63, 2.0**64, 1e300)
 # at rho = 0.5 the tail is |t|, so it sits on the bound exactly at |t| = |s|,
 # tol = 1 and 1e-300 <= |s| <= 1, and at |t| = 0.5, tol = 0.5 and |s| >= 1
 _RATIOS = (0.0, 0.5, math.nextafter(1.0, 0.0), 1.0, 2.0, math.inf, math.nan)
@@ -147,17 +151,25 @@ _RATIOS = (0.0, 0.5, math.nextafter(1.0, 0.0), 1.0, 2.0, math.inf, math.nan)
 @pytest.mark.parametrize("s", [x for v in _SIZES for x in (v, -v)])
 def test_settle_matches_the_stated_rule_bit_for_bit(s):
     outcomes = set()
+    floor_decides = False
     for rho in _RATIOS:
         # rho_prev equal to rho, larger, smaller, and -inf
         for rho_prev in (rho, math.nextafter(rho, math.inf), math.nextafter(rho, -math.inf), -math.inf):
             for t_abs in (0.0, 5e-324, 0.5, 1.0, abs(s)):
                 for tol in (1e-300, 1e-10, 0.5, 1.0):
                     for max_terms in (3, 4):  # the term cap reached at n = 3, and not
-                        got = settle(3, t_abs, rho, rho_prev, s, tol, max_terms)
-                        want = _stated_rule(3, t_abs, rho, rho_prev, s, tol, max_terms)
-                        assert repr(got) == repr(want), (t_abs, rho, rho_prev, tol, max_terms)
-                        outcomes.add(None if got is None else got.converged)
+                        got = {}
+                        for one_sign in (False, True):
+                            floor = ONE_SIGN_FLOOR if one_sign else 0.0
+                            got[one_sign] = settle(3, t_abs, rho, rho_prev, s, tol, max_terms, floor)
+                            want = _stated_rule(3, t_abs, rho, rho_prev, s, tol, max_terms, one_sign)
+                            assert repr(got[one_sign]) == repr(want), (t_abs, rho, rho_prev, tol,
+                                                                       max_terms, floor)
+                            outcomes.add(None if want is None else want.converged)
+                        floor_decides |= repr(got[False]) != repr(got[True])
     assert outcomes == {None, True, False}
+    # the floor alone ends some of these sums: those whose 2^-64 |s| reaches a tail of 0.5
+    assert floor_decides == (abs(s) >= 2.0**63)
 
 
 @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
@@ -168,9 +180,9 @@ def test_settle_raises_on_a_partial_sum_that_is_not_finite(s):
 
 # (value, terms_used, tail_estimate) of one call on each caller of settle, bit for bit
 @pytest.mark.parametrize("call, expected", [
-    # the double-double path, I_0(264): an absolute tail once |s| > 1
+    # the double-double path, I_0(264): one sign, so it stops at a 2^-64 relative tail
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(1, 0, 1, 1, 1, 1), 264.0, tol=1e-14),
-     (1.1067699210422132e+113, 371, 8.471389436144775e-15)),
+     (1.1067699210422132e+113, 213, 3.696483035600299e+93)),
     # the log path at H1's Bessel factor
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(1.5, 0.5, 1.5, 0.7, -1.0, 1.0), 10.0),
      (-1.4605341591524655e-05, 53, 1.074964246256837e-15)),
@@ -181,10 +193,10 @@ def test_settle_raises_on_a_partial_sum_that_is_not_finite(s):
     # no ratio bound while -1.5 + n <= 0
     (lambda: ks.eval_pfq((0.5, 1.5), (-1.5,), -0.75),
      (1.198907716146378, 129, 9.116885699310524e-11)),
-    # H2's canonical right side
+    # H2's canonical right side, one sign (c > 0, gamma > 0)
     (lambda: ks.theorem1_rhs_canonical(ks.BesselParams(1.0, 0.0, 1.0, 1.0, 1.0, 1.0),
                                        0.5, 0.6, 0.01, 1.0),
-     (2.428862381341323e+40, 142, 3.977257232976681e-11)),
+     (2.428862381341323e+40, 102, 6.048603872705348e+20)),
 ])
 def test_settle_callers_keep_their_bits(call, expected):
     r = call()
