@@ -13,8 +13,8 @@ and the first-kind variant is S(-z/2) with s0 = nu + 1, its argument
 entering at the first power.  One recurrence sums S for both:
 
 * in general, terms are carried in log-magnitude/sign form with the k-Gamma
-  ratio taken from consecutive log Gamma_k values, accumulated with
-  Neumaier compensation;
+  ratio taken from consecutive log Gamma_k values, and summed with
+  Neumaier compensation in the same loop;
 * for the generalized series with lambda1/k a positive integer m, the
   k-Gamma ratio between consecutive terms telescopes into an exact m-factor
   product, and the whole recurrence runs in double-double arithmetic.  This
@@ -25,16 +25,19 @@ entering at the first power.  One recurrence sums S for both:
 Both paths stop where `summation.settle` says, called once per term.  Each
 table's `floor` is the one-sign floor where c > 0 (z < 0 for the first
 kind) and gamma > 0 make every term positive, else 0.
-Term by term, the generalized series is also a forward (log |t_n|, sign_n)
-stream, `bessel_terms_logsig`, carrying the Pochhammer log and sign from
-term to term; the canonical right sides of the identities sum it.
+Apart from the tables, the generalized series is also a forward
+(log |t_n|, sign_n) stream, `bessel_terms_logsig`, carrying the Pochhammer
+log and sign from term to term: the canonical right sides of the identities
+sum it, and it is the independent cross-check on the tables' recurrences.
 
 Every part of a term ratio except the power of the argument depends on the
 parameters alone: the Pochhammer factor, the factorials and the k-Gamma
 ratio; on the double-double path a row is their product alone, whose
 leading double times w^2 is the truncation test's ratio.  These z-free
 parts live in a term table, the cached property `_table` of the
-`BesselParams` object, and each table sums its own path with `evaluate`.
+`BesselParams` object.  Each table sums its own path in one loop that
+builds, reads and sums the rows: `evaluate` on either path, and
+`_LogTable.series` for the first kind as well.
 Row n is built the first time any evaluation on that object reaches term
 n and read by every later call, so the ~240 nodes of an integral pay for
 each row once.  The table is not a dataclass field, so equality, hashing,
@@ -52,7 +55,7 @@ from itertools import count, islice, repeat
 
 from .errors import DomainError
 from .kgamma import KScale, k_gamma, log_k_gamma
-from .summation import ONE_SIGN_FLOOR, SeriesResult, accumulate, check_arg, check_series_args, settle
+from .summation import ONE_SIGN_FLOOR, SeriesResult, check_arg, check_series_args, settle
 from .summation import dd_add, dd_div_d, dd_mul, dd_mul_d, is_positive, is_real, is_whole
 
 __all__ = [
@@ -170,7 +173,7 @@ def _lead(w: float, e: float, s0: float, k: float, g: float | None = None) -> fl
 
 
 class _LogTable:
-    """z-free rows of the log/sign recurrence for
+    """z-free rows of the log/sign recurrence, and its sum, for
 
         S(x) = sum_n (gamma)_{n,k} x^n / (Gamma_k(lam n + s0) (n!)^2)
 
@@ -190,21 +193,24 @@ class _LogTable:
     def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
         """w^nu / Gamma_k(s0) * S(c w^2) at w > 0."""
         lw = math.log(w)
-        return accumulate(self.pairs(nu * lw, 2.0 * lw), tol, max_terms, self.floor)
+        return self.series(nu * lw, 2.0 * lw, tol, max_terms)
 
-    def pairs(self, lead: float, lu: float):
-        """Unbounded (term, ratio) stream of exp(lead) S(c u); lu = log|u|.
-
-        Builds row n here the first time any stream reaches term n.
-        """
-        k, gamma, lam, s0, lc, neg, rows = (
-            self.k, self.gamma, self.lam, self.s0, self.lc, self.neg, self.rows)
+    def series(self, lead: float, lu: float, tol: float, max_terms: int) -> SeriesResult:
+        """exp(lead) S(c u), lu = log|u|, summed with Neumaier compensation
+        until `settle` ends it.  Builds row n here the first time any call
+        reaches term n."""
+        k, gamma, lam, s0, lc, neg, floor, rows = (
+            self.k, self.gamma, self.lam, self.s0, self.lc, self.neg, self.floor, self.rows)
+        exp = math.exp
+        built = len(rows)  # rows past these are built here, in order
         lgk = self.lgk0
         big = lead - lgk
         sgn = 1
+        s = c = 0.0  # the Neumaier step of CompensatedSum.add, written out
+        rho = math.inf
         for n in count():
-            t = sgn * math.exp(big)
-            if n < len(rows):
+            t = sgn * exp(big)
+            if n < built:
                 row = rows[n]
             else:
                 g = gamma + n * k.k
@@ -214,13 +220,23 @@ class _LogTable:
                     row = (lc + math.log(abs(g)), 2.0 * math.log(n + 1.0), lgk_next - lgk,
                            g < 0.0, lgk_next)
                 rows[n:n + 1] = (row,)
-            if row is None:
-                yield t, 0.0
-                return
+            u = s + t
+            t_abs = abs(t)
+            if abs(s) >= t_abs:
+                c += (s - u) + t
+            else:
+                c += (t - u) + s
+            s = u
+            if row is None:  # exact termination: no tail
+                return settle(n + 1, t_abs, 0.0, rho, s + c, tol, max_terms, floor)
             a, b, d, flip, lgk = row
             dlg = a + lu - b
             dlg -= d
-            yield t, math.exp(dlg)
+            rho_prev = rho
+            rho = exp(dlg)
+            res = settle(n + 1, t_abs, rho, rho_prev, s + c, tol, max_terms, floor)
+            if res is not None:
+                return res
             big += dlg
             if neg != flip:
                 sgn = -sgn
@@ -260,8 +276,9 @@ class _DDTable:
         t = (1.0, 0.0)
         acc = (1.0, 0.0)
         rho = math.inf
+        built = len(rows)  # rows past these are built here, in order
         for n in count():
-            if n < len(rows):
+            if n < built:
                 row = rows[n]
             else:
                 g = gamma + n * k
@@ -324,4 +341,4 @@ def eval_k_bessel_first(
     if z == 0.0:
         return SeriesResult(_lead(0.0, 0.0, nu + 1.0, k), 1, 0.0, True)
     table = _LogTable(float(k), float(gamma), float(lam), nu + 1.0, 0.0, z > 0.0)
-    return accumulate(table.pairs(0.0, math.log(abs(0.5 * z))), tol, max_terms, table.floor)
+    return table.series(0.0, math.log(abs(0.5 * z)), tol, max_terms)

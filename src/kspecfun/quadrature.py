@@ -246,16 +246,6 @@ def check_theorem_args(which: int, bp: BesselParams, mu, lam, a, y) -> tuple[flo
     return mu, lam, a, y
 
 
-def _bessel_factor(bp: BesselParams, z: float, series_tol: float, max_terms: int) -> float:
-    sr = eval_gmk_bessel(bp, z, tol=series_tol, max_terms=max_terms)
-    if not sr.converged:
-        raise NonConvergenceError(
-            f"series factor failed to converge at argument {z!r} "
-            f"(terms={sr.terms_used}, tail={sr.tail_estimate!r})"
-        )
-    return sr.value
-
-
 def _weighted_kernel_lhs(which, bp, mu, lam, a, y, tol, budget, series_tol, max_terms):
     mu, lam, a, y = check_theorem_args(which, bp, mu, lam, a, y)
     # Bessel factor by argument, for this integral only: near x = 0 (first
@@ -268,7 +258,13 @@ def _weighted_kernel_lhs(which, bp, mu, lam, a, y, tol, budget, series_tol, max_
         z = y / ph if which == 1 else x / ph * y
         v = factors.get(z)
         if v is None:
-            v = factors[z] = _bessel_factor(bp, z, series_tol, max_terms)
+            sr = eval_gmk_bessel(bp, z, series_tol, max_terms)
+            if not sr.converged:
+                raise NonConvergenceError(
+                    f"series factor failed to converge at argument {z!r} "
+                    f"(terms={sr.terms_used}, tail={sr.tail_estimate!r})"
+                )
+            v = factors[z] = sr.value
         if v == 0.0:
             return 0.0
         lf = (mu - 1.0) * math.log(x) - lam * math.log(ph) + math.log(abs(v))

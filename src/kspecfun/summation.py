@@ -19,8 +19,8 @@ generalized k-Bessel series and its canonical images take this floor where
 c > 0 and gamma > 0, the first kind where z < 0 and gamma > 0; no other
 series does.  Term streams are unbounded.  `accumulate` calls `settle` per
 term of a (term, |next/current| ratio) stream, which `logsig_pairs` builds
-from a forward stream of (L_n, sign_n), n = 0, 1, ...; the double-double
-Bessel recurrence calls it per term of its own sum.
+from a forward stream of (L_n, sign_n), n = 0, 1, ...; both Bessel term
+tables, double-double and log/sign, call it per term of their own sums.
 
 The real rule `is_real` (a finite int or float; not a bool or a string)
 covers arguments and parameters, the positive rule `is_positive` (the real
@@ -192,7 +192,12 @@ def check_settings(tol, name: str, n, least: int) -> None:
 def check_series_args(z: float, tol: float, max_terms: int) -> tuple[float, int]:
     """Validate a series argument, tolerance and term cap; return (z, max_terms).
 
-    It runs at every quadrature node, so it raises and converts only where it must."""
+    It runs at every quadrature node, so a finite float z, a float tol in
+    (0, max] and an int max_terms >= 1 return at once; any other input takes
+    the checks that raise and convert."""
+    if (type(z) is float and type(tol) is float and type(max_terms) is int
+            and abs(z) <= _MAX and 0.0 < tol <= _MAX and max_terms >= 1):
+        return z, max_terms
     z = check_arg(z)
     if not (is_positive(tol) and is_whole(max_terms, 1)):
         check_settings(tol, "max_terms", max_terms, 1)

@@ -253,6 +253,30 @@ def test_verify_non_convergence_series():
     assert "evaluation failed" in r.diagnostics and "converge" in r.diagnostics
 
 
+def test_verify_names_the_unconverged_series_factor():
+    r = verify("theorem1", UNIT_PARAMS, max_terms=2)
+    assert r.diagnostics == ("evaluation failed: series factor failed to converge at argument 1.0 "
+                             "(terms=2, tail=0.002717391304347826)")
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"tol_series": True}, "tolerance must be positive, got True"),
+    ({"tol_series": "1"}, "tolerance must be positive, got '1'"),
+    ({"tol_series": math.nan}, "tolerance must be positive, got nan"),
+    ({"tol_series": _Float(math.inf)}, "tolerance must be finite, got inf"),
+    ({"max_terms": True}, "max_terms must be a whole number >= 1, got True"),
+    ({"max_terms": False}, "max_terms must be a whole number >= 1, got False"),
+])
+def test_verify_reports_bad_series_settings_from_the_integrand(settings, message):
+    r = verify("theorem1", UNIT_PARAMS, **settings)
+    assert (r.verdict, r.diagnostics, r.quad_evals) == (
+        "inconclusive", f"evaluation failed: {message}", 0)
+
+
 @pytest.mark.parametrize("identity", ["theorem1", "oberhettinger"])
 def test_verify_non_convergence_quadrature(identity):
     r = verify(identity, UNIT_PARAMS, tol_quad=1e-15, quad_budget=250)

@@ -3,7 +3,6 @@ import random
 import sys
 import threading
 from dataclasses import astuple, fields
-from itertools import islice
 
 import pytest
 
@@ -21,14 +20,32 @@ from kspecfun.summation import ONE_SIGN_FLOOR
 UNIT_J = BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=-1, b=1)
 
 
-def _log_stream(monkeypatch, evaluate, *args, max_terms):
-    """The (term, ratio) stream the log path hands to accumulate."""
+def _settle_calls(monkeypatch, evaluate, *args, max_terms):
+    """(|t|, ratio, partial sum) of each term of a log-path sum, as `settle`
+    sees them.  Every term before the cap is answered None, so the sum runs
+    to the cap or to its exact end."""
     seen = []
-    monkeypatch.setattr(
-        kbessel, "accumulate", lambda pairs, tol, cap, floor: seen.extend(islice(pairs, cap)))
+    real = kbessel.settle
+
+    def hook(n, t_abs, rho, rho_prev, s, tol, cap, floor):
+        seen.append((t_abs, rho, s))
+        return real(n, t_abs, rho, rho_prev, s, tol, cap, floor) if n >= cap else None
+
+    monkeypatch.setattr(kbessel, "settle", hook)
     evaluate(*args, max_terms=max_terms)
     assert seen
     return seen
+
+
+def _moved_signs(calls):
+    """The sign each term moved the partial sum by: +1, -1, or 0 where the
+    sum did not change.  A Neumaier step never moves it against the term."""
+    sums = [0.0] + [s for _, _, s in calls]
+    return [(b > a) - (b < a) for a, b in zip(sums, sums[1:])]
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
 
 
 def test_classical_j0():
@@ -79,11 +96,13 @@ def test_incremental_matches_direct_terms(monkeypatch):
     # non-integer lambda1/k exercises the log-domain path
     p = BesselParams(k=1, nu=0.5, gamma=2.0, lambda1=1.5, c=-1, b=2)
     z = 4.0
-    pairs = _log_stream(monkeypatch, eval_gmk_bessel, p, z, max_terms=120)
-    terms = [t for t, _ in pairs]
+    calls = _settle_calls(monkeypatch, eval_gmk_bessel, p, z, max_terms=120)
+    signs = _moved_signs(calls)
     for n in range(101):
         direct = gmk_bessel_term(p, z, n)
-        assert terms[n] == pytest.approx(direct, rel=1e-12)
+        assert calls[n][0] == pytest.approx(abs(direct), rel=1e-12)
+        assert signs[n] in (0, _sign(direct))
+    assert all(signs[:10])  # the terms that move the sum carry its sign
 
 
 def test_term_recurrence_formula(monkeypatch):
@@ -93,7 +112,7 @@ def test_term_recurrence_formula(monkeypatch):
     p = BesselParams(k=2, nu=1.0, gamma=1.5, lambda1=3.0, c=-0.7, b=2)
     z = 2.5
     s0 = p.nu + 0.5 * (p.b + 1.0)
-    rhos = [rho for _, rho in _log_stream(monkeypatch, eval_gmk_bessel, p, z, max_terms=102)]
+    rhos = [rho for _, rho, _ in _settle_calls(monkeypatch, eval_gmk_bessel, p, z, max_terms=102)]
     for n in range(101):
         log_r = log_k_gamma(p.lambda1 * (n + 1) + s0, p.k) - log_k_gamma(
             p.lambda1 * n + s0, p.k
@@ -135,17 +154,20 @@ def _first_kind_term(k, nu, gamma, lam, z, n):
     ],
 )
 def test_first_kind_incremental_matches_direct_terms(monkeypatch, k, nu, gamma, lam, z):
-    pairs = _log_stream(monkeypatch, eval_k_bessel_first, k, nu, gamma, lam, z, max_terms=101)
-    for n, (t, rho) in enumerate(pairs):
+    calls = _settle_calls(monkeypatch, eval_k_bessel_first, k, nu, gamma, lam, z, max_terms=101)
+    signs = _moved_signs(calls)
+    for n, (t_abs, rho, _) in enumerate(calls):
         direct = _first_kind_term(k, nu, gamma, lam, z, n)
         following = _first_kind_term(k, nu, gamma, lam, z, n + 1)
         if abs(direct) > 1e-290:  # terms compared where doubles hold them
-            assert t == pytest.approx(float(direct), rel=1e-12, abs=0.0)
+            assert t_abs == pytest.approx(abs(float(direct)), rel=1e-12, abs=0.0)
+            assert signs[n] in (0, _sign(direct))
         if rho == 0.0:
             assert following == 0
             break
         assert rho == pytest.approx(float(abs(following / direct)), rel=1e-12)
-    assert len(pairs) == (3 if gamma == -2 * k else 101)
+    assert len(calls) == (3 if gamma == -2 * k else 101)
+    assert all(signs[:3])
 
 
 @pytest.mark.parametrize(
@@ -222,14 +244,30 @@ def test_alternating_j_nu_keeps_the_absolute_tail(nu, z):
     assert not r.converged and r.terms_used == 400
 
 
+@pytest.mark.xfail(strict=True, reason="the dd path sums J_0/J_1(264) to cancellation noise (6.2e79, "
+                   "1.0e80) and reports converged=True; ROADMAP item 2 counts the rounding error")
+@pytest.mark.parametrize("nu", [0, 1])
+def test_alternating_j_nu_at_264_is_right_where_it_reports_converged(nu):
+    mpmath = pytest.importorskip("mpmath")
+    r = eval_gmk_bessel(BesselParams(1, nu, 1, 1, -1, 1), 264.0)
+    with mpmath.workdps(40):
+        exact = mpmath.besselj(nu, 264)
+    assert not r.converged or abs(r.value - exact) <= 1e-10 * max(abs(exact), 1)
+
+
 def test_first_kind_takes_the_floor_only_where_its_terms_share_one_sign(monkeypatch):
     floors = []
-    real = kbessel.accumulate
-    monkeypatch.setattr(kbessel, "accumulate",
-                        lambda pairs, tol, cap, floor: floors.append(floor) or real(pairs, tol, cap, floor))
+    real = kbessel.settle
+
+    def hook(n, t_abs, rho, rho_prev, s, tol, cap, floor):
+        floors[-1].add(floor)
+        return real(n, t_abs, rho, rho_prev, s, tol, cap, floor)
+
+    monkeypatch.setattr(kbessel, "settle", hook)
     for gamma, z in ((1.5, -3.0), (1.5, 3.0), (-1.3, -3.0)):
+        floors.append(set())
         eval_k_bessel_first(1.0, 0.5, gamma, 0.7, z)
-    assert floors == [ONE_SIGN_FLOOR, 0.0, 0.0]
+    assert floors == [{ONE_SIGN_FLOOR}, {0.0}, {0.0}]
 
 
 @pytest.mark.parametrize("lambda1", [1.0, 0.7])  # the double-double path, the log path

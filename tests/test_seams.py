@@ -46,6 +46,7 @@ SEAMS = [
     (identities, "eval_k_wright", _verify_theorem1),
     (cli, "verify", _cli_verify),
     (kbessel, "log_k_gamma", _verify_theorem1_log_path),
+    (kbessel, "settle", _verify_theorem1_log_path),
     (kbessel, "dd_add", _verify_theorem1),
     (kbessel, "dd_mul_d", _verify_theorem1),
     (kbessel, "dd_div_d", _verify_theorem1),

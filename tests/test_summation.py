@@ -14,6 +14,7 @@ from kspecfun.summation import (
     dd_div_d,
     dd_mul,
     dd_mul_d,
+    check_series_args,
     settle,
 )
 
@@ -188,6 +189,14 @@ def test_settle_raises_on_a_partial_sum_that_is_not_finite(s):
      (-1.4605341591524655e-05, 53, 1.074964246256837e-15)),
     (lambda: ks.eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, 10.0),
      (-0.004462866618452489, 24, 2.884181040496636e-13)),
+    # the log path, one sign (c > 0, gamma > 0): it stops on the 2^-64 floor, its tail above tol
+    (lambda: ks.eval_gmk_bessel(ks.BesselParams(1.0, 0.5, 1.5, 0.7, 1.0, 1.0), 40.0),
+     (3.6431847058252203e+28, 91, 986793439.3549839)),
+    # the first kind at gamma = -2k ends on its exact zero at n = 3
+    (lambda: ks.eval_k_bessel_first(2.0, 0.5, -4.0, 1.0, 2.0), (5.975304578303514, 3, 0.0)),
+    # the first kind at z < 0, one sign
+    (lambda: ks.eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, -10.0),
+     (152.58700667717812, 22, 3.9995368674375485e-11)),
     (lambda: ks.eval_k_wright(ks.WrightSpec(((1.5, 0.5),), ((2.0, 1.0), (0.5, 0.7)), 1.5), -8.0),
      (0.07086190364878453, 17, 6.628745009858519e-12)),
     # no ratio bound while -1.5 + n <= 0
@@ -202,3 +211,39 @@ def test_settle_callers_keep_their_bits(call, expected):
     r = call()
     assert r.converged
     assert repr((r.value, r.terms_used, r.tail_estimate)) == repr(expected)
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("z, tol, max_terms, message", [
+    (True, 1e-10, 400, "argument must be a finite real, got True"),
+    ("1", 1e-10, 400, "argument must be a finite real, got '1'"),
+    (math.nan, 1e-10, 400, "argument must be a finite real, got nan"),
+    (math.inf, 1e-10, 400, "argument must be a finite real, got inf"),
+    (_Float(math.inf), 1e-10, 400, "argument must be a finite real, got inf"),
+    (2.0, True, 400, "tolerance must be positive, got True"),
+    (2.0, "1", 400, "tolerance must be positive, got '1'"),
+    (2.0, math.nan, 400, "tolerance must be positive, got nan"),
+    (2.0, math.inf, 400, "tolerance must be finite, got inf"),
+    (2.0, _Float(math.inf), 400, "tolerance must be finite, got inf"),
+    (2.0, 0.0, 400, "tolerance must be positive, got 0.0"),
+    (2.0, 1e-10, True, "max_terms must be a whole number >= 1, got True"),
+    (2.0, 1e-10, False, "max_terms must be a whole number >= 1, got False"),
+    (2.0, 1e-10, 0, "max_terms must be a whole number >= 1, got 0"),
+])
+def test_series_args_reject_with_their_messages(z, tol, max_terms, message):
+    with pytest.raises(ks.DomainError) as err:
+        check_series_args(z, tol, max_terms)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("z, tol, max_terms", [
+    (2.0, 1e-10, 400), (_Float(2.0), 1e-10, 400), (2, 1e-10, 400), (2.0, _Float(1e-10), 400),
+    (2.0, 1, 400), (2.0, 1e-10, 400.0), (-2.0, 1.7976931348623157e308, 1),
+])
+def test_series_args_come_back_as_float_and_int(z, tol, max_terms):
+    got = check_series_args(z, tol, max_terms)
+    assert got == (z, max_terms)
+    assert (type(got[0]), type(got[1])) == (float, int)
