@@ -151,12 +151,6 @@ def _canonical_terms_logsig(
 def _rhs_canonical(which, bp, mu, lam, a, y, tol, max_terms) -> SeriesResult:
     mu, lam, a, y = check_theorem_args(which, bp, mu, lam, a, y)
     check_series_args(y, tol, max_terms)
-    if y == 0.0:
-        if bp.nu > 0.0:
-            return SeriesResult(0.0, 1, 0.0, True)
-        lg, sg = next(_canonical_terms_logsig(which, bp, mu, lam, a, 1.0))
-        # nu = 0 kills the (y/2)^(nu+2n) factor only for n > 0
-        return SeriesResult(sg * math.exp(lg), 1, 0.0, True)
     terms = _canonical_terms_logsig(which, bp, mu, lam, a, y)
     # the kernel factors are positive Gammas, so c > 0 and gamma > 0 give one sign
     floor = ONE_SIGN_FLOOR if bp.c > 0.0 and bp.gamma > 0.0 else 0.0
@@ -330,8 +324,8 @@ def classical_reduction_check(kind: str, nu: float, z: float) -> float:
 
 def _ratio_diagnostics(row: Identity, bp, mu, lam, a, y) -> str:
     """Per-term packaged/canonical ratio for the first few indices."""
-    if y == 0.0:
-        y = 1.0  # the y-powers cancel in each ratio; avoid log(0)
+    if 0.5 * y == 0.0:
+        y = 1.0  # the y-powers cancel in each ratio; at y/2 = 0 no term past n = 0 is left
     pref, spec, arg = _packaging(row.family, row.reduced, bp, mu, lam, a, y)
     canonical = _canonical_terms_logsig(row.family, bp, mu, lam, a, y)
     packaged = wright_terms_logsig(spec.upper, spec.lower, spec.k_scale, arg)
@@ -473,8 +467,7 @@ def to_record(report: IdentityReport) -> dict:
     computed because the point was skipped) become None so both output
     formats stay cleanly parseable.
     """
-    rec = {field: None for field in CSV_FIELDS}
-    rec["identity"] = report.identity_id
+    rec = {"identity": report.identity_id}
     for key in _WEIGHTED_PARAMS:
         value = report.params.get(key)
         # echo only what the real rule accepts

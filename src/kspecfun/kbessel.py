@@ -10,7 +10,9 @@ the generalized series is (z/2)^nu S(c (z/2)^2) with s0 = nu + (b+1)/2,
                  * (z/2)^(nu+2n) / (n!)^2,
 
 and the first-kind variant is S(-z/2) with s0 = nu + 1, its argument
-entering at the first power.  One recurrence sums S for both:
+entering at the first power.  Both are summed in the half-argument z/2;
+where it is 0.0, z = 5e-324 included, a series is its n = 0 term.
+One recurrence sums S for both:
 
 * in general, terms are carried in log-magnitude/sign form with the k-Gamma
   ratio taken from consecutive log Gamma_k values, and summed with
@@ -113,14 +115,16 @@ class BesselParams:
 
 
 def bessel_terms_logsig(p: BesselParams, w: float):
-    """(log |t_n|, sign_n) of the series terms at half-argument w = z/2 > 0
-    for n = 0, 1, 2, ...; (-inf, 0) forever once a Pochhammer factor
-    vanishes, and past n = 0 when c = 0.
+    """(log |t_n|, sign_n) of the series terms at half-argument w = z/2 >= 0
+    for n = 0, 1, 2, ....  The stream ends, yielding (-inf, 0) forever, at a
+    Pochhammer zero and past n = 0 where c = 0 or w = 0; at w = 0 the n = 0
+    term is w^nu / Gamma_k(s0) with 0^0 = 1, so log |t_0| is -inf at nu > 0.
 
     The Pochhammer log and sign are carried from term to term.
     """
     lc = math.log(abs(p.c)) if p.c else 0.0
-    lw = math.log(w)
+    # at w = 0 only the n = 0 term reads lw, as nu lw = log 0^nu
+    lw = math.log(w) if w else (-math.inf if p.nu else 0.0)
     lp = 0.0
     sg = 1
     for n in count():
@@ -128,7 +132,7 @@ def bessel_terms_logsig(p: BesselParams, w: float):
               - log_k_gamma(p.lambda1 * n + p.s0, p.k) - 2.0 * math.lgamma(n + 1.0))
         yield lg, -sg if p.c < 0.0 and n % 2 else sg
         f = p.gamma + n * p.k
-        if f == 0.0 or p.c == 0.0:
+        if f == 0.0 or p.c == 0.0 or not w:
             yield from repeat((-math.inf, 0))
         if f < 0.0:
             sg = -sg
@@ -143,11 +147,12 @@ def gmk_bessel_term(p: BesselParams, z: float, n: int) -> float:
     z = check_arg(z)
     if z < 0:
         raise DomainError(f"argument must be >= 0, got {z!r}")
-    if z == 0.0:
+    w = 0.5 * z
+    if w == 0.0:
         if n == 0 and p.nu == 0.0:
             return _lead(0.0, 0.0, p.s0, p.k)
         return 0.0
-    lg, sg = next(islice(bessel_terms_logsig(p, 0.5 * z), int(n), None))
+    lg, sg = next(islice(bessel_terms_logsig(p, w), int(n), None))
     return sg * math.exp(lg) if sg else 0.0
 
 
@@ -284,10 +289,7 @@ class _DDTable:
                 g = gamma + n * k
                 row = None
                 if g != 0.0:
-                    row = (g, 0.0)
-                    if c != 1.0:
-                        row = dd_mul_d(row, c)
-                    row = dd_div_d(row, (n + 1.0) * (n + 1.0))
+                    row = dd_div_d(dd_mul_d((g, 0.0), c), (n + 1.0) * (n + 1.0))
                     for j in range(m):
                         row = dd_div_d(row, lambda1 * n + s0 + j * k)
                 rows[n:n + 1] = (row,)
@@ -309,10 +311,11 @@ def eval_gmk_bessel(
     z, max_terms = check_series_args(z, tol, max_terms)
     if z < 0:
         raise DomainError(f"argument must be >= 0, got {z!r}")
-    if z == 0.0 or p.c == 0.0:
+    w = 0.5 * z
+    if w == 0.0 or p.c == 0.0:
         # only the n = 0 term
-        return SeriesResult(_lead(0.5 * z, p.nu, p.s0, p.k), 1, 0.0, True)
-    return p._table.evaluate(0.5 * z, p.nu, tol, max_terms)
+        return SeriesResult(_lead(w, p.nu, p.s0, p.k), 1, 0.0, True)
+    return p._table.evaluate(w, p.nu, tol, max_terms)
 
 
 def eval_k_bessel_first(
@@ -338,7 +341,8 @@ def eval_k_bessel_first(
         raise DomainError(f"lam must be positive, got {lam!r}")
     if not nu + 1.0 > 0:
         raise DomainError(f"nu + 1 must be positive, got nu={nu!r}")
-    if z == 0.0:
+    w = abs(0.5 * z)
+    if w == 0.0:
         return SeriesResult(_lead(0.0, 0.0, nu + 1.0, k), 1, 0.0, True)
     table = _LogTable(float(k), float(gamma), float(lam), nu + 1.0, 0.0, z > 0.0)
-    return table.series(0.0, math.log(abs(0.5 * z)), tol, max_terms)
+    return table.series(0.0, math.log(w), tol, max_terms)

@@ -177,13 +177,11 @@ def eval_pfq(
 
 
 def _weight1_pairs(upper, lower, z: float):
-    """Unit-weight Wright terms, with ratios replaced by the monotone pFq
-    tail bound (the weight-1 term ratios equal the pFq ones)."""
-    dens = list(lower) + [1.0]
-    least = min(dens)
+    """Unit-weight Wright terms, each with the ratio bound `_pfq_pairs`
+    yields for the same index: the weight-1 term ratios equal the pFq ones."""
     terms = wright_terms_logsig([(a, 1.0) for a in upper], [(b, 1.0) for b in lower], 1.0, z)
-    for n, (t, _) in enumerate(logsig_pairs(terms, math.log(abs(z)))):
-        yield t, _ratio_tail_bound(upper, dens, least, z, n)
+    pairs = zip(logsig_pairs(terms, math.log(abs(z))), _pfq_pairs(upper, lower, z))
+    return ((t, rho) for (t, _), (_, rho) in pairs)
 
 
 def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_terms: int = 400) -> float:

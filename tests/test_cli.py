@@ -62,6 +62,14 @@ def test_eval_tol_series_sets_the_series_tolerance(capsys):
         assert f"terms_used={terms}\n" in capsys.readouterr().out
 
 
+def test_half_argument_that_rounds_to_zero_leaves_the_first_term(capsys):
+    # z/2 is 0.0 at z = 5e-324, and one quadrature node of this verify lands there
+    assert cli.main(["eval", "kbessel", "z=5e-324"]) == 0
+    assert capsys.readouterr().out == "value=1.0\nterms_used=1\ntail_estimate=0.0\nconverged=true\n"
+    assert cli.main(["verify", "theorem1", "y=1e-20", "lambda1=0.5"]) == 0
+    assert "verdict=match\n" in capsys.readouterr().out
+
+
 def test_eval_wright_margin_rejected():
     r = run_cli("eval", "wright", "upper=1:1,2:1", "lower=", "z=0.5")
     assert r.returncode == 2

@@ -66,6 +66,23 @@ def test_canonical_y_zero():
     assert r.value == 0.0 and r.converged
 
 
+@pytest.mark.parametrize("nu", [0.0, 1.0])
+@pytest.mark.parametrize("rhs", [theorem1_rhs_canonical, theorem2_rhs_canonical])
+def test_canonical_y_whose_half_rounds_to_zero(rhs, nu):
+    # 0.5 * 5e-324 is 0.0: the sum is its n = 0 term, as at y = 0, not log(0)
+    p = BesselParams(k=2, nu=nu, gamma=1.5, lambda1=2, c=1, b=2)
+    assert rhs(p, 0.5, 1.5, 2.0, 5e-324) == rhs(p, 0.5, 1.5, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("identity, y", [
+    ("theorem1", 1e-20), ("theorem1", 1e-300), ("theorem2", 1e-280), ("theorem2", 1e-320),
+])
+def test_verify_takes_quadrature_nodes_whose_half_argument_rounds_to_zero(identity, y):
+    # a node of these integrals lands on z = 5e-324, where z/2 is 0.0
+    r = verify(identity, dict(UNIT_PARAMS, lambda1=0.5, y=y))
+    assert r.verdict == "match"
+
+
 def _canonical_sum(which, p, mu, lam, a, y):
     """Canonical right side from its definition, term by term in 40-digit
     arithmetic: the series term times the kernel's closed form
@@ -203,6 +220,13 @@ def test_verify_theorem2_unit_canonical_only():
 def test_verify_theorem2_ratio_diagnostics(point, ratios):
     r = verify("theorem2", dict(UNIT_PARAMS, mu=0.5, **point))
     assert (r.verdict, r.diagnostics) == ("canonical_only", "packaged/canonical term ratios: " + ratios)
+
+
+def test_verify_ratio_diagnostics_where_half_y_rounds_to_zero():
+    # y/2 is 0.0, as at y = 0: the ratios are taken at y = 1
+    at_zero = verify("theorem2", dict(UNIT_PARAMS, mu=0.5, nu=0, c=-1, b=2, y=0))
+    r = verify("theorem2", dict(UNIT_PARAMS, mu=0.5, nu=0, c=-1, b=2, y=5e-324))
+    assert (r.verdict, r.diagnostics) == ("canonical_only", at_zero.diagnostics)
 
 
 @pytest.mark.parametrize("identity", ["theorem1", "oberhettinger"])
@@ -623,7 +647,7 @@ def test_verify_reports_an_unconverged_classical_check():
 
 
 @pytest.mark.xfail(strict=True, reason="eval_gmk_bessel divides by the rounded double n + nu + 1 "
-                   "and is 7.8e-10 off at nu = 1.7, z = 20; ROADMAP item 1 makes its inputs exact")
+                   "and is 7.8e-10 off at nu = 1.7, z = 20; ROADMAP item 2 makes its inputs exact")
 def test_classical_reduction_sees_evaluator_rounding_at_non_dyadic_nu():
     assert classical_reduction_check("bessel_J", 1.7, 20.0) <= 1e-12
 

@@ -15,7 +15,7 @@ from kspecfun.kbessel import (
     gmk_bessel_term,
 )
 from kspecfun.kgamma import k_gamma, k_pochhammer
-from kspecfun.summation import ONE_SIGN_FLOOR
+from kspecfun.summation import ONE_SIGN_FLOOR, SeriesResult
 
 UNIT_J = BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=-1, b=1)
 
@@ -245,7 +245,7 @@ def test_alternating_j_nu_keeps_the_absolute_tail(nu, z):
 
 
 @pytest.mark.xfail(strict=True, reason="the dd path sums J_0/J_1(264) to cancellation noise (6.2e79, "
-                   "1.0e80) and reports converged=True; ROADMAP item 2 counts the rounding error")
+                   "1.0e80) and reports converged=True; ROADMAP item 1 counts the rounding error")
 @pytest.mark.parametrize("nu", [0, 1])
 def test_alternating_j_nu_at_264_is_right_where_it_reports_converged(nu):
     mpmath = pytest.importorskip("mpmath")
@@ -253,6 +253,29 @@ def test_alternating_j_nu_at_264_is_right_where_it_reports_converged(nu):
     with mpmath.workdps(40):
         exact = mpmath.besselj(nu, 264)
     assert not r.converged or abs(r.value - exact) <= 1e-10 * max(abs(exact), 1)
+
+
+H1_FACTOR = BesselParams(1.5, 0.5, 1.5, 0.7, -1, 1)
+
+
+@pytest.mark.xfail(strict=True, reason="cancellation leaves these sums 0.27% off, 2.6e6 for -9.1e-13, "
+                   "4.4e-9 off and -1.1e139 for -0.039, each with converged=True; ROADMAP item 1's "
+                   "rounding bound reports them unconverged")
+@pytest.mark.parametrize("p, z, tol, max_terms", [
+    (H1_FACTOR, 10.0, 1e-12, 400),
+    (H1_FACTOR, 20.0, 1e-12, 400),
+    (BesselParams(1.961, 1.126, 1.097, 1.961, -1.316, 1.405), 20.073, 1e-10, 400),  # the dd path
+    (UNIT_J, 400.0, 1e-10, 800),
+], ids=["H1 factor z=10", "H1 factor z=20", "dd z=20.073", "J_0(400)"])
+def test_cancelled_sums_are_right_where_they_report_converged(p, z, tol, max_terms):
+    mpmath = pytest.importorskip("mpmath")
+    r = eval_gmk_bessel(p, z, tol=tol, max_terms=max_terms)
+    with mpmath.workdps(40):
+        if p == UNIT_J:
+            exact = mpmath.besselj(0, z)
+        else:
+            exact = mpmath.fsum(_gmk_term(p, z, n) for n in range(300))
+        assert not r.converged or abs(r.value - exact) <= tol * max(abs(exact), 1)
 
 
 def test_first_kind_takes_the_floor_only_where_its_terms_share_one_sign(monkeypatch):
@@ -283,6 +306,21 @@ def test_first_kind_z_zero():
     r = eval_k_bessel_first(2.0, 1.0, 2.0, 1.0, 0.0)
     assert r.value == pytest.approx(1.0 / k_gamma(2.0, 2.0), rel=1e-14)
     assert r.terms_used == 1
+
+
+@pytest.mark.parametrize("z", [5e-324, -5e-324])
+def test_first_kind_takes_a_half_argument_that_rounds_to_zero(z):
+    # |z|/2 is 0.0: the series is its n = 0 term, as at z = 0, not log(0)
+    expected = SeriesResult(1.0 / k_gamma(1.5, 1.0), 1, 0.0, True)
+    assert eval_k_bessel_first(1, 0.5, 1, 0.5, z) == eval_k_bessel_first(1, 0.5, 1, 0.5, 0.0) == expected
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5])
+def test_log_path_takes_a_half_argument_that_rounds_to_zero(nu):
+    # 0.5 * 5e-324 is 0.0: the series is its n = 0 term, not log(0)
+    p = BesselParams(1, nu, 1, 0.5, -1, 1)
+    expected = SeriesResult(1.0 / k_gamma(1.0 + nu, 1.0) if nu == 0.0 else 0.0, 1, 0.0, True)
+    assert eval_gmk_bessel(p, 5e-324) == eval_gmk_bessel(p, 0.0) == expected
 
 
 _K10 = dict(k=10, nu=1499, gamma=1, lambda1=10, c=-1, b=1)
@@ -577,3 +615,11 @@ def test_term_at_zero_argument(nu, n):
     p = BesselParams(k=2, nu=nu, gamma=1.5, lambda1=2, c=-1, b=2)
     expected = 1.0 / k_gamma(1.5, 2.0) if n == 0 and nu == 0.0 else 0.0
     assert gmk_bessel_term(p, 0.0, n) == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_term_where_the_half_argument_rounds_to_zero(nu, n):
+    # 0.5 * 5e-324 is 0.0: the terms are those at z = 0, not log(0)
+    p = BesselParams(k=2, nu=nu, gamma=1.5, lambda1=2, c=-1, b=2)
+    assert gmk_bessel_term(p, 5e-324, n) == gmk_bessel_term(p, 0.0, n)
