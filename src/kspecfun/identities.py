@@ -323,22 +323,26 @@ def classical_reduction_check(kind: str, nu: float, z: float) -> float:
 
 
 def _ratio_diagnostics(row: Identity, bp, mu, lam, a, y) -> str:
-    """Per-term packaged/canonical ratio for the first few indices."""
-    if 0.5 * y == 0.0:
-        y = 1.0  # the y-powers cancel in each ratio; at y/2 = 0 no term past n = 0 is left
+    """Per-term packaged/canonical ratio for the first few indices.
+
+    Each ratio is exp of the difference of the two terms' logs, so terms
+    that underflow still give one."""
     pref, spec, arg = _packaging(row.family, row.reduced, bp, mu, lam, a, y)
+    # the y-powers cancel in each ratio; where y/2, the prefactor or the argument
+    # (c != 0) is 0.0, at y = 0 or by underflow at a tiny y, take them at y = 1
+    if not (0.5 * y and pref and (arg or not bp.c)):
+        y = 1.0
+        pref, spec, arg = _packaging(row.family, row.reduced, bp, mu, lam, a, y)
     canonical = _canonical_terms_logsig(row.family, bp, mu, lam, a, y)
     packaged = wright_terms_logsig(spec.upper, spec.lower, spec.k_scale, arg)
     # arg = 0 only at c = 0, where every canonical term past n = 0 vanishes
     lz = math.log(abs(arg)) if arg else 0.0
     bits = []
     for n, (lg, sg), (plg, psg) in zip(range(3), canonical, packaged):
-        canon = sg * math.exp(lg) if sg else 0.0
-        if canon == 0.0:
+        if not sg:
             bits.append(f"n={n} n/a")
             continue
-        paper = pref * psg * math.exp(plg + n * lz)
-        bits.append(f"n={n} {paper / canon:.6g}")
+        bits.append(f"n={n} {pref * psg * sg * math.exp(plg + n * lz - lg):.6g}")
     return "packaged/canonical term ratios: " + ", ".join(bits)
 
 

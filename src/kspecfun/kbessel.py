@@ -26,7 +26,10 @@ One recurrence sums S for both:
 
 Both paths stop where `summation.settle` says, called once per term.  Each
 table's `floor` is the one-sign floor where c > 0 (z < 0 for the first
-kind) and gamma > 0 make every term positive, else 0.
+kind) and gamma > 0 make every term positive, else 0.  Each also passes the
+running sum of its term sizes to `settle`, which bounds the sum's rounding
+error from it (`SeriesResult.rounding`), with term n off by about 2 n u
+on the log path and by (2 + m) n u on the double-double path.
 Apart from the tables, the generalized series is also a forward
 (log |t_n|, sign_n) stream, `bessel_terms_logsig`, carrying the Pochhammer
 log and sign from term to term: the canonical right sides of the identities
@@ -213,8 +216,10 @@ class _LogTable:
         sgn = 1
         s = c = 0.0  # the Neumaier step of CompensatedSum.add, written out
         rho = math.inf
+        tsum = 0.0
         for n in count():
-            t = sgn * exp(big)
+            t_abs = exp(big)
+            t = sgn * t_abs
             if n < built:
                 row = rows[n]
             else:
@@ -226,20 +231,20 @@ class _LogTable:
                            g < 0.0, lgk_next)
                 rows[n:n + 1] = (row,)
             u = s + t
-            t_abs = abs(t)
+            tsum += t_abs
             if abs(s) >= t_abs:
                 c += (s - u) + t
             else:
                 c += (t - u) + s
             s = u
             if row is None:  # exact termination: no tail
-                return settle(n + 1, t_abs, 0.0, rho, s + c, tol, max_terms, floor)
+                return settle(n + 1, t_abs, 0.0, rho, s + c, tol, max_terms, floor, tsum, 2.0)
             a, b, d, flip, lgk = row
             dlg = a + lu - b
             dlg -= d
             rho_prev = rho
             rho = exp(dlg)
-            res = settle(n + 1, t_abs, rho, rho_prev, s + c, tol, max_terms, floor)
+            res = settle(n + 1, t_abs, rho, rho_prev, s + c, tol, max_terms, floor, tsum, 2.0)
             if res is not None:
                 return res
             big += dlg
@@ -281,6 +286,8 @@ class _DDTable:
         t = (1.0, 0.0)
         acc = (1.0, 0.0)
         rho = math.inf
+        tsum = 0.0
+        grow = 2.0 + m
         built = len(rows)  # rows past these are built here, in order
         for n in count():
             if n < built:
@@ -294,10 +301,12 @@ class _DDTable:
                         row = dd_div_d(row, lambda1 * n + s0 + j * k)
                 rows[n:n + 1] = (row,)
             rho_prev = rho
+            t_abs = abs(t[0]) * pref
+            tsum += t_abs
             # row None: exact termination with no tail, even where w2 or the scaled term overflows
             rho = 0.0 if row is None else abs(row[0]) * w2
-            res = settle(n + 1, 0.0 if row is None else abs(t[0]) * pref, rho, rho_prev,
-                         pref * (acc[0] + acc[1]), tol, max_terms, floor)
+            res = settle(n + 1, 0.0 if row is None else t_abs, rho, rho_prev,
+                         pref * (acc[0] + acc[1]), tol, max_terms, floor, tsum, grow)
             if res is not None:
                 return res
             t = dd_mul(dd_mul_d(t, w2), row)

@@ -7,7 +7,9 @@ double-exponentially decaying smooth profiles, which is what the kernel
 x^(mu-1) (x + a + sqrt(x^2 + 2ax))^(-lam) needs: its tail falls off only like
 x^(mu-lam-1), too slowly for any upper cutoff, and mu < 1 puts a singularity
 at the origin.  Panels on the mapped axis are then refined worst-first with
-the embedded Gauss-Kronrod 7/15 pair.
+the embedded Gauss-Kronrod 7/15 pair.  The theorem left sides also
+integrate their Bessel factor's rounding noise, and stop unconverged once
+it is above the goal (see `_integrate`).
 """
 
 from __future__ import annotations
@@ -86,36 +88,46 @@ _WG = (
 )
 
 
-def _gk15(g, a: float, b: float) -> tuple[float, float, float]:
-    """One Gauss-Kronrod 7/15 panel; returns (integral, error estimate,
-    integral of |g|)."""
+# (abscissa, Kronrod weight, Gauss weight or 0) of each symmetric node pair
+_PAIRS = tuple(zip(_XGK, _WGK, (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
+
+
+def _gk15(g, a: float, b: float) -> tuple[float, float, float, float]:
+    """One Gauss-Kronrod 7/15 panel of g, which returns (value, rel) pairs,
+    rel |value| the value's noise; returns (integral, error estimate, integral
+    of |value|, integral of the noise), the last with the Kronrod weights."""
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fc = g(mid)
-    resk = _WGK[7] * fc
+    fc, noise = g(mid)
+    wc = _WGK[7]
+    resk = wc * fc
     resg = _WG[3] * fc
-    resabs = _WGK[7] * abs(fc)
-    pairs = []
-    for i in range(7):
-        dx = h * _XGK[i]
-        f1 = g(mid - dx)
-        f2 = g(mid + dx)
-        pairs.append((f1, f2))
-        resk += _WGK[i] * (f1 + f2)
-        resabs += _WGK[i] * (abs(f1) + abs(f2))
-        if i % 2 == 1:
-            resg += _WG[i // 2] * (f1 + f2)
+    resabs = wc * abs(fc)
+    noise *= resabs
+    seen = []
+    for xk, wk, wg in _PAIRS:
+        dx = h * xk
+        f1, r1 = g(mid - dx)
+        f2, r2 = g(mid + dx)
+        seen.append((wk, f1, f2))
+        resk += wk * (f1 + f2)
+        a1 = abs(f1)
+        a2 = abs(f2)
+        resabs += wk * (a1 + a2)
+        noise += wk * (a1 * r1 + a2 * r2)
+        if wg:
+            resg += wg * (f1 + f2)
     value = resk * h
     reskh = 0.5 * resk
-    asc = _WGK[7] * abs(fc - reskh)
-    for i in range(7):
-        asc += _WGK[i] * (abs(pairs[i][0] - reskh) + abs(pairs[i][1] - reskh))
+    asc = wc * abs(fc - reskh)
+    for wk, f1, f2 in seen:
+        asc += wk * (abs(f1 - reskh) + abs(f2 - reskh))
     asc *= abs(h)
     err = abs((resk - resg) * h)
     if asc != 0.0 and err != 0.0:
         # standard damped scaling; raw |K-G| grossly overestimates on smooth panels
         err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
-    return value, err, resabs * abs(h)
+    return value, err, resabs * abs(h), noise * abs(h)
 
 
 _DE_C = math.pi / 2.0
@@ -137,51 +149,66 @@ def integrate_semi_infinite(f, tol: float = 1e-10, budget: int = 60000) -> QuadR
     budget runs out.  tol and budget follow the rules of `summation`;
     budget >= 240, the 16 starting panels.
     """
+
+    def g(u: float) -> tuple[float, float]:
+        x = math.exp(_DE_C * math.sinh(u))
+        return f(x) * x * _DE_C * math.cosh(u), 0.0
+
+    return _integrate(g, tol, budget)
+
+
+def _integrate(g, tol: float, budget: int) -> QuadResult:
+    """`integrate_semi_infinite` of g(u) = f(x) dx/du on the mapped axis,
+    x = exp((pi/2) sinh u).  g returns (value, rel) pairs, rel |value| >= 0
+    a bound on the value's own rounding error, its noise, integrated with
+    the weights of |value| to N.  After the starting panels and at every
+    refinement, N > max(tol |Q|, 50 eps A) stops the integral unconverged,
+    as QUADPACK stops on roundoff (ier = 2): no refinement can take its
+    error below the goal."""
     n0 = 16
     check_settings(tol, "budget", budget, 15 * n0)
 
-    def g(u: float) -> float:
-        x = math.exp(_DE_C * math.sinh(u))
-        return f(x) * x * _DE_C * math.cosh(u)
-
-    def sums() -> tuple[float, float, float]:
-        return tuple(math.fsum(item[i] for item in heap) for i in (4, 5, 6))
+    def sums() -> tuple[float, ...]:
+        return tuple(math.fsum(item[i] for item in heap) for i in (4, 5, 6, 7))
 
     def goal(value: float, abs_total: float) -> float:
         return max(tol * abs(value), _ROUNDING * abs_total)
 
     step = 2.0 * _DE_UMAX / n0
-    heap: list[tuple[float, int, float, float, float, float, float]] = []
+    heap: list[tuple[float, int, float, float, float, float, float, float]] = []
     tick = 0
     evals = 0
     for i in range(n0):
         a = -_DE_UMAX + i * step
         b = a + step
-        v, e, r = _gk15(g, a, b)
+        v, e, r, nz = _gk15(g, a, b)
         evals += 15
-        heapq.heappush(heap, (-e, tick, a, b, v, e, r))
+        heapq.heappush(heap, (-e, tick, a, b, v, e, r, nz))
         tick += 1
 
-    value, err_total, abs_total = sums()
-    while err_total > goal(value, abs_total) and evals + 30 <= budget:
-        _, _, a, b, v, e, r = heapq.heappop(heap)
+    value, err_total, abs_total, noise = sums()
+    while (err_total > (lim := goal(value, abs_total)) and noise <= lim
+           and evals + 30 <= budget):
+        _, _, a, b, v, e, r, nz = heapq.heappop(heap)
         midp = 0.5 * (a + b)
-        v1, e1, r1 = _gk15(g, a, midp)
-        v2, e2, r2 = _gk15(g, midp, b)
+        v1, e1, r1, nz1 = _gk15(g, a, midp)
+        v2, e2, r2, nz2 = _gk15(g, midp, b)
         evals += 30
-        heapq.heappush(heap, (-e1, tick, a, midp, v1, e1, r1))
+        heapq.heappush(heap, (-e1, tick, a, midp, v1, e1, r1, nz1))
         tick += 1
-        heapq.heappush(heap, (-e2, tick, midp, b, v2, e2, r2))
+        heapq.heappush(heap, (-e2, tick, midp, b, v2, e2, r2, nz2))
         tick += 1
         value += (v1 + v2) - v
         err_total += (e1 + e2) - e
         abs_total += (r1 + r2) - r
+        noise += (nz1 + nz2) - nz
         if err_total < 0.25 * goal(value, abs_total) or tick % 64 == 0:
             # running corrections drift; refresh before trusting a near-goal value
-            value, err_total, abs_total = sums()
+            value, err_total, abs_total, noise = sums()
 
-    value, err, abs_total = sums()
-    return QuadResult(value, err, evals, err <= goal(value, abs_total))
+    value, err, abs_total, noise = sums()
+    lim = goal(value, abs_total)
+    return QuadResult(value, err, evals, err <= lim and noise <= lim)
 
 
 def phi(x: float, a: float) -> float:
@@ -248,29 +275,36 @@ def check_theorem_args(which: int, bp: BesselParams, mu, lam, a, y) -> tuple[flo
 
 def _weighted_kernel_lhs(which, bp, mu, lam, a, y, tol, budget, series_tol, max_terms):
     mu, lam, a, y = check_theorem_args(which, bp, mu, lam, a, y)
-    # Bessel factor by argument, for this integral only: near x = 0 (first
-    # identity) or x = inf (second) z stops changing in floating point.
-    factors: dict[float, float] = {}
+    # Bessel factor and its relative rounding bound by argument, for this
+    # integral only: near x = 0 (first identity) or x = inf (second) z stops
+    # changing in floating point.
+    factors: dict[float, tuple[float, float]] = {}
+    exp, log, sinh, cosh, copysign, c = math.exp, math.log, math.sinh, math.cosh, math.copysign, _DE_C
 
-    def f(x: float) -> float:
+    def g(u: float) -> tuple[float, float]:
+        # the integrand times dx/du at x = exp(c sinh u), as in integrate_semi_infinite
+        x = exp(c * sinh(u))
         ph = _phi(x, a)
         # x/ph <= 1, so grouping this way cannot overflow for huge x
         z = y / ph if which == 1 else x / ph * y
-        v = factors.get(z)
-        if v is None:
+        vr = factors.get(z)
+        if vr is None:
             sr = eval_gmk_bessel(bp, z, series_tol, max_terms)
             if not sr.converged:
                 raise NonConvergenceError(
                     f"series factor failed to converge at argument {z!r} "
                     f"(terms={sr.terms_used}, tail={sr.tail_estimate!r})"
                 )
-            v = factors[z] = sr.value
+            v = sr.value
+            # the kernel and dx/du scale value and noise alike; a factor of exactly 0 adds none
+            vr = factors[z] = (v, sr.rounding / abs(v) if v else 0.0)
+        v, rel = vr
         if v == 0.0:
-            return 0.0
-        lf = (mu - 1.0) * math.log(x) - lam * math.log(ph) + math.log(abs(v))
-        return math.copysign(math.exp(lf), v)
+            return 0.0, 0.0
+        lf = (mu - 1.0) * log(x) - lam * log(ph) + log(abs(v))
+        return copysign(exp(lf), v) * x * c * cosh(u), rel
 
-    return integrate_semi_infinite(f, tol=tol, budget=budget)
+    return _integrate(g, tol, budget)
 
 
 def theorem1_lhs(

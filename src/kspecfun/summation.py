@@ -21,6 +21,8 @@ series does.  Term streams are unbounded.  `accumulate` calls `settle` per
 term of a (term, |next/current| ratio) stream, which `logsig_pairs` builds
 from a forward stream of (L_n, sign_n), n = 0, 1, ...; both Bessel term
 tables, double-double and log/sign, call it per term of their own sums.
+The tables also hand it the running sum of the term sizes, from which it
+bounds the sum's own rounding error, `SeriesResult.rounding`.
 
 The real rule `is_real` (a finite int or float; not a bool or a string)
 covers arguments and parameters, the positive rule `is_positive` (the real
@@ -32,8 +34,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import count
+from typing import NamedTuple
 
 from .errors import DomainError, NonConvergenceError
 
@@ -43,6 +45,7 @@ __all__ = ["CompensatedSum", "SeriesResult"]
 _SPLIT = 134217729.0
 _MAX = sys.float_info.max  # the largest finite double; an int past it has no float value
 ONE_SIGN_FLOOR = 2.0**-64  # the relative tail at which a one-sign series stops
+_UNIT = 2.0**-53  # the unit roundoff u of a double
 
 # The error-free transforms below are written out in place: they run once or
 # more per series term, where call overhead would cost as much as the
@@ -138,12 +141,16 @@ class CompensatedSum:
         return self._s + self._c
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
+    """A series sum; rounding bounds its own rounding error where the
+    evaluator reports one (see `settle`), else 0.0.  A named tuple, built
+    once per series call at a third of a frozen dataclass's cost."""
+
     value: float
     terms_used: int
     tail_estimate: float
     converged: bool
+    rounding: float = 0.0
 
 
 def is_real(x) -> bool:
@@ -220,7 +227,8 @@ def logsig_pairs(terms, lz: float):
 
 
 def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: float,
-           max_terms: int, floor: float = 0.0) -> SeriesResult | None:
+           max_terms: int, floor: float = 0.0, tsum: float = 0.0,
+           grow: float = 0.0) -> SeriesResult | None:
     """The finished sum if term n (from 1) ends the series, else None.
 
     t_abs is the term's size, rho its ratio to the next (rho_prev the one
@@ -231,6 +239,14 @@ def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: flo
     not finite (an inf or nan term, or finite terms whose sum overflows)
     raises OverflowError.  At the cap the tail estimate is reported
     unconverged, |t| where rho >= 1.
+
+    The result's rounding is R = u tsum (grow n + 1 + |ln tsum|), u = 2^-53,
+    or 0 where tsum is 0; it does not enter the stop test.  tsum is the sum
+    of the sizes of terms 1..n and term j carries a relative error of
+    grow j u from its recurrence.  The 1 + |ln tsum| bounds, from tsum alone,
+    the mean |ln |t_j|| u that a term reached through exp of its log carries
+    (x ln(1/x) <= 1/e, so grow = 2 covers sum_j |t_j| (1 + |ln |t_j|| + j) u
+    on the log/sign path).
     """
     if not (a := abs(s)) <= _MAX:  # a is finite below: min(max(a, 1e-300), 1) needs no builtin
         raise OverflowError("math range error")
@@ -239,10 +255,17 @@ def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: flo
         tail = t_abs * rho / (1.0 - rho)
         if rho <= rho_prev and (tail <= tol * (1.0 if a > 1.0 else a if a > 1e-300 else 1e-300)
                                 or tail <= floor * a):
-            return SeriesResult(s, n, tail, True)
+            return SeriesResult(s, n, tail, True, _rounding_bound(n, tsum, grow))
     if n >= max_terms:
-        return SeriesResult(s, n, tail, False)
+        return SeriesResult(s, n, tail, False, _rounding_bound(n, tsum, grow))
     return None
+
+
+def _rounding_bound(n: int, tsum: float, grow: float) -> float:
+    """The rounding bound R of `settle`."""
+    if not tsum:
+        return 0.0
+    return _UNIT * tsum * (grow * n + 1.0 + abs(math.log(tsum)))
 
 
 def accumulate(pairs, tol: float, max_terms: int, floor: float = 0.0) -> SeriesResult:

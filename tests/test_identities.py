@@ -229,6 +229,16 @@ def test_verify_ratio_diagnostics_where_half_y_rounds_to_zero():
     assert (r.verdict, r.diagnostics) == ("canonical_only", at_zero.diagnostics)
 
 
+def test_verify_ratio_diagnostics_where_terms_underflow():
+    # at y = 1e-300 the canonical terms past n = 0 and the packaged argument
+    # underflow to 0.0; the ratios, exp of log differences, are those of y = 0
+    point = dict(k=2, nu=0, gamma=1.5, lambda1=2, c=1, b=2, mu=0.5, lam=1.5, a=2)
+    at_zero = verify("theorem1", dict(point, y=0))
+    r = verify("theorem1", dict(point, y=1e-300))
+    assert at_zero.diagnostics == "packaged/canonical term ratios: n=0 0.125, n=1 0.0833333, n=2 0.047619"
+    assert (r.verdict, r.diagnostics) == ("canonical_only", at_zero.diagnostics)
+
+
 @pytest.mark.parametrize("identity", ["theorem1", "oberhettinger"])
 def test_verify_precondition_inconclusive(identity):
     r = verify(identity, dict(UNIT_PARAMS, mu=5, lam=1))
@@ -393,6 +403,7 @@ def test_to_record_echoes_only_real_parameters():
     assert (rec["mu"], rec["lam"], rec["a"]) == (None, 2.0, None)
 
 
+H1 = dict(k=1.5, nu=0.5, gamma=1.5, lambda1=0.7, c=-1, b=1, mu=0.5, lam=1.5, a=0.5, y=10)
 H2 = dict(k=1, nu=0, gamma=1, lambda1=1, c=1, b=1, mu=0.5, lam=0.6, a=0.01, y=1)
 
 
@@ -402,6 +413,49 @@ def test_verify_h2_matches_within_400_nodes():
     assert r.verdict == "match"
     assert r.quad_evals <= 400
     assert r.rel_diff_canonical < 1e-12
+
+
+# the hard points whose integrand stays below its noise goal, at a 600-node
+# budget: the reports are the same bytes as before the integrator took noise
+@pytest.mark.parametrize("identity, params, expected", [
+    ("theorem1", H2,
+     "lhs=2.4288623813414745e+40, rhs_canonical=2.428862381341323e+40, rhs_paper=2.4288623813414823e+40, "
+     "rel_diff_canonical=6.231621592827995e-14, rel_diff_paper=3.1854934659823517e-15, verdict='match', "
+     "tolerances={'quad': 1e-08, 'series': 1e-10, 'match': 1e-05}, diagnostics='', quad_evals=360, "
+     "series_terms=102)"),
+    ("theorem2", H1,
+     "lhs=0.4838459143284497, rhs_canonical=0.48384591433835084, rhs_paper=0.31088928456462894, "
+     "rel_diff_canonical=2.0463406166404103e-11, rel_diff_paper=0.35746220985223076, "
+     "verdict='canonical_only', tolerances={'quad': 1e-08, 'series': 1e-10, 'match': 1e-05}, "
+     "diagnostics='packaged/canonical term ratios: n=0 1, n=1 2.66667, n=2 7.11111', quad_evals=240, "
+     "series_terms=23)"),
+    ("theorem1", dict(k=1.0, nu=0.0, gamma=1.006753912533581, lambda1=1.0, c=1.0047386416890705,
+                      b=0.9998911978834796, mu=0.5080776151952594, lam=0.609509360502703,
+                      a=0.00987422144645161, y=0.9973692765816736),
+     "lhs=7.880123053628398e+40, rhs_canonical=7.880123053628247e+40, rhs_paper=7.644953413928986e+40, "
+     "rel_diff_canonical=1.9268872060783655e-14, rel_diff_paper=0.029843396873241616, "
+     "verdict='canonical_only', tolerances={'quad': 1e-08, 'series': 1e-10, 'match': 1e-05}, "
+     "diagnostics='packaged/canonical term ratios: n=0 1, n=1 0.993291, n=2 0.989948', quad_evals=360, "
+     "series_terms=103)"),
+    ("theorem1", dict(k=1.0, nu=0.0, gamma=0.9899030855114426, lambda1=1.0, c=0.9801544532517644,
+                      b=1.0097241110525836, mu=0.5008678464405092, lam=0.6027973433791587,
+                      a=0.009817231242980737, y=1.0159431320298373),
+     "lhs=2.5558947962608715e+41, rhs_canonical=2.5558947962608885e+41, rhs_paper=2.675018303439017e+41, "
+     "rel_diff_canonical=6.659771585698914e-15, rel_diff_paper=0.044531847511099225, "
+     "verdict='canonical_only', tolerances={'quad': 1e-08, 'series': 1e-10, 'match': 1e-05}, "
+     "diagnostics='packaged/canonical term ratios: n=0 1, n=1 1.0102, n=2 1.01533', quad_evals=360, "
+     "series_terms=104)"),
+], ids=["H2", "T2", "huge 1", "huge 2"])
+def test_hard_reports_below_their_noise_goal_are_pinned(identity, params, expected):
+    r = verify(identity, params, quad_budget=600)
+    assert repr(r).split(", lhs=", 1)[1] == expected[len("lhs="):]
+
+
+def test_verify_h1_fails_fast_on_its_integrand_noise():
+    # H1's Bessel factor cancels, so its integrand's rounding noise is about
+    # 2e9 times the quadrature goal: it stops after the 240 starting nodes
+    r = verify("theorem1", H1)
+    assert (r.verdict, r.diagnostics, r.quad_evals) == ("inconclusive", "did not converge: quadrature", 240)
 
 
 @pytest.mark.parametrize("tol_quad, verdict, diagnostics", [

@@ -27,9 +27,9 @@ def _settle_calls(monkeypatch, evaluate, *args, max_terms):
     seen = []
     real = kbessel.settle
 
-    def hook(n, t_abs, rho, rho_prev, s, tol, cap, floor):
+    def hook(n, t_abs, rho, rho_prev, s, tol, cap, *rest):
         seen.append((t_abs, rho, s))
-        return real(n, t_abs, rho, rho_prev, s, tol, cap, floor) if n >= cap else None
+        return real(n, t_abs, rho, rho_prev, s, tol, cap, *rest) if n >= cap else None
 
     monkeypatch.setattr(kbessel, "settle", hook)
     evaluate(*args, max_terms=max_terms)
@@ -278,13 +278,32 @@ def test_cancelled_sums_are_right_where_they_report_converged(p, z, tol, max_ter
         assert not r.converged or abs(r.value - exact) <= tol * max(abs(exact), 1)
 
 
+@pytest.mark.parametrize("p, z, tol, max_terms", [
+    (H1_FACTOR, 10.0, 1e-12, 400),
+    (H1_FACTOR, 20.0, 1e-12, 400),
+    (BesselParams(1.961, 1.126, 1.097, 1.961, -1.316, 1.405), 20.073, 1e-10, 400),  # the dd path
+    (UNIT_J, 400.0, 1e-10, 800),
+    (H1_FACTOR, 4.659834361015377, 1e-10, 400),  # a node of the second identity at H1
+], ids=["H1 factor z=10", "H1 factor z=20", "dd z=20.073", "J_0(400)", "T2 node"])
+def test_rounding_and_tail_bound_the_error_of_cancelled_sums(p, z, tol, max_terms):
+    # the sums above that report converged on cancellation noise say so in rounding
+    mpmath = pytest.importorskip("mpmath")
+    r = eval_gmk_bessel(p, z, tol=tol, max_terms=max_terms)
+    with mpmath.workdps(40):
+        if p == UNIT_J:
+            exact = mpmath.besselj(0, z)
+        else:
+            exact = mpmath.fsum(_gmk_term(p, z, n) for n in range(300))
+        assert r.rounding + r.tail_estimate >= abs(r.value - exact)
+
+
 def test_first_kind_takes_the_floor_only_where_its_terms_share_one_sign(monkeypatch):
     floors = []
     real = kbessel.settle
 
-    def hook(n, t_abs, rho, rho_prev, s, tol, cap, floor):
+    def hook(n, t_abs, rho, rho_prev, s, tol, cap, floor, *rest):
         floors[-1].add(floor)
-        return real(n, t_abs, rho, rho_prev, s, tol, cap, floor)
+        return real(n, t_abs, rho, rho_prev, s, tol, cap, floor, *rest)
 
     monkeypatch.setattr(kbessel, "settle", hook)
     for gamma, z in ((1.5, -3.0), (1.5, 3.0), (-1.3, -3.0)):

@@ -256,3 +256,61 @@ def test_integrator_budget_of_the_starting_panels():
     q = integrate_semi_infinite(lambda x: math.exp(-x), tol=1e-10, budget=240.0)
     assert q.evaluations == 240
     assert q.value == pytest.approx(1.0, rel=1e-10)
+
+
+H1_FACTOR = BesselParams(k=1.5, nu=0.5, gamma=1.5, lambda1=0.7, c=-1, b=1)
+
+
+def test_h1_stops_after_its_starting_panels():
+    # its Bessel factor cancels (sum |t| / |S| about 5e14 at z = 20), so the
+    # integrand's own rounding noise is far above the goal and refinement
+    # cannot converge; it used to spend the whole 60000-node budget
+    q = theorem1_lhs(H1_FACTOR, 0.5, 1.5, 0.5, 10.0)
+    assert (q.evaluations, q.converged) == (240, False)
+
+
+def _mapped(f, rel):
+    """f(x) dx/du on the mapped axis of the integrator, with relative noise rel."""
+
+    def g(u):
+        x = math.exp(quadrature._DE_C * math.sinh(u))
+        return f(x) * x * quadrature._DE_C * math.cosh(u), rel
+
+    return g
+
+
+def test_noise_above_the_goal_stops_after_the_starting_panels():
+    # exp(-x) refines past 240 nodes at tol 1e-12 (330 evaluations) unless its noise stops it
+    q = quadrature._integrate(_mapped(lambda x: math.exp(-x), 1e-9), 1e-12, 60000)
+    assert (q.evaluations, q.converged) == (240, False)
+    assert q.value == pytest.approx(1.0, rel=1e-9)
+
+
+def test_noise_below_the_goal_changes_nothing():
+    def f(x):
+        return math.exp(-x)
+
+    quiet = quadrature._integrate(_mapped(f, 1e-14), 1e-12, 60000)
+    assert quiet == integrate_semi_infinite(f, tol=1e-12)
+    assert quiet.evaluations > 240 and quiet.converged
+
+
+# repr of each result, bit for bit as before the integrator took noise
+@pytest.mark.parametrize("integral, expected", [
+    (lambda: integrate_semi_infinite(lambda x: math.exp(-x), tol=1e-10),
+     "QuadResult(value=1.0, abs_err_estimate=1.2813903569035092e-11, evaluations=330, converged=True)"),
+    (lambda: integrate_semi_infinite(lambda x: math.exp(-x) / math.sqrt(x), tol=1e-10),
+     "QuadResult(value=1.7724538509055159, abs_err_estimate=2.13837495548985e-11, evaluations=300,"
+     " converged=True)"),
+    (lambda: integrate_semi_infinite(lambda x: math.sin(50.0 * x) * math.exp(-x), tol=1e-15, budget=500),
+     "QuadResult(value=0.030346801160466837, abs_err_estimate=0.156488286726232, evaluations=480,"
+     " converged=False)"),
+    (lambda: integrate_semi_infinite(lambda x: 1e12 * ((1.0 + x) ** -2 - 2.0 * (1.0 + x) ** -3)),
+     "QuadResult(value=-5.8860926799307156e-05, abs_err_estimate=1.1262492585793458e-06, evaluations=540,"
+     " converged=True)"),
+    (lambda: oberhettinger_lhs(ObParams(0.5, 1.5, 2.0), tol=1e-12),
+     "QuadResult(value=0.5303300858899106, abs_err_estimate=3.842037915574024e-13, evaluations=240,"
+     " converged=True)"),
+], ids=["exp", "endpoint singularity", "budget", "cancelling", "kernel"])
+def test_integrands_without_noise_keep_their_bits(integral, expected):
+    assert repr(integral()) == expected

@@ -173,6 +173,18 @@ def test_settle_matches_the_stated_rule_bit_for_bit(s):
     assert floor_decides == (abs(s) >= 2.0**63)
 
 
+@pytest.mark.parametrize("t_abs, max_terms, converged", [(1e-13, 400, True), (0.5, 3, False)])
+@pytest.mark.parametrize("tsum, grow, rounding", [
+    (4.0, 2.0, 2.0**-53 * 4.0 * (2.0 * 3 + 1.0 + math.log(4.0))),
+    (1e-6, 5.0, 2.0**-53 * 1e-6 * (5.0 * 3 + 1.0 - math.log(1e-6))),
+    (0.0, 2.0, 0.0),
+])
+def test_settle_reports_the_rounding_bound_of_its_sum(t_abs, max_terms, converged, tsum, grow, rounding):
+    # R = u tsum (grow n + 1 + |ln tsum|) on a converged sum and at the cap alike
+    r = settle(3, t_abs, 0.5, 0.6, 1.0, 1e-10, max_terms, 0.0, tsum, grow)
+    assert (r.converged, r.rounding) == (converged, rounding)
+
+
 @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
 def test_settle_raises_on_a_partial_sum_that_is_not_finite(s):
     with pytest.raises(OverflowError, match="math range error"):
