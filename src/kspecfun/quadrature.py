@@ -320,8 +320,10 @@ def theorem1_lhs(
 ) -> QuadResult:
     """Quadrature of int_0^inf x^(mu-1) phi^(-lam) J(y / phi(x, a)) dx.
 
-    tol is relative, with the rounding floor of `integrate_semi_infinite`.
-    Enforces lam + nu > mu > 0 (see `check_theorem_args`).
+    tol is relative, with the rounding floor of `integrate_semi_infinite`;
+    the integral stops unconverged once the Bessel factor's rounding noise
+    exceeds its goal (see `_integrate`).  Enforces lam + nu > mu > 0 (see
+    `check_theorem_args`).
     """
     return _weighted_kernel_lhs(1, bp, mu, lam, a, y, tol, budget, series_tol, max_terms)
 
@@ -340,8 +342,8 @@ def theorem2_lhs(
     """Quadrature of int_0^inf x^(mu-1) phi^(-lam) J(x y / phi(x, a)) dx.
 
     The series argument tends to y/2 as x grows, so all decay comes from the
-    kernel.  tol is relative, with the rounding floor of
-    `integrate_semi_infinite`.  Enforces mu + nu > 0 and mu < lam (see
+    kernel.  tol, the rounding floor and the noise stop are those of
+    `theorem1_lhs`.  Enforces mu + nu > 0 and mu < lam (see
     `check_theorem_args`).
     """
     return _weighted_kernel_lhs(2, bp, mu, lam, a, y, tol, budget, series_tol, max_terms)
