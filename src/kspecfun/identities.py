@@ -240,7 +240,8 @@ def _rhs_paper(which, reduced, bp, mu, lam, a, y, tol, max_terms) -> SeriesResul
     sr = eval_k_wright(spec, arg, tol=tol, max_terms=max_terms)
     # a sum below the normal range has lost the relative accuracy the product needs
     converged = sr.converged and abs(sr.value) >= sys.float_info.min
-    return SeriesResult(pref * sr.value, sr.terms_used, abs(pref) * sr.tail_estimate, converged)
+    return SeriesResult(pref * sr.value, sr.terms_used, abs(pref) * sr.tail_estimate, converged,
+                        abs(pref) * sr.rounding)
 
 
 def theorem1_rhs_paper(

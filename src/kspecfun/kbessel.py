@@ -45,10 +45,14 @@ builds, reads and sums the rows: `evaluate` on either path, and
 `_LogTable.series` for the first kind as well.
 Row n is built the first time any evaluation on that object reaches term
 n and read by every later call, so the ~240 nodes of an integral pay for
-each row once.  The table is not a dataclass field, so equality, hashing,
-repr and astuple ignore it, and it goes with its object; there is no
-module-level cache.  A row's content does not depend on which call built
-it, and each node combines it with its argument in per-term order.
+each row once.  The double-double path's per-term product
+dd_mul(dd_mul_d(t, w^2), row) is written out in its loop, as `summation`
+writes out its transforms, with w^2's Dekker split taken once per call;
+the arithmetic and its order are those of the two helpers.  The table is
+not a dataclass field, so equality, hashing, repr and astuple ignore it,
+and it goes with its object; there is no module-level cache.  A row's
+content does not depend on which call built it, and each node combines
+it with its argument in per-term order.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from itertools import count, islice, repeat
 from .errors import DomainError
 from .kgamma import KScale, k_gamma, log_k_gamma
 from .summation import ONE_SIGN_FLOOR, SeriesResult, check_arg, check_series_args, settle
-from .summation import dd_add, dd_div_d, dd_mul, dd_mul_d, is_positive, is_real, is_whole
+from .summation import _SPLIT, dd_add, dd_div_d, dd_mul_d, is_positive, is_real, is_whole
 
 __all__ = [
     "BesselParams",
@@ -283,7 +287,10 @@ class _DDTable:
             self.k, self.gamma, self.lambda1, self.c, self.s0, self.m, self.floor, self.rows)
         pref = _lead(w, nu, s0, k, self.gk0)
         w2 = w * w
-        t = (1.0, 0.0)
+        cs = _SPLIT * w2  # the Dekker split of w2, taken once for every term
+        wh = cs - (cs - w2)
+        wl = w2 - wh
+        th, tl = 1.0, 0.0  # the term, a double-double
         acc = (1.0, 0.0)
         rho = math.inf
         tsum = 0.0
@@ -301,7 +308,7 @@ class _DDTable:
                         row = dd_div_d(row, lambda1 * n + s0 + j * k)
                 rows[n:n + 1] = (row,)
             rho_prev = rho
-            t_abs = abs(t[0]) * pref
+            t_abs = abs(th) * pref
             tsum += t_abs
             # row None: exact termination with no tail, even where w2 or the scaled term overflows
             rho = 0.0 if row is None else abs(row[0]) * w2
@@ -309,8 +316,28 @@ class _DDTable:
                          pref * (acc[0] + acc[1]), tol, max_terms, floor, tsum, grow)
             if res is not None:
                 return res
-            t = dd_mul(dd_mul_d(t, w2), row)
-            acc = dd_add(acc, t)
+            # t <- dd_mul(dd_mul_d(t, w2), row), written out
+            p = th * w2
+            cs = _SPLIT * th
+            ah = cs - (cs - th)
+            al = th - ah
+            e = ((ah * wh - p) + ah * wl + al * wh) + al * wl
+            e += tl * w2
+            th = p + e
+            tl = e - (th - p)
+            b = row[0]
+            p = th * b
+            cs = _SPLIT * th
+            ah = cs - (cs - th)
+            al = th - ah
+            cs = _SPLIT * b
+            bh = cs - (cs - b)
+            bl = b - bh
+            e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+            e += th * row[1] + tl * b
+            th = p + e
+            tl = e - (th - p)
+            acc = dd_add(acc, (th, tl))
 
 
 def eval_gmk_bessel(

@@ -10,10 +10,17 @@ at the origin.  Panels on the mapped axis are then refined worst-first with
 the embedded Gauss-Kronrod 7/15 pair.  The theorem left sides also
 integrate their Bessel factor's rounding noise, and stop unconverged once
 it is above the goal (see `_integrate`).
+
+Every integral starts on the same 240 nodes.  There a theorem left side
+reads x, cosh u, the series argument z and the kernel log
+(mu-1) log x - lam log phi from a table per kernel (which, mu, lam, a, y),
+`_kernel_table`, since a sweep meets few kernels and many Bessel parameter
+sets; refinement nodes get the same values, computed where visited.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import sys
@@ -135,6 +142,12 @@ _DE_C = math.pi / 2.0
 _DE_UMAX = math.asinh(700.0 / _DE_C)
 # QUADPACK's rounding floor: 50 eps times the integral of |f|
 _ROUNDING = 50.0 * sys.float_info.epsilon
+_N0 = 16  # starting panels, equal parts of [-_DE_UMAX, _DE_UMAX]
+
+
+def _start_panels() -> list[tuple[float, float]]:
+    step = 2.0 * _DE_UMAX / _N0
+    return [(a, a + step) for a in (-_DE_UMAX + i * step for i in range(_N0))]
 
 
 def integrate_semi_infinite(f, tol: float = 1e-10, budget: int = 60000) -> QuadResult:
@@ -165,8 +178,7 @@ def _integrate(g, tol: float, budget: int) -> QuadResult:
     refinement, N > max(tol |Q|, 50 eps A) stops the integral unconverged,
     as QUADPACK stops on roundoff (ier = 2): no refinement can take its
     error below the goal."""
-    n0 = 16
-    check_settings(tol, "budget", budget, 15 * n0)
+    check_settings(tol, "budget", budget, 15 * _N0)
 
     def sums() -> tuple[float, ...]:
         return tuple(math.fsum(item[i] for item in heap) for i in (4, 5, 6, 7))
@@ -174,13 +186,10 @@ def _integrate(g, tol: float, budget: int) -> QuadResult:
     def goal(value: float, abs_total: float) -> float:
         return max(tol * abs(value), _ROUNDING * abs_total)
 
-    step = 2.0 * _DE_UMAX / n0
     heap: list[tuple[float, int, float, float, float, float, float, float]] = []
     tick = 0
     evals = 0
-    for i in range(n0):
-        a = -_DE_UMAX + i * step
-        b = a + step
+    for a, b in _start_panels():
         v, e, r, nz = _gk15(g, a, b)
         evals += 15
         heapq.heappush(heap, (-e, tick, a, b, v, e, r, nz))
@@ -273,20 +282,65 @@ def check_theorem_args(which: int, bp: BesselParams, mu, lam, a, y) -> tuple[flo
     return mu, lam, a, y
 
 
+# kernel tables kept, least recently used first out; a CLI sweep runs its
+# kernel parameters inside its Bessel parameters, so it meets few of them
+_KERNEL_TABLES = 32
+
+
+def _u_node(u: float) -> tuple[float, float, float]:
+    """(x, log x, cosh u) at x = exp(c sinh u)."""
+    x = math.exp(_DE_C * math.sinh(u))
+    return x, math.log(x), math.cosh(u)
+
+
+@functools.cache
+def _start_nodes() -> dict[float, tuple[float, float, float]]:
+    """`_u_node` at each node u of the starting panels, by u, as
+    `_integrate` visits them; built on first use."""
+    nodes = {}
+
+    def visit(u: float) -> tuple[float, float]:
+        nodes[u] = _u_node(u)
+        return 0.0, 0.0
+
+    for a, b in _start_panels():
+        _gk15(visit, a, b)
+    return nodes
+
+
+def _kernel_node(which, mu, lam, a, y, x, lx, cu) -> tuple[float, float, float, float]:
+    """(x, cosh u, series argument z, log of the kernel x^(mu-1) phi^(-lam))
+    from a `_u_node` (x, lx = log x, cu = cosh u): the node's values that do
+    not depend on the Bessel parameters."""
+    ph = _phi(x, a)
+    # x/ph <= 1, so grouping this way cannot overflow for huge x
+    z = y / ph if which == 1 else x / ph * y
+    return x, cu, z, (mu - 1.0) * lx - lam * math.log(ph)
+
+
+@functools.lru_cache(maxsize=_KERNEL_TABLES)
+def _kernel_table(which, mu, lam, a, y) -> dict[float, tuple[float, float, float, float]]:
+    """`_kernel_node` at every starting-panel node u, by u; y = -0.0 and
+    0.0 are one key, and give the same records."""
+    return {u: _kernel_node(which, mu, lam, a, y, *xu) for u, xu in _start_nodes().items()}
+
+
 def _weighted_kernel_lhs(which, bp, mu, lam, a, y, tol, budget, series_tol, max_terms):
     mu, lam, a, y = check_theorem_args(which, bp, mu, lam, a, y)
+    nodes = _kernel_table(which, mu, lam, a, y)
     # Bessel factor and its relative rounding bound by argument, for this
     # integral only: near x = 0 (first identity) or x = inf (second) z stops
     # changing in floating point.
     factors: dict[float, tuple[float, float]] = {}
-    exp, log, sinh, cosh, copysign, c = math.exp, math.log, math.sinh, math.cosh, math.copysign, _DE_C
+    exp, log, copysign, c = math.exp, math.log, math.copysign, _DE_C
 
     def g(u: float) -> tuple[float, float]:
-        # the integrand times dx/du at x = exp(c sinh u), as in integrate_semi_infinite
-        x = exp(c * sinh(u))
-        ph = _phi(x, a)
-        # x/ph <= 1, so grouping this way cannot overflow for huge x
-        z = y / ph if which == 1 else x / ph * y
+        # the integrand times dx/du at x = exp(c sinh u), as in integrate_semi_infinite;
+        # a refinement node is not in the table
+        node = nodes.get(u)
+        if node is None:
+            node = _kernel_node(which, mu, lam, a, y, *_u_node(u))
+        x, cu, z, k0 = node
         vr = factors.get(z)
         if vr is None:
             sr = eval_gmk_bessel(bp, z, series_tol, max_terms)
@@ -301,8 +355,7 @@ def _weighted_kernel_lhs(which, bp, mu, lam, a, y, tol, budget, series_tol, max_
         v, rel = vr
         if v == 0.0:
             return 0.0, 0.0
-        lf = (mu - 1.0) * log(x) - lam * log(ph) + log(abs(v))
-        return copysign(exp(lf), v) * x * c * cosh(u), rel
+        return copysign(exp(k0 + log(abs(v))), v) * x * c * cu, rel
 
     return _integrate(g, tol, budget)
 

@@ -21,7 +21,7 @@ series does.  Term streams are unbounded.  `accumulate` calls `settle` per
 term of a (term, |next/current| ratio) stream, which `logsig_pairs` builds
 from a forward stream of (L_n, sign_n), n = 0, 1, ...; both Bessel term
 tables, double-double and log/sign, call it per term of their own sums.
-The tables also hand it the running sum of the term sizes, from which it
+Every caller also hands it the running sum of the term sizes, from which it
 bounds the sum's own rounding error, `SeriesResult.rounding`.
 
 The real rule `is_real` (a finite int or float; not a bool or a string)
@@ -268,27 +268,33 @@ def _rounding_bound(n: int, tsum: float, grow: float) -> float:
     return _UNIT * tsum * (grow * n + 1.0 + abs(math.log(tsum)))
 
 
-def accumulate(pairs, tol: float, max_terms: int, floor: float = 0.0) -> SeriesResult:
+def accumulate(pairs, tol: float, max_terms: int, floor: float = 0.0,
+               grow: float = 2.0) -> SeriesResult:
     """Sum a (term, |next/current| ratio) stream until `settle` ends it.
 
     A zero ratio marks exact termination (a Pochhammer factor hit zero);
-    an infinite one says no tail bound holds yet.  floor goes to `settle`.
+    an infinite one says no tail bound holds yet.  floor goes to `settle`,
+    and so do the running sum of the term sizes and grow, the relative
+    error per index of a term: 2 for terms taken as exp of their log, as
+    `logsig_pairs` gives them, p + q + 2 for a pFq recurrence.
     """
     s = c = 0.0  # the Neumaier step of CompensatedSum.add, written out
     n = 0
     t_abs = 0.0
+    tsum = 0.0
     rho = math.inf
     for n, (t, r) in enumerate(pairs, 1):
         u = s + t
         t_abs = abs(t)
+        tsum += t_abs
         if abs(s) >= t_abs:
             c += (s - u) + t
         else:
             c += (t - u) + s
         s = u
-        res = settle(n, t_abs, r, rho, s + c, tol, max_terms, floor)
+        res = settle(n, t_abs, r, rho, s + c, tol, max_terms, floor, tsum, grow)
         if res is not None:
             return res
         rho = r
     # a stream that ran out is cut at its last term: rho_prev = -inf certifies nothing
-    return settle(max(n, 1), t_abs, rho, -math.inf, s + c, tol, 1, floor)
+    return settle(max(n, 1), t_abs, rho, -math.inf, s + c, tol, 1, floor, tsum, grow)

@@ -173,7 +173,7 @@ def eval_pfq(
     for bj in lower:
         if bj <= 0 and bj == math.floor(bj):
             raise DomainError(f"lower parameter {bj!r} is a nonpositive integer")
-    return accumulate(_pfq_pairs(upper, lower, z), tol, max_terms)
+    return accumulate(_pfq_pairs(upper, lower, z), tol, max_terms, grow=p + q + 2.0)
 
 
 def _weight1_pairs(upper, lower, z: float):
@@ -208,7 +208,8 @@ def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_t
         if z == 0.0:
             lhs = SeriesResult(scale, 1, 0.0, True)
         else:
-            lhs = accumulate(_weight1_pairs(upper, lower, float(z)), tol, max_terms)
+            lhs = accumulate(_weight1_pairs(upper, lower, float(z)), tol, max_terms,
+                             grow=len(upper) + len(lower) + 2.0)
     else:
         spec = WrightSpec(
             tuple((a, 1.0) for a in upper), tuple((b, 1.0) for b in lower), 1.0

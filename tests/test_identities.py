@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from kspecfun import identities, kbessel
+from kspecfun import identities, kbessel, quadrature
 from kspecfun.errors import DomainError, NonConvergenceError
 from kspecfun.identities import (
     CSV_FIELDS,
@@ -19,7 +19,7 @@ from kspecfun.identities import (
 )
 from kspecfun.kbessel import BesselParams
 from kspecfun.kgamma import k_gamma
-from kspecfun.quadrature import ObParams, oberhettinger_closed_form
+from kspecfun.quadrature import ObParams, oberhettinger_closed_form, theorem1_lhs
 from kspecfun.summation import ONE_SIGN_FLOOR, SeriesResult
 
 UNIT = BesselParams(k=1, nu=1, gamma=1, lambda1=1, c=-1, b=1)
@@ -161,6 +161,25 @@ def test_canonical_takes_the_floor_only_where_its_terms_share_one_sign(monkeypat
     for c, gamma in ((1.0, 1.5), (-1.0, 1.5), (1.0, -0.5)):
         rhs(BesselParams(k=1, nu=0.5, gamma=gamma, lambda1=0.7, c=c, b=1), 0.5, 1.5, 1.0, 2.0)
     assert floors == [ONE_SIGN_FLOOR, 0.0, 0.0]
+
+
+def test_canonical_sum_reports_its_rounding_at_h1():
+    # 102 cancelling terms sum to 697447.57 where the true value is 0.0555033;
+    # converged says only that the tail is small, rounding says the rest
+    r = theorem1_rhs_canonical(BesselParams(1.5, 0.5, 1.5, 0.7, -1.0, 1.0), 0.5, 1.5, 0.5, 10.0)
+    assert (r.value, r.terms_used, r.converged) == (697447.5740582938, 102, True)
+    assert r.rounding > 1e-10 * abs(r.value)
+    assert r.rounding >= abs(r.value - 0.0555033)
+
+
+def test_packaged_sum_passes_on_its_k_wright_rounding():
+    # the packaged side is pref times a k-Wright sum, and so is its rounding
+    bp = BesselParams(1.5, 0.5, 1.5, 0.7, -1.0, 1.0)
+    pref, spec, arg = identities._packaging(1, False, bp, 0.5, 1.5, 0.5, 10.0)
+    inner = identities.eval_k_wright(spec, arg)
+    r = theorem1_rhs_paper(bp, 0.5, 1.5, 0.5, 10.0)
+    assert inner.rounding > 0.0
+    assert (r.value, r.rounding) == (pref * inner.value, abs(pref) * inner.rounding)
 
 
 def test_corollary1_matches_negated_paper_form():
@@ -648,6 +667,44 @@ GRID_SLICE_RECORDS = {
 def test_grid_slice_records_are_pinned(identity, k, lambda1, c):
     report = verify(identity, dict(GRID_SLICE, k=k, lambda1=lambda1, c=c))
     assert repr(to_record(report)) == GRID_SLICE_RECORDS[identity, k, lambda1, c]
+
+
+def _grid_slice_records():
+    return [repr(to_record(verify(identity, dict(GRID_SLICE, k=k, lambda1=lambda1, c=c))))
+            for identity, k, lambda1, c in GRID_SLICE_RECORDS]
+
+
+def test_kernel_table_keeps_the_grid_slice_records():
+    # the slice's two kernels (theorem1, theorem2) from a cold table, a warm
+    # one, and one rebuilt after more kernels than the bound passed through
+    tables = quadrature._kernel_table
+    expected = list(GRID_SLICE_RECORDS.values())
+    tables.cache_clear()
+    assert _grid_slice_records() == expected
+    assert tables.cache_info().misses == 2
+    assert _grid_slice_records() == expected
+    assert tables.cache_info().misses == 2
+    flat = BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=0, b=1)
+    for i in range(quadrature._KERNEL_TABLES + 1):
+        theorem1_lhs(flat, 0.5, 1.5, 1.0 + i, 3.0)
+    assert tables.cache_info().currsize == quadrature._KERNEL_TABLES
+    misses = tables.cache_info().misses
+    assert _grid_slice_records() == expected
+    assert tables.cache_info().misses == misses + 2
+
+
+@pytest.mark.parametrize("identity", ["theorem1", "theorem2"])
+@pytest.mark.parametrize("first", [-0.0, 0.0])
+def test_signed_zero_y_shares_one_kernel_table(identity, first):
+    # y = -0.0 == 0.0 is one key: whichever sign builds the table, both read the same record
+    point = dict(k=1, nu=0, gamma=1.5, lambda1=1, c=-1, b=1, mu=0.5, lam=1.5, a=0.75)
+    quadrature._kernel_table.cache_clear()
+    cold = to_record(verify(identity, dict(point, y=first)))
+    warm = to_record(verify(identity, dict(point, y=-first)))
+    assert quadrature._kernel_table.cache_info().misses == 1
+    assert (repr(cold.pop("y")), repr(warm.pop("y"))) == (repr(first), repr(-first))
+    assert cold["lhs"] > 0.0 and cold["verdict"] == "match"
+    assert repr(cold) == repr(warm)
 
 
 @pytest.mark.parametrize("which, rhs", [(1, theorem1_rhs_canonical), (2, theorem2_rhs_canonical)])

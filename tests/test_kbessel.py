@@ -5,6 +5,7 @@ import threading
 from dataclasses import astuple, fields
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kspecfun import kbessel
 from kspecfun.errors import DomainError
@@ -15,7 +16,7 @@ from kspecfun.kbessel import (
     gmk_bessel_term,
 )
 from kspecfun.kgamma import k_gamma, k_pochhammer
-from kspecfun.summation import ONE_SIGN_FLOOR, SeriesResult
+from kspecfun.summation import ONE_SIGN_FLOOR, SeriesResult, dd_add, dd_div_d, dd_mul, dd_mul_d, settle
 
 UNIT_J = BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=-1, b=1)
 
@@ -642,3 +643,58 @@ def test_term_where_the_half_argument_rounds_to_zero(nu, n):
     # 0.5 * 5e-324 is 0.0: the terms are those at z = 0, not log(0)
     p = BesselParams(k=2, nu=nu, gamma=1.5, lambda1=2, c=-1, b=2)
     assert gmk_bessel_term(p, 5e-324, n) == gmk_bessel_term(p, 0.0, n)
+
+
+def _dd_reference(p, w, tol, max_terms):
+    """The double-double path's sum, its term product taken by `dd_mul`
+    and `dd_mul_d` and its rows built anew; None where it overflows."""
+    tab = kbessel._DDTable(p.k, p.gamma, p.lambda1, p.c, p.s0, round(p.lambda1 / p.k))
+    pref = kbessel._lead(w, p.nu, tab.s0, tab.k, tab.gk0)
+    w2 = w * w
+    t = acc = (1.0, 0.0)
+    rho = math.inf
+    tsum = 0.0
+    for n in range(max_terms):
+        g = tab.gamma + n * tab.k
+        row = None
+        if g != 0.0:
+            row = dd_div_d(dd_mul_d((g, 0.0), tab.c), (n + 1.0) * (n + 1.0))
+            for j in range(tab.m):
+                row = dd_div_d(row, tab.lambda1 * n + tab.s0 + j * tab.k)
+        rho_prev = rho
+        t_abs = abs(t[0]) * pref
+        tsum += t_abs
+        rho = 0.0 if row is None else abs(row[0]) * w2
+        try:
+            res = settle(n + 1, 0.0 if row is None else t_abs, rho, rho_prev,
+                         pref * (acc[0] + acc[1]), tol, max_terms, tab.floor, tsum, 2.0 + tab.m)
+        except OverflowError:
+            return None
+        if res is not None:
+            return res
+        t = dd_mul(dd_mul_d(t, w2), row)
+        acc = dd_add(acc, t)
+
+
+def _dd_evaluate(p, w, tol, max_terms):
+    try:
+        return p._table.evaluate(w, p.nu, tol, max_terms)
+    except OverflowError:
+        return None
+
+
+@settings(deadline=None, max_examples=200)
+@given(k=st.floats(0.25, 4.0), nu=st.floats(0.0, 4.0), gamma=st.floats(-4.0, 4.0),
+       c=st.floats(-4.0, 4.0).filter(bool), b=st.floats(-0.9, 4.0), z=st.floats(1e-3, 60.0),
+       m=st.sampled_from([1, 2, 3]), max_terms=st.integers(1, 120))
+@example(k=1.5, nu=0.5, gamma=-3.0, c=-1.0, b=1.0, z=5.0, m=2, max_terms=120)  # ends at g = 0
+@example(k=1.0, nu=0.0, gamma=1.0, c=-1.0, b=1.0, z=40.0, m=1, max_terms=120)  # J_0, cancelling
+def test_dd_path_matches_its_reference_loop_bit_for_bit(k, nu, gamma, c, b, z, m, max_terms):
+    # evaluate writes the term product out in place; the sum must not move by a bit,
+    # whether its rows are new or reused
+    p = BesselParams(k, nu, gamma, m * k, c, b)
+    assert isinstance(p._table, kbessel._DDTable)
+    w = 0.5 * z
+    expected = repr(_dd_reference(p, w, 1e-12, max_terms))
+    assert repr(_dd_evaluate(p, w, 1e-12, max_terms)) == expected
+    assert repr(_dd_evaluate(p, w, 1e-12, max_terms)) == expected
