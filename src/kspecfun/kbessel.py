@@ -39,27 +39,25 @@ Every part of a term ratio except the power of the argument depends on the
 parameters alone: the Pochhammer factor, the factorials and the k-Gamma
 ratio; on the double-double path a row is their product alone, whose
 leading double times w^2 is the truncation test's ratio.  These z-free
-parts live in a term table, the cached property `_table` of the
-`BesselParams` object.  Each table sums its own path in one loop that
-builds, reads and sums the rows: `evaluate` on either path, and
-`_LogTable.series` for the first kind as well.
-Row n is built the first time any evaluation on that object reaches term
-n and read by every later call, so the ~240 nodes of an integral pay for
-each row once.  The double-double path's per-term product
-dd_mul(dd_mul_d(t, w^2), row) is written out in its loop, as `summation`
-writes out its transforms, with w^2's Dekker split taken once per call;
-the arithmetic and its order are those of the two helpers.  The table is
-not a dataclass field, so equality, hashing, repr and astuple ignore it,
-and it goes with its object; there is no module-level cache.  A row's
-content does not depend on which call built it, and each node combines
-it with its argument in per-term order.
+parts live in a term table, `_table` of the `BesselParams` object, made on
+first use and kept in the instance dict, as `functools.cached_property`
+does but without the per-instance lock it takes on Python 3.11.  The table
+is not a field, so ==, hash, repr and astuple ignore it, and it goes with
+its object; there is no module-level cache.  Each table sums its own path
+in one loop that builds, reads and sums the rows: `evaluate` on either
+path, and `_LogTable.series` for the first kind as well.  Row n is built
+the first time any evaluation on that object reaches term n and read by
+every later call, so the ~240 nodes of an integral pay for each row once;
+a row does not depend on which call built it.  The double-double path's
+per-term product dd_mul(dd_mul_d(t, w^2), row) is written out in its loop,
+with w^2's Dekker split taken once per call, in the helpers' arithmetic
+and order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count, islice, repeat
 
 from .errors import DomainError
@@ -74,6 +72,19 @@ __all__ = [
     "eval_k_bessel_first",
     "gmk_bessel_term",
 ]
+
+
+class _built_once:
+    """Non-data descriptor: the first access stores fn(obj) in obj's dict, which shadows it."""
+
+    def __init__(self, fn) -> None:
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -109,11 +120,9 @@ class BesselParams:
         """nu + (b+1)/2, the Gamma_k argument of the n = 0 term; not a field."""
         return self.nu + 0.5 * (self.b + 1.0)
 
-    @cached_property
+    @_built_once
     def _table(self) -> _DDTable | _LogTable:
-        """The term table of this parameter set (see the module docstring),
-        made on first use; needs c != 0.  cached_property keeps it in the
-        instance dict, which fields, ==, hash and repr never read."""
+        """The term table of this parameter set (see the module docstring); needs c != 0."""
         m = self.lambda1 / self.k
         mi = round(m)
         if mi >= 1 and abs(m - mi) <= 1e-12 * m:

@@ -7,10 +7,10 @@ A Wright spec carries rows (a_i, alpha_i) over (b_j, beta_j) and evaluates
 with Gamma replaced by Gamma_k(., k_scale) for the deformed variant; the
 k_scale = 1 case degenerates to the classical function through the identical
 code path.  Entire-function evaluation requires the margin
-Delta = sum beta_j - sum alpha_i > -1, checked at construction; the
-conditionally convergent boundary Delta = -1 is rejected rather than
-special-cased.  All offsets must stay positive along the series, which for
-n >= 0 means positive offsets and nonnegative weights.
+Delta = sum beta_j - sum alpha_i > -k_scale, checked at construction (the
+weights act as alpha/k_scale); the boundary Delta = -k_scale is rejected
+rather than special-cased.  All offsets must stay positive along the series,
+which for n >= 0 means positive offsets and nonnegative weights.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .errors import DomainError
-from .kgamma import KScale, log_k_gamma
+from .kgamma import _kval, log_k_gamma
 from .summation import SeriesResult, accumulate, check_series_args, is_positive, is_real, logsig_pairs
 from .summation import rel_diff, side_value
 
@@ -65,9 +65,8 @@ class WrightSpec:
         if not is_positive(self.k_scale):
             raise DomainError(f"k_scale must be positive, got {self.k_scale!r}")
         object.__setattr__(self, "k_scale", float(self.k_scale))
-        # Gamma_k(a + wn) = k^((a+wn)/k - 1) Gamma((a+wn)/k), so the series
-        # behaves like a plain Wright series with weights w/k_scale and the
-        # entirety threshold scales accordingly.
+        # Gamma_k(a + wn) = k^((a+wn)/k - 1) Gamma((a+wn)/k): a plain Wright series
+        # with weights w/k_scale, so the entirety threshold scales with k_scale.
         margin = convergence_margin(self)
         if not margin > -self.k_scale:
             raise DomainError(
@@ -83,20 +82,25 @@ def convergence_margin(s: WrightSpec) -> float:
 
 def wright_terms_logsig(upper, lower, k_scale: float, z: float):
     """(log |n-th term| without its |z|^n factor, sign of the term) for
-    n = 0, 1, 2, ... and the rows (a_i, alpha_i) over (b_j, beta_j)."""
-    k = KScale(k_scale)  # checked here once, not at every term
+    n = 0, 1, 2, ... and the rows (a_i, alpha_i) over (b_j, beta_j).  Each row adds or
+    takes ln Gamma_k(x), x = a + alpha n, by the formula of `log_k_gamma` with k and ln k
+    taken once; an x that is not a float in (0, inf) goes through `log_k_gamma` itself."""
+    k = _kval(k_scale)  # checked here once, not at every term
+    lk, lgamma, inf = math.log(k), math.lgamma, math.inf
+    rows = [(off, wt, 1.0) for off, wt in upper] + [(off, wt, -1.0) for off, wt in lower]
     for n in count():
-        lg = -math.lgamma(n + 1.0)
-        for off, wt in upper:
-            lg += log_k_gamma(off + wt * n, k)
-        for off, wt in lower:
-            lg -= log_k_gamma(off + wt * n, k)
+        lg = -lgamma(n + 1.0)
+        for off, wt, sg in rows:  # sg * v is exactly v or -v
+            x = off + wt * n
+            if type(x) is float and 0.0 < x < inf:
+                w = x / k
+                lg += sg * ((w - 1.0) * lk + lgamma(w))
+            else:
+                lg += sg * log_k_gamma(x, k)
         yield lg, -1 if z < 0 and n % 2 else 1
 
 
-def eval_k_wright(
-    s: WrightSpec, z: float, tol: float = 1e-10, max_terms: int = 400
-) -> SeriesResult:
+def eval_k_wright(s: WrightSpec, z: float, tol: float = 1e-10, max_terms: int = 400) -> SeriesResult:
     """Evaluate the Gamma_k-deformed Wright series at real z."""
     z, max_terms = check_series_args(z, tol, max_terms)
     terms = wright_terms_logsig(s.upper, s.lower, s.k_scale, z)
@@ -112,28 +116,12 @@ def eval_wright(s: WrightSpec, z: float, tol: float = 1e-10, max_terms: int = 40
     return eval_k_wright(s, z, tol=tol, max_terms=max_terms)
 
 
-def _ratio_tail_bound(upper, dens, least: float, z: float, n: int) -> float:
-    """Bound on every term ratio from index n on; least is min(dens).
-
-    Each paired factor (a+m)/(d+m) moves monotonically toward 1 for m >= n
-    once d + n > 0, so max(|current|, 1) bounds its whole tail; unpaired
-    denominators only shrink the ratio further.  While some d + n <= 0 the
-    ratios can still grow, and no bound (inf) is given.
-    """
-    if least + n <= 0:
-        return math.inf
-    rho = abs(z)
-    for j, aj in enumerate(upper):
-        x = abs(aj + n) / (dens[j] + n)  # finite: d + n > 0 was checked
-        rho *= x if x > 1.0 else 1.0
-    for d in dens[len(upper):]:
-        rho /= d + n
-    return rho
-
-
 def _pfq_pairs(upper, lower, z: float):
+    # rho bounds every term ratio from index n on.  Each paired factor (a+m)/(d+m), d from lower + [1],
+    # moves monotonically toward 1 for m >= n once d + n > 0, so max(|current|, 1) bounds its whole
+    # tail; unpaired denominators only shrink the ratio further.  No bound (inf) while some d + n <= 0.
     dens = list(lower) + [1.0]
-    least = min(dens)
+    least, pairs, unpaired, az = min(dens), list(zip(upper, dens)), dens[len(upper):], abs(z)
     t = 1.0
     for n in count():
         r = z / (n + 1.0)
@@ -141,8 +129,17 @@ def _pfq_pairs(upper, lower, z: float):
             r *= aj + n
         for bj in lower:
             r /= bj + n
-        # r == 0 means a Pochhammer factor hit zero: exact termination
-        rho = 0.0 if r == 0.0 else _ratio_tail_bound(upper, dens, least, z, n)
+        if r == 0.0:  # a Pochhammer factor hit zero: exact termination
+            rho = 0.0
+        elif least + n <= 0:
+            rho = math.inf
+        else:
+            rho = az
+            for aj, dj in pairs:
+                x = abs(aj + n) / (dj + n)  # finite: d + n > 0 was checked
+                rho *= x if x > 1.0 else 1.0
+            for d in unpaired:
+                rho /= d + n
         yield t, rho
         t *= r
 
@@ -155,9 +152,7 @@ def _real_params(upper, lower) -> tuple[list[float], list[float]]:
     return [float(v) for v in upper], [float(v) for v in lower]
 
 
-def eval_pfq(
-    upper, lower, z: float, tol: float = 1e-10, max_terms: int = 400
-) -> SeriesResult:
+def eval_pfq(upper, lower, z: float, tol: float = 1e-10, max_terms: int = 400) -> SeriesResult:
     """Generalized hypergeometric sum_n prod (a_j)_n / prod (b_j)_n * z^n / n!.
 
     Converges for p <= q everywhere and for p = q + 1 inside |z| < 1; other
@@ -197,9 +192,7 @@ def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_t
         for v in vals:
             if not v > 0:
                 raise DomainError(f"reduction check needs positive {side} parameters, got {v!r}")
-    scale = math.exp(
-        math.fsum(math.lgamma(a) for a in upper) - math.fsum(math.lgamma(b) for b in lower)
-    )
+    scale = math.exp(math.fsum(math.lgamma(a) for a in upper) - math.fsum(math.lgamma(b) for b in lower))
     pfq = eval_pfq(upper, lower, z, tol=tol, max_terms=max_terms)
     if len(upper) == len(lower) + 1:
         # The weight-1 margin is exactly -1 here, so WrightSpec refuses to
@@ -211,8 +204,6 @@ def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_t
             lhs = accumulate(_weight1_pairs(upper, lower, float(z)), tol, max_terms,
                              grow=len(upper) + len(lower) + 2.0)
     else:
-        spec = WrightSpec(
-            tuple((a, 1.0) for a in upper), tuple((b, 1.0) for b in lower), 1.0
-        )
+        spec = WrightSpec(tuple((a, 1.0) for a in upper), tuple((b, 1.0) for b in lower), 1.0)
         lhs = eval_wright(spec, z, tol=tol, max_terms=max_terms)
     return rel_diff(scale * side_value("pFq", pfq), side_value("Wright", lhs))

@@ -225,6 +225,32 @@ def test_settle_callers_keep_their_bits(call, expected):
     assert repr((r.value, r.terms_used, r.tail_estimate)) == repr(expected)
 
 
+# the whole result, rounding included, of longer Wright and pFq sums, bit for bit
+@pytest.mark.parametrize("call, expected", [
+    # a 3F2 of 29 terms
+    (lambda: ks.eval_pfq((0.5, 2.25), (1.75, 0.6), 5.0),
+     "SeriesResult(value=216.9367650489907, terms_used=29, tail_estimate=7.227730496020677e-11, "
+     "converged=True, rounding=4.3444101855982195e-12)"),
+    # p = q + 1 close to its radius
+    (lambda: ks.eval_pfq((0.75, 1.25), (1.5,), -0.9),
+     "SeriesResult(value=0.6652659629189834, terms_used=217, tail_estimate=6.452632012700365e-11, "
+     "converged=True, rounding=4.705797651393346e-13)"),
+    # (-7)_n ends the sum at n = 8
+    (lambda: ks.eval_pfq((-7.0, 1.5), (2.5, 1.25), -3.25),
+     "SeriesResult(value=126.93144891869589, terms_used=8, tail_estimate=0.0, "
+     "converged=True, rounding=7.587766137802696e-13)"),
+    # k_scale 1.7 with three lower rows
+    (lambda: ks.eval_k_wright(ks.WrightSpec(((1.5, 0.5), (0.75, 1.25)),
+                                            ((2.0, 1.0), (0.5, 0.7), (1.25, 0.4)), 1.7), 6.5),
+     "SeriesResult(value=354.63859336787147, terms_used=29, tail_estimate=5.2641796342643854e-11, "
+     "converged=True, rounding=2.554156372963546e-12)"),
+    # p = q + 1: the Wright side is summed from the weight-1 terms and the pFq ratio bound
+    (lambda: ks.wright_pfq_reduction_check((0.75, 1.25), (1.5,), -0.9), "2.2636220122758838e-15"),
+])
+def test_wright_and_pfq_sums_keep_their_bits(call, expected):
+    assert repr(call()) == expected
+
+
 class _Float(float):
     pass
 

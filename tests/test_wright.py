@@ -1,10 +1,13 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kspecfun import wright
 from kspecfun.errors import DomainError, NonConvergenceError
+from kspecfun.kgamma import KScale, log_k_gamma
 from kspecfun.wright import (
     WrightSpec,
     convergence_margin,
@@ -12,6 +15,7 @@ from kspecfun.wright import (
     eval_pfq,
     eval_wright,
     wright_pfq_reduction_check,
+    wright_terms_logsig,
 )
 
 
@@ -278,3 +282,89 @@ def test_rounding_and_tail_bound_the_error_of_census_sums(call, exact):
     # the census sums above report converged on cancellation noise and say so in rounding
     r = call()
     assert r.rounding + r.tail_estimate >= abs(r.value - exact())
+
+
+def _terms_by_log_k_gamma(upper, lower, k_scale, z, count):
+    """The first count items of `wright_terms_logsig`, one checked `log_k_gamma` call per row."""
+    k = KScale(k_scale)
+    out = []
+    for n in range(count):
+        lg = -math.lgamma(n + 1.0)
+        for off, wt in upper:
+            lg += log_k_gamma(off + wt * n, k)
+        for off, wt in lower:
+            lg -= log_k_gamma(off + wt * n, k)
+        out.append((lg, -1 if z < 0 and n % 2 else 1))
+    return out
+
+
+# float rows, and int rows that take the checked log_k_gamma call
+_rows = st.lists(st.tuples(st.one_of(st.floats(0.01, 50.0), st.integers(1, 20)),
+                           st.one_of(st.floats(0.0, 3.0), st.integers(0, 3))), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows, _rows, st.floats(0.05, 5.0), st.floats(-50.0, 50.0))
+@example([(1.5, 0.5), (0.75, 1.25)], [(2.0, 1.0), (0.5, 0.7), (1.25, 0.4)], 1.7, 6.5)
+def test_wright_terms_match_a_log_k_gamma_call_per_row(upper, lower, k_scale, z):
+    got = list(itertools.islice(wright_terms_logsig(upper, lower, k_scale, z), 60))
+    assert repr(got) == repr(_terms_by_log_k_gamma(upper, lower, k_scale, z, 60))
+
+
+@pytest.mark.parametrize("upper, lower, bad", [
+    ([(-1.0, 1.0)], [], "-1.0"),  # a negative offset
+    ([(1.0, 1.0)], [(2.0, -1.0)], "0.0"),  # a lower row that reaches 0 at n = 2
+    ([(1, 0)], [(-2, 1)], "-2"),  # int rows keep their repr in the message
+])
+def test_raw_rows_off_the_domain_raise_the_log_k_gamma_error(upper, lower, bad):
+    with pytest.raises(DomainError) as err:
+        list(itertools.islice(wright_terms_logsig(upper, lower, 1.0, 2.0), 4))
+    assert str(err.value) == f"log k-gamma requires z > 0, got {bad}"
+
+
+def _pairs_with_a_bound_per_term(upper, lower, z, count):
+    """The first count (term, ratio bound) pairs of a pFq, the bound a separate call per term."""
+
+    def bound(dens, least, n):
+        if least + n <= 0:
+            return math.inf
+        rho = abs(z)
+        for j, aj in enumerate(upper):
+            x = abs(aj + n) / (dens[j] + n)
+            rho *= x if x > 1.0 else 1.0
+        for d in dens[len(upper):]:
+            rho /= d + n
+        return rho
+
+    dens = list(lower) + [1.0]
+    out, t = [], 1.0
+    for n in range(count):
+        r = z / (n + 1.0)
+        for aj in upper:
+            r *= aj + n
+        for bj in lower:
+            r /= bj + n
+        out.append((t, 0.0 if r == 0.0 else bound(dens, min(dens), n)))
+        t *= r
+    return out
+
+
+# parameters that include negative integers (upper: exact termination) and
+# negative non-integers (lower: no bound while b + n <= 0)
+_param = st.one_of(st.floats(-6.0, 6.0), st.integers(-5, 5).map(float), st.integers(-5, 5).map(lambda i: i + 0.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_param, max_size=3), st.lists(_param, max_size=3), st.floats(-30.0, 30.0))
+@example([-3.0, 1.5], [-2.5], 2.0)
+def test_pfq_pairs_match_a_bound_per_term(upper, lower, z):
+    assume(len(upper) <= len(lower) + 1)
+    assume(not any(b <= 0 and b == math.floor(b) for b in lower))
+    got = list(itertools.islice(wright._pfq_pairs(upper, lower, z), 60))
+    assert repr(got) == repr(_pairs_with_a_bound_per_term(upper, lower, z, 60))
+
+
+def test_pfq_pairs_give_no_bound_then_end_exactly():
+    # b = -2.5: no bound at n = 0, 1, 2; a = -3: the ratio after term 3 is an exact 0
+    rhos = [rho for _, rho in itertools.islice(wright._pfq_pairs([-3.0, 1.5], [-2.5], 2.0), 5)]
+    assert rhos[:3] == [math.inf] * 3 and rhos[3] == 0.0 and 0.0 < rhos[4] < math.inf
