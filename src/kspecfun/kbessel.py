@@ -39,9 +39,8 @@ Every part of a term ratio except the power of the argument depends on the
 parameters alone: the Pochhammer factor, the factorials and the k-Gamma
 ratio; on the double-double path a row is their product alone, whose
 leading double times w^2 is the truncation test's ratio.  These z-free
-parts live in a term table, `_table` of the `BesselParams` object, made on
-first use and kept in the instance dict, as `functools.cached_property`
-does but without the per-instance lock it takes on Python 3.11.  The table
+parts live in a term table, `_table` of the `BesselParams` object, built
+when the object is made (c != 0) and kept in the instance dict.  The table
 is not a field, so ==, hash, repr and astuple ignore it, and it goes with
 its object; there is no module-level cache.  Each table sums its own path
 in one loop that builds, reads and sums the rows: `evaluate` on either
@@ -74,19 +73,6 @@ __all__ = [
 ]
 
 
-class _built_once:
-    """Non-data descriptor: the first access stores fn(obj) in obj's dict, which shadows it."""
-
-    def __init__(self, fn) -> None:
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class BesselParams:
     """Parameter set (k, nu, gamma, lambda1, c, b) of the generalized series.
@@ -114,20 +100,19 @@ class BesselParams:
             raise DomainError(f"nu must be nonnegative, got {self.nu!r}")
         if not self.s0 > 0:
             raise DomainError(f"nu + (b+1)/2 must be positive, got nu={self.nu!r} b={self.b!r}")
+        if self.c:  # the term table (see the module docstring), not a field
+            m = self.lambda1 / self.k
+            mi = round(m) if m < math.inf else 0
+            if mi >= 1 and abs(m - mi) <= 1e-12 * m:
+                table = _DDTable(self.k, self.gamma, self.lambda1, self.c, self.s0, mi)
+            else:
+                table = _LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(abs(self.c)), self.c < 0.0)
+            object.__setattr__(self, "_table", table)
 
     @property
     def s0(self) -> float:
         """nu + (b+1)/2, the Gamma_k argument of the n = 0 term; not a field."""
         return self.nu + 0.5 * (self.b + 1.0)
-
-    @_built_once
-    def _table(self) -> _DDTable | _LogTable:
-        """The term table of this parameter set (see the module docstring); needs c != 0."""
-        m = self.lambda1 / self.k
-        mi = round(m)
-        if mi >= 1 and abs(m - mi) <= 1e-12 * m:
-            return _DDTable(self.k, self.gamma, self.lambda1, self.c, self.s0, mi)
-        return _LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(abs(self.c)), self.c < 0.0)
 
 
 def bessel_terms_logsig(p: BesselParams, w: float):
@@ -201,13 +186,18 @@ class _LogTable:
     at x = c u, lc = log|c|, neg = c u < 0 (c < 0 for the generalized series, z > 0
     for the first kind).  With g = gamma + n k and L_n = log Gamma_k(lam n + s0), row n
     is (lc + log|g|, 2 log(n+1), L_{n+1} - L_n, g < 0, L_{n+1}), or None where g = 0 ends
-    the series.  k is held as a KScale, so log_k_gamma does not check it at every row."""
+    the series.  k is held as a KScale, so log_k_gamma skips the positive rule at every row,
+    which costs a fresh table more than building the KScale.  lgk0 = L_0 is nan where it
+    overflows: the first evaluation, not the constructor, raises the OverflowError."""
 
     __slots__ = ("k", "gamma", "lam", "s0", "lc", "neg", "lgk0", "floor", "rows")
 
     def __init__(self, k, gamma, lam, s0, lc, neg) -> None:
         self.k, self.gamma, self.lam, self.s0, self.lc, self.neg = KScale(k), gamma, lam, s0, lc, neg
-        self.lgk0 = log_k_gamma(s0, self.k)
+        try:
+            self.lgk0 = log_k_gamma(s0, self.k)
+        except OverflowError:
+            self.lgk0 = math.nan
         self.floor = ONE_SIGN_FLOOR if gamma > 0.0 and not neg else 0.0
         self.rows = []
 

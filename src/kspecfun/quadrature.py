@@ -67,36 +67,17 @@ class ObParams:
             raise DomainError(f"need 0 < mu < lam and a > 0, got mu={mu!r} lam={lam!r} a={a!r}")
 
 
-# 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule.
-_XGK = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993944,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
+# Gauss-Kronrod 7/15: the centre's (Kronrod, Gauss) weights; (abscissa, Kronrod, Gauss or 0.0) per node pair
+_GK_CENTRE = (0.2094821410847278, 0.4179591836734694)
+_GK_PAIRS = (
+    (0.9914553711208126, 0.0229353220105292, 0.0),
+    (0.9491079123427585, 0.0630920926299785, 0.1294849661688697),
+    (0.8648644233597691, 0.1047900103222502, 0.0),
+    (0.7415311855993944, 0.1406532597155259, 0.2797053914892767),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.4058451513773972, 0.1903505780647854, 0.3818300505051189),
+    (0.2077849550078985, 0.2044329400752989, 0.0),
 )
-_WGK = (
-    0.0229353220105292,
-    0.0630920926299785,
-    0.1047900103222502,
-    0.1406532597155259,
-    0.1690047266392679,
-    0.1903505780647854,
-    0.2044329400752989,
-    0.2094821410847278,
-)
-_WG = (
-    0.1294849661688697,
-    0.2797053914892767,
-    0.3818300505051189,
-    0.4179591836734694,
-)
-
-
-# (abscissa, Kronrod weight, Gauss weight or 0) of each symmetric node pair
-_PAIRS = tuple(zip(_XGK, _WGK, (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
 
 
 def _gk15(g, a: float, b: float) -> tuple[float, float, float, float]:
@@ -106,13 +87,13 @@ def _gk15(g, a: float, b: float) -> tuple[float, float, float, float]:
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fc, noise = g(mid)
-    wc = _WGK[7]
+    wc, wgc = _GK_CENTRE
     resk = wc * fc
-    resg = _WG[3] * fc
+    resg = wgc * fc
     resabs = wc * abs(fc)
     noise *= resabs
     seen = []
-    for xk, wk, wg in _PAIRS:
+    for xk, wk, wg in _GK_PAIRS:
         dx = h * xk
         f1, r1 = g(mid - dx)
         f2, r2 = g(mid + dx)
@@ -295,8 +276,9 @@ def _u_node(u: float) -> tuple[float, float, float]:
 
 @functools.cache
 def _start_nodes() -> dict[float, tuple[float, float, float]]:
-    """`_u_node` at each node u of the starting panels, by u, as
-    `_integrate` visits them; built on first use."""
+    """`_u_node` at each starting-panel node u, by u, as `_integrate` visits
+    them; built on first use, so a cold kernel table (a CLI `verify`, a
+    sweep's new or evicted kernel) takes no exp, sinh or cosh."""
     nodes = {}
 
     def visit(u: float) -> tuple[float, float]:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kspecfun import kbessel
 from kspecfun.errors import DomainError
+from kspecfun.identities import verify
 from kspecfun.kbessel import (
     BesselParams,
     eval_gmk_bessel,
@@ -522,6 +523,29 @@ def test_table_is_invisible_to_params_identity():
     assert hash(used) == hash(unused)
     assert repr(used) == repr(unused)
     assert astuple(used) == astuple(unused)
+
+
+@pytest.mark.parametrize("lambda1, table", [(2, kbessel._DDTable), (0.5, kbessel._LogTable)])
+def test_table_is_built_with_its_params(lambda1, table):
+    # made by the constructor where c != 0, before any evaluation; c = 0 sums no rows
+    assert type(vars(BesselParams(1, 0.5, 1.5, lambda1, -0.7, 1))["_table"]) is table
+    assert "_table" not in vars(BesselParams(1, 0.5, 1.5, lambda1, 0.0, 1))
+
+
+@pytest.mark.parametrize("params", [
+    dict(k=1, nu=1e306, gamma=1, lambda1=0.5, c=-1, b=1),  # log Gamma_k(s0) overflows
+    dict(k=1, nu=1e306, gamma=0, lambda1=0.5, c=-1, b=1),  # the same, and the series ends at n = 0
+    dict(k=1e-300, nu=1, gamma=1, lambda1=1e300, c=-1, b=1),  # lambda1/k is inf
+], ids=["log table", "log table, gamma=0", "lambda1/k inf"])
+def test_table_out_of_double_range_raises_on_evaluation(params):
+    # the constructor builds the table but leaves the OverflowError to the first
+    # evaluation, where a verify point reports it as an evaluation failure
+    p = BesselParams(**params)
+    with pytest.raises(OverflowError, match="math range error"):
+        eval_gmk_bessel(p, 1.0)
+    assert eval_gmk_bessel(p, 0.0).terms_used == 1
+    r = verify("theorem1", dict(params, mu=1, lam=2, a=1, y=1))
+    assert (r.verdict, r.diagnostics) == ("inconclusive", "evaluation failed: math range error")
 
 
 @pytest.mark.parametrize("lambda1", [1.0, 0.5])

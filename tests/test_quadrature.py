@@ -297,7 +297,8 @@ def test_noise_below_the_goal_changes_nothing():
     assert quiet.evaluations > 240 and quiet.converged
 
 
-# repr of each result, bit for bit as before the integrator took noise
+# repr of each result, bit for bit as before the integrator took noise; the
+# refined ones at tol 1e-13 read every Gauss-Kronrod weight
 @pytest.mark.parametrize("integral, expected", [
     (lambda: integrate_semi_infinite(lambda x: math.exp(-x), tol=1e-10),
      "QuadResult(value=1.0, abs_err_estimate=1.2813903569035092e-11, evaluations=330, converged=True)"),
@@ -313,6 +314,17 @@ def test_noise_below_the_goal_changes_nothing():
     (lambda: oberhettinger_lhs(ObParams(0.5, 1.5, 2.0), tol=1e-12),
      "QuadResult(value=0.5303300858899106, abs_err_estimate=3.842037915574024e-13, evaluations=240,"
      " converged=True)"),
-], ids=["exp", "endpoint singularity", "budget", "cancelling", "kernel"])
+    (lambda: oberhettinger_lhs(ObParams(0.5, 1.0, 0.5), tol=1e-13),
+     "QuadResult(value=2.666666666666666, abs_err_estimate=2.382506243994496e-13, evaluations=300,"
+     " converged=True)"),
+    (lambda: oberhettinger_lhs(ObParams(1.5, 3.5, 2.0), tol=1e-13),
+     "QuadResult(value=0.01031197389230382, abs_err_estimate=5.3114535804711314e-17, evaluations=420,"
+     " converged=True)"),
+    (lambda: integrate_semi_infinite(lambda x: math.exp(-x) / math.sqrt(x), tol=1e-13),
+     "QuadResult(value=1.7724538509055159, abs_err_estimate=1.1989296041272158e-13, evaluations=390,"
+     " converged=True)"),
+], ids=["exp", "endpoint singularity", "budget", "cancelling", "kernel", "refined kernel mu=0.5",
+        "refined kernel mu=1.5", "refined endpoint singularity"])
 def test_integrands_without_noise_keep_their_bits(integral, expected):
     assert repr(integral()) == expected
+
