@@ -323,18 +323,13 @@ def classical_reduction_check(kind: str, nu: float, z: float) -> float:
     return rel_diff(got, side_value("classical", _classical_bessel_series(c, nu, z)))
 
 
-def _ratio_diagnostics(row: Identity, bp, mu, lam, a, y) -> str:
-    """Per-term packaged/canonical ratio for the first few indices.
-
-    Each ratio is exp of the difference of the two terms' logs, so terms
-    that underflow still give one."""
-    pref, spec, arg = _packaging(row.family, row.reduced, bp, mu, lam, a, y)
-    # the y-powers cancel in each ratio; where y/2, the prefactor or the argument
-    # (c != 0) is 0.0, at y = 0 or by underflow at a tiny y, take them at y = 1
-    if not (0.5 * y and pref and (arg or not bp.c)):
-        y = 1.0
-        pref, spec, arg = _packaging(row.family, row.reduced, bp, mu, lam, a, y)
-    canonical = _canonical_terms_logsig(row.family, bp, mu, lam, a, y)
+def _ratio_diagnostics(row: Identity, bp, mu, lam, a) -> str:
+    """Per-term packaged/canonical ratio for the first few indices, taken at
+    y = 1: the powers of y cancel in every ratio, so no y, however small,
+    underflows them.  Each ratio is exp of the difference of the two terms'
+    logs, so terms that underflow still give one."""
+    pref, spec, arg = _packaging(row.family, row.reduced, bp, mu, lam, a, 1.0)
+    canonical = _canonical_terms_logsig(row.family, bp, mu, lam, a, 1.0)
     packaged = wright_terms_logsig(spec.upper, spec.lower, spec.k_scale, arg)
     # arg = 0 only at c = 0, where every canonical term past n = 0 vanishes
     lz = math.log(abs(arg)) if arg else 0.0
@@ -438,7 +433,7 @@ def verify(
         verdict = "match"
     elif rel_c <= tol_match:
         verdict = "canonical_only"
-        diag = _ratio_diagnostics(row, bp, *args)
+        diag = _ratio_diagnostics(row, bp, *args[:3])
     else:
         verdict = "mismatch"
 

@@ -17,9 +17,10 @@ One recurrence sums S for both:
 * in general, terms are carried in log-magnitude/sign form with the k-Gamma
   ratio taken from consecutive log Gamma_k values, and summed with
   Neumaier compensation in the same loop;
-* for the generalized series with lambda1/k a positive integer m, the
-  k-Gamma ratio between consecutive terms telescopes into an exact m-factor
-  product, and the whole recurrence runs in double-double arithmetic.  This
+* for the generalized series with lambda1/k a whole number m from 1 to 16,
+  the k-Gamma ratio between consecutive terms telescopes into an exact
+  m-factor product, and the whole recurrence runs in double-double
+  arithmetic (a row costs m products, so a larger m takes the log path).  This
   is the path the classical-reduction checks exercise, where alternating
   sums lose ~4 digits to cancellation at z = 10 and plain doubles cannot
   hold 1e-12 agreement.
@@ -102,7 +103,7 @@ class BesselParams:
             raise DomainError(f"nu + (b+1)/2 must be positive, got nu={self.nu!r} b={self.b!r}")
         if self.c:  # the term table (see the module docstring), not a field
             m = self.lambda1 / self.k
-            mi = round(m) if m < math.inf else 0
+            mi = round(m) if m < 16.5 else 0
             if mi >= 1 and abs(m - mi) <= 1e-12 * m:
                 table = _DDTable(self.k, self.gamma, self.lambda1, self.c, self.s0, mi)
             else:
@@ -148,12 +149,7 @@ def gmk_bessel_term(p: BesselParams, z: float, n: int) -> float:
     z = check_arg(z)
     if z < 0:
         raise DomainError(f"argument must be >= 0, got {z!r}")
-    w = 0.5 * z
-    if w == 0.0:
-        if n == 0 and p.nu == 0.0:
-            return _lead(0.0, 0.0, p.s0, p.k)
-        return 0.0
-    lg, sg = next(islice(bessel_terms_logsig(p, w), int(n), None))
+    lg, sg = next(islice(bessel_terms_logsig(p, 0.5 * z), int(n), None))
     return sg * math.exp(lg) if sg else 0.0
 
 

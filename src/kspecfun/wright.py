@@ -194,16 +194,12 @@ def wright_pfq_reduction_check(upper, lower, z: float, tol: float = 1e-12, max_t
                 raise DomainError(f"reduction check needs positive {side} parameters, got {v!r}")
     scale = math.exp(math.fsum(math.lgamma(a) for a in upper) - math.fsum(math.lgamma(b) for b in lower))
     pfq = eval_pfq(upper, lower, z, tol=tol, max_terms=max_terms)
-    if len(upper) == len(lower) + 1:
-        # The weight-1 margin is exactly -1 here, so WrightSpec refuses to
-        # construct; the series still converges inside |z| < 1 (enforced by
-        # the pFq side), so sum it term by term.
-        if z == 0.0:
-            lhs = SeriesResult(scale, 1, 0.0, True)
-        else:
-            lhs = accumulate(_weight1_pairs(upper, lower, float(z)), tol, max_terms,
-                             grow=len(upper) + len(lower) + 2.0)
+    # one route for every shape: at p = q + 1 the weight-1 margin is exactly -1,
+    # which WrightSpec refuses, yet the series converges inside |z| < 1 (enforced
+    # by the pFq side)
+    if z == 0.0:
+        lhs = SeriesResult(scale, 1, 0.0, True)
     else:
-        spec = WrightSpec(tuple((a, 1.0) for a in upper), tuple((b, 1.0) for b in lower), 1.0)
-        lhs = eval_wright(spec, z, tol=tol, max_terms=max_terms)
+        lhs = accumulate(_weight1_pairs(upper, lower, float(z)), tol, max_terms,
+                         grow=len(upper) + len(lower) + 2.0)
     return rel_diff(scale * side_value("pFq", pfq), side_value("Wright", lhs))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from kspecfun import cli, identities
+from kspecfun.wright import eval_pfq
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -432,3 +433,68 @@ def test_sweep_mismatch_exits_one(capsys, tmp_path, monkeypatch):
     out, err = capsys.readouterr()
     assert out.splitlines()[1].split(",")[-3] == "mismatch"
     assert err == "match=0 canonical_only=0 mismatch=1 skipped=0\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("eval kgamma z=abc", "z: expected a number, got 'abc'"),
+    ("eval kgamma z=1 z=2", "duplicate key 'z'"),
+    ("eval kwright upper=1 z=0.5", "upper: expected offset:weight, got '1'"),
+    ("eval kgamma k=2", "kgamma needs z=<value>"),
+])
+def test_eval_usage_error_message(command, message, capsys):
+    assert cli.main(command.split()) == 2
+    assert capsys.readouterr() == ("", f"kspecfun: {message}\n")
+
+
+def test_eval_pfq_with_no_upper_parameters(capsys):
+    # empty text is an empty parameter list: 0F1(; 1; 0.5)
+    assert cli.main(["eval", "pfq", "upper=", "lower=1", "z=0.5"]) == 0
+    r = eval_pfq((), (1.0,), 0.5)
+    assert capsys.readouterr().out == (
+        f"value={r.value!r}\nterms_used={r.terms_used}\ntail_estimate={r.tail_estimate!r}\n"
+        "converged=true\n")
+
+
+def _json_error(text: str) -> str:
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} parses")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"identity": "theorem1", "mu": []}',
+     "config key 'mu' must be a finite number or nonempty list of them"),
+    ("{", "malformed config: " + _json_error("{")),
+    ("[1]", "malformed config: expected a flat JSON object"),
+    ('{"identity": "theorem9"}', f"config needs identity set to one of {', '.join(identities.IDENTITY_IDS)}"),
+    ('{"identity": "oberhettinger", "format": "xml"}', "unknown format 'xml'; expected csv or json-lines"),
+])
+def test_sweep_config_error_message(text, message, capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "verify", lambda *a, **kw: calls.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"kspecfun: {message}\n")
+    assert calls == []
+
+
+def test_sweep_config_that_cannot_be_read(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(OSError) as err:
+        open(missing, encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(missing)]) == 2
+    assert capsys.readouterr() == ("", f"kspecfun: cannot read config: {err.value}\n")
+
+
+def test_sweep_config_takes_a_scalar_as_a_one_value_axis(capsys, tmp_path):
+    outputs = []
+    for mu in (0.5, [0.5]):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"identity": "oberhettinger", "mu": mu}))
+        assert cli.main(["sweep", "--config", str(cfg)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.splitlines()[1].startswith("oberhettinger,,,,,,,0.5,2.0,1.0,")

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kspecfun import identities, kbessel, quadrature
 from kspecfun.errors import DomainError, NonConvergenceError
@@ -18,9 +19,10 @@ from kspecfun.identities import (
     verify,
 )
 from kspecfun.kbessel import BesselParams
-from kspecfun.kgamma import k_gamma
+from kspecfun.kgamma import k_gamma, log_k_gamma
 from kspecfun.quadrature import ObParams, oberhettinger_closed_form, theorem1_lhs
 from kspecfun.summation import ONE_SIGN_FLOOR, SeriesResult
+from kspecfun.wright import wright_terms_logsig
 
 UNIT = BesselParams(k=1, nu=1, gamma=1, lambda1=1, c=-1, b=1)
 GEN = BesselParams(k=2, nu=0.5, gamma=1.5, lambda1=2, c=1, b=2)
@@ -248,14 +250,46 @@ def test_verify_ratio_diagnostics_where_half_y_rounds_to_zero():
     assert (r.verdict, r.diagnostics) == ("canonical_only", at_zero.diagnostics)
 
 
-def test_verify_ratio_diagnostics_where_terms_underflow():
+@pytest.mark.parametrize("y", [1e-300, 1.3, 3.0])
+def test_verify_ratio_diagnostics_where_terms_underflow(y):
     # at y = 1e-300 the canonical terms past n = 0 and the packaged argument
-    # underflow to 0.0; the ratios, exp of log differences, are those of y = 0
+    # underflow to 0.0; the ratios, exp of log differences, are those of y = 0,
+    # as at every y: the y-powers cancel in each ratio
     point = dict(k=2, nu=0, gamma=1.5, lambda1=2, c=1, b=2, mu=0.5, lam=1.5, a=2)
     at_zero = verify("theorem1", dict(point, y=0))
-    r = verify("theorem1", dict(point, y=1e-300))
+    r = verify("theorem1", dict(point, y=y))
     assert at_zero.diagnostics == "packaged/canonical term ratios: n=0 0.125, n=1 0.0833333, n=2 0.047619"
     assert (r.verdict, r.diagnostics) == ("canonical_only", at_zero.diagnostics)
+
+
+@settings(deadline=None, max_examples=200)
+@given(which=st.sampled_from([1, 2]), k=st.floats(0.5, 2.5), nu=st.floats(0.0, 2.0),
+       gamma=st.floats(0.1, 3.0), lambda1=st.floats(0.3, 3.0), c=st.floats(0.1, 2.0),
+       c_sign=st.sampled_from([-1.0, 1.0]), b=st.floats(0.0, 3.0), mu=st.floats(0.1, 3.0),
+       gap=st.floats(0.1, 3.0), a=st.floats(0.1, 10.0), y=st.floats(0.1, 10.0))
+def test_packaged_to_canonical_term_ratio_closed_forms(which, k, nu, gamma, lambda1, c, c_sign, b,
+                                                       mu, gap, a, y):
+    # log(packaged_n / canonical_n) in closed form, free of y and a:
+    # first identity   -(1 + 4 mu) ln k + ln n! - ln (gamma)_{n,k}
+    # second identity  n ln 4 + ln n! - ln (gamma)_{n,k}
+    #                  + ln Gamma_k(s0 + lambda1 n) - ln Gamma_k(nu + 1 + lambda1 n)
+    bp = BesselParams(k, nu, gamma, lambda1, c_sign * c, b)
+    lam = mu + gap
+    pref, spec, arg = identities._packaging(which, False, bp, mu, lam, a, y)
+    packaged = wright_terms_logsig(spec.upper, spec.lower, spec.k_scale, arg)
+    canonical = identities._canonical_terms_logsig(which, bp, mu, lam, a, y)
+    log_poch = 0.0
+    for n, (plg, psg), (lg, sg) in zip(range(6), packaged, canonical):
+        got = math.log(pref) + plg + n * math.log(abs(arg)) - lg
+        want = math.lgamma(n + 1.0) - log_poch
+        if which == 1:
+            want -= (1.0 + 4.0 * mu) * math.log(k)
+        else:
+            want += (n * math.log(4.0) + log_k_gamma(bp.s0 + lambda1 * n, k)
+                     - log_k_gamma(nu + 1.0 + lambda1 * n, k))
+        assert got == pytest.approx(want, rel=0, abs=1e-12), n
+        assert pref > 0.0 and psg == sg, n
+        log_poch += math.log(gamma + n * k)
 
 
 @pytest.mark.parametrize("identity", ["theorem1", "oberhettinger"])

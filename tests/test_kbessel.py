@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 from dataclasses import astuple, fields
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from kspecfun.errors import DomainError
 from kspecfun.identities import verify
 from kspecfun.kbessel import (
     BesselParams,
+    bessel_terms_logsig,
     eval_gmk_bessel,
     eval_k_bessel_first,
     gmk_bessel_term,
@@ -447,7 +449,7 @@ def test_term_matches_definition(params, z):
 @pytest.mark.parametrize("z", [0.0, 1.0, 4.0])
 @pytest.mark.parametrize("n", [2.5, 0.5, -1, True])
 def test_term_index_must_be_a_whole_number(z, n):
-    # nu = 0 at z = 0 takes the n == 0 branch; the others build the stream
+    # the index is refused before the term stream is read, at z = 0 as elsewhere
     for nu in (0.0, 0.5):
         with pytest.raises(DomainError):
             gmk_bessel_term(BesselParams(k=1, nu=nu, gamma=1, lambda1=1, c=-1, b=1), z, n)
@@ -525,11 +527,18 @@ def test_table_is_invisible_to_params_identity():
     assert astuple(used) == astuple(unused)
 
 
-@pytest.mark.parametrize("lambda1, table", [(2, kbessel._DDTable), (0.5, kbessel._LogTable)])
-def test_table_is_built_with_its_params(lambda1, table):
+@pytest.mark.parametrize("k, lambda1, table", [
+    (1, 2, kbessel._DDTable),
+    (1, 16, kbessel._DDTable),
+    (1, 0.5, kbessel._LogTable),
+    # a dd row costs m = lambda1/k products, so a whole m past 16 takes the log path
+    (1, 17, kbessel._LogTable),
+    (1e-10, 0.5, kbessel._LogTable),
+])
+def test_table_is_built_with_its_params(k, lambda1, table):
     # made by the constructor where c != 0, before any evaluation; c = 0 sums no rows
-    assert type(vars(BesselParams(1, 0.5, 1.5, lambda1, -0.7, 1))["_table"]) is table
-    assert "_table" not in vars(BesselParams(1, 0.5, 1.5, lambda1, 0.0, 1))
+    assert type(vars(BesselParams(k, 0.5, 1.5, lambda1, -0.7, 1))["_table"]) is table
+    assert "_table" not in vars(BesselParams(k, 0.5, 1.5, lambda1, 0.0, 1))
 
 
 @pytest.mark.parametrize("params", [
@@ -659,6 +668,9 @@ def test_term_at_zero_argument(nu, n):
     p = BesselParams(k=2, nu=nu, gamma=1.5, lambda1=2, c=-1, b=2)
     expected = 1.0 / k_gamma(1.5, 2.0) if n == 0 and nu == 0.0 else 0.0
     assert gmk_bessel_term(p, 0.0, n) == pytest.approx(expected, rel=1e-15, abs=0)
+    # it is the stream's item there too, as at every z > 0
+    lg, sg = next(islice(bessel_terms_logsig(p, 0.0), n, None))
+    assert gmk_bessel_term(p, 0.0, n) == (sg * math.exp(lg) if sg else 0.0)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5])
