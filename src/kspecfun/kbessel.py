@@ -38,8 +38,9 @@ sum it, and it is the independent cross-check on the tables' recurrences.
 
 Every part of a term ratio except the power of the argument depends on the
 parameters alone: the Pochhammer factor, the factorials and the k-Gamma
-ratio; on the double-double path a row is their product alone, whose
-leading double times w^2 is the truncation test's ratio.  These z-free
+ratio; on the double-double path a row is their product, with its leading
+double's Dekker split and size (times w^2, the truncation test's ratio),
+and on the log path a row says whether the term's sign turns.  These z-free
 parts live in a term table, `_table` of the `BesselParams` object, built
 when the object is made (c != 0) and kept in the instance dict.  The table
 is not a field, so ==, hash, repr and astuple ignore it, and it goes with
@@ -50,8 +51,8 @@ the first time any evaluation on that object reaches term n and read by
 every later call, so the ~240 nodes of an integral pay for each row once;
 a row does not depend on which call built it.  The double-double path's
 per-term product dd_mul(dd_mul_d(t, w^2), row) is written out in its loop,
-with w^2's Dekker split taken once per call, in the helpers' arithmetic
-and order.
+with w^2's Dekker split taken once per call and the row's kept in the row,
+in the helpers' arithmetic and order.
 """
 
 from __future__ import annotations
@@ -181,8 +182,9 @@ class _LogTable:
 
     at x = c u, lc = log|c|, neg = c u < 0 (c < 0 for the generalized series, z > 0
     for the first kind).  With g = gamma + n k and L_n = log Gamma_k(lam n + s0), row n
-    is (lc + log|g|, 2 log(n+1), L_{n+1} - L_n, g < 0, L_{n+1}), or None where g = 0 ends
-    the series.  k is held as a KScale, so log_k_gamma skips the positive rule at every row,
+    is (lc + log|g|, 2 log(n+1), L_{n+1} - L_n, neg != (g < 0), L_{n+1}), the fourth
+    entry whether the sign turns from term n to n+1, or None where g = 0 ends the series.
+    k is held as a KScale, so log_k_gamma skips the positive rule at every row,
     which costs a fresh table more than building the KScale.  lgk0 = L_0 is nan where it
     overflows: the first evaluation, not the constructor, raises the OverflowError."""
 
@@ -227,7 +229,7 @@ class _LogTable:
                 if g != 0.0:
                     lgk_next = log_k_gamma(lam * (n + 1) + s0, k)
                     row = (lc + math.log(abs(g)), 2.0 * math.log(n + 1.0), lgk_next - lgk,
-                           g < 0.0, lgk_next)
+                           neg != (g < 0.0), lgk_next)
                 rows[n:n + 1] = (row,)
             u = s + t
             tsum += t_abs
@@ -247,7 +249,7 @@ class _LogTable:
             if res is not None:
                 return res
             big += dlg
-            if neg != flip:
+            if flip:
                 sgn = -sgn
 
 
@@ -256,9 +258,10 @@ class _DDTable:
 
     Gamma_k(s + m k) / Gamma_k(s) telescopes to prod_{j<m} (s + j k), so the
     term ratio is c g w^2 / ((n+1)^2 prod_j (lambda1 n + s0 + j k)) with
-    g = gamma + n k and w = z/2.  Row n is the z-free ratio in double-double,
-    c g divided by (n+1)^2 and then by each of the m factors, or None where
-    g = 0 ends the series.  gk0 is Gamma_k(s0) of the prefactor
+    g = gamma + n k and w = z/2.  Row n is the z-free ratio (hi, lo) in
+    double-double, c g divided by (n+1)^2 and then by each of the m factors,
+    followed by hi's Dekker split and |hi|: (hi, lo, hi_hi, hi_lo, |hi|); or
+    None where g = 0 ends the series.  gk0 is Gamma_k(s0) of the prefactor
     w^nu / Gamma_k(s0), inf where it overflows.
     """
 
@@ -301,14 +304,20 @@ class _DDTable:
                     row = dd_div_d(dd_mul_d((g, 0.0), c), (n + 1.0) * (n + 1.0))
                     for j in range(m):
                         row = dd_div_d(row, lambda1 * n + s0 + j * k)
+                    b, lo = row
+                    cs = _SPLIT * b
+                    bh = cs - (cs - b)
+                    row = (b, lo, bh, b - bh, abs(b))
                 rows[n:n + 1] = (row,)
             rho_prev = rho
             t_abs = abs(th) * pref
             tsum += t_abs
-            # row None: exact termination with no tail, even where w2 or the scaled term overflows
-            rho = 0.0 if row is None else abs(row[0]) * w2
-            res = settle(n + 1, 0.0 if row is None else t_abs, rho, rho_prev,
-                         pref * (acc[0] + acc[1]), tol, max_terms, floor, tsum, grow)
+            s = pref * (acc[0] + acc[1])
+            if row is None:  # exact termination with no tail, even where w2 or the scaled term overflows
+                return settle(n + 1, 0.0, 0.0, rho_prev, s, tol, max_terms, floor, tsum, grow)
+            b, lo, bh, bl, size = row
+            rho = size * w2
+            res = settle(n + 1, t_abs, rho, rho_prev, s, tol, max_terms, floor, tsum, grow)
             if res is not None:
                 return res
             # t <- dd_mul(dd_mul_d(t, w2), row), written out
@@ -320,16 +329,12 @@ class _DDTable:
             e += tl * w2
             th = p + e
             tl = e - (th - p)
-            b = row[0]
             p = th * b
             cs = _SPLIT * th
             ah = cs - (cs - th)
             al = th - ah
-            cs = _SPLIT * b
-            bh = cs - (cs - b)
-            bl = b - bh
             e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-            e += th * row[1] + tl * b
+            e += th * lo + tl * b
             th = p + e
             tl = e - (th - p)
             acc = dd_add(acc, (th, tl))

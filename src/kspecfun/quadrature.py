@@ -15,7 +15,9 @@ Every integral starts on the same 240 nodes.  There a theorem left side
 reads x, cosh u, the series argument z and the kernel log
 (mu-1) log x - lam log phi from a table per kernel (which, mu, lam, a, y),
 `_kernel_table`, since a sweep meets few kernels and many Bessel parameter
-sets; refinement nodes get the same values, computed where visited.
+sets.  The table is in visit order, not keyed by u, so a left side makes
+its starting values in one pass over it; refinement nodes get the same
+values, computed where visited.
 """
 
 from __future__ import annotations
@@ -80,23 +82,34 @@ _GK_PAIRS = (
 )
 
 
-def _gk15(g, a: float, b: float) -> tuple[float, float, float, float]:
-    """One Gauss-Kronrod 7/15 panel of g, which returns (value, rel) pairs,
-    rel |value| the value's noise; returns (integral, error estimate, integral
+def _panel_nodes(*panels: tuple[float, float]) -> list[float]:
+    """The 15 nodes u of each Gauss-Kronrod panel (a, b) in turn, in visit
+    order: the centre, then the left and right node of each `_GK_PAIRS` pair."""
+    nodes = []
+    for a, b in panels:
+        h = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        nodes.append(mid)
+        for xk, _, _ in _GK_PAIRS:
+            dx = h * xk
+            nodes += (mid - dx, mid + dx)
+    return nodes
+
+
+def _gk15(values, a: float, b: float) -> tuple[float, float, float, float]:
+    """One Gauss-Kronrod 7/15 panel [a, b] from the (value, rel) pairs at
+    its nodes, 15 items of the iterator values in `_panel_nodes` order, rel
+    |value| the value's noise; returns (integral, error estimate, integral
     of |value|, integral of the noise), the last with the Kronrod weights."""
     h = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fc, noise = g(mid)
+    fc, noise = next(values)
     wc, wgc = _GK_CENTRE
     resk = wc * fc
     resg = wgc * fc
     resabs = wc * abs(fc)
     noise *= resabs
     seen = []
-    for xk, wk, wg in _GK_PAIRS:
-        dx = h * xk
-        f1, r1 = g(mid - dx)
-        f2, r2 = g(mid + dx)
+    for (_, wk, wg), (f1, r1), (f2, r2) in zip(_GK_PAIRS, values, values):
         seen.append((wk, f1, f2))
         resk += wk * (f1 + f2)
         a1 = abs(f1)
@@ -151,18 +164,20 @@ def integrate_semi_infinite(f, tol: float = 1e-10, budget: int = 60000) -> QuadR
     return _integrate(g, tol, budget)
 
 
-def _integrate(g, tol: float, budget: int) -> QuadResult:
+def _integrate(g, tol: float, budget: int, start=None) -> QuadResult:
     """`integrate_semi_infinite` of g(u) = f(x) dx/du on the mapped axis,
     x = exp((pi/2) sinh u).  g returns (value, rel) pairs, rel |value| >= 0
     a bound on the value's own rounding error, its noise, integrated with
     the weights of |value| to N.  After the starting panels and at every
     refinement, N > max(tol |Q|, 50 eps A) stops the integral unconverged,
     as QUADPACK stops on roundoff (ier = 2): no refinement can take its
-    error below the goal."""
+    error below the goal.  start, where given, is an iterator of the pairs
+    at the 240 starting nodes in visit order, read after tol and budget pass."""
     check_settings(tol, "budget", budget, 15 * _N0)
+    start = map(g, _panel_nodes(*_start_panels())) if start is None else start
 
     def sums() -> tuple[float, ...]:
-        return tuple(math.fsum(item[i] for item in heap) for i in (4, 5, 6, 7))
+        return tuple(map(math.fsum, list(zip(*heap))[4:]))  # (value, err, |value|, noise)
 
     def goal(value: float, abs_total: float) -> float:
         return max(tol * abs(value), _ROUNDING * abs_total)
@@ -171,7 +186,7 @@ def _integrate(g, tol: float, budget: int) -> QuadResult:
     tick = 0
     evals = 0
     for a, b in _start_panels():
-        v, e, r, nz = _gk15(g, a, b)
+        v, e, r, nz = _gk15(start, a, b)
         evals += 15
         heapq.heappush(heap, (-e, tick, a, b, v, e, r, nz))
         tick += 1
@@ -181,8 +196,9 @@ def _integrate(g, tol: float, budget: int) -> QuadResult:
            and evals + 30 <= budget):
         _, _, a, b, v, e, r, nz = heapq.heappop(heap)
         midp = 0.5 * (a + b)
-        v1, e1, r1, nz1 = _gk15(g, a, midp)
-        v2, e2, r2, nz2 = _gk15(g, midp, b)
+        values = map(g, _panel_nodes((a, midp), (midp, b)))
+        v1, e1, r1, nz1 = _gk15(values, a, midp)
+        v2, e2, r2, nz2 = _gk15(values, midp, b)
         evals += 30
         heapq.heappush(heap, (-e1, tick, a, midp, v1, e1, r1, nz1))
         tick += 1
@@ -275,19 +291,11 @@ def _u_node(u: float) -> tuple[float, float, float]:
 
 
 @functools.cache
-def _start_nodes() -> dict[float, tuple[float, float, float]]:
-    """`_u_node` at each starting-panel node u, by u, as `_integrate` visits
-    them; built on first use, so a cold kernel table (a CLI `verify`, a
-    sweep's new or evicted kernel) takes no exp, sinh or cosh."""
-    nodes = {}
-
-    def visit(u: float) -> tuple[float, float]:
-        nodes[u] = _u_node(u)
-        return 0.0, 0.0
-
-    for a, b in _start_panels():
-        _gk15(visit, a, b)
-    return nodes
+def _start_nodes() -> tuple[tuple[float, float, float], ...]:
+    """`_u_node` at each starting-panel node, in visit order; built on first
+    use, so a cold kernel table (a CLI `verify`, a sweep's new or evicted
+    kernel) takes no exp, sinh or cosh."""
+    return tuple(map(_u_node, _panel_nodes(*_start_panels())))
 
 
 def _kernel_node(which, mu, lam, a, y, x, lx, cu) -> tuple[float, float, float, float]:
@@ -301,10 +309,10 @@ def _kernel_node(which, mu, lam, a, y, x, lx, cu) -> tuple[float, float, float, 
 
 
 @functools.lru_cache(maxsize=_KERNEL_TABLES)
-def _kernel_table(which, mu, lam, a, y) -> dict[float, tuple[float, float, float, float]]:
-    """`_kernel_node` at every starting-panel node u, by u; y = -0.0 and
-    0.0 are one key, and give the same records."""
-    return {u: _kernel_node(which, mu, lam, a, y, *xu) for u, xu in _start_nodes().items()}
+def _kernel_table(which, mu, lam, a, y) -> tuple[tuple[float, float, float, float], ...]:
+    """`_kernel_node` at every starting-panel node, in visit order; y = -0.0
+    and 0.0 are one key, and give the same records."""
+    return tuple(_kernel_node(which, mu, lam, a, y, *xu) for xu in _start_nodes())
 
 
 def _weighted_kernel_lhs(which, bp, mu, lam, a, y, tol, budget, series_tol, max_terms):
@@ -316,30 +324,27 @@ def _weighted_kernel_lhs(which, bp, mu, lam, a, y, tol, budget, series_tol, max_
     factors: dict[float, tuple[float, float]] = {}
     exp, log, copysign, c = math.exp, math.log, math.copysign, _DE_C
 
-    def g(u: float) -> tuple[float, float]:
-        # the integrand times dx/du at x = exp(c sinh u), as in integrate_semi_infinite;
-        # a refinement node is not in the table
-        node = nodes.get(u)
-        if node is None:
-            node = _kernel_node(which, mu, lam, a, y, *_u_node(u))
-        x, cu, z, k0 = node
-        vr = factors.get(z)
-        if vr is None:
-            sr = eval_gmk_bessel(bp, z, series_tol, max_terms)
-            if not sr.converged:
-                raise NonConvergenceError(
-                    f"series factor failed to converge at argument {z!r} "
-                    f"(terms={sr.terms_used}, tail={sr.tail_estimate!r})"
-                )
-            v = sr.value
-            # the kernel and dx/du scale value and noise alike; a factor of exactly 0 adds none
-            vr = factors[z] = (v, sr.rounding / abs(v) if v else 0.0)
-        v, rel = vr
-        if v == 0.0:
-            return 0.0, 0.0
-        return copysign(exp(k0 + log(abs(v))), v) * x * c * cu, rel
+    def values(records):
+        # the integrand times dx/du at each `_kernel_node` record, as in integrate_semi_infinite
+        for x, cu, z, k0 in records:
+            vr = factors.get(z)
+            if vr is None:
+                sr = eval_gmk_bessel(bp, z, series_tol, max_terms)
+                if not sr.converged:
+                    raise NonConvergenceError(
+                        f"series factor failed to converge at argument {z!r} "
+                        f"(terms={sr.terms_used}, tail={sr.tail_estimate!r})"
+                    )
+                v = sr.value
+                # the kernel and dx/du scale value and noise alike; a factor of exactly 0 adds none
+                vr = factors[z] = (v, sr.rounding / abs(v) if v else 0.0)
+            v, rel = vr
+            yield (copysign(exp(k0 + log(abs(v))), v) * x * c * cu, rel) if v else (0.0, 0.0)
 
-    return _integrate(g, tol, budget)
+    def g(u: float) -> tuple[float, float]:  # a refinement node
+        return next(values([_kernel_node(which, mu, lam, a, y, *_u_node(u))]))
+
+    return _integrate(g, tol, budget, values(nodes))
 
 
 def theorem1_lhs(

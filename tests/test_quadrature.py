@@ -197,6 +197,10 @@ def test_theorem_preconditions():
         theorem1_lhs(UNIT, 1.0, 2.0, 1.0, "1")
     with pytest.raises(DomainError, match="precondition: a must be a finite real, got True"):
         theorem2_lhs(UNIT, 0.5, 2.0, True, 1.0)
+    # ahead of the integrator's own settings
+    for lhs in (theorem1_lhs, theorem2_lhs):
+        with pytest.raises(DomainError, match="precondition: a > 0 fails"):
+            lhs(UNIT, 0.5, 1.5, -1.0, 3.0, tol=math.nan, budget=0)
 
 
 @pytest.mark.parametrize("lhs, expected", [
@@ -229,7 +233,9 @@ def test_bessel_factor_once_per_distinct_argument(monkeypatch, lhs, expected):
     q = lhs(bp, mu, lam, a, y)
     assert repr(q) == expected
     assert len(seen) == q.evaluations
-    assert sorted(calls) == sorted(set(seen))
+    # in first-visit order of the arguments, which decides the node a
+    # "series factor failed to converge at argument ..." message names
+    assert calls == list(dict.fromkeys(seen))
     assert len(calls) < q.evaluations
 
 
@@ -245,11 +251,20 @@ def test_bessel_factor_once_per_distinct_argument(monkeypatch, lhs, expected):
     ("budget", True, "budget must be a whole number >= 240, got True"),
     ("budget", "600", "budget must be a whole number >= 240, got '600'"),
 ])
-def test_integrator_rejects_bad_settings(setting, value, message):
-    # these used to evaluate the 240 nodes of the starting panels anyway
+@pytest.mark.parametrize("integral", [integrate_semi_infinite, theorem1_lhs, theorem2_lhs],
+                         ids=["integrate_semi_infinite", "theorem1_lhs", "theorem2_lhs"])
+def test_integrator_rejects_bad_settings(monkeypatch, integral, setting, value, message):
+    # these used to evaluate the 240 nodes of the starting panels anyway; the
+    # theorem left sides make their starting values in one pass, after the check
     calls = []
+    real_eval = quadrature.eval_gmk_bessel
+    monkeypatch.setattr(quadrature, "eval_gmk_bessel",
+                        lambda p, z, *args: calls.append(z) or real_eval(p, z, *args))
     with pytest.raises(DomainError) as err:
-        integrate_semi_infinite(lambda x: calls.append(x) or math.exp(-x), **{setting: value})
+        if integral is integrate_semi_infinite:
+            integral(lambda x: calls.append(x) or math.exp(-x), **{setting: value})
+        else:
+            integral(UNIT, 0.5, 1.5, 0.75, 3.0, **{setting: value})
     assert str(err.value) == message
     assert calls == []
 
