@@ -212,9 +212,10 @@ def _integrate(g, tol: float, budget: int, start=None) -> QuadResult:
             # running corrections drift; refresh before trusting a near-goal value
             value, err_total, abs_total, noise = sums()
 
-    value, err, abs_total, noise = sums()
+    if tick > _N0:  # a refinement's running totals drift; the starting totals are sums() already
+        value, err_total, abs_total, noise = sums()
     lim = goal(value, abs_total)
-    return QuadResult(value, err, evals, err <= lim and noise <= lim)
+    return QuadResult(value, err_total, evals, err_total <= lim and noise <= lim)
 
 
 def phi(x: float, a: float) -> float:

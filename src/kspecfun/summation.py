@@ -22,7 +22,8 @@ term of a (term, |next/current| ratio) stream, which `logsig_pairs` builds
 from a forward stream of (L_n, sign_n), n = 0, 1, ...; both Bessel term
 tables, double-double and log/sign, call it per term of their own sums.
 Every caller also hands it the running sum of the term sizes, from which it
-bounds the sum's own rounding error, `SeriesResult.rounding`.
+bounds the sum's own rounding error, `SeriesResult.rounding`, at its single
+exit, the one place a series result is built.
 
 The real rule `is_real` (a finite int or float; not a bool or a string)
 covers arguments and parameters, the positive rule `is_positive` (the real
@@ -241,31 +242,26 @@ def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: flo
     unconverged, |t| where rho >= 1.
 
     The result's rounding is R = u tsum (grow n + 1 + |ln tsum|), u = 2^-53,
-    or 0 where tsum is 0; it does not enter the stop test.  tsum is the sum
-    of the sizes of terms 1..n and term j carries a relative error of
-    grow j u from its recurrence.  The 1 + |ln tsum| bounds, from tsum alone,
-    the mean |ln |t_j|| u that a term reached through exp of its log carries
-    (x ln(1/x) <= 1/e, so grow = 2 covers sum_j |t_j| (1 + |ln |t_j|| + j) u
-    on the log/sign path).
+    or 0 where tsum is 0, computed at the single exit that builds the result;
+    it does not enter the stop test.  tsum is the sum of the sizes of terms
+    1..n and term j carries a relative error of grow j u from its recurrence.
+    The 1 + |ln tsum| bounds, from tsum alone, the mean |ln |t_j|| u that a
+    term reached through exp of its log carries (x ln(1/x) <= 1/e, so
+    grow = 2 covers sum_j |t_j| (1 + |ln |t_j|| + j) u on the log/sign path).
     """
     if not (a := abs(s)) <= _MAX:  # a is finite below: min(max(a, 1e-300), 1) needs no builtin
         raise OverflowError("math range error")
     tail = t_abs
+    converged = False
     if rho < 1.0:
         tail = t_abs * rho / (1.0 - rho)
         if rho <= rho_prev and (tail <= tol * (1.0 if a > 1.0 else a if a > 1e-300 else 1e-300)
-                                or tail <= floor * a):
-            return SeriesResult(s, n, tail, True, _rounding_bound(n, tsum, grow))
-    if n >= max_terms:
-        return SeriesResult(s, n, tail, False, _rounding_bound(n, tsum, grow))
-    return None
-
-
-def _rounding_bound(n: int, tsum: float, grow: float) -> float:
-    """The rounding bound R of `settle`."""
-    if not tsum:
-        return 0.0
-    return _UNIT * tsum * (grow * n + 1.0 + abs(math.log(tsum)))
+                                or tail <= floor * a):  # an if, not a stored bool: None stays as cheap
+            converged = True
+    if not converged and n < max_terms:
+        return None
+    rounding = _UNIT * tsum * (grow * n + 1.0 + abs(math.log(tsum))) if tsum else 0.0
+    return tuple.__new__(SeriesResult, (s, n, tail, converged, rounding))  # SeriesResult._make's step
 
 
 def accumulate(pairs, tol: float, max_terms: int, floor: float = 0.0,

@@ -191,38 +191,46 @@ def test_settle_raises_on_a_partial_sum_that_is_not_finite(s):
         settle(1, 0.0, 0.0, math.inf, s, 1.0, 1)
 
 
-# (value, terms_used, tail_estimate) of one call on each caller of settle, bit for bit
+# the whole result, rounding included, of one call on each caller of settle, bit for bit
 @pytest.mark.parametrize("call, expected", [
     # the double-double path, I_0(264): one sign, so it stops at a 2^-64 relative tail
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(1, 0, 1, 1, 1, 1), 264.0, tol=1e-14),
-     (1.1067699210422132e+113, 213, 3.696483035600299e+93)),
+     "SeriesResult(value=1.1067699210422132e+113, terms_used=213, tail_estimate=3.696483035600299e+93, "
+     "converged=True, rounding=1.1062460211821844e+100)"),
     # the log path at H1's Bessel factor
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(1.5, 0.5, 1.5, 0.7, -1.0, 1.0), 10.0),
-     (-1.4605341591524655e-05, 53, 1.074964246256837e-15)),
+     "SeriesResult(value=-1.4605341591524655e-05, terms_used=53, tail_estimate=1.074964246256837e-15, "
+     "converged=True, rounding=1.1517670598277174e-06)"),
     (lambda: ks.eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, 10.0),
-     (-0.004462866618452489, 24, 2.884181040496636e-13)),
+     "SeriesResult(value=-0.004462866618452489, terms_used=24, tail_estimate=2.884181040496636e-13, "
+     "converged=True, rounding=9.152601295149194e-13)"),
     # the log path, one sign (c > 0, gamma > 0): it stops on the 2^-64 floor, its tail above tol
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(1.0, 0.5, 1.5, 0.7, 1.0, 1.0), 40.0),
-     (3.6431847058252203e+28, 91, 986793439.3549839)),
+     "SeriesResult(value=3.6431847058252203e+28, terms_used=91, tail_estimate=986793439.3549839, "
+     "converged=True, rounding=1006192596691069.2)"),
     # the first kind at gamma = -2k ends on its exact zero at n = 3
-    (lambda: ks.eval_k_bessel_first(2.0, 0.5, -4.0, 1.0, 2.0), (5.975304578303514, 3, 0.0)),
+    (lambda: ks.eval_k_bessel_first(2.0, 0.5, -4.0, 1.0, 2.0),
+     "SeriesResult(value=5.975304578303514, terms_used=3, tail_estimate=0.0, "
+     "converged=True, rounding=5.829647440112372e-15)"),
     # the first kind at z < 0, one sign
     (lambda: ks.eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, -10.0),
-     (152.58700667717812, 22, 3.9995368674375485e-11)),
+     "SeriesResult(value=152.58700667717812, terms_used=22, tail_estimate=3.9995368674375485e-11, "
+     "converged=True, rounding=8.474978862860244e-13)"),
     (lambda: ks.eval_k_wright(ks.WrightSpec(((1.5, 0.5),), ((2.0, 1.0), (0.5, 0.7)), 1.5), -8.0),
-     (0.07086190364878453, 17, 6.628745009858519e-12)),
+     "SeriesResult(value=0.07086190364878453, terms_used=17, tail_estimate=6.628745009858519e-12, "
+     "converged=True, rounding=2.0839809175384636e-13)"),
     # no ratio bound while -1.5 + n <= 0
     (lambda: ks.eval_pfq((0.5, 1.5), (-1.5,), -0.75),
-     (1.198907716146378, 129, 9.116885699310524e-11)),
+     "SeriesResult(value=1.198907716146378, terms_used=129, tail_estimate=9.116885699310524e-11, "
+     "converged=True, rounding=2.3209816273080025e-11)"),
     # H2's canonical right side, one sign (c > 0, gamma > 0)
     (lambda: ks.theorem1_rhs_canonical(ks.BesselParams(1.0, 0.0, 1.0, 1.0, 1.0, 1.0),
                                        0.5, 0.6, 0.01, 1.0),
-     (2.428862381341323e+40, 102, 6.048603872705348e+20)),
+     "SeriesResult(value=2.428862381341323e+40, terms_used=102, tail_estimate=6.048603872705348e+20, "
+     "converged=True, rounding=8.035557874483663e+26)"),
 ])
 def test_settle_callers_keep_their_bits(call, expected):
-    r = call()
-    assert r.converged
-    assert repr((r.value, r.terms_used, r.tail_estimate)) == repr(expected)
+    assert repr(call()) == expected
 
 
 # the whole result, rounding included, of longer Wright and pFq sums, bit for bit
