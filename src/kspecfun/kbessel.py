@@ -15,8 +15,8 @@ where it is 0.0, z = 5e-324 included, a series is its n = 0 term.
 One recurrence sums S for both:
 
 * in general, terms are carried in log-magnitude/sign form with the k-Gamma
-  ratio taken from consecutive log Gamma_k values, and summed with
-  Neumaier compensation in the same loop;
+  ratio taken from consecutive log Gamma_k values, written out with ln k taken
+  once per table, and summed with Neumaier compensation in the same loop;
 * for the generalized series with lambda1/k a whole number m from 1 to 16,
   the k-Gamma ratio between consecutive terms telescopes into an exact
   m-factor product, and the whole recurrence runs in double-double
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from itertools import count, islice, repeat
 
 from .errors import DomainError
-from .kgamma import KScale, k_gamma, log_k_gamma
+from .kgamma import k_gamma, log_k_gamma
 from .summation import ONE_SIGN_FLOOR, SeriesResult, check_arg, check_series_args, settle
 from .summation import _SPLIT, dd_add, dd_div_d, dd_mul_d, is_positive, is_real, is_whole
 
@@ -184,14 +184,15 @@ class _LogTable:
     for the first kind).  With g = gamma + n k and L_n = log Gamma_k(lam n + s0), row n
     is (lc + log|g|, 2 log(n+1), L_{n+1} - L_n, neg != (g < 0), L_{n+1}), the fourth
     entry whether the sign turns from term n to n+1, or None where g = 0 ends the series.
-    k is held as a KScale, so log_k_gamma skips the positive rule at every row,
-    which costs a fresh table more than building the KScale.  lgk0 = L_0 is nan where it
-    overflows: the first evaluation, not the constructor, raises the OverflowError."""
+    k is a float with lk = ln k beside it: L_{n+1} is `log_k_gamma`'s formula written out
+    where lam (n+1) + s0 is a float in (0, inf), else a `log_k_gamma` call.  lgk0 = L_0 is
+    nan where it overflows: the first evaluation, not the constructor, raises the OverflowError."""
 
-    __slots__ = ("k", "gamma", "lam", "s0", "lc", "neg", "lgk0", "floor", "rows")
+    __slots__ = ("k", "lk", "gamma", "lam", "s0", "lc", "neg", "lgk0", "floor", "rows")
 
     def __init__(self, k, gamma, lam, s0, lc, neg) -> None:
-        self.k, self.gamma, self.lam, self.s0, self.lc, self.neg = KScale(k), gamma, lam, s0, lc, neg
+        self.k = k = float(k)  # BesselParams may pass an int
+        self.lk, self.gamma, self.lam, self.s0, self.lc, self.neg = math.log(k), gamma, lam, s0, lc, neg
         try:
             self.lgk0 = log_k_gamma(s0, self.k)
         except OverflowError:
@@ -208,9 +209,9 @@ class _LogTable:
         """exp(lead) S(c u), lu = log|u|, summed with Neumaier compensation
         until `settle` ends it.  Builds row n here the first time any call
         reaches term n."""
-        k, gamma, lam, s0, lc, neg, floor, rows = (
-            self.k, self.gamma, self.lam, self.s0, self.lc, self.neg, self.floor, self.rows)
-        exp = math.exp
+        k, lk, gamma, lam, s0, lc, neg, floor, rows = (
+            self.k, self.lk, self.gamma, self.lam, self.s0, self.lc, self.neg, self.floor, self.rows)
+        exp, log, lgamma, inf = math.exp, math.log, math.lgamma, math.inf
         built = len(rows)  # rows past these are built here, in order
         lgk = self.lgk0
         big = lead - lgk
@@ -224,11 +225,15 @@ class _LogTable:
             if n < built:
                 row = rows[n]
             else:
-                g = gamma + n * k.k
+                g = gamma + n * k
                 row = None
                 if g != 0.0:
-                    lgk_next = log_k_gamma(lam * (n + 1) + s0, k)
-                    row = (lc + math.log(abs(g)), 2.0 * math.log(n + 1.0), lgk_next - lgk,
+                    x = lam * (n + 1) + s0
+                    if type(x) is float and 0.0 < x < inf:
+                        lgk_next = ((w := x / k) - 1.0) * lk + lgamma(w)
+                    else:
+                        lgk_next = log_k_gamma(x, k)
+                    row = (lc + log(abs(g)), 2.0 * log(n + 1.0), lgk_next - lgk,
                            neg != (g < 0.0), lgk_next)
                 rows[n:n + 1] = (row,)
             u = s + t

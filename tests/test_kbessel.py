@@ -4,9 +4,10 @@ import sys
 import threading
 from dataclasses import astuple, fields
 from itertools import islice
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kspecfun import kbessel
 from kspecfun.errors import DomainError
@@ -18,7 +19,7 @@ from kspecfun.kbessel import (
     eval_k_bessel_first,
     gmk_bessel_term,
 )
-from kspecfun.kgamma import k_gamma, k_pochhammer
+from kspecfun.kgamma import k_gamma, k_pochhammer, log_k_gamma
 from kspecfun.summation import ONE_SIGN_FLOOR, SeriesResult, dd_add, dd_div_d, dd_mul, dd_mul_d, settle
 
 UNIT_J = BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=-1, b=1)
@@ -734,3 +735,58 @@ def test_dd_path_matches_its_reference_loop_bit_for_bit(k, nu, gamma, c, b, z, m
     expected = repr(_dd_reference(p, w, 1e-12, max_terms))
     assert repr(_dd_evaluate(p, w, 1e-12, max_terms)) == expected
     assert repr(_dd_evaluate(p, w, 1e-12, max_terms)) == expected
+
+
+def _log_rows_by_log_k_gamma(tab, count):
+    """The first count rows of a `_LogTable`, up to the None that ends its series,
+    each L_{n+1} from one checked `log_k_gamma` call."""
+    rows, lgk = [], tab.lgk0
+    for n in range(count):
+        g = tab.gamma + n * tab.k
+        if g == 0.0:
+            return rows + [None]
+        lgk_next = log_k_gamma(tab.lam * (n + 1) + tab.s0, tab.k)
+        rows.append((tab.lc + math.log(abs(g)), 2.0 * math.log(n + 1.0), lgk_next - lgk,
+                     tab.neg != (g < 0.0), lgk_next))
+        lgk = lgk_next
+    return rows
+
+
+@settings(deadline=None, max_examples=150)
+@given(k=st.floats(0.25, 4.0), lambda1=st.floats(0.05, 8.0), nu=st.floats(0.0, 4.0),
+       gamma=st.one_of(st.floats(-4.0, 4.0), st.integers(0, 8)), c=st.floats(-4.0, 4.0).filter(bool),
+       b=st.floats(-0.9, 4.0), z=st.floats(1e-3, 4.0), terms=st.integers(40, 120))
+@example(k=1.5, lambda1=0.7, nu=0.5, gamma=1.5, c=-1.0, b=1.0, z=4.0, terms=105)  # H1's factor
+@example(k=2.0, lambda1=1.0, nu=0.5, gamma=3, c=1.0, b=1.0, z=4.0, terms=40)  # gamma = -3k
+def test_log_rows_match_a_log_k_gamma_call_per_row(k, lambda1, nu, gamma, c, b, z, terms):
+    # the rows write log_k_gamma's formula out with ln k taken once per table; they must
+    # not move by a bit.  An int gamma j stands for gamma = -j k, a Pochhammer zero at n = j.
+    if isinstance(gamma, int):
+        gamma = -gamma * k
+    p = BesselParams(k, nu, gamma, lambda1, c, b)
+    tab = p._table
+    assume(isinstance(tab, kbessel._LogTable))
+    real = kbessel.settle
+
+    def settle_at_the_cap(n, *args):  # every term before the cap is answered None
+        return real(n, *args) if n >= terms else None
+
+    with mock.patch.object(kbessel, "settle", settle_at_the_cap):  # z <= 4 keeps these sums finite
+        eval_gmk_bessel(p, z, max_terms=terms)
+    assert len(tab.rows) == terms or tab.rows[-1] is None
+    assert repr(tab.rows) == repr(_log_rows_by_log_k_gamma(tab, terms))
+
+
+def test_log_rows_take_int_k_and_lambda1_as_floats():
+    # BesselParams keeps int fields; the log table takes k and ln k as floats
+    got = eval_gmk_bessel(BesselParams(2, 0.5, 1.5, 1, -1.0, 1.0), 12.0)
+    assert got.terms_used == 61
+    assert repr(got) == repr(eval_gmk_bessel(BesselParams(2.0, 0.5, 1.5, 1.0, -1.0, 1.0), 12.0))
+
+
+def test_log_row_off_the_domain_raises_the_log_k_gamma_error():
+    # an argument lam (n+1) + s0 that is not a float in (0, inf) goes through log_k_gamma
+    tab = kbessel._LogTable(1.0, 1.5, math.inf, 1.0, 0.0, False)
+    with pytest.raises(DomainError) as err:
+        tab.series(0.0, 0.0, 1e-10, 400)
+    assert str(err.value) == "log k-gamma requires z > 0, got inf"

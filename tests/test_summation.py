@@ -204,6 +204,14 @@ def test_settle_raises_on_a_partial_sum_that_is_not_finite(s):
     (lambda: ks.eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, 10.0),
      "SeriesResult(value=-0.004462866618452489, terms_used=24, tail_estimate=2.884181040496636e-13, "
      "converged=True, rounding=9.152601295149194e-13)"),
+    # fresh log-path tables over many written-out rows: H1's factor at z = 20 (105 rows)
+    # and the alternating first kind there (34 rows)
+    (lambda: ks.eval_gmk_bessel(ks.BesselParams(1.5, 0.5, 1.5, 0.7, -1.0, 1.0), 20.0),
+     "SeriesResult(value=2628371.0371604827, terms_used=105, tail_estimate=4.320217986639062e-11, "
+     "converged=True, rounding=40677072.38752288)"),
+    (lambda: ks.eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, 20.0),
+     "SeriesResult(value=0.00022259240412350416, terms_used=34, tail_estimate=4.0744397843043415e-15, "
+     "converged=True, rounding=5.2244839847572334e-11)"),
     # the log path, one sign (c > 0, gamma > 0): it stops on the 2^-64 floor, its tail above tol
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(1.0, 0.5, 1.5, 0.7, 1.0, 1.0), 40.0),
      "SeriesResult(value=3.6431847058252203e+28, terms_used=91, tail_estimate=986793439.3549839, "
