@@ -184,8 +184,8 @@ class _LogTable:
     for the first kind).  With g = gamma + n k and L_n = log Gamma_k(lam n + s0), row n
     is (lc + log|g|, 2 log(n+1), L_{n+1} - L_n, neg != (g < 0), L_{n+1}), the fourth
     entry whether the sign turns from term n to n+1, or None where g = 0 ends the series.
-    k is a float with lk = ln k beside it: L_{n+1} is `log_k_gamma`'s formula written out
-    where lam (n+1) + s0 is a float in (0, inf), else a `log_k_gamma` call.  lgk0 = L_0 is
+    k is a float with lk = ln k beside it: L_{n+1} is `log_k_gamma`'s formula written out,
+    its argument positive as lam > 0 and s0 > 0 (both callers check them).  lgk0 = L_0 is
     nan where it overflows: the first evaluation, not the constructor, raises the OverflowError."""
 
     __slots__ = ("k", "lk", "gamma", "lam", "s0", "lc", "neg", "lgk0", "floor", "rows")
@@ -211,7 +211,7 @@ class _LogTable:
         reaches term n."""
         k, lk, gamma, lam, s0, lc, neg, floor, rows = (
             self.k, self.lk, self.gamma, self.lam, self.s0, self.lc, self.neg, self.floor, self.rows)
-        exp, log, lgamma, inf = math.exp, math.log, math.lgamma, math.inf
+        exp, log, lgamma = math.exp, math.log, math.lgamma
         built = len(rows)  # rows past these are built here, in order
         lgk = self.lgk0
         big = lead - lgk
@@ -228,11 +228,8 @@ class _LogTable:
                 g = gamma + n * k
                 row = None
                 if g != 0.0:
-                    x = lam * (n + 1) + s0
-                    if type(x) is float and 0.0 < x < inf:
-                        lgk_next = ((w := x / k) - 1.0) * lk + lgamma(w)
-                    else:
-                        lgk_next = log_k_gamma(x, k)
+                    w = (lam * (n + 1) + s0) / k
+                    lgk_next = (w - 1.0) * lk + lgamma(w)
                     row = (lc + log(abs(g)), 2.0 * log(n + 1.0), lgk_next - lgk,
                            neg != (g < 0.0), lgk_next)
                 rows[n:n + 1] = (row,)

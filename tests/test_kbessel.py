@@ -776,17 +776,3 @@ def test_log_rows_match_a_log_k_gamma_call_per_row(k, lambda1, nu, gamma, c, b, 
     assert len(tab.rows) == terms or tab.rows[-1] is None
     assert repr(tab.rows) == repr(_log_rows_by_log_k_gamma(tab, terms))
 
-
-def test_log_rows_take_int_k_and_lambda1_as_floats():
-    # BesselParams keeps int fields; the log table takes k and ln k as floats
-    got = eval_gmk_bessel(BesselParams(2, 0.5, 1.5, 1, -1.0, 1.0), 12.0)
-    assert got.terms_used == 61
-    assert repr(got) == repr(eval_gmk_bessel(BesselParams(2.0, 0.5, 1.5, 1.0, -1.0, 1.0), 12.0))
-
-
-def test_log_row_off_the_domain_raises_the_log_k_gamma_error():
-    # an argument lam (n+1) + s0 that is not a float in (0, inf) goes through log_k_gamma
-    tab = kbessel._LogTable(1.0, 1.5, math.inf, 1.0, 0.0, False)
-    with pytest.raises(DomainError) as err:
-        tab.series(0.0, 0.0, 1e-10, 400)
-    assert str(err.value) == "log k-gamma requires z > 0, got inf"

@@ -209,6 +209,10 @@ def test_settle_raises_on_a_partial_sum_that_is_not_finite(s):
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(1.5, 0.5, 1.5, 0.7, -1.0, 1.0), 20.0),
      "SeriesResult(value=2628371.0371604827, terms_used=105, tail_estimate=4.320217986639062e-11, "
      "converged=True, rounding=40677072.38752288)"),
+    # int k and lambda1 on the log path (61 rows), the same bits as the all-float call
+    (lambda: ks.eval_gmk_bessel(ks.BesselParams(2, 0.5, 1.5, 1, -1.0, 1.0), 12.0),
+     "SeriesResult(value=0.017766923984080286, terms_used=61, tail_estimate=4.1216194909667616e-13, "
+     "converged=True, rounding=0.0006878624625877268)"),
     (lambda: ks.eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, 20.0),
      "SeriesResult(value=0.00022259240412350416, terms_used=34, tail_estimate=4.0744397843043415e-15, "
      "converged=True, rounding=5.2244839847572334e-11)"),
