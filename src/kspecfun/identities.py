@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, NonConvergenceError
 from .kbessel import BesselParams, bessel_terms_logsig, eval_gmk_bessel
@@ -92,8 +92,7 @@ class IdentityReport:
     series_terms: int = 0
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """How `verify` checks one identity.
 
     family 0 is the bare kernel integral; 1 and 2 weight the kernel with

@@ -27,6 +27,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, NonConvergenceError
 from .kbessel import BesselParams, eval_gmk_bessel
@@ -45,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     abs_err_estimate: float
     evaluations: int

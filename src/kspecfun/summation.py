@@ -17,10 +17,10 @@ cancel, so it also stops once that tail is <= 2^-64 |s| (ONE_SIGN_FLOOR,
 2^-11 of an ulp): above |s| = 2^64 tol its tail_estimate may exceed tol.  The
 generalized k-Bessel series and its canonical images take this floor where
 c > 0 and gamma > 0, the first kind where z < 0 and gamma > 0; no other
-series does.  Term streams are unbounded.  `accumulate` calls `settle` per
-term of a (term, |next/current| ratio) stream, which `logsig_pairs` builds
-from a forward stream of (L_n, sign_n), n = 0, 1, ...; both Bessel term
-tables, double-double and log/sign, call it per term of their own sums.
+series does.  `accumulate` calls `settle` per term of an unbounded (term,
+|next/current| ratio) stream, for the canonical right side and the Wright side
+of the reduction check (`logsig_pairs` of (L_n, sign_n)); both Bessel tables,
+`eval_k_wright` and `eval_pfq` call it per term of summing loops of their own.
 Every caller also hands it the running sum of the term sizes, from which it
 bounds the sum's own rounding error, `SeriesResult.rounding`, at its single
 exit, the one place a series result is built.

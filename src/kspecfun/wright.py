@@ -11,6 +11,9 @@ Delta = sum beta_j - sum alpha_i > -k_scale, checked at construction (the
 weights act as alpha/k_scale); the boundary Delta = -k_scale is rejected
 rather than special-cased.  All offsets must stay positive along the series,
 which for n >= 0 means positive offsets and nonnegative weights.
+`eval_k_wright` and `eval_pfq` each sum in one written-out loop, bit for bit
+as `accumulate` sums `logsig_pairs` and `_pfq_pairs`, the streams that the
+canonical right side and `wright_pfq_reduction_check` still use.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import count
 from .errors import DomainError
 from .kgamma import _kval, log_k_gamma
 from .summation import SeriesResult, accumulate, check_series_args, is_positive, is_real, logsig_pairs
-from .summation import rel_diff, side_value
+from .summation import rel_diff, settle, side_value
 
 __all__ = [
     "WrightSpec",
@@ -101,12 +104,31 @@ def wright_terms_logsig(upper, lower, k_scale: float, z: float):
 
 
 def eval_k_wright(s: WrightSpec, z: float, tol: float = 1e-10, max_terms: int = 400) -> SeriesResult:
-    """Evaluate the Gamma_k-deformed Wright series at real z."""
+    """Evaluate the Gamma_k-deformed Wright series at real z, reading
+    `wright_terms_logsig` a term ahead to take each term ratio as an exp."""
     z, max_terms = check_series_args(z, tol, max_terms)
     terms = wright_terms_logsig(s.upper, s.lower, s.k_scale, z)
+    cur, sg = next(terms)
     if z == 0.0:
-        return SeriesResult(math.exp(next(terms)[0]), 1, 0.0, True)
-    return accumulate(logsig_pairs(terms, math.log(abs(z))), tol, max_terms)
+        return SeriesResult(math.exp(cur), 1, 0.0, True)
+    exp, lz, rho = math.exp, math.log(abs(z)), math.inf
+    acc = c = tsum = 0.0  # the Neumaier step of CompensatedSum.add, written out
+    for n, (nxt, sg_next) in enumerate(terms):  # no term has sign 0: every ratio is an exp
+        t_abs = exp(cur + n * lz)
+        t = sg * t_abs
+        r = exp(nxt - cur + lz)
+        u = acc + t
+        tsum += t_abs
+        if abs(acc) >= t_abs:
+            c += (acc - u) + t
+        else:
+            c += (t - u) + acc
+        acc = u
+        res = settle(n + 1, t_abs, r, rho, acc + c, tol, max_terms, 0.0, tsum, 2.0)
+        if res is not None:
+            return res
+        rho = r
+        cur, sg = nxt, sg_next
 
 
 def eval_wright(s: WrightSpec, z: float, tol: float = 1e-10, max_terms: int = 400) -> SeriesResult:
@@ -157,6 +179,7 @@ def eval_pfq(upper, lower, z: float, tol: float = 1e-10, max_terms: int = 400) -
 
     Converges for p <= q everywhere and for p = q + 1 inside |z| < 1; other
     shapes are rejected.  Lower parameters must avoid nonpositive integers.
+    The loop takes each term ratio and tail bound as `_pfq_pairs` does.
     """
     upper, lower = _real_params(upper, lower)
     z, max_terms = check_series_args(z, tol, max_terms)
@@ -168,7 +191,38 @@ def eval_pfq(upper, lower, z: float, tol: float = 1e-10, max_terms: int = 400) -
     for bj in lower:
         if bj <= 0 and bj == math.floor(bj):
             raise DomainError(f"lower parameter {bj!r} is a nonpositive integer")
-    return accumulate(_pfq_pairs(upper, lower, z), tol, max_terms, grow=p + q + 2.0)
+    dens = lower + [1.0]
+    least, pairs, unpaired, az, grow = min(dens), list(zip(upper, dens)), dens[p:], abs(z), p + q + 2.0
+    t, s, c, tsum, rho_prev = 1.0, 0.0, 0.0, 0.0, math.inf
+    for n in count():
+        r, rho = z / (n + 1.0), az
+        for aj, dj in pairs:  # rho counts only where every d + n > 0, and no d + n is 0
+            x = aj + n
+            r *= x
+            x = abs(x) / (dj + n)
+            rho *= x if x > 1.0 else 1.0
+        for bj in lower:
+            r /= bj + n
+        if r == 0.0:
+            rho = 0.0
+        elif least + n <= 0:
+            rho = math.inf
+        else:
+            for d in unpaired:
+                rho /= d + n
+        u = s + t
+        t_abs = abs(t)
+        tsum += t_abs
+        if abs(s) >= t_abs:
+            c += (s - u) + t
+        else:
+            c += (t - u) + s
+        s = u
+        res = settle(n + 1, t_abs, rho, rho_prev, s + c, tol, max_terms, 0.0, tsum, grow)
+        if res is not None:
+            return res
+        rho_prev = rho
+        t *= r
 
 
 def _weight1_pairs(upper, lower, z: float):

@@ -264,6 +264,22 @@ def test_settle_callers_keep_their_bits(call, expected):
                                             ((2.0, 1.0), (0.5, 0.7), (1.25, 0.4)), 1.7), 6.5),
      "SeriesResult(value=354.63859336787147, terms_used=29, tail_estimate=5.2641796342643854e-11, "
      "converged=True, rounding=2.554156372963546e-12)"),
+    # the same spec at z = -6.5, alternating, and at z = 0, its n = 0 term alone
+    (lambda: ks.eval_k_wright(ks.WrightSpec(((1.5, 0.5), (0.75, 1.25)),
+                                            ((2.0, 1.0), (0.5, 0.7), (1.25, 0.4)), 1.7), -6.5),
+     "SeriesResult(value=0.02671617003464859, terms_used=31, tail_estimate=1.0810332175556658e-12, "
+     "converged=True, rounding=2.7116475456750178e-12)"),
+    (lambda: ks.eval_k_wright(ks.WrightSpec(((1.5, 0.5), (0.75, 1.25)),
+                                            ((2.0, 1.0), (0.5, 0.7), (1.25, 0.4)), 1.7), 0.0),
+     "SeriesResult(value=0.6580540328365688, terms_used=1, tail_estimate=0.0, converged=True, rounding=0.0)"),
+    # cut unconverged at the cap of 5 terms
+    (lambda: ks.eval_pfq((1.5,), (2.5,), 50.0, max_terms=5),
+     "SeriesResult(value=78533.886002886, terms_used=5, tail_estimate=71022.72727272728, "
+     "converged=False, rounding=2.813737526319416e-10)"),
+    # no ratio bound while -2.5 + n <= 0, then (-3)_n ends the sum at n = 4
+    (lambda: ks.eval_pfq((-3.0,), (-2.5, 1.5), 2.0),
+     "SeriesResult(value=3.7784126984126982, terms_used=4, tail_estimate=0.0, "
+     "converged=True, rounding=9.366876805502476e-15)"),
     # p = q + 1: the Wright side is summed from the weight-1 terms and the pFq ratio bound
     (lambda: ks.wright_pfq_reduction_check((0.75, 1.25), (1.5,), -0.9), "2.2636220122758838e-15"),
 ])

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from kspecfun import wright
 from kspecfun.errors import DomainError, NonConvergenceError
 from kspecfun.kgamma import KScale, log_k_gamma
+from kspecfun.summation import accumulate, logsig_pairs
 from kspecfun.wright import (
     WrightSpec,
     convergence_margin,
@@ -156,18 +157,17 @@ def test_pfq_domain():
 
 def test_pfq_stops_at_first_inf_term(monkeypatch):
     # 1F1(1;2;1e5) overflows at term 91 and raises there; it once ran all 400 terms
-    drawn = []
-    pairs = wright._pfq_pairs
+    settled = []
+    settle = wright.settle
 
-    def counted(*args):
-        for pair in pairs(*args):
-            drawn.append(pair)
-            yield pair
+    def counted(n, *args):
+        settled.append(n)
+        return settle(n, *args)
 
-    monkeypatch.setattr(wright, "_pfq_pairs", counted)
+    monkeypatch.setattr(wright, "settle", counted)
     with pytest.raises(OverflowError, match="math range error"):
         eval_pfq((1.0,), (2.0,), 1e5)
-    assert len(drawn) <= 91
+    assert settled == list(range(1, 92))
 
 
 def test_pfq_terminating_series():
@@ -383,3 +383,46 @@ def test_pfq_pairs_give_no_bound_then_end_exactly():
     # b = -2.5: no bound at n = 0, 1, 2; a = -3: the ratio after term 3 is an exact 0
     rhos = [rho for _, rho in itertools.islice(wright._pfq_pairs([-3.0, 1.5], [-2.5], 2.0), 5)]
     assert rhos[:3] == [math.inf] * 3 and rhos[3] == 0.0 and 0.0 < rhos[4] < math.inf
+
+
+def _outcome(call):
+    """The repr of call's result, or the type and message of the error it raised."""
+    try:
+        return repr(call())
+    except (ArithmeticError, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+_tols = st.sampled_from([1e-14, 1e-10, 1e-6, 0.5])
+_caps = st.one_of(st.integers(1, 40), st.just(400))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_param, max_size=3), st.lists(_param, max_size=3),
+       st.one_of(st.floats(-30.0, 30.0), st.floats(-1e6, 1e6)), _tols, _caps)
+@example([1.0], [2.0], 1e5, 1e-10, 400)  # an OverflowError at term 91
+@example([-3.0], [-2.5, 1.5], 2.0, 1e-10, 400)  # no bound, then an exact end
+@example([1.5], [2.5], 50.0, 1e-10, 5)  # cut at the cap
+def test_pfq_loop_sums_as_accumulate_does(upper, lower, z, tol, cap):
+    p, q = len(upper), len(lower)
+    assume(p <= q + 1 and (p <= q or abs(z) < 1.0))
+    assume(not any(b <= 0 and b == math.floor(b) for b in lower))
+    assert _outcome(lambda: eval_pfq(upper, lower, z, tol, cap)) == _outcome(
+        lambda: accumulate(wright._pfq_pairs(upper, lower, z), tol, cap, grow=p + q + 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows, _rows, st.floats(0.05, 5.0),
+       st.one_of(st.floats(-50.0, 50.0), st.floats(-1e6, 1e6)), _tols, _caps)
+@example([(1.5, 0.5), (0.75, 1.25)], [(2.0, 1.0), (0.5, 0.7), (1.25, 0.4)], 1.7, -6.5, 1e-10, 400)
+@example([(1.5, 0.5), (0.75, 1.25)], [(2.0, 1.0), (0.5, 0.7), (1.25, 0.4)], 1.7, 6.5, 1e-10, 3)
+@example([(0.45, 2.3)], [(3.27, 2.5)], 0.5, -1.8, 1e-6, 400)  # a ratio below 1 that rises
+def test_k_wright_loop_sums_as_accumulate_does(upper, lower, k_scale, z, tol, cap):
+    assume(z != 0.0)
+    try:
+        s = WrightSpec(upper, lower, k_scale)
+    except DomainError:
+        assume(False)
+    terms = wright_terms_logsig(s.upper, s.lower, s.k_scale, z)
+    assert _outcome(lambda: eval_k_wright(s, z, tol, cap)) == _outcome(
+        lambda: accumulate(logsig_pairs(terms, math.log(abs(z))), tol, cap))
