@@ -11,13 +11,13 @@ the embedded Gauss-Kronrod 7/15 pair.  The theorem left sides also
 integrate their Bessel factor's rounding noise, and stop unconverged once
 it is above the goal (see `_integrate`).
 
-Every integral starts on the same 240 nodes.  There a theorem left side
-reads x, cosh u, the series argument z and the kernel log
-(mu-1) log x - lam log phi from a table per kernel (which, mu, lam, a, y),
+Every integral takes one route.  Each node has a record: `_u_node`'s
+(x, log x, cosh u), to which a kernel integral adds the series argument z
+and the kernel log (mu-1) log x - lam log phi (`_kernel_node`).  The 240
+starting nodes' records come in visit order from `_start_nodes`, or for a
+theorem left side from a table per kernel (which, mu, lam, a, y),
 `_kernel_table`, since a sweep meets few kernels and many Bessel parameter
-sets.  The table is in visit order, not keyed by u, so a left side makes
-its starting values in one pass over it; refinement nodes get the same
-values, computed where visited.
+sets; refinement nodes get theirs where visited.
 """
 
 from __future__ import annotations
@@ -157,24 +157,25 @@ def integrate_semi_infinite(f, tol: float = 1e-10, budget: int = 60000) -> QuadR
     budget >= 240, the 16 starting panels.
     """
 
-    def g(u: float) -> tuple[float, float]:
-        x = math.exp(_DE_C * math.sinh(u))
-        return f(x) * x * _DE_C * math.cosh(u), 0.0
+    def values(records):  # f(x) dx/du at each `_u_node` record
+        for x, _, cu in records:
+            yield f(x) * x * _DE_C * cu, 0.0
 
-    return _integrate(g, tol, budget)
+    return _integrate(values, _u_node, tol, budget, _start_nodes())
 
 
-def _integrate(g, tol: float, budget: int, start=None) -> QuadResult:
-    """`integrate_semi_infinite` of g(u) = f(x) dx/du on the mapped axis,
-    x = exp((pi/2) sinh u).  g returns (value, rel) pairs, rel |value| >= 0
-    a bound on the value's own rounding error, its noise, integrated with
-    the weights of |value| to N.  After the starting panels and at every
-    refinement, N > max(tol |Q|, 50 eps A) stops the integral unconverged,
-    as QUADPACK stops on roundoff (ier = 2): no refinement can take its
-    error below the goal.  start, where given, is an iterator of the pairs
-    at the 240 starting nodes in visit order, read after tol and budget pass."""
+def _integrate(values, node, tol: float, budget: int, start) -> QuadResult:
+    """`integrate_semi_infinite` on the mapped axis x = exp((pi/2) sinh u).
+    start holds the records of the 240 starting nodes and node(u) builds a
+    refinement node's; values maps records in visit order to (value, rel)
+    pairs, value f(x) dx/du and rel |value| >= 0 a bound on its own rounding
+    error, its noise, integrated with the weights of |value| to N.  After the
+    starting panels and at every refinement, N > max(tol |Q|, 50 eps A) stops
+    the integral unconverged, as QUADPACK stops on roundoff (ier = 2): no
+    refinement can take its error below the goal.  start is read only after
+    tol and budget pass."""
     check_settings(tol, "budget", budget, 15 * _N0)
-    start = map(g, _panel_nodes(*_start_panels())) if start is None else start
+    start = values(start)
 
     def sums() -> tuple[float, ...]:
         return tuple(map(math.fsum, list(zip(*heap))[4:]))  # (value, err, |value|, noise)
@@ -196,9 +197,9 @@ def _integrate(g, tol: float, budget: int, start=None) -> QuadResult:
            and evals + 30 <= budget):
         _, _, a, b, v, e, r, nz = heapq.heappop(heap)
         midp = 0.5 * (a + b)
-        values = map(g, _panel_nodes((a, midp), (midp, b)))
-        v1, e1, r1, nz1 = _gk15(values, a, midp)
-        v2, e2, r2, nz2 = _gk15(values, midp, b)
+        pair = values(map(node, _panel_nodes((a, midp), (midp, b))))
+        v1, e1, r1, nz1 = _gk15(pair, a, midp)
+        v2, e2, r2, nz2 = _gk15(pair, midp, b)
         evals += 30
         heapq.heappush(heap, (-e1, tick, a, midp, v1, e1, r1, nz1))
         tick += 1
@@ -235,10 +236,13 @@ def oberhettinger_lhs(p: ObParams, tol: float = 1e-8, budget: int = 60000) -> Qu
     """Quadrature of int_0^inf x^(mu-1) phi(x,a)^(-lam) dx to relative
     tolerance tol, with the rounding floor of `integrate_semi_infinite`."""
 
-    def f(x: float) -> float:
-        return math.exp((p.mu - 1.0) * math.log(x) - p.lam * math.log(_phi(x, p.a)))
+    def values(records):
+        for x, cu, _, k0 in records:
+            yield math.exp(k0) * x * _DE_C * cu, 0.0
 
-    return integrate_semi_infinite(f, tol=tol, budget=budget)
+    # records at y = 0 (z unread), kept off `_kernel_table` so they evict no theorem kernel
+    kernel = functools.partial(_kernel_node, 1, p.mu, p.lam, p.a, 0.0)
+    return _integrate(values, lambda u: kernel(_u_node(u)), tol, budget, map(kernel, _start_nodes()))
 
 
 def oberhettinger_closed_form(p: ObParams) -> float:
@@ -280,8 +284,7 @@ def check_theorem_args(which: int, bp: BesselParams, mu, lam, a, y) -> tuple[flo
     return mu, lam, a, y
 
 
-# kernel tables kept, least recently used first out; a CLI sweep runs its
-# kernel parameters inside its Bessel parameters, so it meets few of them
+# kernel tables kept, least recently used first out (see the module docstring)
 _KERNEL_TABLES = 32
 
 
@@ -293,16 +296,16 @@ def _u_node(u: float) -> tuple[float, float, float]:
 
 @functools.cache
 def _start_nodes() -> tuple[tuple[float, float, float], ...]:
-    """`_u_node` at each starting-panel node, in visit order; built on first
-    use, so a cold kernel table (a CLI `verify`, a sweep's new or evicted
-    kernel) takes no exp, sinh or cosh."""
+    """`_u_node` at each starting-panel node, in visit order, built on first
+    use: a later integral or cold kernel table takes no exp, sinh or cosh."""
     return tuple(map(_u_node, _panel_nodes(*_start_panels())))
 
 
-def _kernel_node(which, mu, lam, a, y, x, lx, cu) -> tuple[float, float, float, float]:
+def _kernel_node(which, mu, lam, a, y, xu) -> tuple[float, float, float, float]:
     """(x, cosh u, series argument z, log of the kernel x^(mu-1) phi^(-lam))
-    from a `_u_node` (x, lx = log x, cu = cosh u): the node's values that do
-    not depend on the Bessel parameters."""
+    from a `_u_node` record xu: the node's values that do not depend on the
+    Bessel parameters."""
+    x, lx, cu = xu
     ph = _phi(x, a)
     # x/ph <= 1, so grouping this way cannot overflow for huge x
     z = y / ph if which == 1 else x / ph * y
@@ -313,15 +316,14 @@ def _kernel_node(which, mu, lam, a, y, x, lx, cu) -> tuple[float, float, float, 
 def _kernel_table(which, mu, lam, a, y) -> tuple[tuple[float, float, float, float], ...]:
     """`_kernel_node` at every starting-panel node, in visit order; y = -0.0
     and 0.0 are one key, and give the same records."""
-    return tuple(_kernel_node(which, mu, lam, a, y, *xu) for xu in _start_nodes())
+    return tuple(map(functools.partial(_kernel_node, which, mu, lam, a, y), _start_nodes()))
 
 
 def _weighted_kernel_lhs(which, bp, mu, lam, a, y, tol, budget, series_tol, max_terms):
     mu, lam, a, y = check_theorem_args(which, bp, mu, lam, a, y)
-    nodes = _kernel_table(which, mu, lam, a, y)
-    # Bessel factor and its relative rounding bound by argument, for this
-    # integral only: near x = 0 (first identity) or x = inf (second) z stops
-    # changing in floating point.
+    kernel = functools.partial(_kernel_node, which, mu, lam, a, y)
+    # Bessel factor and its relative rounding bound by argument, this integral only:
+    # near x = 0 (first identity) or x = inf (second) z stops changing in floating point
     factors: dict[float, tuple[float, float]] = {}
     exp, log, copysign, c = math.exp, math.log, math.copysign, _DE_C
 
@@ -342,10 +344,7 @@ def _weighted_kernel_lhs(which, bp, mu, lam, a, y, tol, budget, series_tol, max_
             v, rel = vr
             yield (copysign(exp(k0 + log(abs(v))), v) * x * c * cu, rel) if v else (0.0, 0.0)
 
-    def g(u: float) -> tuple[float, float]:  # a refinement node
-        return next(values([_kernel_node(which, mu, lam, a, y, *_u_node(u))]))
-
-    return _integrate(g, tol, budget, values(nodes))
+    return _integrate(values, lambda u: kernel(_u_node(u)), tol, budget, _kernel_table(which, mu, lam, a, y))
 
 
 def theorem1_lhs(

@@ -23,7 +23,9 @@ of the reduction check (`logsig_pairs` of (L_n, sign_n)); both Bessel tables,
 `eval_k_wright` and `eval_pfq` call it per term of summing loops of their own.
 Every caller also hands it the running sum of the term sizes, from which it
 bounds the sum's own rounding error, `SeriesResult.rounding`, at its single
-exit, the one place a series result is built.
+exit, which builds the result of every sum it ends.  The rest are built where
+they arise: the one-term shortcuts of the Bessel, k-Wright and reduction-check
+evaluators, `_rhs_paper`'s scaled sum and `_classical_bessel_series`.
 
 The real rule `is_real` (a finite int or float; not a bool or a string)
 covers arguments and parameters, the positive rule `is_positive` (the real
@@ -228,8 +230,7 @@ def logsig_pairs(terms, lz: float):
 
 
 def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: float,
-           max_terms: int, floor: float = 0.0, tsum: float = 0.0,
-           grow: float = 0.0) -> SeriesResult | None:
+           max_terms: int, floor: float, tsum: float, grow: float) -> SeriesResult | None:
     """The finished sum if term n (from 1) ends the series, else None.
 
     t_abs is the term's size, rho its ratio to the next (rho_prev the one

@@ -806,6 +806,86 @@ def test_subnormal_y_reads_no_mismatch(identity):
     assert verify(identity, params).verdict != "mismatch"
 
 
+@pytest.mark.xfail(strict=True, reason="rel_diff floors its denominator at 1e-300, so this point reads "
+                   "match with rel_diff_canonical 3.5e-23 although lhs 3.4e-322 and rhs_canonical "
+                   "3.75e-322 differ by 9.2%; ROADMAP item 7's underflow stop mends it")
+def test_subnormal_answer_reports_its_true_relative_gap():
+    r = verify("theorem2", dict(UNIT_PARAMS, lambda1=0.5, y=1e-320))
+    gap = abs(r.lhs - r.rhs_canonical) / max(abs(r.lhs), abs(r.rhs_canonical))
+    assert r.rel_diff_canonical == pytest.approx(gap, rel=1e-6)
+
+
+# ROADMAP item 9's census of how far verify answers: both theorems where the
+# series is the classical J_nu (k = gamma = lambda1 = b = 1, c = -1), for
+# each (nu, mu, lam, a), out along y/a (theorem1) or y (theorem2).
+CENSUS_KERNELS = {0.5: (0.5, 1.5, 0.5), 0.0: (0.5, 1.5, 1.0), 1.0: (1.0, 2.0, 1.0)}
+CENSUS_REACH = (4, 8, 12, 16, 20, 24, 32, 40)
+# The left side at each reach, from mpmath at 120 digits as the term-wise sum
+# of Oberhettinger closed forms; mpmath.quad of the integrand with
+# mpmath.besselj at 45 digits agrees with every value to 2.2e-25.
+CENSUS_REFERENCES = {
+    ("theorem1", 0.5): (
+        0.5787852117219931283, 0.2024051962748256763, 0.0770122633129711348,
+        0.1248859264333595868, 0.0621903314214625083, 0.0520139901079142830,
+        0.0344871566366015880, 0.0417459360792061736,
+    ),
+    ("theorem1", 0.0): (
+        0.1694741969926281562, 0.1277550311477502498, 0.0324488405859411611,
+        0.0526468566448314279, 0.0397822498501865800, 0.0204624419928171681,
+        0.0208275027445796132, 0.0221291624847839852,
+    ),
+    ("theorem1", 1.0): (
+        0.1291277080014718210, 0.0588338070804075839, 0.0432183826700738028,
+        0.0308968860325730305, 0.0248329171895603748, 0.0211007605298318076,
+        0.0156509658481210012, 0.0124212260512265093,
+    ),
+    ("theorem2", 0.5): (
+        0.8829399495247346944, 0.7649366405700845836, 0.5738339584040938466,
+        0.5374983121168807776, 0.5056937062210216140, 0.4423965333898552069,
+        0.4074912321045832981, 0.3579986127143608262,
+    ),
+    ("theorem2", 0.0): (
+        0.9157296314298771432, 0.6600119816742946551, 0.5273503188623136980,
+        0.4869700926282523771, 0.4355857604703540908, 0.3909245744986898792,
+        0.3501806618380400926, 0.3139929266231421957,
+    ),
+    ("theorem2", 1.0): (
+        0.1187961627614515076, 0.1166503110619558988, 0.0602931613294156208,
+        0.0451929218606723779, 0.0477813709208885835, 0.0345782859588015755,
+        0.0298450458524438668, 0.0199714884091477358,
+    ),
+}
+# (verdict, last reach that reads it); every farther point is inconclusive
+# with "did not converge: quadrature".  A change that widens the reach moves
+# these pins.
+CENSUS_ANSWERS = {
+    ("theorem1", 0.5): ("match", 12),
+    ("theorem1", 0.0): ("match", 12),
+    ("theorem1", 1.0): ("match", 16),
+    ("theorem2", 0.5): ("canonical_only", 32),
+    ("theorem2", 0.0): ("canonical_only", 32),
+    ("theorem2", 1.0): ("canonical_only", 32),
+}
+
+
+@pytest.mark.parametrize("identity, nu, reach, ref", [
+    (identity, nu, reach, ref)
+    for (identity, nu), refs in CENSUS_REFERENCES.items() for reach, ref in zip(CENSUS_REACH, refs)
+])
+def test_census_answers_only_right_values(identity, nu, reach, ref):
+    mu, lam, a = CENSUS_KERNELS[nu]
+    y = reach * a if identity == "theorem1" else float(reach)
+    r = verify(identity, dict(k=1, nu=nu, gamma=1, lambda1=1, c=-1, b=1, mu=mu, lam=lam, a=a, y=y))
+    assert r.verdict != "mismatch"
+    answer, last = CENSUS_ANSWERS[identity, nu]
+    if reach > last:
+        assert (r.verdict, r.diagnostics) == ("inconclusive", "did not converge: quadrature")
+        return
+    assert r.verdict == answer
+    for value in (r.lhs, r.rhs_canonical):
+        assert abs(value - ref) <= r.tolerances["match"] * abs(ref)
+
+
 @pytest.mark.parametrize("kind", ["bessel_J", "bessel_I"])
 def test_classical_reduction_check_both_zero(kind):
     # at z = 0 and nu > 0 both routes are exactly 0; the gap is 0, not 0/0

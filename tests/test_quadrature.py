@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kspecfun import quadrature
 from kspecfun.errors import DomainError
@@ -287,18 +288,19 @@ def test_h1_stops_after_its_starting_panels():
 
 
 def _mapped(f, rel):
-    """f(x) dx/du on the mapped axis of the integrator, with relative noise rel."""
+    """The integrator's arguments ahead of tol and budget for f(x) dx/du on
+    its mapped axis, with relative noise rel: values and node."""
 
-    def g(u):
-        x = math.exp(quadrature._DE_C * math.sinh(u))
-        return f(x) * x * quadrature._DE_C * math.cosh(u), rel
+    def values(records):
+        for x, _, cu in records:
+            yield f(x) * x * quadrature._DE_C * cu, rel
 
-    return g
+    return values, quadrature._u_node
 
 
 def test_noise_above_the_goal_stops_after_the_starting_panels():
     # exp(-x) refines past 240 nodes at tol 1e-12 (330 evaluations) unless its noise stops it
-    q = quadrature._integrate(_mapped(lambda x: math.exp(-x), 1e-9), 1e-12, 60000)
+    q = quadrature._integrate(*_mapped(lambda x: math.exp(-x), 1e-9), 1e-12, 60000, quadrature._start_nodes())
     assert (q.evaluations, q.converged) == (240, False)
     assert q.value == pytest.approx(1.0, rel=1e-9)
 
@@ -307,7 +309,7 @@ def test_noise_below_the_goal_changes_nothing():
     def f(x):
         return math.exp(-x)
 
-    quiet = quadrature._integrate(_mapped(f, 1e-14), 1e-12, 60000)
+    quiet = quadrature._integrate(*_mapped(f, 1e-14), 1e-12, 60000, quadrature._start_nodes())
     assert quiet == integrate_semi_infinite(f, tol=1e-12)
     assert quiet.evaluations > 240 and quiet.converged
 
@@ -343,3 +345,17 @@ def test_noise_below_the_goal_changes_nothing():
 def test_integrands_without_noise_keep_their_bits(integral, expected):
     assert repr(integral()) == expected
 
+
+@settings(deadline=None, max_examples=60)
+@given(mu=st.floats(0.05, 4.0), gap=st.floats(0.05, 4.0), log_a=st.floats(-3.0, 3.0),
+       log_tol=st.floats(-14.0, -8.0), budget=st.integers(240, 2000))
+def test_kernel_integral_keeps_the_bits_of_its_integrand_formula(mu, gap, log_a, log_tol, budget):
+    # the kernel log of `_kernel_node` against x^(mu-1) phi^(-lam) written out
+    # as a plain integrand; tol down to 1e-14 refines past the starting panels
+    p = ObParams(mu, mu + gap, 10.0**log_a)
+    tol = 10.0**log_tol
+
+    def f(x):
+        return math.exp((p.mu - 1.0) * math.log(x) - p.lam * math.log(quadrature._phi(x, p.a)))
+
+    assert repr(oberhettinger_lhs(p, tol, budget)) == repr(integrate_semi_infinite(f, tol, budget))

@@ -162,7 +162,8 @@ def test_settle_matches_the_stated_rule_bit_for_bit(s):
                         got = {}
                         for one_sign in (False, True):
                             floor = ONE_SIGN_FLOOR if one_sign else 0.0
-                            got[one_sign] = settle(3, t_abs, rho, rho_prev, s, tol, max_terms, floor)
+                            got[one_sign] = settle(3, t_abs, rho, rho_prev, s, tol, max_terms, floor,
+                                                   0.0, 0.0)
                             want = _stated_rule(3, t_abs, rho, rho_prev, s, tol, max_terms, one_sign)
                             assert repr(got[one_sign]) == repr(want), (t_abs, rho, rho_prev, tol,
                                                                        max_terms, floor)
@@ -188,7 +189,7 @@ def test_settle_reports_the_rounding_bound_of_its_sum(t_abs, max_terms, converge
 @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
 def test_settle_raises_on_a_partial_sum_that_is_not_finite(s):
     with pytest.raises(OverflowError, match="math range error"):
-        settle(1, 0.0, 0.0, math.inf, s, 1.0, 1)
+        settle(1, 0.0, 0.0, math.inf, s, 1.0, 1, 0.0, 0.0, 0.0)
 
 
 # the whole result, rounding included, of one call on each caller of settle, bit for bit
