@@ -38,7 +38,7 @@ from .quadrature import (
     theorem2_lhs,
 )
 from .summation import SeriesResult, accumulate, check_arg, check_series_args, check_settings
-from .summation import ONE_SIGN_FLOOR, is_positive, is_real, logsig_pairs, rel_diff, side_value
+from .summation import is_positive, is_real, logsig_pairs, rel_diff, side_value
 from .wright import WrightSpec, eval_k_wright, wright_terms_logsig
 
 __all__ = [
@@ -151,9 +151,7 @@ def _rhs_canonical(which, bp, mu, lam, a, y, tol, max_terms) -> SeriesResult:
     mu, lam, a, y = check_theorem_args(which, bp, mu, lam, a, y)
     check_series_args(y, tol, max_terms)
     terms = _canonical_terms_logsig(which, bp, mu, lam, a, y)
-    # the kernel factors are positive Gammas, so c > 0 and gamma > 0 give one sign
-    floor = ONE_SIGN_FLOOR if bp.c > 0.0 and bp.gamma > 0.0 else 0.0
-    return accumulate(logsig_pairs(terms, 0.0), tol, max_terms, floor)
+    return accumulate(logsig_pairs(terms, 0.0), tol, max_terms)
 
 
 def theorem1_rhs_canonical(

@@ -25,12 +25,10 @@ One recurrence sums S for both:
   sums lose ~4 digits to cancellation at z = 10 and plain doubles cannot
   hold 1e-12 agreement.
 
-Both paths stop where `summation.settle` says, called once per term.  Each
-table's `floor` is the one-sign floor where c > 0 (z < 0 for the first
-kind) and gamma > 0 make every term positive, else 0.  Each also passes the
-running sum of its term sizes to `settle`, which bounds the sum's rounding
-error from it (`SeriesResult.rounding`), with term n off by about 2 n u
-on the log path and by (2 + m) n u on the double-double path.
+Both paths stop where `summation.settle` says, called once per term with
+the running sum of the term sizes, from which it decides the one-sign floor
+and bounds the sum's rounding error (`SeriesResult.rounding`): term n is off
+by about 2 n u on the log path and by (2 + m) n u on the double-double path.
 Apart from the tables, the generalized series is also a forward
 (log |t_n|, sign_n) stream, `bessel_terms_logsig`, carrying the Pochhammer
 log and sign from term to term: the canonical right sides of the identities
@@ -63,7 +61,7 @@ from itertools import count, islice, repeat
 
 from .errors import DomainError
 from .kgamma import k_gamma, log_k_gamma
-from .summation import ONE_SIGN_FLOOR, SeriesResult, check_arg, check_series_args, settle
+from .summation import SeriesResult, check_arg, check_series_args, settle
 from .summation import _SPLIT, dd_add, dd_div_d, dd_mul_d, is_positive, is_real, is_whole
 
 __all__ = [
@@ -188,7 +186,7 @@ class _LogTable:
     its argument positive as lam > 0 and s0 > 0 (both callers check them).  lgk0 = L_0 is
     nan where it overflows: the first evaluation, not the constructor, raises the OverflowError."""
 
-    __slots__ = ("k", "lk", "gamma", "lam", "s0", "lc", "neg", "lgk0", "floor", "rows")
+    __slots__ = ("k", "lk", "gamma", "lam", "s0", "lc", "neg", "lgk0", "rows")
 
     def __init__(self, k, gamma, lam, s0, lc, neg) -> None:
         self.k = k = float(k)  # BesselParams may pass an int
@@ -197,7 +195,6 @@ class _LogTable:
             self.lgk0 = log_k_gamma(s0, self.k)
         except OverflowError:
             self.lgk0 = math.nan
-        self.floor = ONE_SIGN_FLOOR if gamma > 0.0 and not neg else 0.0
         self.rows = []
 
     def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
@@ -209,8 +206,8 @@ class _LogTable:
         """exp(lead) S(c u), lu = log|u|, summed with Neumaier compensation
         until `settle` ends it.  Builds row n here the first time any call
         reaches term n."""
-        k, lk, gamma, lam, s0, lc, neg, floor, rows = (
-            self.k, self.lk, self.gamma, self.lam, self.s0, self.lc, self.neg, self.floor, self.rows)
+        k, lk, gamma, lam, s0, lc, neg, rows = (
+            self.k, self.lk, self.gamma, self.lam, self.s0, self.lc, self.neg, self.rows)
         exp, log, lgamma = math.exp, math.log, math.lgamma
         built = len(rows)  # rows past these are built here, in order
         lgk = self.lgk0
@@ -241,13 +238,13 @@ class _LogTable:
                 c += (t - u) + s
             s = u
             if row is None:  # exact termination: no tail
-                return settle(n + 1, t_abs, 0.0, rho, s + c, tol, max_terms, floor, tsum, 2.0)
+                return settle(n + 1, t_abs, 0.0, rho, s + c, tol, max_terms, tsum, 2.0)
             a, b, d, flip, lgk = row
             dlg = a + lu - b
             dlg -= d
             rho_prev = rho
             rho = exp(dlg)
-            res = settle(n + 1, t_abs, rho, rho_prev, s + c, tol, max_terms, floor, tsum, 2.0)
+            res = settle(n + 1, t_abs, rho, rho_prev, s + c, tol, max_terms, tsum, 2.0)
             if res is not None:
                 return res
             big += dlg
@@ -267,7 +264,7 @@ class _DDTable:
     w^nu / Gamma_k(s0), inf where it overflows.
     """
 
-    __slots__ = ("k", "gamma", "lambda1", "c", "s0", "m", "gk0", "floor", "rows")
+    __slots__ = ("k", "gamma", "lambda1", "c", "s0", "m", "gk0", "rows")
 
     def __init__(self, k, gamma, lambda1, c, s0, m) -> None:
         self.k, self.gamma, self.lambda1, self.c, self.s0, self.m = k, gamma, lambda1, c, s0, m
@@ -275,7 +272,6 @@ class _DDTable:
             self.gk0 = k_gamma(s0, k)
         except OverflowError:
             self.gk0 = math.inf
-        self.floor = ONE_SIGN_FLOOR if gamma > 0.0 and c > 0.0 else 0.0
         self.rows = []
 
     def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
@@ -283,8 +279,8 @@ class _DDTable:
         applied once at the end.  Builds row n here the first time any call
         reaches term n.  Raises OverflowError, through `settle`, at the first
         partial sum past double range, as the log path does."""
-        k, gamma, lambda1, c, s0, m, floor, rows = (
-            self.k, self.gamma, self.lambda1, self.c, self.s0, self.m, self.floor, self.rows)
+        k, gamma, lambda1, c, s0, m, rows = (
+            self.k, self.gamma, self.lambda1, self.c, self.s0, self.m, self.rows)
         pref = _lead(w, nu, s0, k, self.gk0)
         w2 = w * w
         cs = _SPLIT * w2  # the Dekker split of w2, taken once for every term
@@ -316,10 +312,10 @@ class _DDTable:
             tsum += t_abs
             s = pref * (acc[0] + acc[1])
             if row is None:  # exact termination with no tail, even where w2 or the scaled term overflows
-                return settle(n + 1, 0.0, 0.0, rho_prev, s, tol, max_terms, floor, tsum, grow)
+                return settle(n + 1, 0.0, 0.0, rho_prev, s, tol, max_terms, tsum, grow)
             b, lo, bh, bl, size = row
             rho = size * w2
-            res = settle(n + 1, t_abs, rho, rho_prev, s, tol, max_terms, floor, tsum, grow)
+            res = settle(n + 1, t_abs, rho, rho_prev, s, tol, max_terms, tsum, grow)
             if res is not None:
                 return res
             # t <- dd_mul(dd_mul_d(t, w2), row), written out

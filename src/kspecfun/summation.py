@@ -12,20 +12,20 @@ Every series stops where one function, `settle`, says: once the ratio rho of
 term t to the next is below 1 and non-increasing and |t| rho / (1 - rho) <=
 tol min(max(|s|, 1e-300), 1), relative to the partial sum s up to |s| = 1
 and absolute above, or, unconverged, at the term cap; a partial sum that is
-not finite raises OverflowError.  A series whose terms share one sign cannot
-cancel, so it also stops once that tail is <= 2^-64 |s| (ONE_SIGN_FLOOR,
-2^-11 of an ulp): above |s| = 2^64 tol its tail_estimate may exceed tol.  The
-generalized k-Bessel series and its canonical images take this floor where
-c > 0 and gamma > 0, the first kind where z < 0 and gamma > 0; no other
-series does.  `accumulate` calls `settle` per term of an unbounded (term,
-|next/current| ratio) stream, for the canonical right side and the Wright side
-of the reduction check (`logsig_pairs` of (L_n, sign_n)); both Bessel tables,
-`eval_k_wright` and `eval_pfq` call it per term of summing loops of their own.
-Every caller also hands it the running sum of the term sizes, from which it
-bounds the sum's own rounding error, `SeriesResult.rounding`, at its single
-exit, which builds the result of every sum it ends.  The rest are built where
-they arise: the one-term shortcuts of the Bessel, k-Wright and reduction-check
-evaluators, `_rhs_paper`'s scaled sum and `_classical_bessel_series`.
+not finite raises OverflowError.  A sum that has not cancelled, its term
+sizes summing to at most 2 |s| as on every series whose terms share one sign,
+also stops once that tail is <= 2^-64 |s| (ONE_SIGN_FLOOR, 2^-11 of an ulp):
+above |s| = 2^64 tol its tail_estimate may exceed tol.  A cancelled sum, such
+as J_0 at z = 300, never takes this floor.  `accumulate` calls `settle` per
+term of an unbounded (term, |next/current| ratio) stream, for the canonical
+right side and the Wright side of the reduction check (`logsig_pairs` of
+(L_n, sign_n)); both Bessel tables, `eval_k_wright` and `eval_pfq` call it
+per term of summing loops of their own.  Every caller hands it the running
+sum of the term sizes, from which it decides the floor and bounds the sum's
+own rounding error, `SeriesResult.rounding`, at its single exit, which builds
+the result of every sum it ends.  The rest are built where they arise: the
+one-term shortcuts of the Bessel, k-Wright and reduction-check evaluators,
+`_rhs_paper`'s scaled sum and `_classical_bessel_series`.
 
 The real rule `is_real` (a finite int or float; not a bool or a string)
 covers arguments and parameters, the positive rule `is_positive` (the real
@@ -47,7 +47,7 @@ __all__ = ["CompensatedSum", "SeriesResult"]
 # Dekker splitting constant, 2**27 + 1; no hardware fma is assumed.
 _SPLIT = 134217729.0
 _MAX = sys.float_info.max  # the largest finite double; an int past it has no float value
-ONE_SIGN_FLOOR = 2.0**-64  # the relative tail at which a one-sign series stops
+ONE_SIGN_FLOOR = 2.0**-64  # the relative tail at which a sum that has not cancelled stops
 _UNIT = 2.0**-53  # the unit roundoff u of a double
 
 # The error-free transforms below are written out in place: they run once or
@@ -230,22 +230,24 @@ def logsig_pairs(terms, lz: float):
 
 
 def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: float,
-           max_terms: int, floor: float, tsum: float, grow: float) -> SeriesResult | None:
+           max_terms: int, tsum: float, grow: float) -> SeriesResult | None:
     """The finished sum if term n (from 1) ends the series, else None.
 
     t_abs is the term's size, rho its ratio to the next (rho_prev the one
-    before, inf at the first term) and s the partial sum through it.  It has
-    converged when rho < 1, rho <= rho_prev and the tail t_abs rho / (1 - rho)
-    is <= tol min(max(|s|, 1e-300), 1) or <= floor |s|; floor is 0 but on a
-    series whose terms share one sign, ONE_SIGN_FLOOR.  A partial sum that is
-    not finite (an inf or nan term, or finite terms whose sum overflows)
-    raises OverflowError.  At the cap the tail estimate is reported
-    unconverged, |t| where rho >= 1.
+    before, inf at the first term), s the partial sum through it and tsum
+    the sum of the sizes of terms 1..n.  It has converged when rho < 1,
+    rho <= rho_prev and the tail t_abs rho / (1 - rho) is
+    <= tol min(max(|s|, 1e-300), 1), or is <= ONE_SIGN_FLOOR |s| with
+    tsum <= 2 |s|: the sum's condition number tsum / |s| is at most 2, as on
+    every series whose terms share one sign.  A partial sum that is not
+    finite (an inf or nan term, or finite terms whose sum overflows) raises
+    OverflowError.  At the cap the tail estimate is reported unconverged,
+    |t| where rho >= 1.
 
     The result's rounding is R = u tsum (grow n + 1 + |ln tsum|), u = 2^-53,
     or 0 where tsum is 0, computed at the single exit that builds the result;
-    it does not enter the stop test.  tsum is the sum of the sizes of terms
-    1..n and term j carries a relative error of grow j u from its recurrence.
+    it does not enter the stop test.  Term j carries a relative error of
+    grow j u from its recurrence.
     The 1 + |ln tsum| bounds, from tsum alone, the mean |ln |t_j|| u that a
     term reached through exp of its log carries (x ln(1/x) <= 1/e, so
     grow = 2 covers sum_j |t_j| (1 + |ln |t_j|| + j) u on the log/sign path).
@@ -257,22 +259,21 @@ def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: flo
     if rho < 1.0:
         tail = t_abs * rho / (1.0 - rho)
         if rho <= rho_prev and (tail <= tol * (1.0 if a > 1.0 else a if a > 1e-300 else 1e-300)
-                                or tail <= floor * a):  # an if, not a stored bool: None stays as cheap
-            converged = True
+                                or tail <= ONE_SIGN_FLOOR * a and tsum <= 2.0 * a):
+            converged = True  # an if, not a stored bool: None stays as cheap
     if not converged and n < max_terms:
         return None
     rounding = _UNIT * tsum * (grow * n + 1.0 + abs(math.log(tsum))) if tsum else 0.0
     return tuple.__new__(SeriesResult, (s, n, tail, converged, rounding))  # SeriesResult._make's step
 
 
-def accumulate(pairs, tol: float, max_terms: int, floor: float = 0.0,
-               grow: float = 2.0) -> SeriesResult:
+def accumulate(pairs, tol: float, max_terms: int, grow: float = 2.0) -> SeriesResult:
     """Sum a (term, |next/current| ratio) stream until `settle` ends it.
 
     A zero ratio marks exact termination (a Pochhammer factor hit zero);
-    an infinite one says no tail bound holds yet.  floor goes to `settle`,
-    and so do the running sum of the term sizes and grow, the relative
-    error per index of a term: 2 for terms taken as exp of their log, as
+    an infinite one says no tail bound holds yet.  The running sum of the
+    term sizes goes to `settle`, and so does grow, the relative error per
+    index of a term: 2 for terms taken as exp of their log, as
     `logsig_pairs` gives them, p + q + 2 for a pFq recurrence.
     """
     s = c = 0.0  # the Neumaier step of CompensatedSum.add, written out
@@ -289,9 +290,9 @@ def accumulate(pairs, tol: float, max_terms: int, floor: float = 0.0,
         else:
             c += (t - u) + s
         s = u
-        res = settle(n, t_abs, r, rho, s + c, tol, max_terms, floor, tsum, grow)
+        res = settle(n, t_abs, r, rho, s + c, tol, max_terms, tsum, grow)
         if res is not None:
             return res
         rho = r
     # a stream that ran out is cut at its last term: rho_prev = -inf certifies nothing
-    return settle(max(n, 1), t_abs, rho, -math.inf, s + c, tol, 1, floor, tsum, grow)
+    return settle(max(n, 1), t_abs, rho, -math.inf, s + c, tol, 1, tsum, grow)

@@ -124,7 +124,7 @@ def eval_k_wright(s: WrightSpec, z: float, tol: float = 1e-10, max_terms: int = 
         else:
             c += (t - u) + acc
         acc = u
-        res = settle(n + 1, t_abs, r, rho, acc + c, tol, max_terms, 0.0, tsum, 2.0)
+        res = settle(n + 1, t_abs, r, rho, acc + c, tol, max_terms, tsum, 2.0)
         if res is not None:
             return res
         rho = r
@@ -218,7 +218,7 @@ def eval_pfq(upper, lower, z: float, tol: float = 1e-10, max_terms: int = 400) -
         else:
             c += (t - u) + s
         s = u
-        res = settle(n + 1, t_abs, rho, rho_prev, s + c, tol, max_terms, 0.0, tsum, grow)
+        res = settle(n + 1, t_abs, rho, rho_prev, s + c, tol, max_terms, tsum, grow)
         if res is not None:
             return res
         rho_prev = rho

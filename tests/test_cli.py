@@ -440,6 +440,7 @@ def test_sweep_mismatch_exits_one(capsys, tmp_path, monkeypatch):
     ("eval kgamma z=1 z=2", "duplicate key 'z'"),
     ("eval kwright upper=1 z=0.5", "upper: expected offset:weight, got '1'"),
     ("eval kgamma k=2", "kgamma needs z=<value>"),
+    ("eval kgamma z=2 k", "expected key=value, got 'k'"),
 ])
 def test_eval_usage_error_message(command, message, capsys):
     assert cli.main(command.split()) == 2
@@ -453,6 +454,13 @@ def test_eval_pfq_with_no_upper_parameters(capsys):
     assert capsys.readouterr().out == (
         f"value={r.value!r}\nterms_used={r.terms_used}\ntail_estimate={r.tail_estimate!r}\n"
         "converged=true\n")
+
+
+def test_eval_kwright_with_no_rows(capsys):
+    # both row lists default to empty: the series is sum z^n / n! = exp(z)
+    assert cli.main(["eval", "kwright", "z=0.5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert (out[0], out[1]) == ("value=1.6487212706873657", "terms_used=11")
 
 
 def _json_error(text: str) -> str:
@@ -470,6 +478,9 @@ def _json_error(text: str) -> str:
     ("[1]", "malformed config: expected a flat JSON object"),
     ('{"identity": "theorem9"}', f"config needs identity set to one of {', '.join(identities.IDENTITY_IDS)}"),
     ('{"identity": "oberhettinger", "format": "xml"}', "unknown format 'xml'; expected csv or json-lines"),
+    ('{"identity": "oberhettinger", "mu": [1], "bogus": 3}', "unknown config key 'bogus'"),
+    ('{"identity": "oberhettinger", "lam": [2.0], "lam_minus_mu": [1.0]}',
+     "config keys 'lam' and 'lam_minus_mu' are mutually exclusive"),
 ])
 def test_sweep_config_error_message(text, message, capsys, tmp_path, monkeypatch):
     calls = []

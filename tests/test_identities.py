@@ -21,7 +21,7 @@ from kspecfun.identities import (
 from kspecfun.kbessel import BesselParams
 from kspecfun.kgamma import k_gamma, log_k_gamma
 from kspecfun.quadrature import ObParams, oberhettinger_closed_form, theorem1_lhs
-from kspecfun.summation import ONE_SIGN_FLOOR, SeriesResult
+from kspecfun.summation import SeriesResult
 from kspecfun.wright import wright_terms_logsig
 
 UNIT = BesselParams(k=1, nu=1, gamma=1, lambda1=1, c=-1, b=1)
@@ -153,16 +153,13 @@ def test_canonical_series_log_work_is_linear_in_terms(monkeypatch):
     assert counting.log_calls <= 3 * r.terms_used
 
 
-@pytest.mark.parametrize("rhs", [theorem1_rhs_canonical, theorem2_rhs_canonical])
-def test_canonical_takes_the_floor_only_where_its_terms_share_one_sign(monkeypatch, rhs):
-    # the kernel factors are positive Gammas, so the Bessel signs decide
-    floors = []
-    real = identities.accumulate
-    monkeypatch.setattr(identities, "accumulate",
-                        lambda pairs, tol, cap, floor: floors.append(floor) or real(pairs, tol, cap, floor))
-    for c, gamma in ((1.0, 1.5), (-1.0, 1.5), (1.0, -0.5)):
-        rhs(BesselParams(k=1, nu=0.5, gamma=gamma, lambda1=0.7, c=c, b=1), 0.5, 1.5, 1.0, 2.0)
-    assert floors == [ONE_SIGN_FLOOR, 0.0, 0.0]
+def test_canonical_one_sign_sum_stops_on_the_floor():
+    # c > 0 and gamma > 0 with positive kernel factors: every term is positive,
+    # so the sum stops once its tail is at most 2^-64 of it, far above tol
+    r = theorem1_rhs_canonical(BesselParams(1, 0.5, 1.5, 1, 1, 1), 0.5, 1.5, 0.5, 40.0)
+    assert repr(r) == ("SeriesResult(value=6.206295770907139e+32, terms_used=87, "
+                       "tail_estimate=18712603271187.727, converged=True, rounding=1.7260954037466214e+19)")
+    assert 1e-10 < r.tail_estimate <= 2.0**-64 * r.value
 
 
 def test_canonical_sum_reports_its_rounding_at_h1():

@@ -20,7 +20,7 @@ from kspecfun.kbessel import (
     gmk_bessel_term,
 )
 from kspecfun.kgamma import k_gamma, k_pochhammer, log_k_gamma
-from kspecfun.summation import ONE_SIGN_FLOOR, SeriesResult, dd_add, dd_div_d, dd_mul, dd_mul_d, settle
+from kspecfun.summation import SeriesResult, dd_add, dd_div_d, dd_mul, dd_mul_d, settle
 
 UNIT_J = BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=-1, b=1)
 
@@ -302,28 +302,13 @@ def test_rounding_and_tail_bound_the_error_of_cancelled_sums(p, z, tol, max_term
         assert r.rounding + r.tail_estimate >= abs(r.value - exact)
 
 
-def test_first_kind_takes_the_floor_only_where_its_terms_share_one_sign(monkeypatch):
-    floors = []
-    real = kbessel.settle
-
-    def hook(n, t_abs, rho, rho_prev, s, tol, cap, floor, *rest):
-        floors[-1].add(floor)
-        return real(n, t_abs, rho, rho_prev, s, tol, cap, floor, *rest)
-
-    monkeypatch.setattr(kbessel, "settle", hook)
-    for gamma, z in ((1.5, -3.0), (1.5, 3.0), (-1.3, -3.0)):
-        floors.append(set())
-        eval_k_bessel_first(1.0, 0.5, gamma, 0.7, z)
-    assert floors == [{ONE_SIGN_FLOOR}, {0.0}, {0.0}]
-
-
-@pytest.mark.parametrize("lambda1", [1.0, 0.7])  # the double-double path, the log path
-@pytest.mark.parametrize("c, gamma, floor", [
-    (1.0, 1.5, ONE_SIGN_FLOOR), (2.5, 0.5, ONE_SIGN_FLOOR), (1.0, -0.5, 0.0), (1.0, -2.0, 0.0),
-    (-1.0, 1.5, 0.0), (1.0, 0.0, 0.0),
-])
-def test_table_floor_needs_positive_c_and_gamma(lambda1, c, gamma, floor):
-    assert BesselParams(1.0, 0.5, gamma, lambda1, c, 1.0)._table.floor == floor
+def test_first_kind_one_sign_sum_stops_on_the_floor():
+    # z < 0 and gamma > 0: every term is positive, so the sum stops once its
+    # tail is at most 2^-64 of it, far above tol
+    r = eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, -200.0)
+    assert repr(r) == ("SeriesResult(value=4.46138901188792e+20, terms_used=87, "
+                       "tail_estimate=12.451188757735077, converged=True, rounding=11023065.385372356)")
+    assert 1e-10 < r.tail_estimate <= 2.0**-64 * r.value
 
 
 def test_first_kind_z_zero():
@@ -704,7 +689,7 @@ def _dd_reference(p, w, tol, max_terms):
         rho = 0.0 if row is None else abs(row[0]) * w2
         try:
             res = settle(n + 1, 0.0 if row is None else t_abs, rho, rho_prev,
-                         pref * (acc[0] + acc[1]), tol, max_terms, tab.floor, tsum, 2.0 + tab.m)
+                         pref * (acc[0] + acc[1]), tol, max_terms, tsum, 2.0 + tab.m)
         except OverflowError:
             return None
         if res is not None:

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import kspecfun as ks
 from kspecfun.summation import (
-    ONE_SIGN_FLOOR,
     CompensatedSum,
     SeriesResult,
     accumulate,
@@ -131,14 +130,15 @@ def test_accumulate_raises_at_first_partial_sum_past_double_range(stream):
     assert list(pairs) == [(7.0, 0.5)]
 
 
-def _stated_rule(n, t_abs, rho, rho_prev, s, tol, max_terms, one_sign):
-    """The stop rule as the documentation states it, builtins and all; one_sign
-    adds the floor 2^-64 |s| of a series whose terms share one sign."""
+def _stated_rule(n, t_abs, rho, rho_prev, s, tol, max_terms, tsum):
+    """The stop rule as the documentation states it, builtins and all, with
+    grow = 0: the floor 2^-64 |s| holds where the term sizes tsum are <= 2 |s|."""
     tail = t_abs * rho / (1 - rho) if rho < 1 else t_abs
     bound = tol * min(max(abs(s), 1e-300), 1)
-    if rho < 1 and rho <= rho_prev and (tail <= bound or one_sign and tail <= 2**-64 * abs(s)):
-        return SeriesResult(s, n, tail, True)
-    return SeriesResult(s, n, tail, False) if n >= max_terms else None
+    rounding = 2**-53 * tsum * (1 + abs(math.log(tsum))) if tsum else 0.0
+    if rho < 1 and rho <= rho_prev and (tail <= bound or tail <= 2**-64 * abs(s) and tsum <= 2 * abs(s)):
+        return SeriesResult(s, n, tail, True, rounding)
+    return SeriesResult(s, n, tail, False, rounding) if n >= max_terms else None
 
 
 # 2^63 and 2^64 put |t| = 1 at rho = 0.5 just past and exactly on the floor
@@ -153,22 +153,25 @@ _RATIOS = (0.0, 0.5, math.nextafter(1.0, 0.0), 1.0, 2.0, math.inf, math.nan)
 def test_settle_matches_the_stated_rule_bit_for_bit(s):
     outcomes = set()
     floor_decides = False
+    # the term sizes of a sum that may take the floor, at its largest, and just past it
+    tsums = (2.0 * abs(s), math.nextafter(2.0 * abs(s), math.inf))
     for rho in _RATIOS:
         # rho_prev equal to rho, larger, smaller, and -inf
         for rho_prev in (rho, math.nextafter(rho, math.inf), math.nextafter(rho, -math.inf), -math.inf):
             for t_abs in (0.0, 5e-324, 0.5, 1.0, abs(s)):
                 for tol in (1e-300, 1e-10, 0.5, 1.0):
                     for max_terms in (3, 4):  # the term cap reached at n = 3, and not
-                        got = {}
-                        for one_sign in (False, True):
-                            floor = ONE_SIGN_FLOOR if one_sign else 0.0
-                            got[one_sign] = settle(3, t_abs, rho, rho_prev, s, tol, max_terms, floor,
-                                                   0.0, 0.0)
-                            want = _stated_rule(3, t_abs, rho, rho_prev, s, tol, max_terms, one_sign)
-                            assert repr(got[one_sign]) == repr(want), (t_abs, rho, rho_prev, tol,
-                                                                       max_terms, floor)
+                        ends = []
+                        for tsum in tsums:
+                            got = settle(3, t_abs, rho, rho_prev, s, tol, max_terms, tsum, 0.0)
+                            want = _stated_rule(3, t_abs, rho, rho_prev, s, tol, max_terms, tsum)
+                            assert repr(got) == repr(want), (t_abs, rho, rho_prev, tol, max_terms, tsum)
                             outcomes.add(None if want is None else want.converged)
-                        floor_decides |= repr(got[False]) != repr(got[True])
+                            ends.append(got is not None and got.converged)
+                        if ends[0] != ends[1]:
+                            # only the floor tells them apart: 2 |s| takes it, the next double does not
+                            assert ends == [True, False]
+                            floor_decides = True
     assert outcomes == {None, True, False}
     # the floor alone ends some of these sums: those whose 2^-64 |s| reaches a tail of 0.5
     assert floor_decides == (abs(s) >= 2.0**63)
@@ -182,14 +185,14 @@ def test_settle_matches_the_stated_rule_bit_for_bit(s):
 ])
 def test_settle_reports_the_rounding_bound_of_its_sum(t_abs, max_terms, converged, tsum, grow, rounding):
     # R = u tsum (grow n + 1 + |ln tsum|) on a converged sum and at the cap alike
-    r = settle(3, t_abs, 0.5, 0.6, 1.0, 1e-10, max_terms, 0.0, tsum, grow)
+    r = settle(3, t_abs, 0.5, 0.6, 1.0, 1e-10, max_terms, tsum, grow)
     assert (r.converged, r.rounding) == (converged, rounding)
 
 
 @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
 def test_settle_raises_on_a_partial_sum_that_is_not_finite(s):
     with pytest.raises(OverflowError, match="math range error"):
-        settle(1, 0.0, 0.0, math.inf, s, 1.0, 1, 0.0, 0.0, 0.0)
+        settle(1, 0.0, 0.0, math.inf, s, 1.0, 1, 0.0, 0.0)
 
 
 # the whole result, rounding included, of one call on each caller of settle, bit for bit

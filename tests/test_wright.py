@@ -393,6 +393,30 @@ def _outcome(call):
         return f"{type(err).__name__}: {err}"
 
 
+# two sums of the series census whose terms are all positive: each stops on the
+# 2^-64 relative floor with its absolute tail above tol, 2 and 40 terms before
+# that tail reaches tol, and keeps the value bits of the longer sum
+ONE_SIGN_PFQ = ([4.821699858927725], [1.9809673261504277], 18.792827077542444)
+ONE_SIGN_WRIGHT = (
+    WrightSpec(((3.345080075772784, 1.3072214705401835), (3.2729546796899296, 0.970851798342144)),
+               ((4.811373594621574, 0.8004632863419455), (3.796931031592405, 0.8659735961237536)),
+               1.3162845292552443),
+    6.954298492802444)
+
+
+@pytest.mark.parametrize("call, exact, value, terms", [
+    (lambda: eval_pfq(*ONE_SIGN_PFQ), lambda: _pfq_exact(*ONE_SIGN_PFQ), "53968532004.14548", 74),
+    (lambda: eval_k_wright(*ONE_SIGN_WRIGHT), lambda: _k_wright_exact(*ONE_SIGN_WRIGHT),
+     "8.530204521768115e+18", 231),
+], ids=["pfq", "k_wright"])
+def test_one_sign_census_sums_stop_on_the_floor(call, exact, value, terms):
+    r = call()
+    assert (repr(r.value), r.terms_used, r.converged) == (value, terms, True)
+    assert 1e-10 < r.tail_estimate <= 2.0**-64 * r.value
+    # right to tol relative to the sum, within its own rounding bound
+    assert abs(r.value - exact()) <= min(r.rounding, 1e-10 * r.value)
+
+
 _tols = st.sampled_from([1e-14, 1e-10, 1e-6, 0.5])
 _caps = st.one_of(st.integers(1, 40), st.just(400))
 
