@@ -311,6 +311,47 @@ def test_first_kind_one_sign_sum_stops_on_the_floor():
     assert 1e-10 < r.tail_estimate <= 2.0**-64 * r.value
 
 
+# At z = 40 every sum of these tables but the short ones (gamma = -2 ends exactly
+# at its third term, gamma = 0 at its first) is past |s| = 2^64 tol, where the
+# 2^-64 floor can stop it.  The one-sign sums (c > 0, gamma > 0) take the floor,
+# and so do those at c > 0, gamma = -0.5: their terms of the other sign are too
+# small to cancel, so their sizes add to at most 2 |s|.  The c < 0 sums cancel
+# and stop on tol.  Each value is the parent's, whose floor came from a sign
+# proof; the gamma = -0.5 sums stop earlier than there (59 -> 55, 112 -> 90).
+@pytest.mark.parametrize("lambda1, c, gamma, value, terms, on_floor", [
+    (1.0, 1.0, 1.5, "7.516298137888771e+16", 56, True),
+    (1.0, 2.5, 0.5, "1.1855328240447839e+25", 74, True),
+    (1.0, 1.0, -0.5, "-52327517635443.96", 55, True),
+    (1.0, 1.0, -2.0, "104967.35918108269", 3, False),
+    (1.0, -1.0, 1.5, "0.037175282439431016", 65, False),
+    (1.0, 1.0, 0.0, "5.04626504404032", 1, False),
+    (0.7, 1.0, 1.5, "3.6431847058252203e+28", 91, True),
+    (0.7, 2.5, 0.5, "1.1055272891880803e+47", 132, True),
+    (0.7, 1.0, -0.5, "-6.275862078024799e+24", 90, True),
+    (0.7, 1.0, -2.0, "192544.0877077052", 3, False),
+    (0.7, -1.0, 1.5, "-1257216241897.3953", 118, False),
+    (0.7, 1.0, 0.0, "5.046265044040321", 1, False),
+])
+def test_table_sum_takes_the_floor_only_where_it_has_not_cancelled(monkeypatch, lambda1, c, gamma, value,
+                                                                 terms, on_floor):
+    seen = []
+    real = kbessel.settle
+
+    def hook(n, t_abs, rho, rho_prev, s, tol, cap, tsum, grow):
+        seen[:] = [tsum, s]
+        return real(n, t_abs, rho, rho_prev, s, tol, cap, tsum, grow)
+
+    monkeypatch.setattr(kbessel, "settle", hook)
+    r = eval_gmk_bessel(BesselParams(1.0, 0.5, gamma, lambda1, c, 1.0), 40.0)
+    assert (repr(r.value), r.terms_used, r.converged) == (value, terms, True)
+    assert (r.tail_estimate > 1e-10 * min(abs(r.value), 1.0)) == on_floor
+    if on_floor or c < 0.0:
+        tsum, s = seen  # at the term that ended the sum
+        assert (tsum <= 2.0 * abs(s)) == on_floor
+    if on_floor:
+        assert r.tail_estimate <= 2.0**-64 * abs(r.value)
+
+
 def test_first_kind_z_zero():
     r = eval_k_bessel_first(2.0, 1.0, 2.0, 1.0, 0.0)
     assert r.value == pytest.approx(1.0 / k_gamma(2.0, 2.0), rel=1e-14)
