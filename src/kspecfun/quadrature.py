@@ -185,22 +185,19 @@ def _integrate(values, node, tol: float, budget: int, start) -> QuadResult:
 
     heap: list[tuple[float, int, float, float, float, float, float, float]] = []
     tick = 0
-    evals = 0
     for a, b in _start_panels():
         v, e, r, nz = _gk15(start, a, b)
-        evals += 15
         heapq.heappush(heap, (-e, tick, a, b, v, e, r, nz))
         tick += 1
 
     value, err_total, abs_total, noise = sums()
     while (err_total > (lim := goal(value, abs_total)) and noise <= lim
-           and evals + 30 <= budget):
+           and 15 * tick + 30 <= budget):
         _, _, a, b, v, e, r, nz = heapq.heappop(heap)
         midp = 0.5 * (a + b)
         pair = values(map(node, _panel_nodes((a, midp), (midp, b))))
         v1, e1, r1, nz1 = _gk15(pair, a, midp)
         v2, e2, r2, nz2 = _gk15(pair, midp, b)
-        evals += 30
         heapq.heappush(heap, (-e1, tick, a, midp, v1, e1, r1, nz1))
         tick += 1
         heapq.heappush(heap, (-e2, tick, midp, b, v2, e2, r2, nz2))
@@ -216,7 +213,7 @@ def _integrate(values, node, tol: float, budget: int, start) -> QuadResult:
     if tick > _N0:  # a refinement's running totals drift; the starting totals are sums() already
         value, err_total, abs_total, noise = sums()
     lim = goal(value, abs_total)
-    return QuadResult(value, err_total, evals, err_total <= lim and noise <= lim)
+    return QuadResult(value, err_total, 15 * tick, err_total <= lim and noise <= lim)
 
 
 def phi(x: float, a: float) -> float:

@@ -209,8 +209,7 @@ def check_series_args(z: float, tol: float, max_terms: int) -> tuple[float, int]
             and abs(z) <= _MAX and 0.0 < tol <= _MAX and max_terms >= 1):
         return z, max_terms
     z = check_arg(z)
-    if not (is_positive(tol) and is_whole(max_terms, 1)):
-        check_settings(tol, "max_terms", max_terms, 1)
+    check_settings(tol, "max_terms", max_terms, 1)
     return z, max_terms if type(max_terms) is int else int(max_terms)
 
 

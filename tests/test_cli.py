@@ -15,7 +15,7 @@ from kspecfun.wright import eval_pfq
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, **kw):
+def run_cli(*args, timeout=120, **kw):
     # the child imports kspecfun from this checkout, installed or not
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
@@ -23,7 +23,7 @@ def run_cli(*args, **kw):
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
         **kw,
     )
 
@@ -290,6 +290,123 @@ def test_readme_command_stdout(command, capsys, tmp_path, monkeypatch):
             "oberhettinger,,,,,,,1.0,2.0,1.0,,0.3333333333333333,0.3333333333333332,,"
             "3.3306690738754696e-16,,match,240,0\n"
         )
+
+
+# The console pins: command -> (exit status, what is pinned, the pinned text,
+# timeout). What is pinned is the whole "stdout", the whole "stderr", a "line"
+# that stdout holds, stdout's "last line", or None for the exit status alone.
+# A row with a timeout in seconds runs in a child process that the timeout
+# stops, so a runaway fails the row; every other row runs in-process.
+
+CONSOLE_PINS = {
+    # I_0(264) on the double-double path: every term is positive, so the
+    # series stops once its tail is at most 2^-64 of the sum, and
+    # terms_used and tail_estimate pin where it stops
+    "eval gmkbessel z=264 k=1 nu=0 gamma=1 lambda1=1 c=1 b=1 --tol-series 1e-14": (0, "stdout", (
+        "value=1.1067699210422132e+113\nterms_used=213\n"
+        "tail_estimate=3.696483035600299e+93\nconverged=true\n"
+    ), None),
+    # I_0(300) converges by the same 2^-64 floor
+    "eval gmkbessel z=300 k=1 nu=0 gamma=1 lambda1=1 c=1 b=1": (0, "stdout", (
+        "value=4.475847367935052e+128\nterms_used=236\n"
+        "tail_estimate=1.3833880010501747e+109\nconverged=true\n"
+    ), None),
+    # a 1F1 sum of positive terms takes the same floor, which settle reads
+    # from the sum itself: it stops at 74 terms with its tail above tol
+    "eval pfq upper=4.821699858927725 lower=1.9809673261504277 z=18.792827077542444": (0, "stdout", (
+        "value=53968532004.14548\nterms_used=74\n"
+        "tail_estimate=9.495868637869901e-10\nconverged=true\n"
+    ), None),
+    # J_0(300) alternates and cancels, so it gets no floor: its sum stays
+    # unconverged at the 400-term cap
+    "eval gmkbessel z=300 k=1 nu=0 gamma=1 lambda1=1 c=-1 b=1": (1, "line", "converged=false", None),
+    # a k-Wright sum at k_scale 1.7 and a 3F2 sum of 29 terms each: their
+    # term loops hoist ln k and the ratio-bound pairs, and keep these bits
+    "eval kwright upper=1.5:0.5,0.75:1.25 lower=2:1,0.5:0.7,1.25:0.4 z=6.5 k_scale=1.7": (0, "stdout", (
+        "value=354.63859336787147\nterms_used=29\n"
+        "tail_estimate=5.2641796342643854e-11\nconverged=true\n"
+    ), None),
+    "eval pfq upper=0.5,2.25 lower=1.75,0.6 z=5": (0, "stdout", (
+        "value=216.9367650489907\nterms_used=29\n"
+        "tail_estimate=7.227730496020677e-11\nconverged=true\n"
+    ), None),
+    # each loop's long and alternating stops: a 2F1 of 217 terms near its
+    # radius, and the k-Wright spec above at z = -6.5
+    "eval pfq upper=0.75,1.25 lower=1.5 z=-0.9": (0, "stdout", (
+        "value=0.6652659629189834\nterms_used=217\n"
+        "tail_estimate=6.452632012700365e-11\nconverged=true\n"
+    ), None),
+    "eval kwright upper=1.5:0.5,0.75:1.25 lower=2:1,0.5:0.7,1.25:0.4 z=-6.5 k_scale=1.7": (0, "stdout", (
+        "value=0.02671617003464859\nterms_used=31\n"
+        "tail_estimate=1.0810332175556658e-12\nconverged=true\n"
+    ), None),
+    # the log/sign path: lambda1/k is not a whole number, and the first
+    # kind always takes it
+    "eval kbessel z=7.5 k=1.3 nu=0.4 gamma=1.2 lam=0.9": (0, "stdout", (
+        "value=-0.09390149360006375\nterms_used=16\n"
+        "tail_estimate=3.6072949218328758e-12\nconverged=true\n"
+    ), None),
+    "eval gmkbessel z=12.5 k=1.3 nu=0.4 gamma=1.2 lambda1=0.9 c=-0.8 b=1.5": (0, "stdout", (
+        "value=0.005669848003878405\nterms_used=37\n"
+        "tail_estimate=1.6414579974610168e-13\nconverged=true\n"
+    ), None),
+    # a kernel integral refined past its starting panels (420 nodes), bit for bit
+    "verify oberhettinger mu=1.5 lam=3.5 a=2 --tol-quad 1e-13": (0, "stdout", (
+        "identity=oberhettinger\nmu=1.5\nlam=3.5\na=2.0\nlhs=0.01031197389230382\n"
+        "rhs_canonical=0.01031197389230381\nrel_diff_canonical=1.0093451520109981e-15\n"
+        "verdict=match\nquad_evals=420\nseries_terms=0\n"
+    ), None),
+    # a log-path series whose finite terms sum past double range exits 2
+    "eval gmkbessel z=50000.1 k=0.7533495573085514 nu=1.7040731115061964 gamma=1"
+    " lambda1=1.8770842544690318 c=1.2053806720858349 b=1.8124746143650992": (
+        2, "stderr", "kspecfun: math range error\n", None),
+    # a classical reference past double range is a failed side check, not
+    # an aborted verify: the point reads inconclusive
+    "verify corollary2 nu=171": (1, None, None, None),
+    # the classical J reduction gap of the default corollary2 point, against
+    # the exact rational reference
+    "verify corollary2": (0, "last line", "diagnostics=classical J reduction gap at z=1: 1.135e-15", None),
+    # z/2 is 0.0 at z = 5e-324: the series is its n = 0 term
+    "eval kbessel z=5e-324": (0, "stdout", "value=1.0\nterms_used=1\ntail_estimate=0.0\nconverged=true\n", None),
+    # one quadrature node of this integral lands on z = 5e-324 (0 = match)
+    "verify theorem1 y=1e-20 lambda1=0.5": (0, None, None, None),
+    # H2: an integral of 2.4e40 must match under the relative quadrature
+    # tolerance; the exit status (0 = match) and the refined theorem
+    # integral's node count are pinned, not the digits
+    "verify theorem1 k=1 nu=0 gamma=1 lambda1=1 c=1 b=1 mu=0.5 lam=0.6 a=0.01 y=1": (
+        0, "line", "quad_evals=360", 60),
+    # H1: its Bessel factor cancels, so the integrand's own rounding noise
+    # is far above the quadrature goal and the integral stops after its
+    # 240 starting nodes; it reads inconclusive, not a timeout
+    "verify theorem1 k=1.5 nu=0.5 gamma=1.5 lambda1=0.7 c=-1 b=1 mu=0.5 lam=1.5 a=0.5 y=10": (
+        1, "line", "quad_evals=240", 10),
+    # lambda1/k = 5e9 is a whole number, but a double-double row would cost
+    # 5e9 products: past 16 the log path takes it and fails at once
+    "verify theorem1 k=1e-10 nu=1e300 lambda1=0.5 c=-1": (
+        1, "line", "diagnostics=evaluation failed: math range error", 10),
+}
+
+
+@pytest.mark.parametrize("command", CONSOLE_PINS)
+def test_console_pin(command, capsys):
+    status, pinned, text, timeout = CONSOLE_PINS[command]
+    if timeout is None:
+        assert cli.main(command.split()) == status
+        out, err = capsys.readouterr()
+    else:
+        r = run_cli(*command.split(), timeout=timeout)
+        assert r.returncode == status
+        out, err = r.stdout, r.stderr
+    if pinned == "stdout":
+        assert out == text
+    elif pinned == "stderr":
+        assert err == text
+    elif pinned == "line":
+        assert text in out.splitlines()
+    elif pinned == "last line":
+        assert out.splitlines()[-1] == text
+    else:
+        assert pinned is None
 
 
 def test_readme_sweep_summary(capsys, tmp_path):
