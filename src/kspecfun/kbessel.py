@@ -20,15 +20,16 @@ One recurrence sums S for both:
 * for the generalized series with lambda1/k a whole number m from 1 to 16,
   the k-Gamma ratio between consecutive terms telescopes into an exact
   m-factor product, and the whole recurrence runs in double-double
-  arithmetic (a row costs m products, so a larger m takes the log path).  This
-  is the path the classical-reduction checks exercise, where alternating
-  sums lose ~4 digits to cancellation at z = 10 and plain doubles cannot
-  hold 1e-12 agreement.
+  arithmetic (a row costs m products, so a larger m takes the log path).  It
+  holds sums that can cancel (c < 0 or gamma < 0), which lose ~4 digits at
+  z = 10.  A one-sign sum (c > 0, gamma >= 0) cannot cancel: it takes log
+  rows first, and these rows only where the log sum's rounding bound R
+  exceeds tol |value|.
 
 Both paths stop where `summation.settle` says, called once per term with
 the running sum of the term sizes, from which it decides the one-sign floor
-and bounds the sum's rounding error (`SeriesResult.rounding`): term n is off
-by about 2 n u on the log path and by (2 + m) n u on the double-double path.
+and bounds the sum's rounding error R (`SeriesResult.rounding`): term n is off
+by (2 + m) n u on the double-double path; `_LogTable.series` adds its own.
 Apart from the tables, the generalized series is also a forward
 (log |t_n|, sign_n) stream, `bessel_terms_logsig`, carrying the Pochhammer
 log and sign from term to term: the canonical right sides of the identities
@@ -39,18 +40,18 @@ parameters alone: the Pochhammer factor, the factorials and the k-Gamma
 ratio; on the double-double path a row is their product, with its leading
 double's Dekker split and size (times w^2, the truncation test's ratio),
 and on the log path a row says whether the term's sign turns.  These z-free
-parts live in a term table, `_table` of the `BesselParams` object, built
-when the object is made (c != 0) and kept in the instance dict.  The table
-is not a field, so ==, hash, repr and astuple ignore it, and it goes with
-its object; there is no module-level cache.  Each table sums its own path
-in one loop that builds, reads and sums the rows: `evaluate` on either
-path, and `_LogTable.series` for the first kind as well.  Row n is built
-the first time any evaluation on that object reaches term n and read by
-every later call, so the ~240 nodes of an integral pay for each row once;
-a row does not depend on which call built it.  The double-double path's
-per-term product dd_mul(dd_mul_d(t, w^2), row) is written out in its loop,
-with w^2's Dekker split taken once per call and the row's kept in the row,
-in the helpers' arithmetic and order.
+parts live in a term table, `_table` of the `BesselParams` object, and a
+one-sign sum's log rows in `_log`, built when the object is made (c != 0)
+and kept in the instance dict.  No table is a field, so ==, hash, repr and
+astuple ignore them, and each goes with its object; there is no module-level
+cache.  Each table sums its own path in one loop that builds, reads and sums
+the rows: `evaluate` on either path, and `_LogTable.series` for the first
+kind as well.  Row n is built the first time any evaluation on that object
+reaches term n and read by every later call, so the ~240 nodes of an
+integral pay for each row once; a row does not depend on which call built
+it.  The double-double path's per-term product dd_mul(dd_mul_d(t, w^2), row)
+is written out in its loop, with w^2's Dekker split taken once per call and
+the row's kept in the row, in the helpers' arithmetic and order.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from itertools import count, islice, repeat
 from .errors import DomainError
 from .kgamma import k_gamma, log_k_gamma
 from .summation import SeriesResult, check_arg, check_series_args, settle
-from .summation import _SPLIT, dd_add, dd_div_d, dd_mul_d, is_positive, is_real, is_whole
+from .summation import _SPLIT, _UNIT, dd_add, dd_div_d, dd_mul_d, is_positive, is_real, is_whole
 
 __all__ = [
     "BesselParams",
@@ -100,14 +101,16 @@ class BesselParams:
             raise DomainError(f"nu must be nonnegative, got {self.nu!r}")
         if not self.s0 > 0:
             raise DomainError(f"nu + (b+1)/2 must be positive, got nu={self.nu!r} b={self.b!r}")
-        if self.c:  # the term table (see the module docstring), not a field
+        if self.c:  # the term tables (see the module docstring), not fields
             m = self.lambda1 / self.k
             mi = round(m) if m < 16.5 else 0
-            if mi >= 1 and abs(m - mi) <= 1e-12 * m:
-                table = _DDTable(self.k, self.gamma, self.lambda1, self.c, self.s0, mi)
-            else:
-                table = _LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(abs(self.c)), self.c < 0.0)
-            object.__setattr__(self, "_table", table)
+            dd = mi >= 1 and abs(m - mi) <= 1e-12 * m
+            log = None  # a one-sign sum (c > 0, gamma >= 0) keeps log rows beside its dd rows
+            if not dd or self.c > 0.0 and self.gamma >= 0.0:
+                log = _LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(abs(self.c)), self.c < 0.0)
+            object.__setattr__(self, "_table", _DDTable(self.k, self.gamma, self.lambda1, self.c, self.s0, mi)
+                               if dd else log)
+            object.__setattr__(self, "_log", log if dd else None)
 
     @property
     def s0(self) -> float:
@@ -184,9 +187,10 @@ class _LogTable:
     entry whether the sign turns from term n to n+1, or None where g = 0 ends the series.
     k is a float with lk = ln k beside it: L_{n+1} is `log_k_gamma`'s formula written out,
     its argument positive as lam > 0 and s0 > 0 (both callers check them).  lgk0 = L_0 is
-    nan where it overflows: the first evaluation, not the constructor, raises the OverflowError."""
+    nan where it overflows: the first evaluation, not the constructor, raises the OverflowError.
+    errs[n] sums 2 |a| + 2 b + |d| over rows (a, b, d, ...) 0 to n-1, for the rounding bound."""
 
-    __slots__ = ("k", "lk", "gamma", "lam", "s0", "lc", "neg", "lgk0", "rows")
+    __slots__ = ("k", "lk", "gamma", "lam", "s0", "lc", "neg", "lgk0", "rows", "errs")
 
     def __init__(self, k, gamma, lam, s0, lc, neg) -> None:
         self.k = k = float(k)  # BesselParams may pass an int
@@ -196,6 +200,7 @@ class _LogTable:
         except OverflowError:
             self.lgk0 = math.nan
         self.rows = []
+        self.errs = [0.0]
 
     def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
         """w^nu / Gamma_k(s0) * S(c w^2) at w > 0."""
@@ -205,13 +210,17 @@ class _LogTable:
     def series(self, lead: float, lu: float, tol: float, max_terms: int) -> SeriesResult:
         """exp(lead) S(c u), lu = log|u|, summed with Neumaier compensation
         until `settle` ends it.  Builds row n here the first time any call
-        reaches term n."""
-        k, lk, gamma, lam, s0, lc, neg, rows = (
-            self.k, self.lk, self.gamma, self.lam, self.s0, self.lc, self.neg, self.rows)
+        reaches term n.  Term n is exp(big), big carried from term to term, so
+        R (see `settle`) gains u tsum times big's error at the last term n:
+        2 |lead| + 5 (|L_0| + |L|) for the lead and the ln Gamma_k ends (L the
+        last row's), errs[n] for the rows' inputs and steps, and n (max |big|
+        + 3 |lu|) for big's additions, max |big| <= max(-lo, ln tsum)."""
+        k, lk, gamma, lam, s0, lc, neg, rows, errs = (
+            self.k, self.lk, self.gamma, self.lam, self.s0, self.lc, self.neg, self.rows, self.errs)
         exp, log, lgamma = math.exp, math.log, math.lgamma
         built = len(rows)  # rows past these are built here, in order
         lgk = self.lgk0
-        big = lead - lgk
+        big = lo = lead - lgk
         sgn = 1
         s = c = 0.0  # the Neumaier step of CompensatedSum.add, written out
         rho = math.inf
@@ -227,9 +236,10 @@ class _LogTable:
                 if g != 0.0:
                     w = (lam * (n + 1) + s0) / k
                     lgk_next = (w - 1.0) * lk + lgamma(w)
-                    row = (lc + log(abs(g)), 2.0 * log(n + 1.0), lgk_next - lgk,
-                           neg != (g < 0.0), lgk_next)
-                rows[n:n + 1] = (row,)
+                    a, b, d = lc + log(abs(g)), 2.0 * log(n + 1.0), lgk_next - lgk
+                    row = (a, b, d, neg != (g < 0.0), lgk_next)
+                    errs[n + 1:n + 2] = (errs[n] + 2.0 * (abs(a) + b) + abs(d),)
+                rows[n:n + 1] = (row,)  # after errs: a call that reads row n finds errs[n + 1]
             u = s + t
             tsum += t_abs
             if abs(s) >= t_abs:
@@ -238,16 +248,24 @@ class _LogTable:
                 c += (t - u) + s
             s = u
             if row is None:  # exact termination: no tail
-                return settle(n + 1, t_abs, 0.0, rho, s + c, tol, max_terms, tsum, 2.0)
-            a, b, d, flip, lgk = row
-            dlg = a + lu - b
-            dlg -= d
-            rho_prev = rho
-            rho = exp(dlg)
-            res = settle(n + 1, t_abs, rho, rho_prev, s + c, tol, max_terms, tsum, 2.0)
-            if res is not None:
-                return res
+                res = settle(n + 1, t_abs, 0.0, rho, s + c, tol, max_terms, tsum, 2.0)
+                if res is None:  # settle ends the sum here; a stand-in for it may not
+                    return res
+            else:
+                a, b, d, flip, lgk = row
+                dlg = a + lu - b
+                dlg -= d
+                rho_prev = rho
+                rho = exp(dlg)
+                res = settle(n + 1, t_abs, rho, rho_prev, s + c, tol, max_terms, tsum, 2.0)
+            if res is not None:  # R gains the exponent's error (see the docstring)
+                hi = log(tsum) if tsum else 0.0
+                e = (2.0 * abs(lead) + 5.0 * (abs(self.lgk0) + abs(lgk)) + errs[n]
+                     + n * ((hi if hi > -lo else -lo) + 3.0 * abs(lu)))
+                return tuple.__new__(SeriesResult, (*res[:4], res[4] + _UNIT * tsum * e))
             big += dlg
+            if big < lo:
+                lo = big
             if flip:
                 sgn = -sgn
 
@@ -349,6 +367,10 @@ def eval_gmk_bessel(
     if w == 0.0 or p.c == 0.0:
         # only the n = 0 term
         return SeriesResult(_lead(w, p.nu, p.s0, p.k), 1, 0.0, True)
+    if p._log is not None:  # a one-sign sum: the log rows first, where their rounding meets tol
+        r = p._log.evaluate(w, p.nu, tol, max_terms)
+        if r.rounding <= tol * abs(r.value):
+            return r
     return p._table.evaluate(w, p.nu, tol, max_terms)
 
 

@@ -23,9 +23,10 @@ right side and the Wright side of the reduction check (`logsig_pairs` of
 per term of summing loops of their own.  Every caller hands it the running
 sum of the term sizes, from which it decides the floor and bounds the sum's
 own rounding error, `SeriesResult.rounding`, at its single exit, which builds
-the result of every sum it ends.  The rest are built where they arise: the
-one-term shortcuts of the Bessel, k-Wright and reduction-check evaluators,
-`_rhs_paper`'s scaled sum and `_classical_bessel_series`.
+the result of every sum it ends (the Bessel log/sign table adds its exponent's
+error).  The rest are built where they arise: the one-term shortcuts of the
+Bessel, k-Wright and reduction-check evaluators, `_rhs_paper`'s scaled sum
+and `_classical_bessel_series`.
 
 The real rule `is_real` (a finite int or float; not a bool or a string)
 covers arguments and parameters, the positive rule `is_positive` (the real
@@ -248,8 +249,8 @@ def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: flo
     it does not enter the stop test.  Term j carries a relative error of
     grow j u from its recurrence.
     The 1 + |ln tsum| bounds, from tsum alone, the mean |ln |t_j|| u that a
-    term reached through exp of its log carries (x ln(1/x) <= 1/e, so
-    grow = 2 covers sum_j |t_j| (1 + |ln |t_j|| + j) u on the log/sign path).
+    term reached through exp of its log carries (x ln(1/x) <= 1/e); the Bessel
+    log/sign table adds what its exponents gather (`_LogTable.series`).
     """
     if not (a := abs(s)) <= _MAX:  # a is finite below: min(max(a, 1e-300), 1) needs no builtin
         raise OverflowError("math range error")

@@ -466,11 +466,13 @@ def test_verify_h2_matches_within_400_nodes():
 
 
 # the hard points whose integrand stays below its noise goal, at a 600-node
-# budget: the reports are the same bytes as before the integrator took noise
+# budget: the reports are the same bytes as before the integrator took noise,
+# but for the left sides of H2 and its neighbours, whose one-sign Bessel
+# factors now come from log rows (the same node counts and verdicts)
 @pytest.mark.parametrize("identity, params, expected", [
     ("theorem1", H2,
-     "lhs=2.4288623813414745e+40, rhs_canonical=2.428862381341323e+40, rhs_paper=2.4288623813414823e+40, "
-     "rel_diff_canonical=6.231621592827995e-14, rel_diff_paper=3.1854934659823517e-15, verdict='match', "
+     "lhs=2.4288623813414886e+40, rhs_canonical=2.428862381341323e+40, rhs_paper=2.4288623813414823e+40, "
+     "rel_diff_canonical=6.808992283537259e-14, rel_diff_paper=2.588213441110654e-15, verdict='match', "
      "tolerances={'quad': 1e-08, 'series': 1e-10, 'match': 1e-05}, diagnostics='', quad_evals=360, "
      "series_terms=102)"),
     ("theorem2", H1,
@@ -482,16 +484,16 @@ def test_verify_h2_matches_within_400_nodes():
     ("theorem1", dict(k=1.0, nu=0.0, gamma=1.006753912533581, lambda1=1.0, c=1.0047386416890705,
                       b=0.9998911978834796, mu=0.5080776151952594, lam=0.609509360502703,
                       a=0.00987422144645161, y=0.9973692765816736),
-     "lhs=7.880123053628398e+40, rhs_canonical=7.880123053628247e+40, rhs_paper=7.644953413928986e+40, "
-     "rel_diff_canonical=1.9268872060783655e-14, rel_diff_paper=0.029843396873241616, "
+     "lhs=7.880123053628156e+40, rhs_canonical=7.880123053628247e+40, rhs_paper=7.644953413928986e+40, "
+     "rel_diff_canonical=1.1536776902635021e-14, rel_diff_paper=0.02984339687321173, "
      "verdict='canonical_only', tolerances={'quad': 1e-08, 'series': 1e-10, 'match': 1e-05}, "
      "diagnostics='packaged/canonical term ratios: n=0 1, n=1 0.993291, n=2 0.989948', quad_evals=360, "
      "series_terms=103)"),
     ("theorem1", dict(k=1.0, nu=0.0, gamma=0.9899030855114426, lambda1=1.0, c=0.9801544532517644,
                       b=1.0097241110525836, mu=0.5008678464405092, lam=0.6027973433791587,
                       a=0.009817231242980737, y=1.0159431320298373),
-     "lhs=2.5558947962608715e+41, rhs_canonical=2.5558947962608885e+41, rhs_paper=2.675018303439017e+41, "
-     "rel_diff_canonical=6.659771585698914e-15, rel_diff_paper=0.044531847511099225, "
+     "lhs=2.5558947962608893e+41, rhs_canonical=2.5558947962608885e+41, rhs_paper=2.675018303439017e+41, "
+     "rel_diff_canonical=3.0271689025904144e-16, rel_diff_paper=0.04453184751109257, "
      "verdict='canonical_only', tolerances={'quad': 1e-08, 'series': 1e-10, 'match': 1e-05}, "
      "diagnostics='packaged/canonical term ratios: n=0 1, n=1 1.0102, n=2 1.01533', quad_evals=360, "
      "series_terms=104)"),
@@ -592,7 +594,9 @@ def test_verify_notes_overridden_fixed_parameters():
 # {0.5, 1, 2} (the log/sign path and both double-double paths) and c = -1, 1.
 # repr pins every bit of the left side and both right sides, so any drift in
 # the series evaluation fails here.  Frozen from the per-node recurrences
-# that preceded the per-parameter term table.
+# that preceded the per-parameter term table, but for the left sides of the
+# theorem2 c = 1 records at whole lambda1/k, whose one-sign Bessel factors
+# now come from log rows.
 GRID_SLICE = dict(nu=0.5, gamma=1.5, b=1.0, mu=0.5, lam=1.5, a=0.75, y=3.0)
 GRID_SLICE_RECORDS = {
     ('theorem1', 2.0, 1.0, -1.0): (
@@ -670,9 +674,9 @@ GRID_SLICE_RECORDS = {
     ('theorem2', 1.0, 1.0, 1.0): (
         "{'identity': 'theorem2', 'k': 1.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
         " 1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
-        "0.72123130102684, 'rhs_canonical': 0.7212313010169777, 'rhs_paper': "
-        "0.9564832809502734, 'rel_diff_canonical': 1.367414605551169e-11, "
-        "'rel_diff_paper': 0.2459551406792064, 'verdict': 'canonical_only', 'quad_evals':"
+        "0.7212313010268401, 'rhs_canonical': 0.7212313010169777, 'rhs_paper': "
+        "0.9564832809502734, 'rel_diff_canonical': 1.3674299989904586e-11, "
+        "'rel_diff_paper': 0.2459551406792063, 'verdict': 'canonical_only', 'quad_evals':"
         " 240, 'series_terms': 7}"
     ),
     ('theorem2', 1.0, 2.0, -1.0): (
@@ -686,9 +690,9 @@ GRID_SLICE_RECORDS = {
     ('theorem2', 1.0, 2.0, 1.0): (
         "{'identity': 'theorem2', 'k': 1.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 2.0, 'c':"
         " 1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
-        "0.6542038086358345, 'rhs_canonical': 0.6542038086395744, 'rhs_paper': "
-        "0.7238762778383591, 'rel_diff_canonical': 5.716715848123032e-12, "
-        "'rel_diff_paper': 0.09624913999196195, 'verdict': 'canonical_only', "
+        "0.6542038086358347, 'rhs_canonical': 0.6542038086395744, 'rhs_paper': "
+        "0.7238762778383591, 'rel_diff_canonical': 5.716376436150811e-12, "
+        "'rel_diff_paper': 0.09624913999196165, 'verdict': 'canonical_only', "
         "'quad_evals': 240, 'series_terms': 5}"
     ),
 }

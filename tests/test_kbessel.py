@@ -3,7 +3,7 @@ import random
 import sys
 import threading
 from dataclasses import astuple, fields
-from itertools import islice
+from itertools import count, islice
 from unittest import mock
 
 import pytest
@@ -240,6 +240,84 @@ def test_one_sign_i_nu_converges_at_large_argument(nu, z):
         assert abs(r.value / mpmath.besseli(nu, z) - 1) <= 1e-15
 
 
+def _gmk_sum(p, z):
+    """The generalized series at z from its definition, in 50-digit arithmetic,
+    summed until a term falls below 1e-40 of the sum (every term positive)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        k, nu, gamma, lam, c, b, w = map(mpmath.mpf, (p.k, p.nu, p.gamma, p.lambda1, p.c, p.b, z / 2))
+        s0 = nu + (b + 1) / 2
+        lgk = lambda x: (x / k - 1) * mpmath.log(k) + mpmath.loggamma(x / k)  # noqa: E731
+        total, lp = mpmath.mpf(0), mpmath.mpf(0)
+        for n in count():
+            t = mpmath.exp(lp + n * mpmath.log(c) + (nu + 2 * n) * mpmath.log(w)
+                           - lgk(lam * n + s0) - 2 * mpmath.loggamma(n + 1))
+            total += t
+            if n > 20 and t < total * mpmath.mpf(10) ** -40:
+                return total
+            lp += mpmath.log(gamma + n * k)
+
+
+def _one_sign_draws(count_each, seed):
+    """Seeded one-sign parameter sets (c > 0, gamma > 0), whole m = lambda1/k
+    from 1 to 4 and non-integer m alike, with z log-uniform on [0.05, 500]."""
+    rng = random.Random(seed)
+    for whole in (True, False) * count_each:
+        k = rng.uniform(0.5, 2.0)
+        m = rng.randint(1, 4) if whole else rng.uniform(0.3, 3.0)
+        p = BesselParams(k, rng.uniform(0.0, 3.0), rng.uniform(0.05, 3.0), m * k, rng.uniform(0.2, 2.0),
+                         rng.uniform(-0.5, 3.0))
+        yield p, math.exp(rng.uniform(math.log(0.05), math.log(500.0))), rng.choice((1e-10, 1e-14))
+
+
+def test_one_sign_census_is_bounded_by_rounding_and_tail():
+    # rounding + tail_estimate bounds the error of every converged one-sign sum: on
+    # the log rows (exponent error included) and as eval_gmk_bessel returns it, from
+    # the log rows where their bound meets tol and from the dd rows elsewhere
+    mpmath = pytest.importorskip("mpmath")
+    checked = 0
+    for p, z, tol in _one_sign_draws(30, 34):
+        log_table = p._log or p._table
+        assert isinstance(log_table, kbessel._LogTable)
+        exact = _gmk_sum(p, z)
+        for evaluate in (lambda: log_table.evaluate(0.5 * z, p.nu, tol, 400),
+                         lambda: eval_gmk_bessel(p, z, tol=tol)):
+            try:
+                r = evaluate()
+            except OverflowError:
+                continue
+            if r.converged:
+                checked += 1
+                assert abs(mpmath.mpf(r.value) - exact) <= r.rounding + r.tail_estimate, (p, z, tol, r)
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("nu, expected", [
+    (0, "SeriesResult(value=1.1067699210422132e+113, terms_used=213, tail_estimate=3.696483035600299e+93, "
+        "converged=True, rounding=1.1062460211821844e+100)"),
+    (1, "SeriesResult(value=1.1046717733295364e+113, terms_used=212, tail_estimate=5.982374127233026e+93, "
+        "converged=True, rounding=1.1004672433325522e+100)"),
+])
+def test_one_sign_sum_past_its_log_bound_is_the_dd_sum(nu, expected):
+    # at tol 1e-14 the log rows' rounding bound on I_nu(264) exceeds tol |value|,
+    # so the dd rows sum it, to the bits they gave before the log rows came first
+    p = BesselParams(1, nu, 1, 1, 1, 1)
+    assert repr(eval_gmk_bessel(p, 264.0, tol=1e-14)) == expected
+    assert len(p._log.rows) and len(p._table.rows)
+
+
+def test_h2_node_sums_on_log_rows_alone():
+    # a node of H2's left side: I_0 at tol 1e-10, where the log rows' bound holds,
+    # so no double-double row is built
+    mpmath = pytest.importorskip("mpmath")
+    p = BesselParams(1, 0, 1, 1, 1, 1)
+    r = eval_gmk_bessel(p, 98.6)
+    assert r.converged and 0.0 < r.rounding <= 1e-10 * r.value
+    assert len(p._log.rows) == r.terms_used and p._table.rows == []
+    with mpmath.workdps(40):
+        assert abs(r.value / mpmath.besseli(0, 98.6) - 1) <= 1e-13
+
+
 @pytest.mark.parametrize("nu", [0, 1])
 @pytest.mark.parametrize("z", [300.0, 400.0])
 def test_alternating_j_nu_keeps_the_absolute_tail(nu, z):
@@ -307,7 +385,7 @@ def test_first_kind_one_sign_sum_stops_on_the_floor():
     # tail is at most 2^-64 of it, far above tol
     r = eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, -200.0)
     assert repr(r) == ("SeriesResult(value=4.46138901188792e+20, terms_used=87, "
-                       "tail_estimate=12.451188757735077, converged=True, rounding=11023065.385372356)")
+                       "tail_estimate=12.451188757735077, converged=True, rounding=403330385.3477106)")
     assert 1e-10 < r.tail_estimate <= 2.0**-64 * r.value
 
 
@@ -316,15 +394,18 @@ def test_first_kind_one_sign_sum_stops_on_the_floor():
 # 2^-64 floor can stop it.  The one-sign sums (c > 0, gamma > 0) take the floor,
 # and so do those at c > 0, gamma = -0.5: their terms of the other sign are too
 # small to cancel, so their sizes add to at most 2 |s|.  The c < 0 sums cancel
-# and stop on tol.  Each value is the parent's, whose floor came from a sign
-# proof; the gamma = -0.5 sums stop earlier than there (59 -> 55, 112 -> 90).
+# and stop on tol.  The values came from a sign proof of the floor, and the
+# gamma = -0.5 sums stopped later there (59 -> 55, 112 -> 90).  At lambda1 = 1 the
+# sums with c > 0 and gamma >= 0 come from the log rows, within 2e-14 of the
+# double-double values they replaced (7.516298137888771e+16, 1.1855328240447839e+25
+# and 5.04626504404032).
 @pytest.mark.parametrize("lambda1, c, gamma, value, terms, on_floor", [
-    (1.0, 1.0, 1.5, "7.516298137888771e+16", 56, True),
-    (1.0, 2.5, 0.5, "1.1855328240447839e+25", 74, True),
+    (1.0, 1.0, 1.5, "7.516298137888686e+16", 56, True),
+    (1.0, 2.5, 0.5, "1.1855328240447637e+25", 74, True),
     (1.0, 1.0, -0.5, "-52327517635443.96", 55, True),
     (1.0, 1.0, -2.0, "104967.35918108269", 3, False),
     (1.0, -1.0, 1.5, "0.037175282439431016", 65, False),
-    (1.0, 1.0, 0.0, "5.04626504404032", 1, False),
+    (1.0, 1.0, 0.0, "5.046265044040321", 1, False),
     (0.7, 1.0, 1.5, "3.6431847058252203e+28", 91, True),
     (0.7, 2.5, 0.5, "1.1055272891880803e+47", 132, True),
     (0.7, 1.0, -0.5, "-6.275862078024799e+24", 90, True),
@@ -584,10 +665,11 @@ def test_table_out_of_double_range_raises_on_evaluation(params):
     assert (r.verdict, r.diagnostics) == ("inconclusive", "evaluation failed: math range error")
 
 
-@pytest.mark.parametrize("lambda1", [1.0, 0.5])
-def test_overflow_raises_on_both_paths(lambda1, monkeypatch):
+@pytest.mark.parametrize("lambda1, c", [(1.0, 1.0), (0.5, 1.0), (1.0, -1.0)])
+def test_overflow_raises_on_both_paths(lambda1, c, monkeypatch):
     # the dd path (lambda1 = k) used to sum all 400 terms (399 dd_add calls)
-    # before raising; it stops at its first inf term
+    # before raising; it stops at its first inf term.  At c = 1 every term is
+    # positive, so the log rows sum it first and raise before any dd_add
     calls = []
     add = kbessel.dd_add
 
@@ -596,10 +678,11 @@ def test_overflow_raises_on_both_paths(lambda1, monkeypatch):
         return add(x, y)
 
     monkeypatch.setattr(kbessel, "dd_add", counted)
-    p = BesselParams(k=1, nu=0, gamma=1, lambda1=lambda1, c=1, b=1)
+    p = BesselParams(k=1, nu=0, gamma=1, lambda1=lambda1, c=c, b=1)
     with pytest.raises(OverflowError, match="math range error"):
         eval_gmk_bessel(p, 1e5)
     assert len(calls) < 60
+    assert bool(calls) == (c < 0.0)
 
 
 def test_log_path_raises_where_finite_terms_sum_past_double_range():

@@ -204,34 +204,34 @@ def test_settle_raises_on_a_partial_sum_that_is_not_finite(s):
     # the log path at H1's Bessel factor
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(1.5, 0.5, 1.5, 0.7, -1.0, 1.0), 10.0),
      "SeriesResult(value=-1.4605341591524655e-05, terms_used=53, tail_estimate=1.074964246256837e-15, "
-     "converged=True, rounding=1.1517670598277174e-06)"),
+     "converged=True, rounding=3.4067915945741526e-05)"),
     (lambda: ks.eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, 10.0),
      "SeriesResult(value=-0.004462866618452489, terms_used=24, tail_estimate=2.884181040496636e-13, "
-     "converged=True, rounding=9.152601295149194e-13)"),
+     "converged=True, rounding=2.093944841578665e-11)"),
     # fresh log-path tables over many written-out rows: H1's factor at z = 20 (105 rows)
     # and the alternating first kind there (34 rows)
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(1.5, 0.5, 1.5, 0.7, -1.0, 1.0), 20.0),
      "SeriesResult(value=2628371.0371604827, terms_used=105, tail_estimate=4.320217986639062e-11, "
-     "converged=True, rounding=40677072.38752288)"),
+     "converged=True, rounding=1586044821.8706243)"),
     # int k and lambda1 on the log path (61 rows), the same bits as the all-float call
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(2, 0.5, 1.5, 1, -1.0, 1.0), 12.0),
      "SeriesResult(value=0.017766923984080286, terms_used=61, tail_estimate=4.1216194909667616e-13, "
-     "converged=True, rounding=0.0006878624625877268)"),
+     "converged=True, rounding=0.01954942881947508)"),
     (lambda: ks.eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, 20.0),
      "SeriesResult(value=0.00022259240412350416, terms_used=34, tail_estimate=4.0744397843043415e-15, "
-     "converged=True, rounding=5.2244839847572334e-11)"),
+     "converged=True, rounding=1.4000788182575526e-09)"),
     # the log path, one sign (c > 0, gamma > 0): it stops on the 2^-64 floor, its tail above tol
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(1.0, 0.5, 1.5, 0.7, 1.0, 1.0), 40.0),
      "SeriesResult(value=3.6431847058252203e+28, terms_used=91, tail_estimate=986793439.3549839, "
-     "converged=True, rounding=1006192596691069.2)"),
+     "converged=True, rounding=4.423260806083864e+16)"),
     # the first kind at gamma = -2k ends on its exact zero at n = 3
     (lambda: ks.eval_k_bessel_first(2.0, 0.5, -4.0, 1.0, 2.0),
      "SeriesResult(value=5.975304578303514, terms_used=3, tail_estimate=0.0, "
-     "converged=True, rounding=5.829647440112372e-15)"),
+     "converged=True, rounding=1.4612609638653844e-14)"),
     # the first kind at z < 0, one sign
     (lambda: ks.eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, -10.0),
      "SeriesResult(value=152.58700667717812, terms_used=22, tail_estimate=3.9995368674375485e-11, "
-     "converged=True, rounding=8.474978862860244e-13)"),
+     "converged=True, rounding=1.7178432465685222e-11)"),
     (lambda: ks.eval_k_wright(ks.WrightSpec(((1.5, 0.5),), ((2.0, 1.0), (0.5, 0.7)), 1.5), -8.0),
      "SeriesResult(value=0.07086190364878453, terms_used=17, tail_estimate=6.628745009858519e-12, "
      "converged=True, rounding=2.0839809175384636e-13)"),
