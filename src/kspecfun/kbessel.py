@@ -22,9 +22,9 @@ One recurrence sums S for both:
   m-factor product, and the whole recurrence runs in double-double
   arithmetic (a row costs m products, so a larger m takes the log path).  It
   holds sums that can cancel (c < 0 or gamma < 0), which lose ~4 digits at
-  z = 10.  A one-sign sum (c > 0, gamma >= 0) cannot cancel: it takes log
-  rows first, and these rows only where the log sum's rounding bound R
-  exceeds tol |value|.
+  z = 10.  A one-sign sum (c > 0, gamma >= 0) cannot cancel: it takes these
+  rows only where its sum on log rows, tried first, has a rounding bound R
+  past tol |value| (the log sum stops where its R must end up past it).
 
 Both paths stop where `summation.settle` says, called once per term with
 the running sum of the term sizes, from which it decides the one-sign floor
@@ -105,9 +105,8 @@ class BesselParams:
             m = self.lambda1 / self.k
             mi = round(m) if m < 16.5 else 0
             dd = mi >= 1 and abs(m - mi) <= 1e-12 * m
-            log = None  # a one-sign sum (c > 0, gamma >= 0) keeps log rows beside its dd rows
-            if not dd or self.c > 0.0 and self.gamma >= 0.0:
-                log = _LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(abs(self.c)), self.c < 0.0)
+            log = (_LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(abs(self.c)), self.c < 0.0)
+                   if not dd or self.c > 0.0 and self.gamma >= 0.0 else None)  # one-sign: beside the dd rows
             object.__setattr__(self, "_table", _DDTable(self.k, self.gamma, self.lambda1, self.c, self.s0, mi)
                                if dd else log)
             object.__setattr__(self, "_log", log if dd else None)
@@ -202,25 +201,27 @@ class _LogTable:
         self.rows = []
         self.errs = [0.0]
 
-    def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
+    def evaluate(self, w: float, nu: float, tol: float, max_terms: int, lim: float = math.inf) -> SeriesResult | None:
         """w^nu / Gamma_k(s0) * S(c w^2) at w > 0."""
         lw = math.log(w)
-        return self.series(nu * lw, 2.0 * lw, tol, max_terms)
+        return self.series(nu * lw, 2.0 * lw, tol, max_terms, lim)
 
-    def series(self, lead: float, lu: float, tol: float, max_terms: int) -> SeriesResult:
+    def series(self, lead: float, lu: float, tol: float, max_terms: int, lim: float = math.inf) -> SeriesResult | None:
         """exp(lead) S(c u), lu = log|u|, summed with Neumaier compensation
         until `settle` ends it.  Builds row n here the first time any call
         reaches term n.  Term n is exp(big), big carried from term to term, so
         R (see `settle`) gains u tsum times big's error at the last term n:
         2 |lead| + 5 (|L_0| + |L|) for the lead and the ln Gamma_k ends (L the
         last row's), errs[n] for the rows' inputs and steps, and n (max |big|
-        + 3 |lu|) for big's additions, max |big| <= max(-lo, ln tsum)."""
+        + 3 |lu|) for big's additions, max |big| <= max(-lo, ln tsum).  None where, at a
+        row it would build, errs[n] + n (3 |lu| - lo) > lim already puts R past lim u tsum."""
         k, lk, gamma, lam, s0, lc, neg, rows, errs = (
             self.k, self.lk, self.gamma, self.lam, self.s0, self.lc, self.neg, self.rows, self.errs)
         exp, log, lgamma = math.exp, math.log, math.lgamma
         built = len(rows)  # rows past these are built here, in order
         lgk = self.lgk0
         big = lo = lead - lgk
+        l3 = 3.0 * abs(lu)
         sgn = 1
         s = c = 0.0  # the Neumaier step of CompensatedSum.add, written out
         rho = math.inf
@@ -231,6 +232,8 @@ class _LogTable:
             if n < built:
                 row = rows[n]
             else:
+                if errs[n] + n * (l3 - lo) > lim:
+                    return None
                 g = gamma + n * k
                 row = None
                 if g != 0.0:
@@ -249,7 +252,7 @@ class _LogTable:
             s = u
             if row is None:  # exact termination: no tail
                 res = settle(n + 1, t_abs, 0.0, rho, s + c, tol, max_terms, tsum, 2.0)
-                if res is None:  # settle ends the sum here; a stand-in for it may not
+                if res is None:  # settle never says so here, but a stand-in for it in the tests may
                     return res
             else:
                 a, b, d, flip, lgk = row
@@ -368,8 +371,8 @@ def eval_gmk_bessel(
         # only the n = 0 term
         return SeriesResult(_lead(w, p.nu, p.s0, p.k), 1, 0.0, True)
     if p._log is not None:  # a one-sign sum: the log rows first, where their rounding meets tol
-        r = p._log.evaluate(w, p.nu, tol, max_terms)
-        if r.rounding <= tol * abs(r.value):
+        r = p._log.evaluate(w, p.nu, tol, max_terms, tol / _UNIT)
+        if r is not None and r.rounding <= tol * abs(r.value):
             return r
     return p._table.evaluate(w, p.nu, tol, max_terms)
 

@@ -22,11 +22,10 @@ right side and the Wright side of the reduction check (`logsig_pairs` of
 (L_n, sign_n)); both Bessel tables, `eval_k_wright` and `eval_pfq` call it
 per term of summing loops of their own.  Every caller hands it the running
 sum of the term sizes, from which it decides the floor and bounds the sum's
-own rounding error, `SeriesResult.rounding`, at its single exit, which builds
-the result of every sum it ends (the Bessel log/sign table adds its exponent's
-error).  The rest are built where they arise: the one-term shortcuts of the
-Bessel, k-Wright and reduction-check evaluators, `_rhs_paper`'s scaled sum
-and `_classical_bessel_series`.
+own rounding error, `SeriesResult.rounding` (the Bessel log table adds its
+exponent's), at its single exit, which builds the result of every sum it ends;
+the rest arise in the one-term shortcuts of the Bessel, k-Wright and
+reduction-check evaluators, `_rhs_paper`'s scaled sum and `_classical_bessel_series`.
 
 The real rule `is_real` (a finite int or float; not a bool or a string)
 covers arguments and parameters, the positive rule `is_positive` (the real

@@ -2,7 +2,7 @@ import math
 import random
 import sys
 import threading
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from itertools import count, islice
 from unittest import mock
 
@@ -20,7 +20,7 @@ from kspecfun.kbessel import (
     gmk_bessel_term,
 )
 from kspecfun.kgamma import k_gamma, k_pochhammer, log_k_gamma
-from kspecfun.summation import SeriesResult, dd_add, dd_div_d, dd_mul, dd_mul_d, settle
+from kspecfun.summation import _UNIT, SeriesResult, dd_add, dd_div_d, dd_mul, dd_mul_d, settle
 
 UNIT_J = BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=-1, b=1)
 
@@ -292,6 +292,27 @@ def test_one_sign_census_is_bounded_by_rounding_and_tail():
     assert checked >= 100
 
 
+def test_log_sum_stops_short_only_where_its_bound_misses_tol():
+    # eval_gmk_bessel's log sum gives up (None) once a lower bound on its rounding
+    # is past tol |value|: on fresh rows, at tols on both sides of where the full
+    # log sums' bounds cross it, it gives up only on sums the dd rows would take,
+    # and elsewhere gives the full sum's bits
+    cut = kept = 0
+    for p, z, _ in _one_sign_draws(30, 34):
+        for tol in (10.0 ** (-10 - j / 2) for j in range(11)):
+            if p._log is None:
+                continue
+            try:
+                full, short = (replace(p)._log.evaluate(0.5 * z, p.nu, tol, 400, lim) for lim in (math.inf, tol / _UNIT))
+            except OverflowError:
+                continue
+            misses = full.rounding > tol * abs(full.value)
+            assert short == full if short else misses, (p, z, tol, full)
+            cut += short is None
+            kept += not misses
+    assert cut >= 50 and kept >= 50
+
+
 @pytest.mark.parametrize("nu, expected", [
     (0, "SeriesResult(value=1.1067699210422132e+113, terms_used=213, tail_estimate=3.696483035600299e+93, "
         "converged=True, rounding=1.1062460211821844e+100)"),
@@ -300,10 +321,11 @@ def test_one_sign_census_is_bounded_by_rounding_and_tail():
 ])
 def test_one_sign_sum_past_its_log_bound_is_the_dd_sum(nu, expected):
     # at tol 1e-14 the log rows' rounding bound on I_nu(264) exceeds tol |value|,
-    # so the dd rows sum it, to the bits they gave before the log rows came first
+    # so the dd rows sum it, to the bits they gave before the log rows came first;
+    # the log sum stops a few rows in, where its bound is already past tol
     p = BesselParams(1, nu, 1, 1, 1, 1)
     assert repr(eval_gmk_bessel(p, 264.0, tol=1e-14)) == expected
-    assert len(p._log.rows) and len(p._table.rows)
+    assert 0 < len(p._log.rows) <= 5 and len(p._table.rows) == 212 + (nu == 0)
 
 
 def test_h2_node_sums_on_log_rows_alone():
