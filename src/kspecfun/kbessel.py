@@ -12,46 +12,36 @@ the generalized series is (z/2)^nu S(c (z/2)^2) with s0 = nu + (b+1)/2,
 and the first-kind variant is S(-z/2) with s0 = nu + 1, its argument
 entering at the first power.  Both are summed in the half-argument z/2;
 where it is 0.0, z = 5e-324 included, a series is its n = 0 term.
-One recurrence sums S for both:
+A term table sums S.  Its row n is the z-free part of the ratio of term n+1
+to term n (the Pochhammer factor, the factorials and the k-Gamma ratio):
 
-* in general, terms are carried in log-magnitude/sign form with the k-Gamma
-  ratio taken from consecutive log Gamma_k values, written out with ln k taken
-  once per table, and summed with Neumaier compensation in the same loop;
+* `_LogTable` in general: terms in log-magnitude/sign form, the k-Gamma
+  ratio from consecutive ln Gamma_k values with ln k taken once per table;
 * for the generalized series with lambda1/k a whole number m from 1 to 16,
-  the k-Gamma ratio between consecutive terms telescopes into an exact
-  m-factor product, and the whole recurrence runs in double-double
-  arithmetic (a row costs m products, so a larger m takes the log path).  It
-  holds sums that can cancel (c < 0 or gamma < 0), which lose ~4 digits at
-  z = 10.  A one-sign sum (c > 0, gamma >= 0) cannot cancel: it takes these
-  rows only where its sum on log rows, tried first, has a rounding bound R
-  past tol |value| (the log sum stops where its R must end up past it).
+  the k-Gamma ratio telescopes into an exact m-factor product (a larger m
+  takes the log rows).  `_DDTable` sums a series that can cancel (c < 0 or
+  gamma < 0, ~4 digits lost at z = 10) in double-double.  A one-sign series
+  (c > 0, gamma >= 0) has condition number at most 2: `_PlainTable` sums it
+  in plain doubles, and on its dd rows where that sum's R misses tol.
 
-Both paths stop where `summation.settle` says, called once per term with
+Every table stops where `summation.settle` says, called once per term with
 the running sum of the term sizes, from which it decides the one-sign floor
-and bounds the sum's rounding error R (`SeriesResult.rounding`): term n is off
-by (2 + m) n u on the double-double path; `_LogTable.series` adds its own.
-Apart from the tables, the generalized series is also a forward
-(log |t_n|, sign_n) stream, `bessel_terms_logsig`, carrying the Pochhammer
-log and sign from term to term: the canonical right sides of the identities
-sum it, and it is the independent cross-check on the tables' recurrences.
+and bounds the sum's rounding error R (`SeriesResult.rounding`): term n is
+off by (2 + m) n u on dd rows and (5 m + 6) n u on plain rows, and
+`_LogTable.series` adds its exponent's error.  The generalized series is
+also a forward (log |t_n|, sign_n) stream, `bessel_terms_logsig`, which the
+canonical right sides sum: the independent cross-check on the tables.
 
-Every part of a term ratio except the power of the argument depends on the
-parameters alone: the Pochhammer factor, the factorials and the k-Gamma
-ratio; on the double-double path a row is their product, with its leading
-double's Dekker split and size (times w^2, the truncation test's ratio),
-and on the log path a row says whether the term's sign turns.  These z-free
-parts live in a term table, `_table` of the `BesselParams` object, and a
-one-sign sum's log rows in `_log`, built when the object is made (c != 0)
-and kept in the instance dict.  No table is a field, so ==, hash, repr and
-astuple ignore them, and each goes with its object; there is no module-level
-cache.  Each table sums its own path in one loop that builds, reads and sums
-the rows: `evaluate` on either path, and `_LogTable.series` for the first
-kind as well.  Row n is built the first time any evaluation on that object
-reaches term n and read by every later call, so the ~240 nodes of an
-integral pay for each row once; a row does not depend on which call built
-it.  The double-double path's per-term product dd_mul(dd_mul_d(t, w^2), row)
-is written out in its loop, with w^2's Dekker split taken once per call and
-the row's kept in the row, in the helpers' arithmetic and order.
+A `BesselParams` object builds its table, `_table`, when it is made (c != 0)
+and keeps it in the instance dict: not a field, so ==, hash, repr and astuple
+ignore it, and it goes with its object (no module-level cache).  Each table
+sums in one loop that builds, reads and sums its rows; `eval_k_bessel_first`
+sums a fresh `_LogTable`.  Row n is built the first time any evaluation on
+that object reaches term n and read by every later call, so the ~240 nodes of
+an integral pay for each row once; a row does not depend on which call built
+it.  A dd row keeps its leading double's Dekker split and size, and the
+per-term product dd_mul(dd_mul_d(t, w^2), row) is written out in its loop in
+the helpers' arithmetic and order.
 """
 
 from __future__ import annotations
@@ -63,7 +53,7 @@ from itertools import count, islice, repeat
 from .errors import DomainError
 from .kgamma import k_gamma, log_k_gamma
 from .summation import SeriesResult, check_arg, check_series_args, settle
-from .summation import _SPLIT, _UNIT, dd_add, dd_div_d, dd_mul_d, is_positive, is_real, is_whole
+from .summation import _MAX, _SPLIT, _UNIT, dd_add, dd_div_d, dd_mul_d, is_positive, is_real, is_whole
 
 __all__ = [
     "BesselParams",
@@ -101,15 +91,15 @@ class BesselParams:
             raise DomainError(f"nu must be nonnegative, got {self.nu!r}")
         if not self.s0 > 0:
             raise DomainError(f"nu + (b+1)/2 must be positive, got nu={self.nu!r} b={self.b!r}")
-        if self.c:  # the term tables (see the module docstring), not fields
+        if self.c:  # the term table (see the module docstring), not a field
             m = self.lambda1 / self.k
             mi = round(m) if m < 16.5 else 0
-            dd = mi >= 1 and abs(m - mi) <= 1e-12 * m
-            log = (_LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(abs(self.c)), self.c < 0.0)
-                   if not dd or self.c > 0.0 and self.gamma >= 0.0 else None)  # one-sign: beside the dd rows
-            object.__setattr__(self, "_table", _DDTable(self.k, self.gamma, self.lambda1, self.c, self.s0, mi)
-                               if dd else log)
-            object.__setattr__(self, "_log", log if dd else None)
+            if mi >= 1 and abs(m - mi) <= 1e-12 * m:
+                table = (_PlainTable if self.c > 0.0 and self.gamma >= 0.0 else _DDTable)(
+                    self.k, self.gamma, self.lambda1, self.c, self.s0, mi)
+            else:
+                table = _LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(abs(self.c)), self.c < 0.0)
+            object.__setattr__(self, "_table", table)
 
     @property
     def s0(self) -> float:
@@ -201,27 +191,25 @@ class _LogTable:
         self.rows = []
         self.errs = [0.0]
 
-    def evaluate(self, w: float, nu: float, tol: float, max_terms: int, lim: float = math.inf) -> SeriesResult | None:
+    def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
         """w^nu / Gamma_k(s0) * S(c w^2) at w > 0."""
         lw = math.log(w)
-        return self.series(nu * lw, 2.0 * lw, tol, max_terms, lim)
+        return self.series(nu * lw, 2.0 * lw, tol, max_terms)
 
-    def series(self, lead: float, lu: float, tol: float, max_terms: int, lim: float = math.inf) -> SeriesResult | None:
+    def series(self, lead: float, lu: float, tol: float, max_terms: int) -> SeriesResult:
         """exp(lead) S(c u), lu = log|u|, summed with Neumaier compensation
         until `settle` ends it.  Builds row n here the first time any call
         reaches term n.  Term n is exp(big), big carried from term to term, so
         R (see `settle`) gains u tsum times big's error at the last term n:
         2 |lead| + 5 (|L_0| + |L|) for the lead and the ln Gamma_k ends (L the
         last row's), errs[n] for the rows' inputs and steps, and n (max |big|
-        + 3 |lu|) for big's additions, max |big| <= max(-lo, ln tsum).  None where, at a
-        row it would build, errs[n] + n (3 |lu| - lo) > lim already puts R past lim u tsum."""
+        + 3 |lu|) for big's additions, max |big| <= max(-lo, ln tsum)."""
         k, lk, gamma, lam, s0, lc, neg, rows, errs = (
             self.k, self.lk, self.gamma, self.lam, self.s0, self.lc, self.neg, self.rows, self.errs)
         exp, log, lgamma = math.exp, math.log, math.lgamma
         built = len(rows)  # rows past these are built here, in order
         lgk = self.lgk0
         big = lo = lead - lgk
-        l3 = 3.0 * abs(lu)
         sgn = 1
         s = c = 0.0  # the Neumaier step of CompensatedSum.add, written out
         rho = math.inf
@@ -232,8 +220,6 @@ class _LogTable:
             if n < built:
                 row = rows[n]
             else:
-                if errs[n] + n * (l3 - lo) > lim:
-                    return None
                 g = gamma + n * k
                 row = None
                 if g != 0.0:
@@ -274,15 +260,15 @@ class _LogTable:
 
 
 class _DDTable:
-    """z-free rows of the double-double recurrence for integer lambda1/k = m.
+    """z-free rows of the double-double recurrence for integer lambda1/k = m,
+    which sums a series that can cancel (c < 0 or gamma < 0).
 
     Gamma_k(s + m k) / Gamma_k(s) telescopes to prod_{j<m} (s + j k), so the
     term ratio is c g w^2 / ((n+1)^2 prod_j (lambda1 n + s0 + j k)) with
-    g = gamma + n k and w = z/2.  Row n is the z-free ratio (hi, lo) in
-    double-double, c g divided by (n+1)^2 and then by each of the m factors,
-    followed by hi's Dekker split and |hi|: (hi, lo, hi_hi, hi_lo, |hi|); or
-    None where g = 0 ends the series.  gk0 is Gamma_k(s0) of the prefactor
-    w^nu / Gamma_k(s0), inf where it overflows.
+    g = gamma + n k and w = z/2.  Row n is that ratio over w^2 in
+    double-double, c g divided by (n+1)^2 and then by each factor, with hi's
+    Dekker split and |hi|: (hi, lo, hi_hi, hi_lo, |hi|), or None where g = 0
+    ends the series.  gk0 is Gamma_k(s0), inf where it overflows.
     """
 
     __slots__ = ("k", "gamma", "lambda1", "c", "s0", "m", "gk0", "rows")
@@ -359,6 +345,72 @@ class _DDTable:
             acc = dd_add(acc, (th, tl))
 
 
+class _PlainTable(_DDTable):
+    """The table of a one-sign series (c > 0, gamma >= 0) at integer lambda1/k = m.
+
+    `evaluate` takes `plain`'s sum where its R meets tol, else the dd rows';
+    where the prefactor is not a normal double or the plain sum leaves double
+    range, a fresh `_LogTable`'s, or the dd rows' where its R misses tol.
+    `plain` sums pref S(c w^2) in doubles with Neumaier compensation on rows
+    prows[n] = c g / ((n+1)^2 prod_j (lambda1 n + s0 + j k)), 0 where g = 0,
+    built where a call first reaches term n.  A term gathers at most
+    grow = 5 m + 6 roundings a step: 3 in c g, 3 + 4 (m - 1) in the factors
+    (s0 brings 2), m in their product, 1 in the division and 1 each in w^2,
+    row w^2 and the term.  The prefactor's 8 and the sum's 2 fit in the step
+    R charges past the last term.  Past term (lim - 1) / grow, R must exceed
+    lim u |value|, so `plain` gives up there (None).
+    """
+
+    __slots__ = ("prows",)
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.prows = []
+
+    def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
+        pref = _lead(w, nu, self.s0, self.k, self.gk0)
+        if 2.0**-1022 <= pref <= _MAX:  # a normal double
+            try:
+                res = self.plain(w, pref, tol, max_terms, tol / _UNIT)
+                return res if res and res.rounding <= tol * res.value else super().evaluate(w, nu, tol, max_terms)
+            except OverflowError:
+                pass
+        res = _LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(self.c), False).evaluate(
+            w, nu, tol, max_terms)
+        return res if res.rounding <= tol * abs(res.value) else super().evaluate(w, nu, tol, max_terms)
+
+    def plain(self, w: float, pref: float, tol: float, max_terms: int, lim: float = math.inf) -> SeriesResult | None:
+        k, gamma, lambda1, c, s0, m, prows = (
+            self.k, self.gamma, self.lambda1, self.c, self.s0, self.m, self.prows)
+        grow = 5.0 * m + 6.0
+        cut = (lim - 1.0) / grow
+        w2 = w * w
+        t = 1.0  # the term over the prefactor
+        s = e = tsum = 0.0  # the Neumaier step of CompensatedSum.add, written out for terms >= 0
+        rho = math.inf
+        built = len(prows)  # rows past these are built here, in order
+        for n in range(max_terms if cut >= max_terms else int(cut) + 1):
+            if n < built:
+                row = prows[n]
+            else:
+                d = (n + 1.0) * (n + 1.0)
+                for j in range(m):
+                    d *= lambda1 * n + s0 + j * k
+                row = c * (gamma + n * k) / d
+                prows[n:n + 1] = (row,)
+            t_abs = t * pref
+            tsum += t_abs
+            u = s + t
+            e += (s - u) + t if s >= t else (t - u) + s
+            s = u
+            rho_prev, rho = rho, row * w2
+            res = settle(n + 1, t_abs, rho, rho_prev, pref * (s + e), tol, max_terms, tsum, grow)
+            if res is not None:
+                return res
+            t *= rho
+        return None
+
+
 def eval_gmk_bessel(
     p: BesselParams, z: float, tol: float = 1e-10, max_terms: int = 400
 ) -> SeriesResult:
@@ -370,10 +422,6 @@ def eval_gmk_bessel(
     if w == 0.0 or p.c == 0.0:
         # only the n = 0 term
         return SeriesResult(_lead(w, p.nu, p.s0, p.k), 1, 0.0, True)
-    if p._log is not None:  # a one-sign sum: the log rows first, where their rounding meets tol
-        r = p._log.evaluate(w, p.nu, tol, max_terms, tol / _UNIT)
-        if r is not None and r.rounding <= tol * abs(r.value):
-            return r
     return p._table.evaluate(w, p.nu, tol, max_terms)
 
 

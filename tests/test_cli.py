@@ -35,12 +35,6 @@ def first_value(stdout: str) -> float:
     raise AssertionError(f"no value line in {stdout!r}")
 
 
-def test_eval_kgamma():
-    r = run_cli("eval", "kgamma", "z=2", "k=2")
-    assert r.returncode == 0
-    assert "value=1.0" in r.stdout
-
-
 def test_eval_gmkbessel_defaults_give_classical_j():
     r = run_cli("eval", "gmkbessel", "z=2")
     assert r.returncode == 0
@@ -61,14 +55,6 @@ def test_eval_tol_series_sets_the_series_tolerance(capsys):
     for flags, terms in (([], 22), (["--tol-series", "1e-14"], 25)):
         assert cli.main(["eval", "gmkbessel", "z=10", *flags]) == 0
         assert f"terms_used={terms}\n" in capsys.readouterr().out
-
-
-def test_half_argument_that_rounds_to_zero_leaves_the_first_term(capsys):
-    # z/2 is 0.0 at z = 5e-324, and one quadrature node of this verify lands there
-    assert cli.main(["eval", "kbessel", "z=5e-324"]) == 0
-    assert capsys.readouterr().out == "value=1.0\nterms_used=1\ntail_estimate=0.0\nconverged=true\n"
-    assert cli.main(["verify", "theorem1", "y=1e-20", "lambda1=0.5"]) == 0
-    assert "verdict=match\n" in capsys.readouterr().out
 
 
 def test_eval_wright_margin_rejected():
@@ -299,7 +285,7 @@ def test_readme_command_stdout(command, capsys, tmp_path, monkeypatch):
 # stops, so a runaway fails the row; every other row runs in-process.
 
 CONSOLE_PINS = {
-    # I_0(264) on the double-double path (at tol 1e-14 the log rows' rounding
+    # I_0(264) on the double-double path (at tol 1e-14 the plain rows' rounding
     # bound is too wide): every term is positive, so the series stops once its
     # tail is at most 2^-64 of the sum, and terms_used and tail_estimate pin
     # where it stops
@@ -307,10 +293,11 @@ CONSOLE_PINS = {
         "value=1.1067699210422132e+113\nterms_used=213\n"
         "tail_estimate=3.696483035600299e+93\nconverged=true\n"
     ), None),
-    # I_0(300) converges by the same 2^-64 floor, on the log rows at tol 1e-10
+    # I_0(300) converges by the same 2^-64 floor, on the plain rows at tol 1e-10,
+    # 2.0e-16 from I_0(300) (the log rows' 4.475847367934796e+128 was 5.7e-14 off)
     "eval gmkbessel z=300 k=1 nu=0 gamma=1 lambda1=1 c=1 b=1": (0, "stdout", (
-        "value=4.475847367934796e+128\nterms_used=236\n"
-        "tail_estimate=1.3833880010499686e+109\nconverged=true\n"
+        "value=4.475847367935053e+128\nterms_used=236\n"
+        "tail_estimate=1.383388001050174e+109\nconverged=true\n"
     ), None),
     # a 1F1 sum of positive terms takes the same floor, which settle reads
     # from the sum itself: it stops at 74 terms with its tail above tol
@@ -369,8 +356,8 @@ CONSOLE_PINS = {
     "verify corollary2": (0, "last line", "diagnostics=classical J reduction gap at z=1: 1.135e-15", None),
     # z/2 is 0.0 at z = 5e-324: the series is its n = 0 term
     "eval kbessel z=5e-324": (0, "stdout", "value=1.0\nterms_used=1\ntail_estimate=0.0\nconverged=true\n", None),
-    # one quadrature node of this integral lands on z = 5e-324 (0 = match)
-    "verify theorem1 y=1e-20 lambda1=0.5": (0, None, None, None),
+    # one quadrature node of this integral lands on z = 5e-324
+    "verify theorem1 y=1e-20 lambda1=0.5": (0, "line", "verdict=match", None),
     # H2: an integral of 2.4e40 must match under the relative quadrature
     # tolerance; the exit status (0 = match) and the refined theorem
     # integral's node count are pinned, not the digits

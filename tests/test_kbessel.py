@@ -270,18 +270,25 @@ def _one_sign_draws(count_each, seed):
         yield p, math.exp(rng.uniform(math.log(0.05), math.log(500.0))), rng.choice((1e-10, 1e-14))
 
 
+def _own_sum(p, z, tol, lim=math.inf):
+    """The sum of p's table alone: its log rows, or a one-sign whole-m table's
+    plain rows (None where they give up at lim)."""
+    table, w = p._table, 0.5 * z
+    if isinstance(table, kbessel._LogTable):
+        return table.evaluate(w, p.nu, tol, 400)
+    return table.plain(w, kbessel._lead(w, p.nu, p.s0, p.k, table.gk0), tol, 400, lim)
+
+
 def test_one_sign_census_is_bounded_by_rounding_and_tail():
     # rounding + tail_estimate bounds the error of every converged one-sign sum: on
-    # the log rows (exponent error included) and as eval_gmk_bessel returns it, from
-    # the log rows where their bound meets tol and from the dd rows elsewhere
+    # the log rows (exponent error included) or the plain rows alone, and as
+    # eval_gmk_bessel returns it, from the plain rows where their bound meets tol
+    # and from the dd rows elsewhere
     mpmath = pytest.importorskip("mpmath")
     checked = 0
     for p, z, tol in _one_sign_draws(30, 34):
-        log_table = p._log or p._table
-        assert isinstance(log_table, kbessel._LogTable)
         exact = _gmk_sum(p, z)
-        for evaluate in (lambda: log_table.evaluate(0.5 * z, p.nu, tol, 400),
-                         lambda: eval_gmk_bessel(p, z, tol=tol)):
+        for evaluate in (lambda: _own_sum(p, z, tol), lambda: eval_gmk_bessel(p, z, tol=tol)):
             try:
                 r = evaluate()
             except OverflowError:
@@ -292,22 +299,26 @@ def test_one_sign_census_is_bounded_by_rounding_and_tail():
     assert checked >= 100
 
 
-def test_log_sum_stops_short_only_where_its_bound_misses_tol():
-    # eval_gmk_bessel's log sum gives up (None) once a lower bound on its rounding
-    # is past tol |value|: on fresh rows, at tols on both sides of where the full
-    # log sums' bounds cross it, it gives up only on sums the dd rows would take,
-    # and elsewhere gives the full sum's bits
+def test_plain_sum_gives_up_only_where_its_bound_misses_tol():
+    # the plain sum gives up (None) once a lower bound on its rounding is past
+    # tol |value|: on fresh rows, at tols on both sides of where the full plain
+    # sums' bounds cross it, it gives up only on sums whose bound misses tol, and
+    # there eval_gmk_bessel returns the dd rows' bits; elsewhere the full sum's
     cut = kept = 0
     for p, z, _ in _one_sign_draws(30, 34):
+        if isinstance(p._table, kbessel._LogTable):
+            continue
         for tol in (10.0 ** (-10 - j / 2) for j in range(11)):
-            if p._log is None:
-                continue
             try:
-                full, short = (replace(p)._log.evaluate(0.5 * z, p.nu, tol, 400, lim) for lim in (math.inf, tol / _UNIT))
+                full, short = (_own_sum(replace(p), z, tol, lim) for lim in (math.inf, tol / _UNIT))
             except OverflowError:
                 continue
-            misses = full.rounding > tol * abs(full.value)
+            misses = full.rounding > tol * full.value
             assert short == full if short else misses, (p, z, tol, full)
+            if short is None:
+                q = replace(p)
+                dd = kbessel._DDTable.evaluate(q._table, 0.5 * z, q.nu, tol, 400)
+                assert eval_gmk_bessel(replace(p), z, tol=tol) == dd
             cut += short is None
             kept += not misses
     assert cut >= 50 and kept >= 50
@@ -319,25 +330,45 @@ def test_log_sum_stops_short_only_where_its_bound_misses_tol():
     (1, "SeriesResult(value=1.1046717733295364e+113, terms_used=212, tail_estimate=5.982374127233026e+93, "
         "converged=True, rounding=1.1004672433325522e+100)"),
 ])
-def test_one_sign_sum_past_its_log_bound_is_the_dd_sum(nu, expected):
-    # at tol 1e-14 the log rows' rounding bound on I_nu(264) exceeds tol |value|,
-    # so the dd rows sum it, to the bits they gave before the log rows came first;
-    # the log sum stops a few rows in, where its bound is already past tol
+def test_one_sign_sum_past_its_plain_bound_is_the_dd_sum(nu, expected):
+    # at tol 1e-14 the plain rows' rounding bound on I_nu(264) exceeds tol |value|,
+    # so the dd rows sum it, to their own bits; the plain sum gives up after 9
+    # terms, past (tol/u - 1) / grow = 8.1 with grow = 11 at m = 1
     p = BesselParams(1, nu, 1, 1, 1, 1)
     assert repr(eval_gmk_bessel(p, 264.0, tol=1e-14)) == expected
-    assert 0 < len(p._log.rows) <= 5 and len(p._table.rows) == 212 + (nu == 0)
+    assert len(p._table.prows) == 9 and len(p._table.rows) == 212 + (nu == 0)
 
 
-def test_h2_node_sums_on_log_rows_alone():
-    # a node of H2's left side: I_0 at tol 1e-10, where the log rows' bound holds,
+def test_h2_node_sums_on_plain_rows_alone():
+    # a node of H2's left side: I_0 at tol 1e-10, where the plain rows' bound holds,
     # so no double-double row is built
     mpmath = pytest.importorskip("mpmath")
     p = BesselParams(1, 0, 1, 1, 1, 1)
     r = eval_gmk_bessel(p, 98.6)
     assert r.converged and 0.0 < r.rounding <= 1e-10 * r.value
-    assert len(p._log.rows) == r.terms_used and p._table.rows == []
+    assert len(p._table.prows) == r.terms_used and p._table.rows == []
     with mpmath.workdps(40):
-        assert abs(r.value / mpmath.besseli(0, 98.6) - 1) <= 1e-13
+        assert abs(r.value / mpmath.besseli(0, 98.6) - 1) <= 1e-14
+
+
+@pytest.mark.parametrize("b, z, max_terms, expected", [
+    (99, 1000.0, 800, "SeriesResult(value=4.2110377315294e+299, terms_used=627, tail_estimate="
+                      "1.7318772216386171e+280, converged=True, rounding=2.340384593358351e+289)"),
+    (343, 400.0, 400, "SeriesResult(value=7.566451743511345e-238, terms_used=197, tail_estimate="
+                      "7.248062540960113e-248, converged=True, rounding=1.3896152807152405e-248)"),
+    (399, 400.0, 400, "SeriesResult(value=1.0092909203304051e-307, terms_used=155, tail_estimate="
+                      "8.4229241136083e-311, converged=True, rounding=1.53731e-318)"),
+], ids=["inner sum overflows", "prefactor subnormal", "prefactor zero"])
+def test_plain_sum_out_of_double_range_takes_the_log_rows(b, z, max_terms, expected):
+    # I_0-like sums at s0 = 50, 172 and 200: the plain inner sum passes 1e308 while
+    # the value 1/Gamma(50) times it does not, or the prefactor 1/Gamma(s0) is not
+    # a normal double; each call returns a fresh log table's sum, whose rounding
+    # bound meets tol here
+    p = BesselParams(1, 0, 1, 1, 1, b)
+    r = eval_gmk_bessel(p, z, max_terms=max_terms)
+    assert repr(r) == expected
+    assert r == kbessel._LogTable(1.0, 1.0, 1.0, p.s0, 0.0, False).evaluate(0.5 * z, 0.0, 1e-10, max_terms)
+    assert p._table.rows == []
 
 
 @pytest.mark.parametrize("nu", [0, 1])
@@ -418,16 +449,16 @@ def test_first_kind_one_sign_sum_stops_on_the_floor():
 # small to cancel, so their sizes add to at most 2 |s|.  The c < 0 sums cancel
 # and stop on tol.  The values came from a sign proof of the floor, and the
 # gamma = -0.5 sums stopped later there (59 -> 55, 112 -> 90).  At lambda1 = 1 the
-# sums with c > 0 and gamma >= 0 come from the log rows, within 2e-14 of the
-# double-double values they replaced (7.516298137888771e+16, 1.1855328240447839e+25
-# and 5.04626504404032).
+# sums with c > 0 and gamma >= 0 come from the plain-double rows, within 2.3e-16
+# of the exact sums (the log rows' 7.516298137888686e+16, 1.1855328240447637e+25
+# and 5.046265044040321 were up to 1.7e-14 off).
 @pytest.mark.parametrize("lambda1, c, gamma, value, terms, on_floor", [
-    (1.0, 1.0, 1.5, "7.516298137888686e+16", 56, True),
-    (1.0, 2.5, 0.5, "1.1855328240447637e+25", 74, True),
+    (1.0, 1.0, 1.5, "7.516298137888771e+16", 56, True),
+    (1.0, 2.5, 0.5, "1.185532824044784e+25", 74, True),
     (1.0, 1.0, -0.5, "-52327517635443.96", 55, True),
     (1.0, 1.0, -2.0, "104967.35918108269", 3, False),
     (1.0, -1.0, 1.5, "0.037175282439431016", 65, False),
-    (1.0, 1.0, 0.0, "5.046265044040321", 1, False),
+    (1.0, 1.0, 0.0, "5.04626504404032", 1, False),
     (0.7, 1.0, 1.5, "3.6431847058252203e+28", 91, True),
     (0.7, 2.5, 0.5, "1.1055272891880803e+47", 132, True),
     (0.7, 1.0, -0.5, "-6.275862078024799e+24", 90, True),
@@ -691,7 +722,8 @@ def test_table_out_of_double_range_raises_on_evaluation(params):
 def test_overflow_raises_on_both_paths(lambda1, c, monkeypatch):
     # the dd path (lambda1 = k) used to sum all 400 terms (399 dd_add calls)
     # before raising; it stops at its first inf term.  At c = 1 every term is
-    # positive, so the log rows sum it first and raise before any dd_add
+    # positive, so the plain rows sum it first, then the log rows, and both
+    # raise before any dd_add
     calls = []
     add = kbessel.dd_add
 
@@ -845,8 +877,8 @@ def _dd_reference(p, w, tol, max_terms):
 
 
 def _dd_evaluate(p, w, tol, max_terms):
-    try:
-        return p._table.evaluate(w, p.nu, tol, max_terms)
+    try:  # the dd rows' own sum, also where a one-sign table would sum plain rows first
+        return kbessel._DDTable.evaluate(p._table, w, p.nu, tol, max_terms)
     except OverflowError:
         return None
 
