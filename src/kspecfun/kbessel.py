@@ -34,14 +34,10 @@ canonical right sides sum: the independent cross-check on the tables.
 
 A `BesselParams` object builds its table, `_table`, when it is made (c != 0)
 and keeps it in the instance dict: not a field, so ==, hash, repr and astuple
-ignore it, and it goes with its object (no module-level cache).  Each table
-sums in one loop that builds, reads and sums its rows; `eval_k_bessel_first`
-sums a fresh `_LogTable`.  Row n is built the first time any evaluation on
-that object reaches term n and read by every later call, so the ~240 nodes of
-an integral pay for each row once; a row does not depend on which call built
-it.  A dd row keeps its leading double's Dekker split and size, and the
-per-term product dd_mul(dd_mul_d(t, w^2), row) is written out in its loop in
-the helpers' arithmetic and order.
+ignore it, and no module-level cache holds it.  Row n is built the first time
+any call on the object reaches term n, the same whichever call builds it, and
+read by every later call: the ~240 nodes of an integral pay for it once.
+`eval_k_bessel_first` sums a fresh `_LogTable`.
 """
 
 from __future__ import annotations
@@ -346,69 +342,55 @@ class _DDTable:
 
 
 class _PlainTable(_DDTable):
-    """The table of a one-sign series (c > 0, gamma >= 0) at integer lambda1/k = m.
+    """The table of a one-sign series (c > 0, gamma >= 0) at integer lambda1/k = m:
+    pref S(c w^2) in doubles, term n off by grow n u, grow = 5 m + 6 (README,
+    "Settings").  The log rows in `log` take a sum that leaves the normal range,
+    the dd rows one whose R misses tol |value|, as it must past term
+    (tol/u - 1) / grow, where the plain sum gives up."""
 
-    `evaluate` takes `plain`'s sum where its R meets tol, else the dd rows';
-    where the prefactor is not a normal double or the plain sum leaves double
-    range, a fresh `_LogTable`'s, or the dd rows' where its R misses tol.
-    `plain` sums pref S(c w^2) in doubles with Neumaier compensation on rows
-    prows[n] = c g / ((n+1)^2 prod_j (lambda1 n + s0 + j k)), 0 where g = 0,
-    built where a call first reaches term n.  A term gathers at most
-    grow = 5 m + 6 roundings a step: 3 in c g, 3 + 4 (m - 1) in the factors
-    (s0 brings 2), m in their product, 1 in the division and 1 each in w^2,
-    row w^2 and the term.  The prefactor's 8 and the sum's 2 fit in the step
-    R charges past the last term.  Past term (lim - 1) / grow, R must exceed
-    lim u |value|, so `plain` gives up there (None).
-    """
-
-    __slots__ = ("prows",)
+    __slots__ = ("prows", "log")
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
-        self.prows = []
+        self.prows, self.log = [], None
 
     def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
-        pref = _lead(w, nu, self.s0, self.k, self.gk0)
-        if 2.0**-1022 <= pref <= _MAX:  # a normal double
-            try:
-                res = self.plain(w, pref, tol, max_terms, tol / _UNIT)
-                return res if res and res.rounding <= tol * res.value else super().evaluate(w, nu, tol, max_terms)
-            except OverflowError:
-                pass
-        res = _LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(self.c), False).evaluate(
-            w, nu, tol, max_terms)
-        return res if res.rounding <= tol * abs(res.value) else super().evaluate(w, nu, tol, max_terms)
-
-    def plain(self, w: float, pref: float, tol: float, max_terms: int, lim: float = math.inf) -> SeriesResult | None:
         k, gamma, lambda1, c, s0, m, prows = (
             self.k, self.gamma, self.lambda1, self.c, self.s0, self.m, self.prows)
-        grow = 5.0 * m + 6.0
-        cut = (lim - 1.0) / grow
+        pref = _lead(w, nu, s0, k, self.gk0)
+        cut = (tol / _UNIT - 1.0) / (grow := 5.0 * m + 6.0)
         w2 = w * w
-        t = 1.0  # the term over the prefactor
-        s = e = tsum = 0.0  # the Neumaier step of CompensatedSum.add, written out for terms >= 0
-        rho = math.inf
+        t, s, e, tsum = 1.0, 0.0, 0.0, 0.0  # t over the prefactor; s, e: CompensatedSum.add for terms >= 0
+        rho, res = math.inf, None  # None where the plain sum gives up
         built = len(prows)  # rows past these are built here, in order
-        for n in range(max_terms if cut >= max_terms else int(cut) + 1):
-            if n < built:
-                row = prows[n]
-            else:
-                d = (n + 1.0) * (n + 1.0)
-                for j in range(m):
-                    d *= lambda1 * n + s0 + j * k
-                row = c * (gamma + n * k) / d
-                prows[n:n + 1] = (row,)
-            t_abs = t * pref
-            tsum += t_abs
-            u = s + t
-            e += (s - u) + t if s >= t else (t - u) + s
-            s = u
-            rho_prev, rho = rho, row * w2
-            res = settle(n + 1, t_abs, rho, rho_prev, pref * (s + e), tol, max_terms, tsum, grow)
-            if res is not None:
-                return res
-            t *= rho
-        return None
+        try:
+            if not 2.0**-1022 <= pref <= _MAX:  # not a normal double
+                raise OverflowError
+            for n in range(max_terms if cut >= max_terms else int(cut) + 1):
+                if n < built:
+                    row = prows[n]
+                else:  # c g / (n+1)^2 over each factor in turn; a step off the normal range makes it 0
+                    row = c * (gamma + n * k) / ((n + 1.0) * (n + 1.0))
+                    for j in range(m):
+                        row = row / (lambda1 * n + s0 + j * k) if 2.0**-1022 <= row <= _MAX else 0.0
+                    if not 2.0**-1022 <= row <= _MAX and (gamma or n):  # only g = 0 has row 0
+                        raise OverflowError
+                    prows[n:n + 1] = (row,)
+                t_abs = t * pref
+                tsum += t_abs
+                u = s + t
+                e += (s - u) + t if s >= t else (t - u) + s
+                s = u
+                rho_prev, rho = rho, row * w2
+                res = settle(n + 1, t_abs, rho, rho_prev, pref * (s + e), tol, max_terms, tsum, grow)
+                if res is not None:
+                    break
+                t *= rho
+        except OverflowError:
+            if self.log is None:
+                self.log = _LogTable(k, gamma, lambda1, s0, math.log(c), False)
+            res = self.log.evaluate(w, nu, tol, max_terms)
+        return res if res and res.rounding <= tol * res.value else super().evaluate(w, nu, tol, max_terms)
 
 
 def eval_gmk_bessel(

@@ -19,14 +19,13 @@ above |s| = 2^64 tol its tail_estimate may exceed tol.  A cancelled sum, such
 as J_0 at z = 300, never takes this floor.  `accumulate` calls `settle` per
 term of an unbounded (term, |next/current| ratio) stream, for the canonical
 right side and the Wright side of the reduction check (`logsig_pairs` of
-(L_n, sign_n)); the three Bessel tables, `eval_k_wright` and `eval_pfq` call
-it per term of summing loops of their own.  Every caller hands it the running
-sum of the term sizes and grow, a term's roundings per index, from which it
-decides the floor and bounds the sum's rounding error, `SeriesResult.rounding`
-(the Bessel log table adds its exponent's), at its single exit, which builds
-the result of every sum it ends; the rest arise in the one-term shortcuts of the
-Bessel, k-Wright and reduction-check evaluators, `_rhs_paper`'s scaled sum and
-`_classical_bessel_series`.
+(L_n, sign_n)); the Bessel tables, `eval_k_wright` and `eval_pfq` call it per
+term of loops of their own.  Every caller hands it the running sum of the term
+sizes and grow, a term's roundings per index, from which it decides the floor and
+bounds the sum's rounding error, `SeriesResult.rounding` (the Bessel log table
+adds its exponent's), at its single exit, which builds the result of every sum
+it ends; the rest arise in the one-term shortcuts of the Bessel, k-Wright and
+reduction-check evaluators, `_rhs_paper`'s scaled sum and `_classical_bessel_series`.
 
 The real rule `is_real` (a finite int or float; not a bool or a string)
 covers arguments and parameters, the positive rule `is_positive` (the real

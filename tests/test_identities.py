@@ -471,8 +471,8 @@ def test_verify_h2_matches_within_400_nodes():
 # factors now come from plain-double rows (the same node counts and verdicts)
 @pytest.mark.parametrize("identity, params, expected", [
     ("theorem1", H2,
-     "lhs=2.428862381341473e+40, rhs_canonical=2.428862381341323e+40, rhs_paper=2.4288623813414823e+40, "
-     "rel_diff_canonical=6.17189359034083e-14, rel_diff_paper=3.782773490854043e-15, verdict='match', "
+     "lhs=2.4288623813414726e+40, rhs_canonical=2.428862381341323e+40, rhs_paper=2.4288623813414823e+40, "
+     "rel_diff_canonical=6.15198425617844e-14, rel_diff_paper=3.98186683247794e-15, verdict='match', "
      "tolerances={'quad': 1e-08, 'series': 1e-10, 'match': 1e-05}, diagnostics='', quad_evals=360, "
      "series_terms=102)"),
     ("theorem2", H1,
@@ -484,16 +484,16 @@ def test_verify_h2_matches_within_400_nodes():
     ("theorem1", dict(k=1.0, nu=0.0, gamma=1.006753912533581, lambda1=1.0, c=1.0047386416890705,
                       b=0.9998911978834796, mu=0.5080776151952594, lam=0.609509360502703,
                       a=0.00987422144645161, y=0.9973692765816736),
-     "lhs=7.880123053628394e+40, rhs_canonical=7.880123053628247e+40, rhs_paper=7.644953413928986e+40, "
-     "rel_diff_canonical=1.8655213714898837e-14, rel_diff_paper=0.029843396873241022, "
+     "lhs=7.880123053628395e+40, rhs_canonical=7.880123053628247e+40, rhs_paper=7.644953413928986e+40, "
+     "rel_diff_canonical=1.87779453840758e-14, rel_diff_paper=0.02984339687324114, "
      "verdict='canonical_only', tolerances={'quad': 1e-08, 'series': 1e-10, 'match': 1e-05}, "
      "diagnostics='packaged/canonical term ratios: n=0 1, n=1 0.993291, n=2 0.989948', quad_evals=360, "
      "series_terms=103)"),
     ("theorem1", dict(k=1.0, nu=0.0, gamma=0.9899030855114426, lambda1=1.0, c=0.9801544532517644,
                       b=1.0097241110525836, mu=0.5008678464405092, lam=0.6027973433791587,
                       a=0.009817231242980737, y=1.0159431320298373),
-     "lhs=2.55589479626087e+41, rhs_canonical=2.5558947962608885e+41, rhs_paper=2.675018303439017e+41, "
-     "rel_diff_canonical=7.265205366216996e-15, rel_diff_paper=0.0445318475110998, "
+     "lhs=2.5558947962608695e+41, rhs_canonical=2.5558947962608885e+41, rhs_paper=2.675018303439017e+41, "
+     "rel_diff_canonical=7.416563811346518e-15, rel_diff_paper=0.044531847511099946, "
      "verdict='canonical_only', tolerances={'quad': 1e-08, 'series': 1e-10, 'match': 1e-05}, "
      "diagnostics='packaged/canonical term ratios: n=0 1, n=1 1.0102, n=2 1.01533', quad_evals=360, "
      "series_terms=104)"),

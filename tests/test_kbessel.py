@@ -20,7 +20,7 @@ from kspecfun.kbessel import (
     gmk_bessel_term,
 )
 from kspecfun.kgamma import k_gamma, k_pochhammer, log_k_gamma
-from kspecfun.summation import _UNIT, SeriesResult, dd_add, dd_div_d, dd_mul, dd_mul_d, settle
+from kspecfun.summation import CompensatedSum, SeriesResult, dd_add, dd_div_d, dd_mul, dd_mul_d, settle
 
 UNIT_J = BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=-1, b=1)
 
@@ -270,13 +270,23 @@ def _one_sign_draws(count_each, seed):
         yield p, math.exp(rng.uniform(math.log(0.05), math.log(500.0))), rng.choice((1e-10, 1e-14))
 
 
-def _own_sum(p, z, tol, lim=math.inf):
-    """The sum of p's table alone: its log rows, or a one-sign whole-m table's
-    plain rows (None where they give up at lim)."""
-    table, w = p._table, 0.5 * z
-    if isinstance(table, kbessel._LogTable):
-        return table.evaluate(w, p.nu, tol, 400)
-    return table.plain(w, kbessel._lead(w, p.nu, p.s0, p.k, table.gk0), tol, 400, lim)
+def _plain_sum(p, z, tol, max_terms=400):
+    """The plain-double sum of a one-sign whole-m table in full (no give-up),
+    its rows built anew as `_PlainTable` builds them."""
+    tab, w = p._table, 0.5 * z
+    pref = kbessel._lead(w, p.nu, tab.s0, tab.k, tab.gk0)
+    acc, t, tsum, rho = CompensatedSum(), 1.0, 0.0, math.inf
+    for n in range(max_terms):
+        row = tab.c * (tab.gamma + n * tab.k) / ((n + 1.0) * (n + 1.0))
+        for j in range(tab.m):
+            row /= tab.lambda1 * n + tab.s0 + j * tab.k
+        acc.add(t)
+        tsum += t * pref
+        rho_prev, rho = rho, row * (w * w)
+        res = settle(n + 1, t * pref, rho, rho_prev, pref * acc.value, tol, max_terms, tsum, 5.0 * tab.m + 6.0)
+        if res is not None:
+            return res
+        t *= rho
 
 
 def test_one_sign_census_is_bounded_by_rounding_and_tail():
@@ -288,7 +298,9 @@ def test_one_sign_census_is_bounded_by_rounding_and_tail():
     checked = 0
     for p, z, tol in _one_sign_draws(30, 34):
         exact = _gmk_sum(p, z)
-        for evaluate in (lambda: _own_sum(p, z, tol), lambda: eval_gmk_bessel(p, z, tol=tol)):
+        own = (lambda: p._table.evaluate(0.5 * z, p.nu, tol, 400)) if isinstance(
+            p._table, kbessel._LogTable) else (lambda: _plain_sum(p, z, tol))
+        for evaluate in (own, lambda: eval_gmk_bessel(p, z, tol=tol)):
             try:
                 r = evaluate()
             except OverflowError:
@@ -300,27 +312,27 @@ def test_one_sign_census_is_bounded_by_rounding_and_tail():
 
 
 def test_plain_sum_gives_up_only_where_its_bound_misses_tol():
-    # the plain sum gives up (None) once a lower bound on its rounding is past
-    # tol |value|: on fresh rows, at tols on both sides of where the full plain
-    # sums' bounds cross it, it gives up only on sums whose bound misses tol, and
-    # there eval_gmk_bessel returns the dd rows' bits; elsewhere the full sum's
+    # the plain sum gives up once a lower bound on its rounding is past tol |value|:
+    # on fresh rows, at tols on both sides of where the full plain sums' bounds
+    # cross it, eval_gmk_bessel returns the full plain sum where its bound meets
+    # tol, and elsewhere the dd rows' bits, often from a plain sum cut short
     cut = kept = 0
     for p, z, _ in _one_sign_draws(30, 34):
         if isinstance(p._table, kbessel._LogTable):
             continue
         for tol in (10.0 ** (-10 - j / 2) for j in range(11)):
             try:
-                full, short = (_own_sum(replace(p), z, tol, lim) for lim in (math.inf, tol / _UNIT))
+                full = _plain_sum(p, z, tol)
             except OverflowError:
                 continue
-            misses = full.rounding > tol * full.value
-            assert short == full if short else misses, (p, z, tol, full)
-            if short is None:
-                q = replace(p)
-                dd = kbessel._DDTable.evaluate(q._table, 0.5 * z, q.nu, tol, 400)
-                assert eval_gmk_bessel(replace(p), z, tol=tol) == dd
-            cut += short is None
-            kept += not misses
+            q = replace(p)
+            r = eval_gmk_bessel(q, z, tol=tol)
+            if full.rounding <= tol * full.value:
+                kept += 1
+                assert r == full, (p, z, tol, full)
+            else:
+                assert r == kbessel._DDTable.evaluate(replace(p)._table, 0.5 * z, p.nu, tol, 400), (p, z, tol)
+                cut += len(q._table.prows) < full.terms_used
     assert cut >= 50 and kept >= 50
 
 
@@ -351,24 +363,35 @@ def test_h2_node_sums_on_plain_rows_alone():
         assert abs(r.value / mpmath.besseli(0, 98.6) - 1) <= 1e-14
 
 
-@pytest.mark.parametrize("b, z, max_terms, expected", [
-    (99, 1000.0, 800, "SeriesResult(value=4.2110377315294e+299, terms_used=627, tail_estimate="
-                      "1.7318772216386171e+280, converged=True, rounding=2.340384593358351e+289)"),
-    (343, 400.0, 400, "SeriesResult(value=7.566451743511345e-238, terms_used=197, tail_estimate="
-                      "7.248062540960113e-248, converged=True, rounding=1.3896152807152405e-248)"),
-    (399, 400.0, 400, "SeriesResult(value=1.0092909203304051e-307, terms_used=155, tail_estimate="
-                      "8.4229241136083e-311, converged=True, rounding=1.53731e-318)"),
-], ids=["inner sum overflows", "prefactor subnormal", "prefactor zero"])
-def test_plain_sum_out_of_double_range_takes_the_log_rows(b, z, max_terms, expected):
-    # I_0-like sums at s0 = 50, 172 and 200: the plain inner sum passes 1e308 while
-    # the value 1/Gamma(50) times it does not, or the prefactor 1/Gamma(s0) is not
-    # a normal double; each call returns a fresh log table's sum, whose rounding
-    # bound meets tol here
-    p = BesselParams(1, 0, 1, 1, 1, b)
-    r = eval_gmk_bessel(p, z, max_terms=max_terms)
-    assert repr(r) == expected
-    assert r == kbessel._LogTable(1.0, 1.0, 1.0, p.s0, 0.0, False).evaluate(0.5 * z, 0.0, 1e-10, max_terms)
-    assert p._table.rows == []
+@pytest.mark.parametrize("args, z, max_terms, expected", [
+    ((1, 0, 1, 1, 1, 99), 1000.0, 800, "SeriesResult(value=4.2110377315294e+299, terms_used=627, tail_estimate="
+     "1.7318772216386171e+280, converged=True, rounding=2.340384593358351e+289)"),
+    ((1, 0, 1, 1, 1, 343), 400.0, 400, "SeriesResult(value=7.566451743511345e-238, terms_used=197, tail_estimate="
+     "7.248062540960113e-248, converged=True, rounding=1.3896152807152405e-248)"),
+    ((1, 0, 1, 1, 1, 399), 400.0, 400, "SeriesResult(value=1.0092909203304051e-307, terms_used=155, tail_estimate="
+     "8.4229241136083e-311, converged=True, rounding=1.53731e-318)"),
+    ((1e20, 0, 1, 1.6e21, 1e300, 1), 6.3e6, 400, "SeriesResult(value=8.587898215891498, terms_used=3, "
+     "tail_estimate=2.0985690662666533e-22, converged=True, rounding=1.534841484771091e-11)"),
+    ((1e-25, 1e-25, 1, 1.6e-24, 1, -1), 1e-200, 400, "SeriesResult(value=1.0, terms_used=1, tail_estimate="
+     "1.1948693330968742e-14, converged=True, rounding=4.945833615385907e-13)"),
+    ((1e-25, 1e-25, 1e-20, 1e-25, 1e-300, -1), 2 * math.sqrt(1e295), 400, "SeriesResult(value=2.1297039422639537, "
+     "terms_used=7, tail_estimate=7.835517424163354e-12, converged=True, rounding=5.5659295475343475e-12)"),
+], ids=["inner sum overflows", "prefactor subnormal", "prefactor zero", "c g overflows", "row overflows",
+        "c g subnormal"])
+def test_plain_sum_out_of_double_range_takes_the_log_rows(args, z, max_terms, expected):
+    # the plain inner sum passes 1e308 while the value 1/Gamma(50) times it does
+    # not; or the prefactor 1/Gamma(s0) is not a normal double; or a step of a
+    # row leaves the normal range: at m = 16, c g = 1e300 (1 + 1e20) at n = 1,
+    # where the row is 4e-23, and 1 / (16! 1e-400) at n = 0; at m = 1, c g =
+    # 1e-320, a subnormal with 11 significant bits, on the way to the row 1e-295.
+    # Each call returns the parent's value, a log table's sum, whose bound meets tol
+    p = BesselParams(*args)
+    for _ in range(2):  # the second call reads the log rows the first one built
+        r = eval_gmk_bessel(p, z, max_terms=max_terms)
+        assert repr(r) == expected
+    assert r == kbessel._LogTable(float(p.k), p.gamma, p.lambda1, p.s0, math.log(p.c), False).evaluate(
+        0.5 * z, p.nu, 1e-10, max_terms)
+    assert p._table.rows == [] and p._table.log.rows
 
 
 @pytest.mark.parametrize("nu", [0, 1])
