@@ -168,14 +168,14 @@ class _LogTable:
 
     at x = c u, lc = log|c|, neg = c u < 0 (c < 0 for the generalized series, z > 0
     for the first kind).  With g = gamma + n k and L_n = log Gamma_k(lam n + s0), row n
-    is (lc + log|g|, 2 log(n+1), L_{n+1} - L_n, neg != (g < 0), L_{n+1}), the fourth
-    entry whether the sign turns from term n to n+1, or None where g = 0 ends the series.
-    k is a float with lk = ln k beside it: L_{n+1} is `log_k_gamma`'s formula written out,
-    its argument positive as lam > 0 and s0 > 0 (both callers check them).  lgk0 = L_0 is
-    nan where it overflows: the first evaluation, not the constructor, raises the OverflowError.
-    errs[n] sums 2 |a| + 2 b + |d| over rows (a, b, d, ...) 0 to n-1, for the rounding bound."""
+    is (a, b, d, flip, L_{n+1}, err) = (lc + log|g|, 2 log(n+1), L_{n+1} - L_n, neg != (g < 0),
+    L_{n+1}, err), flip whether the sign turns from term n to n+1 and err the running sum of
+    2 |a| + 2 b + |d| over rows 0 to n, for the rounding bound; or None where g = 0 ends the series.
+    k is a float with lk = ln k beside it: L_{n+1} is `log_k_gamma`'s formula written out, its
+    argument positive as lam > 0 and s0 > 0 (both callers check them).  lgk0 = L_0 is nan where
+    it overflows: the first evaluation, not the constructor, raises the OverflowError."""
 
-    __slots__ = ("k", "lk", "gamma", "lam", "s0", "lc", "neg", "lgk0", "rows", "errs")
+    __slots__ = ("k", "lk", "gamma", "lam", "s0", "lc", "neg", "lgk0", "rows")
 
     def __init__(self, k, gamma, lam, s0, lc, neg) -> None:
         self.k = k = float(k)  # BesselParams may pass an int
@@ -185,7 +185,6 @@ class _LogTable:
         except OverflowError:
             self.lgk0 = math.nan
         self.rows = []
-        self.errs = [0.0]
 
     def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
         """w^nu / Gamma_k(s0) * S(c w^2) at w > 0."""
@@ -198,10 +197,10 @@ class _LogTable:
         reaches term n.  Term n is exp(big), big carried from term to term, so
         R (see `settle`) gains u tsum times big's error at the last term n:
         2 |lead| + 5 (|L_0| + |L|) for the lead and the ln Gamma_k ends (L the
-        last row's), errs[n] for the rows' inputs and steps, and n (max |big|
-        + 3 |lu|) for big's additions, max |big| <= max(-lo, ln tsum)."""
-        k, lk, gamma, lam, s0, lc, neg, rows, errs = (
-            self.k, self.lk, self.gamma, self.lam, self.s0, self.lc, self.neg, self.rows, self.errs)
+        last row's), row n-1's err (0.0 at n = 0) for the rows' inputs and steps,
+        and n (max |big| + 3 |lu|) for big's additions, max |big| <= max(-lo, ln tsum)."""
+        k, lk, gamma, lam, s0, lc, neg, rows = (
+            self.k, self.lk, self.gamma, self.lam, self.s0, self.lc, self.neg, self.rows)
         exp, log, lgamma = math.exp, math.log, math.lgamma
         built = len(rows)  # rows past these are built here, in order
         lgk = self.lgk0
@@ -209,7 +208,7 @@ class _LogTable:
         sgn = 1
         s = c = 0.0  # the Neumaier step of CompensatedSum.add, written out
         rho = math.inf
-        tsum = 0.0
+        tsum = err = 0.0  # err: row n-1's
         for n in count():
             t_abs = exp(big)
             t = sgn * t_abs
@@ -222,9 +221,8 @@ class _LogTable:
                     w = (lam * (n + 1) + s0) / k
                     lgk_next = (w - 1.0) * lk + lgamma(w)
                     a, b, d = lc + log(abs(g)), 2.0 * log(n + 1.0), lgk_next - lgk
-                    row = (a, b, d, neg != (g < 0.0), lgk_next)
-                    errs[n + 1:n + 2] = (errs[n] + 2.0 * (abs(a) + b) + abs(d),)
-                rows[n:n + 1] = (row,)  # after errs: a call that reads row n finds errs[n + 1]
+                    row = (a, b, d, neg != (g < 0.0), lgk_next, err + 2.0 * (abs(a) + b) + abs(d))
+                rows[n:n + 1] = (row,)
             u = s + t
             tsum += t_abs
             if abs(s) >= t_abs:
@@ -237,7 +235,7 @@ class _LogTable:
                 if res is None:  # settle never says so here, but a stand-in for it in the tests may
                     return res
             else:
-                a, b, d, flip, lgk = row
+                a, b, d, flip, lgk, err_n = row
                 dlg = a + lu - b
                 dlg -= d
                 rho_prev = rho
@@ -245,9 +243,10 @@ class _LogTable:
                 res = settle(n + 1, t_abs, rho, rho_prev, s + c, tol, max_terms, tsum, 2.0)
             if res is not None:  # R gains the exponent's error (see the docstring)
                 hi = log(tsum) if tsum else 0.0
-                e = (2.0 * abs(lead) + 5.0 * (abs(self.lgk0) + abs(lgk)) + errs[n]
+                e = (2.0 * abs(lead) + 5.0 * (abs(self.lgk0) + abs(lgk)) + err
                      + n * ((hi if hi > -lo else -lo) + 3.0 * abs(lu)))
                 return tuple.__new__(SeriesResult, (*res[:4], res[4] + _UNIT * tsum * e))
+            err = err_n
             big += dlg
             if big < lo:
                 lo = big

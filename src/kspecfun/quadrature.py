@@ -12,7 +12,7 @@ integrate their Bessel factor's rounding noise, and stop unconverged once
 it is above the goal (see `_integrate`).
 
 Every integral takes one route.  Each node has a record: `_u_node`'s
-(x, log x, cosh u), to which a kernel integral adds the series argument z
+(x, log x, cosh u), to which a theorem integral adds the series argument z
 and the kernel log (mu-1) log x - lam log phi (`_kernel_node`).  The 240
 starting nodes' records come in visit order from `_start_nodes`, or for a
 theorem left side from a table per kernel (which, mu, lam, a, y),
@@ -230,16 +230,10 @@ def _phi(x: float, a: float) -> float:
 
 
 def oberhettinger_lhs(p: ObParams, tol: float = 1e-8, budget: int = 60000) -> QuadResult:
-    """Quadrature of int_0^inf x^(mu-1) phi(x,a)^(-lam) dx to relative
-    tolerance tol, with the rounding floor of `integrate_semi_infinite`."""
-
-    def values(records):
-        for x, cu, _, k0 in records:
-            yield math.exp(k0) * x * _DE_C * cu, 0.0
-
-    # records at y = 0 (z unread), kept off `_kernel_table` so they evict no theorem kernel
-    kernel = functools.partial(_kernel_node, 1, p.mu, p.lam, p.a, 0.0)
-    return _integrate(values, lambda u: kernel(_u_node(u)), tol, budget, map(kernel, _start_nodes()))
+    """`integrate_semi_infinite` of x^(mu-1) phi(x,a)^(-lam), relative tolerance tol: exp of
+    `_kernel_node`'s kernel log, the bits of a theorem left side whose Bessel factor is 1.0."""
+    mu, lam, a, exp, log = p.mu, p.lam, p.a, math.exp, math.log
+    return integrate_semi_infinite(lambda x: exp((mu - 1.0) * log(x) - lam * log(_phi(x, a))), tol, budget)
 
 
 def oberhettinger_closed_form(p: ObParams) -> float:

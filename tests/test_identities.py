@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -885,6 +886,163 @@ def test_census_answers_only_right_values(identity, nu, reach, ref):
     assert r.verdict == answer
     for value in (r.lhs, r.rhs_canonical):
         assert abs(value - ref) <= r.tolerances["match"] * abs(ref)
+
+
+# ROADMAP item 14's census: seeded points over the paper's parameter space away
+# from item 9's J_nu line, both theorems, c of both signs, whole and non-whole
+# lambda1/k, y/a log-uniform out to 30, 60 or 120.  A quarter of the points take
+# k = gamma = 1, where the packaged rows are right, so `match` is judged as well
+# as `canonical_only`.  Every draw is rounded to 6 decimals, so a platform's
+# last-bit exp or log cannot move a point.
+def _random_census_points(n=100):
+    rng = random.Random(14)
+
+    def draw(lo, hi):
+        return round(rng.uniform(lo, hi), 6)
+
+    points = []
+    for i in range(n):
+        unit = rng.random() < 0.25
+        k = 1.0 if unit else draw(0.5, 2.0)
+        lambda1 = rng.choice((1, 2)) * k if rng.random() < 0.5 else draw(0.3 * k, 2.5 * k)
+        a, mu = draw(0.3, 3.0), draw(0.3, 1.5)
+        reach = rng.choice((30, 60, 120))
+        y = round(a * math.exp(rng.uniform(math.log(0.1), math.log(reach))), 6)
+        p = dict(k=k, nu=draw(0.0, 2.0), gamma=1.0 if unit else draw(0.5, 2.0), lambda1=lambda1,
+                 c=rng.choice((-1, 1)) * draw(0.5, 1.5), b=draw(0.5, 2.0),
+                 mu=mu, lam=round(mu + rng.uniform(0.2, 2.0), 6), a=a, y=y)
+        points.append((("theorem1", "theorem2")[i % 2], p))
+    return points
+
+
+# (verdict, canonical reference, packaged reference) of each point in turn.  The
+# references are bench/oracle.py's sums of both right sides in mpmath, with the
+# digits raised by log10(max term / |S|) until they cover the cancellation the
+# sum shows (up to 113 digits here); a rerun at twice the digits agrees with
+# every one to 1e-48.  Later changes may turn an inconclusive pin into a right
+# answer, never a right answer into a wrong one (5 inconclusive at this pin).
+RANDOM_CENSUS = [
+    ("match", 0.26352022244830886, 0.26352022244830886),
+    ("canonical_only", 5.443369823623659, 25.835580177605554),
+    ("canonical_only", -0.17615165195877575, -0.9727358442466036),
+    ("canonical_only", 0.4925343373659688, -0.09078320179481332),
+    ("canonical_only", 0.1536898849804261, 0.04370975001937156),
+    ("canonical_only", 0.02832996984014924, 0.03105282222091892),
+    ("match", 0.22838795249450627, 0.22838795249450627),
+    ("canonical_only", 533276146.94621795, 2.4879567686307504e+22),
+    ("canonical_only", 0.29037278774552877, 0.036524731237836776),
+    ("canonical_only", 86.3785639616207, 723983.737643345),
+    ("match", 0.0011275180347894893, 0.0011275180347894893),
+    ("canonical_only", 0.017427214709850578, 0.009244149334317556),
+    ("canonical_only", 0.29295549315667824, 0.06581217692594057),
+    ("canonical_only", 0.0012539294596463058, 0.0014500580168949945),
+    ("canonical_only", 0.21359475336265596, 0.05033764217864195),
+    ("canonical_only", 0.001108213302133229, 0.0011764867226806322),
+    ("canonical_only", 0.1453329147881989, 0.005510118328826638),
+    ("canonical_only", 0.026384901278117642, 0.01554395660820115),
+    ("canonical_only", 0.1033769400651535, 0.08202490293861278),
+    ("canonical_only", 0.014094954368132353, 0.011609540859036325),
+    ("match", 0.15348882411919623, 0.15348882411919623),
+    ("canonical_only", 0.3014228918663767, 0.3085755855439296),
+    ("canonical_only", -0.002021242791653726, 0.012665003951976823),
+    ("canonical_only", 0.006409271816623197, 0.008925883132333307),
+    ("canonical_only", 3.662834046690501, 4.900130261924337),
+    ("canonical_only", 0.046794414144106344, 0.04734132208012471),
+    ("canonical_only", 1.3377500617986368e+16, 77983201899700.39),
+    ("canonical_only", 0.008223286085392576, 0.007864187074290091),
+    ("canonical_only", 0.019395264057902303, 0.024701441133046984),
+    ("canonical_only", 0.004360558470392213, 0.0053175491540108245),
+    ("match", 0.04647144528495595, 0.04647144528495595),
+    ("canonical_only", -0.10781496672077485, -0.8171717217876069),
+    ("canonical_only", 1.6092763046449012, 6.030388247381176),
+    ("canonical_only", 29.037531801430486, 90.69675811565772),
+    ("canonical_only", 0.4249392651050015, 0.09388994065220749),
+    ("canonical_only", 8385752.321866177, 2.831475665869696e+17),
+    ("canonical_only", 22.859664982879966, 2235.55881005738),
+    ("canonical_only", 0.014373001062845153, 0.01570057262468105),
+    ("canonical_only", 2.822001721181011, 1.291436594114948),
+    ("canonical_only", 0.05335092577463122, 0.05470601326782425),
+    ("canonical_only", 0.11908370446641578, 1.5104391864648707),
+    ("canonical_only", 0.34626314986497814, 0.49323649319738505),
+    ("canonical_only", 0.04145863702847501, 0.006874327297219607),
+    ("canonical_only", 0.043557213964518025, 0.0667888504564142),
+    ("match", 1160026697491.0254, 1160026697491.0254),
+    ("canonical_only", 1.1591125347669111, 14.224653975985003),
+    ("canonical_only", 0.001447121198436724, 0.0006295312344202203),
+    ("canonical_only", 7.015657694891567e-05, 0.00011306212753534957),
+    ("match", 0.8517926249790396, 0.8517926249790396),
+    ("canonical_only", 0.029631121351590236, 0.036950883223300965),
+    ("canonical_only", 0.02331443330519278, 0.03468021559947668),
+    ("canonical_only", 0.005280995371693266, 0.005084955240269702),
+    ("canonical_only", 0.0024872142341655344, -1.6114105948918709),
+    ("canonical_only", 0.3010295911521773, 0.4740136859234778),
+    ("canonical_only", 1.7409743576034786, 0.5681158457111376),
+    ("canonical_only", 0.05727941321666698, 0.10433955189554141),
+    ("match", -0.9167308856663481, -0.9167308856663481),
+    ("canonical_only", 0.00028689563593981297, 0.0002747638621243029),
+    ("inconclusive", 0.151442016909532, 15.315668643393137),
+    ("canonical_only", 0.002343214894366288, 0.0028286015070465497),
+    ("canonical_only", 0.00013460172217874512, 2.4848464946041733e-05),
+    ("inconclusive", 0.0007877437417567247, 0.0007064638173153477),
+    ("match", 0.0021086576789179842, 0.0021086576789179842),
+    ("canonical_only", 0.11009372816752976, 0.24486929738452062),
+    ("canonical_only", 0.0003123755481412863, 8.934711736493121e-06),
+    ("canonical_only", 0.035507188875302076, 0.07937095831680303),
+    ("match", 36.60333647068261, 36.60333647068261),
+    ("canonical_only", 0.08640058065768683, 0.03893885292175534),
+    ("canonical_only", 0.01312393339346404, 0.001534884666320693),
+    ("inconclusive", 0.00497611480671812, 0.0013339431260900733),
+    ("match", 0.10428537704863658, 0.10428537704863658),
+    ("canonical_only", 0.18184620005348173, 0.17574634786731227),
+    ("canonical_only", 0.000567596894147436, 0.04886444166942773),
+    ("canonical_only", 5.087547112848949, 68.48908530343658),
+    ("match", 0.23336839844870566, 0.23336839844870566),
+    ("inconclusive", 0.4941680645428858, 26.293031156682257),
+    ("canonical_only", 0.026523263683013932, 0.06159466126840643),
+    ("canonical_only", 0.0003095999929300553, 0.00030055549694289703),
+    ("canonical_only", 85035.80504887961, 872.3451182387075),
+    ("canonical_only", 13.280345019605049, 34.026556039422886),
+    ("match", 0.017675122018635143, 0.017675122018635143),
+    ("canonical_only", 0.0028432837111278643, 0.0026763278891600607),
+    ("inconclusive", -0.0015217049372515383, 8.663278943440137e-07),
+    ("canonical_only", -0.6577524712804285, -4.033478752232749),
+    ("match", 0.006928755131980286, 0.006928755131980286),
+    ("canonical_only", 0.00018728407392127176, 0.00026206946939828383),
+    ("match", 0.004933123520268446, 0.004933123520268446),
+    ("canonical_only", 0.09724680685235203, 0.11259610985060178),
+    ("canonical_only", 0.0417998070535571, 0.9113355169311138),
+    ("canonical_only", 0.0005520858662512877, 0.0005288141297266058),
+    ("canonical_only", 1130079978955.9985, 865729181611.3997),
+    ("canonical_only", 0.39449998016242277, 1.2711287403689875),
+    ("canonical_only", 0.78975839042049, 1.306022256174721),
+    ("canonical_only", 0.1395259635873097, -0.3627695535322006),
+    ("match", 0.06494359279355943, 0.06494359279355943),
+    ("canonical_only", 0.0009520844798269092, 0.0009231985584897155),
+    ("match", 18.181177201070273, 18.181177201070273),
+    ("canonical_only", 20.448594583486138, 342.4523038253428),
+    ("canonical_only", 0.0072530053275846615, 0.05385116863891788),
+    ("canonical_only", 0.03609954023922456, 0.034198889139247325),
+]
+
+
+@pytest.mark.parametrize("identity, params, verdict, canonical, packaged", [
+    (identity, params, *pin) for (identity, params), pin in zip(_random_census_points(), RANDOM_CENSUS)
+], ids=[f"{i}-{pin[0]}" for i, pin in enumerate(RANDOM_CENSUS)])
+def test_random_census_reads_no_wrong_verdict(identity, params, verdict, canonical, packaged):
+    r = verify(identity, params, quad_budget=6000)
+    tol = r.tolerances["match"]
+
+    def near(value, ref):
+        return abs(value - ref) <= tol * abs(ref)
+
+    assert r.verdict != "mismatch"  # each identity is a theorem
+    if r.verdict in ("match", "canonical_only"):
+        assert near(r.lhs, canonical) and near(r.rhs_canonical, canonical)
+    if r.verdict == "match":
+        assert near(r.rhs_paper, packaged)
+    if r.verdict == "canonical_only":
+        assert not near(packaged, canonical)
+    assert r.verdict == verdict
 
 
 @pytest.mark.parametrize("kind", ["bessel_J", "bessel_I"])

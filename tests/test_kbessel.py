@@ -925,15 +925,16 @@ def test_dd_path_matches_its_reference_loop_bit_for_bit(k, nu, gamma, c, b, z, m
 
 def _log_rows_by_log_k_gamma(tab, count):
     """The first count rows of a `_LogTable`, up to the None that ends its series,
-    each L_{n+1} from one checked `log_k_gamma` call."""
-    rows, lgk = [], tab.lgk0
+    each L_{n+1} from one checked `log_k_gamma` call and err summed over the rows."""
+    rows, lgk, err = [], tab.lgk0, 0.0
     for n in range(count):
         g = tab.gamma + n * tab.k
         if g == 0.0:
             return rows + [None]
         lgk_next = log_k_gamma(tab.lam * (n + 1) + tab.s0, tab.k)
-        rows.append((tab.lc + math.log(abs(g)), 2.0 * math.log(n + 1.0), lgk_next - lgk,
-                     tab.neg != (g < 0.0), lgk_next))
+        a, b, d = tab.lc + math.log(abs(g)), 2.0 * math.log(n + 1.0), lgk_next - lgk
+        err = err + 2.0 * (abs(a) + b) + abs(d)  # left to right, as the rows add
+        rows.append((a, b, d, tab.neg != (g < 0.0), lgk_next, err))
         lgk = lgk_next
     return rows
 

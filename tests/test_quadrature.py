@@ -350,12 +350,14 @@ def test_integrands_without_noise_keep_their_bits(integral, expected):
 @given(mu=st.floats(0.05, 4.0), gap=st.floats(0.05, 4.0), log_a=st.floats(-3.0, 3.0),
        log_tol=st.floats(-14.0, -8.0), budget=st.integers(240, 2000))
 def test_kernel_integral_keeps_the_bits_of_its_integrand_formula(mu, gap, log_a, log_tol, budget):
-    # the kernel log of `_kernel_node` against x^(mu-1) phi^(-lam) written out
-    # as a plain integrand; tol down to 1e-14 refines past the starting panels
-    p = ObParams(mu, mu + gap, 10.0**log_a)
-    tol = 10.0**log_tol
+    # a theorem left side whose Bessel factor is exactly 1.0 with rounding 0 (c = 0 leaves
+    # (z/2)^0 / Gamma_1(1)): `_kernel_node`'s kernel log and the theorem integrand against
+    # x^(mu-1) phi^(-lam) written out as a plain integrand; tol down to 1e-14 refines past
+    # the starting panels
+    lam, a, tol = mu + gap, 10.0**log_a, 10.0**log_tol
 
     def f(x):
-        return math.exp((p.mu - 1.0) * math.log(x) - p.lam * math.log(quadrature._phi(x, p.a)))
+        return math.exp((mu - 1.0) * math.log(x) - lam * math.log(quadrature._phi(x, a)))
 
-    assert repr(oberhettinger_lhs(p, tol, budget)) == repr(integrate_semi_infinite(f, tol, budget))
+    one = BesselParams(1, 0, 1, 1, 0, 1)
+    assert repr(theorem1_lhs(one, mu, lam, a, 0.0, tol, budget)) == repr(integrate_semi_infinite(f, tol, budget))
