@@ -19,10 +19,11 @@ to term n (the Pochhammer factor, the factorials and the k-Gamma ratio):
   ratio from consecutive ln Gamma_k values with ln k taken once per table;
 * for the generalized series with lambda1/k a whole number m from 1 to 16,
   the k-Gamma ratio telescopes into an exact m-factor product (a larger m
-  takes the log rows).  `_DDTable` sums a series that can cancel (c < 0 or
-  gamma < 0, ~4 digits lost at z = 10) in double-double.  A one-sign series
-  (c > 0, gamma >= 0) has condition number at most 2: `_PlainTable` sums it
-  in plain doubles, and on its dd rows where that sum's R misses tol.
+  takes the log rows).  `_PlainTable` sums in plain doubles, and on its
+  double-double rows (`_DDTable`) where that sum's R misses tol.  A series
+  that can cancel (c < 0 or gamma < 0, ~4 digits lost at z = 10) goes to the
+  dd rows at once where its first term ratio is past 1; a one-sign series
+  (c > 0, gamma >= 0) has condition number at most 2.
 
 Every table stops where `summation.settle` says, called once per term with
 the running sum of the term sizes, from which it decides the one-sign floor
@@ -91,8 +92,7 @@ class BesselParams:
             m = self.lambda1 / self.k
             mi = round(m) if m < 16.5 else 0
             if mi >= 1 and abs(m - mi) <= 1e-12 * m:
-                table = (_PlainTable if self.c > 0.0 and self.gamma >= 0.0 else _DDTable)(
-                    self.k, self.gamma, self.lambda1, self.c, self.s0, mi)
+                table = _PlainTable(self.k, self.gamma, self.lambda1, self.c, self.s0, mi)
             else:
                 table = _LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(abs(self.c)), self.c < 0.0)
             object.__setattr__(self, "_table", table)
@@ -341,11 +341,15 @@ class _DDTable:
 
 
 class _PlainTable(_DDTable):
-    """The table of a one-sign series (c > 0, gamma >= 0) at integer lambda1/k = m:
-    pref S(c w^2) in doubles, term n off by grow n u, grow = 5 m + 6 (README,
-    "Settings").  The log rows in `log` take a sum that leaves the normal range,
-    the dd rows one whose R misses tol |value|, as it must past term
-    (tol/u - 1) / grow, where the plain sum gives up."""
+    """The table of a whole lambda1/k = m from 1 to 16: pref S(c w^2) in doubles
+    on the rows `row` builds, term n off by grow n u, grow = 5 m + 6 (README,
+    "Settings"), whatever the terms' signs.  A sum that leaves the normal range
+    goes to the log rows in `log` where its terms share one sign (c > 0,
+    gamma >= 0), else to the dd rows.  The dd rows also take a sum whose R
+    misses tol |value|, as it must past term (tol/u - 1) / grow, where the
+    plain sum gives up, and a sum that can cancel whose first term ratio
+    rho_0 = |row 0| w^2 is past 1: one summed here has terms that shrink from
+    the first."""
 
     __slots__ = ("prows", "log")
 
@@ -353,43 +357,64 @@ class _PlainTable(_DDTable):
         super().__init__(*args)
         self.prows, self.log = [], None
 
+    def row(self, n: int) -> float:
+        """Row n, stored: c g / (n+1)^2 over each factor in turn.  A step off the
+        normal range makes it 0, an OverflowError unless g = 0 ends the series."""
+        row = self.c * (g := self.gamma + n * self.k) / ((n + 1.0) * (n + 1.0))
+        for j in range(self.m):
+            row = row / (self.lambda1 * n + self.s0 + j * self.k) if 2.0**-1022 <= abs(row) <= _MAX else 0.0
+        if not 2.0**-1022 <= abs(row) <= _MAX and g:
+            raise OverflowError
+        self.prows[n:n + 1] = (row,)
+        return row
+
     def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
-        k, gamma, lambda1, c, s0, m, prows = (
-            self.k, self.gamma, self.lambda1, self.c, self.s0, self.m, self.prows)
-        pref = _lead(w, nu, s0, k, self.gk0)
-        cut = (tol / _UNIT - 1.0) / (grow := 5.0 * m + 6.0)
+        c, gamma, prows = self.c, self.gamma, self.prows
+        pref = _lead(w, nu, self.s0, self.k, self.gk0)
+        cut = (tol / _UNIT - 1.0) / (grow := 5.0 * self.m + 6.0)
         w2 = w * w
-        t, s, e, tsum = 1.0, 0.0, 0.0, 0.0  # t over the prefactor; s, e: CompensatedSum.add for terms >= 0
+        t, s, e, tsum = 1.0, 0.0, 0.0, 0.0  # t over the prefactor; s, e: a compensated sum
         rho, res = math.inf, None  # None where the plain sum gives up
-        built = len(prows)  # rows past these are built here, in order
-        try:
-            if not 2.0**-1022 <= pref <= _MAX:  # not a normal double
+        signed = c < 0.0 or gamma < 0.0
+        try:  # OverflowError: a value off the normal range, or rho_0 > 1
+            if not 2.0**-1022 <= pref <= _MAX or signed and not (
+                    abs(prows[0] if prows else self.row(0)) * w2 <= 1.0):
                 raise OverflowError
-            for n in range(max_terms if cut >= max_terms else int(cut) + 1):
-                if n < built:
-                    row = prows[n]
-                else:  # c g / (n+1)^2 over each factor in turn; a step off the normal range makes it 0
-                    row = c * (gamma + n * k) / ((n + 1.0) * (n + 1.0))
-                    for j in range(m):
-                        row = row / (lambda1 * n + s0 + j * k) if 2.0**-1022 <= row <= _MAX else 0.0
-                    if not 2.0**-1022 <= row <= _MAX and (gamma or n):  # only g = 0 has row 0
-                        raise OverflowError
-                    prows[n:n + 1] = (row,)
-                t_abs = t * pref
-                tsum += t_abs
-                u = s + t
-                e += (s - u) + t if s >= t else (t - u) + s
-                s = u
-                rho_prev, rho = rho, row * w2
-                res = settle(n + 1, t_abs, rho, rho_prev, pref * (s + e), tol, max_terms, tsum, grow)
-                if res is not None:
-                    break
-                t *= rho
+            built = len(prows)  # rows past these are built here, in order
+            stop = max_terms if cut >= max_terms else int(cut) + 1
+            if not signed:
+                for n in range(stop):  # terms >= 0: CompensatedSum.add's Neumaier step
+                    row = prows[n] if n < built else self.row(n)
+                    t_abs = t * pref
+                    tsum += t_abs
+                    u = s + t
+                    e += (s - u) + t if s >= t else (t - u) + s
+                    s = u
+                    rho_prev, rho = rho, row * w2
+                    res = settle(n + 1, t_abs, rho, rho_prev, pref * (s + e), tol, max_terms, tsum, grow)
+                    if res is not None:
+                        break
+                    t *= rho
+            else:
+                for n in range(stop):  # terms of either sign: Knuth's two-sum, with the same exact error
+                    r = (prows[n] if n < built else self.row(n)) * w2
+                    t_abs = abs(t) * pref
+                    tsum += t_abs
+                    u = s + t
+                    v = u - s
+                    e += (s - (u - v)) + (t - v)
+                    s = u
+                    rho_prev, rho = rho, abs(r)
+                    res = settle(n + 1, t_abs, rho, rho_prev, pref * (s + e), tol, max_terms, tsum, grow)
+                    if res is not None:
+                        break
+                    t *= r
         except OverflowError:
-            if self.log is None:
-                self.log = _LogTable(k, gamma, lambda1, s0, math.log(c), False)
-            res = self.log.evaluate(w, nu, tol, max_terms)
-        return res if res and res.rounding <= tol * res.value else super().evaluate(w, nu, tol, max_terms)
+            if not signed:
+                if self.log is None:
+                    self.log = _LogTable(self.k, gamma, self.lambda1, self.s0, math.log(c), False)
+                res = self.log.evaluate(w, nu, tol, max_terms)
+        return res if res and res.rounding <= tol * abs(res.value) else super().evaluate(w, nu, tol, max_terms)
 
 
 def eval_gmk_bessel(

@@ -236,7 +236,7 @@ README_STDOUT = {
     "eval kgamma z=2 k=2": "value=1.0\nterms_used=1\ntail_estimate=0.0\nconverged=true\n",
     "eval gmkbessel z=2 k=1 nu=0 gamma=1 lambda1=1 c=-1 b=1": (
         "value=0.2238907791487544\nterms_used=9\n"
-        "tail_estimate=7.688984158478207e-12\nconverged=true\n"
+        "tail_estimate=7.688984158478205e-12\nconverged=true\n"
     ),
     "eval wright upper=1.5:0.5,2:1 lower=3:1 z=0.25": (
         "value=0.5379715890264383\nterms_used=10\n"

@@ -2,8 +2,9 @@ import math
 import random
 import sys
 import threading
+from collections import Counter
 from dataclasses import astuple, fields, replace
-from itertools import count, islice
+from itertools import chain, count, islice
 from unittest import mock
 
 import pytest
@@ -241,21 +242,23 @@ def test_one_sign_i_nu_converges_at_large_argument(nu, z):
 
 
 def _gmk_sum(p, z):
-    """The generalized series at z from its definition, in 50-digit arithmetic,
-    summed until a term falls below 1e-40 of the sum (every term positive)."""
+    """The generalized series at z from its definition, in 60-digit arithmetic,
+    summed until a Pochhammer factor ends it or, past n = 20, a term falls below
+    1e-45 of the largest (the sums drawn below lose at most 2 digits to cancellation)."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
+    with mpmath.workdps(60):
         k, nu, gamma, lam, c, b, w = map(mpmath.mpf, (p.k, p.nu, p.gamma, p.lambda1, p.c, p.b, z / 2))
         s0 = nu + (b + 1) / 2
         lgk = lambda x: (x / k - 1) * mpmath.log(k) + mpmath.loggamma(x / k)  # noqa: E731
-        total, lp = mpmath.mpf(0), mpmath.mpf(0)
+        total, poch, big = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
         for n in count():
-            t = mpmath.exp(lp + n * mpmath.log(c) + (nu + 2 * n) * mpmath.log(w)
-                           - lgk(lam * n + s0) - 2 * mpmath.loggamma(n + 1))
+            t = c**n * poch * mpmath.exp((nu + 2 * n) * mpmath.log(w) - lgk(lam * n + s0)
+                                         - 2 * mpmath.loggamma(n + 1))
             total += t
-            if n > 20 and t < total * mpmath.mpf(10) ** -40:
+            big = max(big, abs(t))
+            poch *= gamma + n * k
+            if not poch or n > 20 and abs(t) < big * mpmath.mpf(10) ** -45:
                 return total
-            lp += mpmath.log(gamma + n * k)
 
 
 def _one_sign_draws(count_each, seed):
@@ -270,9 +273,25 @@ def _one_sign_draws(count_each, seed):
         yield p, math.exp(rng.uniform(math.log(0.05), math.log(500.0))), rng.choice((1e-10, 1e-14))
 
 
+def _cancelling_draws(count_each, seed):
+    """Seeded parameter sets whose sums can cancel, whole m = lambda1/k from 1 to 4
+    and non-integer m alike: c < 0 with gamma of either sign, or c > 0 with
+    gamma < 0, and every third set a Pochhammer zero gamma = -j k, j from 0 to 4,
+    exact with k in eighths; z log-uniform on [0.01, 30]."""
+    rng = random.Random(seed)
+    for i, whole in enumerate((True, False) * count_each):
+        zero = i % 3 == 2
+        k = rng.randint(4, 16) / 8 if zero else rng.uniform(0.5, 2.0)
+        m = rng.randint(1, 4) if whole else rng.uniform(0.3, 3.0)
+        c = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 2.0)
+        gamma = -rng.randint(0, 4) * k if zero else rng.uniform(-3.0, 3.0 if c < 0.0 else -0.05)
+        p = BesselParams(k, rng.uniform(0.0, 3.0), gamma, m * k, c, rng.uniform(-0.5, 3.0))
+        yield p, math.exp(rng.uniform(math.log(0.01), math.log(30.0))), rng.choice((1e-10, 1e-12, 1e-14))
+
+
 def _plain_sum(p, z, tol, max_terms=400):
-    """The plain-double sum of a one-sign whole-m table in full (no give-up),
-    its rows built anew as `_PlainTable` builds them."""
+    """The plain-double sum of a whole-m table in full (no give-up and no
+    rho_0 test), its rows built anew as `_PlainTable` builds them."""
     tab, w = p._table, 0.5 * z
     pref = kbessel._lead(w, p.nu, tab.s0, tab.k, tab.gk0)
     acc, t, tsum, rho = CompensatedSum(), 1.0, 0.0, math.inf
@@ -281,22 +300,33 @@ def _plain_sum(p, z, tol, max_terms=400):
         for j in range(tab.m):
             row /= tab.lambda1 * n + tab.s0 + j * tab.k
         acc.add(t)
-        tsum += t * pref
-        rho_prev, rho = rho, row * (w * w)
-        res = settle(n + 1, t * pref, rho, rho_prev, pref * acc.value, tol, max_terms, tsum, 5.0 * tab.m + 6.0)
+        tsum += abs(t) * pref
+        rho_prev, rho = rho, abs(row) * (w * w)
+        res = settle(n + 1, abs(t) * pref, rho, rho_prev, pref * acc.value, tol, max_terms, tsum,
+                     5.0 * tab.m + 6.0)
         if res is not None:
             return res
-        t *= rho
+        t *= row * (w * w)
+
+
+def _row0_ratio(p, z):
+    """rho_0 = |row 0| (z/2)^2 of a whole-m table, row 0 built as `_PlainTable` builds it."""
+    tab, w = p._table, 0.5 * z
+    row = tab.c * tab.gamma
+    for j in range(tab.m):
+        row /= tab.s0 + j * tab.k
+    return abs(row) * (w * w)
 
 
 def test_one_sign_census_is_bounded_by_rounding_and_tail():
-    # rounding + tail_estimate bounds the error of every converged one-sign sum: on
-    # the log rows (exponent error included) or the plain rows alone, and as
-    # eval_gmk_bessel returns it, from the plain rows where their bound meets tol
-    # and from the dd rows elsewhere
+    # rounding + tail_estimate bounds the error of every converged one-sign sum, and of
+    # every converged sum that can cancel: on the log rows (exponent error included) or
+    # the plain rows alone, and as eval_gmk_bessel returns it, from the plain rows where
+    # their bound meets tol (and, where the sum can cancel, rho_0 <= 1) and from the dd
+    # rows elsewhere
     mpmath = pytest.importorskip("mpmath")
-    checked = 0
-    for p, z, tol in _one_sign_draws(30, 34):
+    checked = Counter()
+    for p, z, tol in chain(_one_sign_draws(30, 34), _cancelling_draws(45, 37)):
         exact = _gmk_sum(p, z)
         own = (lambda: p._table.evaluate(0.5 * z, p.nu, tol, 400)) if isinstance(
             p._table, kbessel._LogTable) else (lambda: _plain_sum(p, z, tol))
@@ -306,20 +336,23 @@ def test_one_sign_census_is_bounded_by_rounding_and_tail():
             except OverflowError:
                 continue
             if r.converged:
-                checked += 1
+                checked[p.c < 0.0 or p.gamma < 0.0] += 1
                 assert abs(mpmath.mpf(r.value) - exact) <= r.rounding + r.tail_estimate, (p, z, tol, r)
-    assert checked >= 100
+    assert checked[False] >= 100 and checked[True] >= 150
 
 
 def test_plain_sum_gives_up_only_where_its_bound_misses_tol():
     # the plain sum gives up once a lower bound on its rounding is past tol |value|:
     # on fresh rows, at tols on both sides of where the full plain sums' bounds
     # cross it, eval_gmk_bessel returns the full plain sum where its bound meets
-    # tol, and elsewhere the dd rows' bits, often from a plain sum cut short
-    cut = kept = 0
-    for p, z, _ in _one_sign_draws(30, 34):
+    # tol, and elsewhere the dd rows' bits, often from a plain sum cut short.  A sum
+    # that can cancel takes the plain rows only at rho_0 <= 1, and the dd rows'
+    # bits, with row 0 alone built in plain doubles, past it
+    cut, kept, gated = Counter(), Counter(), 0
+    for p, z, _ in chain(_one_sign_draws(30, 34), _cancelling_draws(45, 37)):
         if isinstance(p._table, kbessel._LogTable):
             continue
+        signed = p.c < 0.0 or p.gamma < 0.0
         for tol in (10.0 ** (-10 - j / 2) for j in range(11)):
             try:
                 full = _plain_sum(p, z, tol)
@@ -327,13 +360,30 @@ def test_plain_sum_gives_up_only_where_its_bound_misses_tol():
                 continue
             q = replace(p)
             r = eval_gmk_bessel(q, z, tol=tol)
-            if full.rounding <= tol * full.value:
-                kept += 1
+            if signed and _row0_ratio(p, z) > 1.0:
+                gated += 1
+                assert len(q._table.prows) == 1, (p, z, tol)
+                assert r == kbessel._DDTable.evaluate(replace(p)._table, 0.5 * z, p.nu, tol, 400), (p, z, tol)
+            elif full.rounding <= tol * abs(full.value):
+                kept[signed] += 1
                 assert r == full, (p, z, tol, full)
             else:
                 assert r == kbessel._DDTable.evaluate(replace(p)._table, 0.5 * z, p.nu, tol, 400), (p, z, tol)
-                cut += len(q._table.prows) < full.terms_used
-    assert cut >= 50 and kept >= 50
+                cut[signed] += len(q._table.prows) < full.terms_used
+    assert min(cut[False], kept[False], cut[True], kept[True], gated) >= 50, (cut, kept, gated)
+
+
+@pytest.mark.parametrize("args, z", [
+    ((1.982, 0.353, 0.005, 1.982, -0.926, 1.59), 14.983),
+    ((1.621, 0.232, -0.013, 3.242, 1.278, 0.777), 24.761),
+])
+def test_cancelling_plain_sum_takes_each_addition_error_exactly(args, z):
+    # gamma near 0 makes row 0 small and the next rows large, so a partial sum can
+    # fall below the term added to it; the compensated step must still take each
+    # addition's exact error, as CompensatedSum.add does (a fast two-sum that
+    # assumes |sum| >= |term| moves both values)
+    p = BesselParams(*args)
+    assert eval_gmk_bessel(p, z) == _plain_sum(p, z, 1e-10) and p._table.rows == []
 
 
 @pytest.mark.parametrize("nu, expected", [
@@ -361,6 +411,28 @@ def test_h2_node_sums_on_plain_rows_alone():
     assert len(p._table.prows) == r.terms_used and p._table.rows == []
     with mpmath.workdps(40):
         assert abs(r.value / mpmath.besseli(0, 98.6) - 1) <= 1e-14
+
+
+@pytest.mark.parametrize("args, z_one", [
+    ((1, 0, 1, 1, -1, 1), 2.0),  # J_0: row 0 is -1, so rho_0 = (z/2)^2
+    ((1, 0, -0.5, 2, 1, 1), 4.0),  # gamma < 0 at m = 2: row 0 is -0.5 / 2, so rho_0 = (z/4)^2
+])
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_cancelling_sum_takes_the_plain_rows_only_where_its_terms_shrink_from_the_first(args, z_one, step):
+    # rho_0 = |row 0| (z/2)^2 is 1 at z_one: at and just below it the plain rows sum
+    # the series and no dd row is built; just above it the dd rows do, to their own
+    # bits, after the plain row 0 that decided it
+    z = z_one if step == 0 else math.nextafter(z_one, z_one + step)
+    w = 0.5 * z
+    p = BesselParams(*args)
+    r = eval_gmk_bessel(p, z)
+    tab = p._table
+    assert (abs(tab.prows[0]) * (w * w) <= 1.0) == (step <= 0)
+    if step <= 0:
+        assert len(tab.prows) == r.terms_used and tab.rows == []
+    else:
+        assert len(tab.prows) == 1 and len(tab.rows) == r.terms_used
+        assert r == kbessel._DDTable.evaluate(BesselParams(*args)._table, w, p.nu, 1e-10, 400)
 
 
 @pytest.mark.parametrize("args, z, max_terms, expected", [
@@ -712,10 +784,10 @@ def test_table_is_invisible_to_params_identity():
 
 
 @pytest.mark.parametrize("k, lambda1, table", [
-    (1, 2, kbessel._DDTable),
-    (1, 16, kbessel._DDTable),
+    (1, 2, kbessel._PlainTable),
+    (1, 16, kbessel._PlainTable),
     (1, 0.5, kbessel._LogTable),
-    # a dd row costs m = lambda1/k products, so a whole m past 16 takes the log path
+    # an exact-ratio row costs m = lambda1/k divisions, so a whole m past 16 takes the log path
     (1, 17, kbessel._LogTable),
     (1e-10, 0.5, kbessel._LogTable),
 ])
@@ -744,7 +816,8 @@ def test_table_out_of_double_range_raises_on_evaluation(params):
 @pytest.mark.parametrize("lambda1, c", [(1.0, 1.0), (0.5, 1.0), (1.0, -1.0)])
 def test_overflow_raises_on_both_paths(lambda1, c, monkeypatch):
     # the dd path (lambda1 = k) used to sum all 400 terms (399 dd_add calls)
-    # before raising; it stops at its first inf term.  At c = 1 every term is
+    # before raising; it stops at its first inf term.  At c = -1 the first term
+    # ratio is far past 1, so the dd rows sum it at once.  At c = 1 every term is
     # positive, so the plain rows sum it first, then the log rows, and both
     # raise before any dd_add
     calls = []
@@ -900,7 +973,7 @@ def _dd_reference(p, w, tol, max_terms):
 
 
 def _dd_evaluate(p, w, tol, max_terms):
-    try:  # the dd rows' own sum, also where a one-sign table would sum plain rows first
+    try:  # the dd rows' own sum, also where the table would sum plain rows first
         return kbessel._DDTable.evaluate(p._table, w, p.nu, tol, max_terms)
     except OverflowError:
         return None

@@ -205,7 +205,7 @@ def test_theorem_preconditions():
 
 
 @pytest.mark.parametrize("lhs, expected", [
-    (theorem1_lhs, "QuadResult(value=0.014569021263106193, abs_err_estimate=7.85214236524927e-12,"
+    (theorem1_lhs, "QuadResult(value=0.014569021263106193, abs_err_estimate=7.852140836317155e-12,"
                    " evaluations=240, converged=True)"),
     (theorem2_lhs, "QuadResult(value=0.5231116578745755, abs_err_estimate=8.795000713356589e-13,"
                    " evaluations=240, converged=True)"),
