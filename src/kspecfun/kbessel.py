@@ -13,25 +13,28 @@ and the first-kind variant is S(-z/2) with s0 = nu + 1, its argument
 entering at the first power.  Both are summed in the half-argument z/2;
 where it is 0.0, z = 5e-324 included, a series is its n = 0 term.
 A term table sums S.  Its row n is the z-free part of the ratio of term n+1
-to term n (the Pochhammer factor, the factorials and the k-Gamma ratio):
+to term n (the Pochhammer factor, the factorials and the k-Gamma ratio).
+`_PlainTable` sums every generalized series with c != 0 in plain doubles;
+its rows take the k-Gamma ratio
 
-* `_LogTable` in general: terms in log-magnitude/sign form, the k-Gamma
-  ratio from consecutive ln Gamma_k values with ln k taken once per table;
-* for the generalized series with lambda1/k a whole number m from 1 to 16,
-  the k-Gamma ratio telescopes into an exact m-factor product (a larger m
-  takes the log rows).  `_PlainTable` sums in plain doubles, and on its
-  double-double rows (`_DDTable`) where that sum's R misses tol.  A series
-  that can cancel (c < 0 or gamma < 0, ~4 digits lost at z = 10) goes to the
-  dd rows at once where its first term ratio is past 1; a one-sign series
-  (c > 0, gamma >= 0) has condition number at most 2.
+* at a whole lambda1/k = m from 1 to 16, as the exact m-factor product it
+  telescopes into.  A sum whose R misses tol goes to its double-double rows
+  (`_DDTable`), and so does a series that can cancel (c < 0 or gamma < 0,
+  ~4 digits lost at z = 10) where its first term ratio is past 1;
+* at any other m, as one exp(L_n - L_{n+1}) of consecutive ln Gamma_k values,
+  ln k taken once per table.  No table is more accurate there, so the plain
+  sum is the answer whatever its R.
 
-Every table stops where `summation.settle` says, called once per term with
-the running sum of the term sizes, from which it decides the one-sign floor
-and bounds the sum's rounding error R (`SeriesResult.rounding`): term n is
-off by (2 + m) n u on dd rows and (5 m + 6) n u on plain rows, and
-`_LogTable.series` adds its exponent's error.  The generalized series is
-also a forward (log |t_n|, sign_n) stream, `bessel_terms_logsig`, which the
-canonical right sides sum: the independent cross-check on the tables.
+A sum with a value off the normal range goes to `_LogTable`'s rows, terms in
+log-magnitude/sign form (at a whole m, one that can cancel to the dd rows),
+which the first kind always takes.  Every table stops where `summation.settle`
+says (the plain loops call it only at the term that ends the sum), which from
+the running sum of the term sizes decides the one-sign floor and bounds the
+sum's rounding error R (`SeriesResult.rounding`): term n is off by (2 + m) n u
+on dd rows and (5 m + 6) n u on plain rows (m = 1 for an exp row), and the exp
+rows and `_LogTable.series` add their ln Gamma_k errors.  The generalized
+series is also a forward (log |t_n|, sign_n) stream, `bessel_terms_logsig`,
+which the canonical right sides sum: the independent cross-check on the tables.
 
 A `BesselParams` object builds its table, `_table`, when it is made (c != 0)
 and keeps it in the instance dict: not a field, so ==, hash, repr and astuple
@@ -49,7 +52,7 @@ from itertools import count, islice, repeat
 
 from .errors import DomainError
 from .kgamma import k_gamma, log_k_gamma
-from .summation import SeriesResult, check_arg, check_series_args, settle
+from .summation import ONE_SIGN_FLOOR, SeriesResult, check_arg, check_series_args, settle
 from .summation import _MAX, _SPLIT, _UNIT, dd_add, dd_div_d, dd_mul_d, is_positive, is_real, is_whole
 
 __all__ = [
@@ -91,10 +94,8 @@ class BesselParams:
         if self.c:  # the term table (see the module docstring), not a field
             m = self.lambda1 / self.k
             mi = round(m) if m < 16.5 else 0
-            if mi >= 1 and abs(m - mi) <= 1e-12 * m:
-                table = _PlainTable(self.k, self.gamma, self.lambda1, self.c, self.s0, mi)
-            else:
-                table = _LogTable(self.k, self.gamma, self.lambda1, self.s0, math.log(abs(self.c)), self.c < 0.0)
+            table = _PlainTable(self.k, self.gamma, self.lambda1, self.c, self.s0,
+                                mi if mi >= 1 and abs(m - mi) <= 1e-12 * m else 0)
             object.__setattr__(self, "_table", table)
 
     @property
@@ -341,47 +342,60 @@ class _DDTable:
 
 
 class _PlainTable(_DDTable):
-    """The table of a whole lambda1/k = m from 1 to 16: pref S(c w^2) in doubles
-    on the rows `row` builds, term n off by grow n u, grow = 5 m + 6 (README,
-    "Settings"), whatever the terms' signs.  A sum that leaves the normal range
-    goes to the log rows in `log` where its terms share one sign (c > 0,
-    gamma >= 0), else to the dd rows.  The dd rows also take a sum whose R
-    misses tol |value|, as it must past term (tol/u - 1) / grow, where the
-    plain sum gives up, and a sum that can cancel whose first term ratio
-    rho_0 = |row 0| w^2 is past 1: one summed here has terms that shrink from
-    the first."""
+    """pref S(c w^2) in doubles on the rows `row` builds (see the module docstring),
+    term n off by grow n u, grow = 5 m + 6, m = 1 for an exp row (README,
+    "Settings"), whatever the terms' signs.  An exp row's ln Gamma_k errors
+    telescope: R gains u tsum (5 (|L_0| + |L_n|) + sum_{j<n} |L_{j+1} - L_j|) at
+    the last term n.  A sum off the normal range goes to the log rows in `log`.
+    At a whole m the dd rows take instead a sum there that can cancel, and a sum
+    whose R misses tol |value|: the plain sum gives up past term (tol/u - 1) /
+    grow, where R must miss it, and, where it can cancel, where rho_0 = |row 0| w^2
+    is past 1 or a tail bound shows that R will miss (see `evaluate`)."""
 
-    __slots__ = ("prows", "log")
+    __slots__ = ("prows", "log", "lrows", "lk", "n1")
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
-        self.prows, self.log = [], None
+        self.prows, self.log, self.lrows, self.lk = [], None, [], math.log(self.k)
+        # the give-up in `evaluate` starts where |row n| falls, past 1 - 2 gamma/k; short sums skip it
+        self.n1 = max(8.0, 2.0 - 2.0 * self.gamma / self.k) if self.m else math.inf
 
     def row(self, n: int) -> float:
-        """Row n, stored: c g / (n+1)^2 over each factor in turn.  A step off the
+        """Row n, stored: c g / (n+1)^2 over each factor in turn, or at m = 0 times exp(L_n - L_{n+1}),
+        L_n `log_k_gamma`(lambda1 n + s0, k)'s formula with ln k taken once, storing lrows[n + 1] =
+        (L_{n+1}, the sum of |L_{j+1} - L_j| over j <= n), lrows[0] = (L_0, 0.0).  A step off the
         normal range makes it 0, an OverflowError unless g = 0 ends the series."""
         row = self.c * (g := self.gamma + n * self.k) / ((n + 1.0) * (n + 1.0))
-        for j in range(self.m):
-            row = row / (self.lambda1 * n + self.s0 + j * self.k) if 2.0**-1022 <= abs(row) <= _MAX else 0.0
+        if self.m:
+            for j in range(self.m):
+                row = row / (self.lambda1 * n + self.s0 + j * self.k) if 2.0**-1022 <= abs(row) <= _MAX else 0.0
+        else:  # L_0's argument lambda1 0 + s0 is s0
+            lgk, dsum = self.lrows[n] if n else (((x := self.s0 / self.k) - 1.0) * self.lk + math.lgamma(x), 0.0)
+            x = (self.lambda1 * (n + 1) + self.s0) / self.k
+            nxt = (x - 1.0) * self.lk + math.lgamma(x)
+            self.lrows[n:n + 2] = ((lgk, dsum), (nxt, dsum + abs(nxt - lgk)))
+            row = row * math.exp(lgk - nxt) if 2.0**-1022 <= abs(row) <= _MAX else 0.0
         if not 2.0**-1022 <= abs(row) <= _MAX and g:
             raise OverflowError
         self.prows[n:n + 1] = (row,)
         return row
 
     def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
-        c, gamma, prows = self.c, self.gamma, self.prows
+        """Each loop runs `settle`'s stop test (a partial sum not finite, or a converged tail) itself and
+        calls `settle` once: where the test passes, at the cap, or where the plain sum gives up (None)."""
+        c, gamma, m, n1, prows = self.c, self.gamma, self.m, self.n1, self.prows
         pref = _lead(w, nu, self.s0, self.k, self.gk0)
-        cut = (tol / _UNIT - 1.0) / (grow := 5.0 * self.m + 6.0)
+        cut = (tol / _UNIT - 1.0) / (grow := 5.0 * (m or 1) + 6.0)
         w2 = w * w
         t, s, e, tsum = 1.0, 0.0, 0.0, 0.0  # t over the prefactor; s, e: a compensated sum
         rho, res = math.inf, None  # None where the plain sum gives up
         signed = c < 0.0 or gamma < 0.0
-        try:  # OverflowError: a value off the normal range, or rho_0 > 1
-            if not 2.0**-1022 <= pref <= _MAX or signed and not (
+        try:  # OverflowError: a value off the normal range, or rho_0 > 1 at a whole m
+            if not 2.0**-1022 <= pref <= _MAX or m and signed and not (
                     abs(prows[0] if prows else self.row(0)) * w2 <= 1.0):
                 raise OverflowError
             built = len(prows)  # rows past these are built here, in order
-            stop = max_terms if cut >= max_terms else int(cut) + 1
+            stop = max_terms if cut >= max_terms or not m else int(cut) + 1
             if not signed:
                 for n in range(stop):  # terms >= 0: CompensatedSum.add's Neumaier step
                     row = prows[n] if n < built else self.row(n)
@@ -391,11 +405,16 @@ class _PlainTable(_DDTable):
                     e += (s - u) + t if s >= t else (t - u) + s
                     s = u
                     rho_prev, rho = rho, row * w2
-                    res = settle(n + 1, t_abs, rho, rho_prev, pref * (s + e), tol, max_terms, tsum, grow)
-                    if res is not None:
+                    a = x = pref * (s + e)  # |x|, as x >= 0
+                    if not a <= _MAX or rho < 1.0 and rho <= rho_prev and (
+                            (tail := t_abs * rho / (1.0 - rho))
+                            <= tol * (1.0 if a > 1.0 else a if a > 1e-300 else 1e-300)
+                            or tail <= ONE_SIGN_FLOOR * a and tsum <= 2.0 * a):
                         break
                     t *= rho
             else:
+                # from n1 on, where rho <= 1/2, the tail bounds the terms to come and so the value:
+                # a lower bound on R past twice tol times that bound gives up
                 for n in range(stop):  # terms of either sign: Knuth's two-sum, with the same exact error
                     r = (prows[n] if n < built else self.row(n)) * w2
                     t_abs = abs(t) * pref
@@ -405,16 +424,27 @@ class _PlainTable(_DDTable):
                     e += (s - (u - v)) + (t - v)
                     s = u
                     rho_prev, rho = rho, abs(r)
-                    res = settle(n + 1, t_abs, rho, rho_prev, pref * (s + e), tol, max_terms, tsum, grow)
-                    if res is not None:
+                    a = abs(x := pref * (s + e))
+                    if not a <= _MAX or rho < 1.0 and rho <= rho_prev and (
+                            (tail := t_abs * rho / (1.0 - rho))
+                            <= tol * (1.0 if a > 1.0 else a if a > 1e-300 else 1e-300)
+                            or tail <= ONE_SIGN_FLOOR * a and tsum <= 2.0 * a
+                            or n >= n1 and rho <= 0.5
+                            and _UNIT * tsum * (grow * n + grow + 1.0) > 2.0 * tol * (a + tail)):
                         break
                     t *= r
+            res = settle(n + 1, t_abs, rho, rho_prev, x, tol, max_terms, tsum, grow)
+            if not m:  # R gains the ln Gamma_k errors (see the class docstring)
+                lgk, dsum = self.lrows[n]
+                res = tuple.__new__(SeriesResult, (*res[:4], res[4] + _UNIT * tsum * (
+                    5.0 * (abs(self.lrows[0][0]) + abs(lgk)) + dsum)))
         except OverflowError:
-            if not signed:
+            if not (m and signed):
                 if self.log is None:
-                    self.log = _LogTable(self.k, gamma, self.lambda1, self.s0, math.log(c), False)
+                    self.log = _LogTable(self.k, gamma, self.lambda1, self.s0, math.log(abs(c)), c < 0.0)
                 res = self.log.evaluate(w, nu, tol, max_terms)
-        return res if res and res.rounding <= tol * abs(res.value) else super().evaluate(w, nu, tol, max_terms)
+        return res if not m or res and res.rounding <= tol * abs(res.value) else super().evaluate(
+            w, nu, tol, max_terms)
 
 
 def eval_gmk_bessel(

@@ -214,7 +214,7 @@ def test_verify_out_dash_keeps_report_off_records(capsys, fmt, params, verdict, 
 
 
 def test_eval_dd_overflow_exit_code(capsys):
-    # the dd path (lambda1 = k) overflows like the log path (lambda1 = 0.5);
+    # the dd path (lambda1 = k) overflows like a non-whole lambda1/k (0.5);
     # k_gamma past double range used to print value=inf and exit 0
     for args in (["gmkbessel", "z=1e5", "c=1", "lambda1=1"],
                  ["gmkbessel", "z=1e5", "c=1", "lambda1=0.5"],
@@ -328,15 +328,17 @@ CONSOLE_PINS = {
         "value=0.02671617003464859\nterms_used=31\n"
         "tail_estimate=1.0810332175556658e-12\nconverged=true\n"
     ), None),
-    # the log/sign path: lambda1/k is not a whole number, and the first
-    # kind always takes it
+    # the log/sign path: the first kind always takes it, and the generalized
+    # series where a value leaves the normal range: here lambda1/k is not a
+    # whole number, and the plain inner sum of this one-sign series passes
+    # 1e308 at term 265 while the value 1/Gamma(50) times it does not
     "eval kbessel z=7.5 k=1.3 nu=0.4 gamma=1.2 lam=0.9": (0, "stdout", (
         "value=-0.09390149360006375\nterms_used=16\n"
         "tail_estimate=3.6072949218328758e-12\nconverged=true\n"
     ), None),
-    "eval gmkbessel z=12.5 k=1.3 nu=0.4 gamma=1.2 lambda1=0.9 c=-0.8 b=1.5": (0, "stdout", (
-        "value=0.005669848003878405\nterms_used=37\n"
-        "tail_estimate=1.6414579974610168e-13\nconverged=true\n"
+    "eval gmkbessel z=1000 k=1 nu=0 gamma=1 lambda1=1.01 c=1 b=99 --max-terms 800": (0, "stdout", (
+        "value=8.771093154284255e+286\nterms_used=607\n"
+        "tail_estimate=2.8040294064360544e+267\nconverged=true\n"
     ), None),
     # a kernel integral refined past its starting panels (420 nodes), bit for bit
     "verify oberhettinger mu=1.5 lam=3.5 a=2 --tol-quad 1e-13": (0, "stdout", (
@@ -344,7 +346,8 @@ CONSOLE_PINS = {
         "rhs_canonical=0.01031197389230381\nrel_diff_canonical=1.0093451520109981e-15\n"
         "verdict=match\nquad_evals=420\nseries_terms=0\n"
     ), None),
-    # a log-path series whose finite terms sum past double range exits 2
+    # a series at a non-whole lambda1/k whose finite terms sum past double
+    # range, on the plain rows and then on the log rows, exits 2
     "eval gmkbessel z=50000.1 k=0.7533495573085514 nu=1.7040731115061964 gamma=1"
     " lambda1=1.8770842544690318 c=1.2053806720858349 b=1.8124746143650992": (
         2, "stderr", "kspecfun: math range error\n", None),
@@ -368,8 +371,9 @@ CONSOLE_PINS = {
     # 240 starting nodes; it reads inconclusive, not a timeout
     "verify theorem1 k=1.5 nu=0.5 gamma=1.5 lambda1=0.7 c=-1 b=1 mu=0.5 lam=1.5 a=0.5 y=10": (
         1, "line", "quad_evals=240", 10),
-    # lambda1/k = 5e9 is a whole number, but a double-double row would cost
-    # 5e9 products: past 16 the log path takes it and fails at once
+    # lambda1/k = 5e9 is a whole number, but an exact-ratio row would cost
+    # 5e9 divisions: past 16 a row takes one k-Gamma ratio, and the point
+    # fails at once
     "verify theorem1 k=1e-10 nu=1e300 lambda1=0.5 c=-1": (
         1, "line", "diagnostics=evaluation failed: math range error", 10),
 }

@@ -115,7 +115,7 @@ def _canonical_sum(which, p, mu, lam, a, y):
 @pytest.mark.parametrize(
     "params",
     [
-        dict(k=1.5, nu=0.5, gamma=-3.0, lambda1=1.05, c=-1.0, b=1.0),  # log path
+        dict(k=1.5, nu=0.5, gamma=-3.0, lambda1=1.05, c=-1.0, b=1.0),  # non-whole lambda1/k
         dict(k=1.0, nu=1.0, gamma=-2.0, lambda1=2.0, c=0.7, b=2.0),
     ],
 )
@@ -477,8 +477,8 @@ def test_verify_h2_matches_within_400_nodes():
      "tolerances={'quad': 1e-08, 'series': 1e-10, 'match': 1e-05}, diagnostics='', quad_evals=360, "
      "series_terms=102)"),
     ("theorem2", H1,
-     "lhs=0.4838459143284497, rhs_canonical=0.48384591433835084, rhs_paper=0.31088928456462894, "
-     "rel_diff_canonical=2.0463406166404103e-11, rel_diff_paper=0.35746220985223076, "
+     "lhs=0.48384591432844815, rhs_canonical=0.48384591433835084, rhs_paper=0.31088928456462894, "
+     "rel_diff_canonical=2.046661857801783e-11, rel_diff_paper=0.3574622098522287, "
      "verdict='canonical_only', tolerances={'quad': 1e-08, 'series': 1e-10, 'match': 1e-05}, "
      "diagnostics='packaged/canonical term ratios: n=0 1, n=1 2.66667, n=2 7.11111', quad_evals=240, "
      "series_terms=23)"),
@@ -592,27 +592,30 @@ def test_verify_notes_overridden_fixed_parameters():
 
 
 # Records of a slice of the benchmark grid: both theorems at lambda1/k in
-# {0.5, 1, 2} (the log/sign path and both double-double paths) and c = -1, 1.
+# {0.5, 1, 2} (rows with one k-Gamma ratio exp(L_n - L_{n+1}), and exact-ratio
+# rows) and c = -1, 1.
 # repr pins every bit of the left side and both right sides, so any drift in
 # the series evaluation fails here.  Frozen from the per-node recurrences
 # that preceded the per-parameter term table.  The left sides of the theorem2
 # c = 1 records at whole lambda1/k, whose one-sign Bessel factors come from
 # plain-double rows, have those bits again (log rows moved them by <= 3e-16).
+# The records at lambda1/k = 0.5 moved once their Bessel factors left the log
+# rows for the exp rows: each lhs by <= 1.8e-15 relative.
 GRID_SLICE = dict(nu=0.5, gamma=1.5, b=1.0, mu=0.5, lam=1.5, a=0.75, y=3.0)
 GRID_SLICE_RECORDS = {
     ('theorem1', 2.0, 1.0, -1.0): (
         "{'identity': 'theorem1', 'k': 2.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
         " -1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
-        "0.2537720718330204, 'rhs_canonical': 0.2537720718267932, 'rhs_paper': "
-        "0.032472322858321793, 'rel_diff_canonical': 2.453871657406008e-11, "
-        "'rel_diff_paper': 0.8720413849176899, 'verdict': 'canonical_only', 'quad_evals':"
+        "0.25377207183302, 'rhs_canonical': 0.2537720718267932, 'rhs_paper': "
+        "0.032472322858321793, 'rel_diff_canonical': 2.4536966621015083e-11, "
+        "'rel_diff_paper': 0.8720413849176897, 'verdict': 'canonical_only', 'quad_evals':"
         " 240, 'series_terms': 20}"
     ),
     ('theorem1', 2.0, 1.0, 1.0): (
         "{'identity': 'theorem1', 'k': 2.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
         " 1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
-        "26.858053972053554, 'rhs_canonical': 26.858053972006687, 'rhs_paper': "
-        "1.0328478943284833, 'rel_diff_canonical': 1.7450035248087169e-12, "
+        "26.858053972053543, 'rhs_canonical': 26.858053972006687, 'rhs_paper': "
+        "1.0328478943284833, 'rel_diff_canonical': 1.7446066925941612e-12, "
         "'rel_diff_paper': 0.9615442021449809, 'verdict': 'canonical_only', 'quad_evals':"
         " 240, 'series_terms': 19}"
     ),
@@ -651,17 +654,17 @@ GRID_SLICE_RECORDS = {
     ('theorem2', 2.0, 1.0, -1.0): (
         "{'identity': 'theorem2', 'k': 2.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
         " -1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
-        "0.4274515782906544, 'rhs_canonical': 0.4274515782890347, 'rhs_paper': "
-        "0.31371984375279893, 'rel_diff_canonical': 3.7892113467043744e-12, "
-        "'rel_diff_paper': 0.26606928202876173, 'verdict': 'canonical_only', "
+        "0.4274515782906541, 'rhs_canonical': 0.4274515782890347, 'rhs_paper': "
+        "0.31371984375279893, 'rel_diff_canonical': 3.788562019926204e-12, "
+        "'rel_diff_paper': 0.2660692820287613, 'verdict': 'canonical_only', "
         "'quad_evals': 240, 'series_terms': 10}"
     ),
     ('theorem2', 2.0, 1.0, 1.0): (
         "{'identity': 'theorem2', 'k': 2.0, 'nu': 0.5, 'gamma': 1.5, 'lambda1': 1.0, 'c':"
         " 1.0, 'b': 1.0, 'mu': 0.5, 'lam': 1.5, 'a': 0.75, 'y': 3.0, 'lhs': "
-        "0.6775724639685666, 'rhs_canonical': 0.6775724639784652, 'rhs_paper': "
-        "1.053758409261901, 'rel_diff_canonical': 1.4608808605993717e-11, "
-        "'rel_diff_paper': 0.35699448942650114, 'verdict': 'canonical_only', "
+        "0.6775724639685663, 'rhs_canonical': 0.6775724639784652, 'rhs_paper': "
+        "1.053758409261901, 'rel_diff_canonical': 1.460930016508901e-11, "
+        "'rel_diff_paper': 0.35699448942650147, 'verdict': 'canonical_only', "
         "'quad_evals': 240, 'series_terms': 10}"
     ),
     ('theorem2', 1.0, 1.0, -1.0): (

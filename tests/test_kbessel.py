@@ -8,7 +8,7 @@ from itertools import chain, count, islice
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kspecfun import kbessel
 from kspecfun.errors import DomainError
@@ -98,27 +98,35 @@ def test_c_zero_collapses_to_first_term():
     assert r.terms_used == 1
 
 
-def test_incremental_matches_direct_terms(monkeypatch):
-    # non-integer lambda1/k exercises the log-domain path
+def _table_terms(p, z, count):
+    """The first count terms of a table's recurrence: the prefactor times the
+    products of the z-free rows times w^2, each row built in turn by `row`."""
+    tab, w = p._table, 0.5 * z
+    t = kbessel._lead(w, p.nu, tab.s0, tab.k, tab.gk0)
+    terms = []
+    for n in range(count):
+        terms.append(t)
+        t *= tab.row(n) * (w * w)
+    return terms
+
+
+def test_incremental_matches_direct_terms():
+    # non-integer lambda1/k: rows with one k-Gamma ratio exp(L_n - L_{n+1}) each
     p = BesselParams(k=1, nu=0.5, gamma=2.0, lambda1=1.5, c=-1, b=2)
     z = 4.0
-    calls = _settle_calls(monkeypatch, eval_gmk_bessel, p, z, max_terms=120)
-    signs = _moved_signs(calls)
-    for n in range(101):
+    for n, t in enumerate(_table_terms(p, z, 101)):
         direct = gmk_bessel_term(p, z, n)
-        assert calls[n][0] == pytest.approx(abs(direct), rel=1e-12)
-        assert signs[n] in (0, _sign(direct))
-    assert all(signs[:10])  # the terms that move the sum carry its sign
+        assert t == pytest.approx(direct, rel=1e-12)  # size and sign
+        if abs(direct) > 1e-290:  # signs compared where doubles hold the terms
+            assert _sign(t) == _sign(direct) == (-1) ** n
 
 
-def test_term_recurrence_formula(monkeypatch):
+def test_term_recurrence_formula():
     # ratio compared in log form so deep-tail indices stay representable
-    from kspecfun.kgamma import log_k_gamma
-
     p = BesselParams(k=2, nu=1.0, gamma=1.5, lambda1=3.0, c=-0.7, b=2)
     z = 2.5
     s0 = p.nu + 0.5 * (p.b + 1.0)
-    rhos = [rho for _, rho, _ in _settle_calls(monkeypatch, eval_gmk_bessel, p, z, max_terms=102)]
+    rhos = [abs(p._table.row(n)) * (z / 2.0) ** 2 for n in range(101)]
     for n in range(101):
         log_r = log_k_gamma(p.lambda1 * (n + 1) + s0, p.k) - log_k_gamma(
             p.lambda1 * n + s0, p.k
@@ -181,7 +189,7 @@ def test_first_kind_incremental_matches_direct_terms(monkeypatch, k, nu, gamma, 
     [
         (1.0, 0.0, 1.0, 1.0, 2.0),
         (1.0, 0.5, 1.5, 2.0, -3.0),  # lam/k integer: the double-double path
-        (2.0, -0.5, 1.5, 3.0, 4.0),  # lam/k = 1.5: the log path
+        (2.0, -0.5, 1.5, 3.0, 4.0),  # lam/k = 1.5: exp rows for the generalized series
         (1.5, 1.0, -0.7, 0.7, -1.5),
         (0.5, -0.3, 2.0, 0.9, 0.25),
     ],
@@ -289,24 +297,49 @@ def _cancelling_draws(count_each, seed):
         yield p, math.exp(rng.uniform(math.log(0.01), math.log(30.0))), rng.choice((1e-10, 1e-12, 1e-14))
 
 
+def _small_gamma_draws(count, seed):
+    """Seeded non-whole m = lambda1/k with gamma near 0 and c, each of either sign:
+    row 0 is small and the rows after it are not, so a sum that can cancel may grow
+    from its second term; z log-uniform on [0.01, 30]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.uniform(0.5, 2.0)
+        gamma = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, -1.0)
+        p = BesselParams(k, rng.uniform(0.0, 3.0), gamma, rng.uniform(0.3, 3.0) * k,
+                         rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 2.0), rng.uniform(-0.5, 3.0))
+        yield p, math.exp(rng.uniform(math.log(0.01), math.log(30.0))), rng.choice((1e-10, 1e-12, 1e-14))
+
+
 def _plain_sum(p, z, tol, max_terms=400):
-    """The plain-double sum of a whole-m table in full (no give-up and no
-    rho_0 test), its rows built anew as `_PlainTable` builds them."""
+    """The plain-double sum of a table in full (no give-up and no rho_0 test),
+    its rows built anew as `_PlainTable` builds them: at a non-whole m (stored
+    as 0) the k-Gamma ratio from one `log_k_gamma` call per row, and R with
+    the ln Gamma_k errors added."""
     tab, w = p._table, 0.5 * z
     pref = kbessel._lead(w, p.nu, tab.s0, tab.k, tab.gk0)
     acc, t, tsum, rho = CompensatedSum(), 1.0, 0.0, math.inf
+    lgk0 = lgk = log_k_gamma(tab.s0, tab.k)
+    dsum = 0.0
     for n in range(max_terms):
         row = tab.c * (tab.gamma + n * tab.k) / ((n + 1.0) * (n + 1.0))
         for j in range(tab.m):
             row /= tab.lambda1 * n + tab.s0 + j * tab.k
+        if not tab.m:
+            nxt = log_k_gamma(tab.lambda1 * (n + 1) + tab.s0, tab.k)
+            row *= math.exp(lgk - nxt)
         acc.add(t)
         tsum += abs(t) * pref
         rho_prev, rho = rho, abs(row) * (w * w)
         res = settle(n + 1, abs(t) * pref, rho, rho_prev, pref * acc.value, tol, max_terms, tsum,
-                     5.0 * tab.m + 6.0)
+                     5.0 * (tab.m or 1) + 6.0)
         if res is not None:
+            if not tab.m:
+                res = res._replace(rounding=res.rounding + kbessel._UNIT * tsum * (
+                    5.0 * (abs(lgk0) + abs(lgk)) + dsum))
             return res
         t *= row * (w * w)
+        if not tab.m:
+            lgk, dsum = nxt, dsum + abs(nxt - lgk)
 
 
 def _row0_ratio(p, z):
@@ -320,25 +353,25 @@ def _row0_ratio(p, z):
 
 def test_one_sign_census_is_bounded_by_rounding_and_tail():
     # rounding + tail_estimate bounds the error of every converged one-sign sum, and of
-    # every converged sum that can cancel: on the log rows (exponent error included) or
-    # the plain rows alone, and as eval_gmk_bessel returns it, from the plain rows where
-    # their bound meets tol (and, where the sum can cancel, rho_0 <= 1) and from the dd
-    # rows elsewhere
+    # every converged sum that can cancel: on the plain rows alone, and as
+    # eval_gmk_bessel returns it, at a whole m from the plain rows where their bound
+    # meets tol (and, where the sum can cancel, rho_0 <= 1) and from the dd rows
+    # elsewhere.  At a non-whole m the plain rows' sum is the answer, its rounding
+    # counting the ln Gamma_k errors; gamma near 0 makes many of those sums cancel
     mpmath = pytest.importorskip("mpmath")
     checked = Counter()
-    for p, z, tol in chain(_one_sign_draws(30, 34), _cancelling_draws(45, 37)):
+    for p, z, tol in chain(_one_sign_draws(30, 34), _cancelling_draws(45, 37), _small_gamma_draws(60, 38)):
         exact = _gmk_sum(p, z)
-        own = (lambda: p._table.evaluate(0.5 * z, p.nu, tol, 400)) if isinstance(
-            p._table, kbessel._LogTable) else (lambda: _plain_sum(p, z, tol))
-        for evaluate in (own, lambda: eval_gmk_bessel(p, z, tol=tol)):
+        for evaluate in (lambda: _plain_sum(p, z, tol), lambda: eval_gmk_bessel(p, z, tol=tol)):
             try:
                 r = evaluate()
             except OverflowError:
                 continue
             if r.converged:
-                checked[p.c < 0.0 or p.gamma < 0.0] += 1
+                checked[p.c < 0.0 or p.gamma < 0.0, 0.0 < abs(p.gamma) < 0.1 and not p._table.m] += 1
                 assert abs(mpmath.mpf(r.value) - exact) <= r.rounding + r.tail_estimate, (p, z, tol, r)
-    assert checked[False] >= 100 and checked[True] >= 150
+    assert checked[False, False] >= 100 and checked[True, False] >= 150, checked
+    assert checked[False, True] >= 20 and checked[True, True] >= 80, checked
 
 
 def test_plain_sum_gives_up_only_where_its_bound_misses_tol():
@@ -347,11 +380,10 @@ def test_plain_sum_gives_up_only_where_its_bound_misses_tol():
     # cross it, eval_gmk_bessel returns the full plain sum where its bound meets
     # tol, and elsewhere the dd rows' bits, often from a plain sum cut short.  A sum
     # that can cancel takes the plain rows only at rho_0 <= 1, and the dd rows'
-    # bits, with row 0 alone built in plain doubles, past it
-    cut, kept, gated = Counter(), Counter(), 0
+    # bits, with row 0 alone built in plain doubles, past it.  At a non-whole m
+    # there are no dd rows: the full plain sum is the answer whatever its bound
+    cut, kept, gated, missed = Counter(), Counter(), 0, 0
     for p, z, _ in chain(_one_sign_draws(30, 34), _cancelling_draws(45, 37)):
-        if isinstance(p._table, kbessel._LogTable):
-            continue
         signed = p.c < 0.0 or p.gamma < 0.0
         for tol in (10.0 ** (-10 - j / 2) for j in range(11)):
             try:
@@ -360,7 +392,10 @@ def test_plain_sum_gives_up_only_where_its_bound_misses_tol():
                 continue
             q = replace(p)
             r = eval_gmk_bessel(q, z, tol=tol)
-            if signed and _row0_ratio(p, z) > 1.0:
+            if not p._table.m:
+                assert r == full and q._table.rows == [], (p, z, tol, full)
+                missed += full.rounding > tol * abs(full.value)
+            elif signed and _row0_ratio(p, z) > 1.0:
                 gated += 1
                 assert len(q._table.prows) == 1, (p, z, tol)
                 assert r == kbessel._DDTable.evaluate(replace(p)._table, 0.5 * z, p.nu, tol, 400), (p, z, tol)
@@ -370,7 +405,30 @@ def test_plain_sum_gives_up_only_where_its_bound_misses_tol():
             else:
                 assert r == kbessel._DDTable.evaluate(replace(p)._table, 0.5 * z, p.nu, tol, 400), (p, z, tol)
                 cut[signed] += len(q._table.prows) < full.terms_used
-    assert min(cut[False], kept[False], cut[True], kept[True], gated) >= 50, (cut, kept, gated)
+    assert min(cut[False], kept[False], cut[True], kept[True], gated, missed) >= 50, (cut, kept, gated, missed)
+
+
+def test_settle_runs_once_per_sum_the_plain_rows_answer(monkeypatch):
+    # both plain loops call settle only where it ends the sum, so a sum they answer,
+    # at the cap or not, calls it once, at its last term, and keeps the bits of a
+    # sum that calls it at every term
+    seen = []
+    real = kbessel.settle
+    monkeypatch.setattr(kbessel, "settle", lambda n, *args: seen.append(n) or real(n, *args))
+    answered = Counter()
+    draws = chain(_one_sign_draws(40, 39), _cancelling_draws(60, 39), _small_gamma_draws(60, 39))
+    for i, (p, z, tol) in enumerate(draws):
+        max_terms = 5 if i % 3 == 2 else 400
+        seen.clear()
+        try:
+            r = eval_gmk_bessel(p, z, tol=tol, max_terms=max_terms)
+        except OverflowError:
+            continue
+        if p._table.rows or p._table.log:  # the dd or log rows summed it
+            continue
+        answered[p.c < 0.0 or p.gamma < 0.0, r.converged] += 1
+        assert seen == [r.terms_used] and r == _plain_sum(p, z, tol, max_terms), (p, z, tol, max_terms)
+    assert min(answered.values()) >= 15 and len(answered) == 4, answered
 
 
 @pytest.mark.parametrize("args, z", [
@@ -464,6 +522,9 @@ def test_plain_sum_out_of_double_range_takes_the_log_rows(args, z, max_terms, ex
     assert r == kbessel._LogTable(float(p.k), p.gamma, p.lambda1, p.s0, math.log(p.c), False).evaluate(
         0.5 * z, p.nu, 1e-10, max_terms)
     assert p._table.rows == [] and p._table.log.rows
+    # the plain attempt stops where its value leaves the normal range (term 252 of
+    # the inner sum that overflows), not at the cap
+    assert len(p._table.prows) <= 252
 
 
 @pytest.mark.parametrize("nu", [0, 1])
@@ -489,7 +550,7 @@ def test_alternating_j_nu_at_264_is_right_where_it_reports_converged(nu):
 H1_FACTOR = BesselParams(1.5, 0.5, 1.5, 0.7, -1, 1)
 
 
-@pytest.mark.xfail(strict=True, reason="cancellation leaves these sums 0.27% off, 2.6e6 for -9.1e-13, "
+@pytest.mark.xfail(strict=True, reason="cancellation leaves these sums 0.18% off, 2.1e6 for -9.1e-13, "
                    "4.4e-9 off and -1.1e139 for -0.039, each with converged=True; ROADMAP item 1's "
                    "rounding bound reports them unconverged")
 @pytest.mark.parametrize("p, z, tol, max_terms", [
@@ -546,7 +607,12 @@ def test_first_kind_one_sign_sum_stops_on_the_floor():
 # gamma = -0.5 sums stopped later there (59 -> 55, 112 -> 90).  At lambda1 = 1 the
 # sums with c > 0 and gamma >= 0 come from the plain-double rows, within 2.3e-16
 # of the exact sums (the log rows' 7.516298137888686e+16, 1.1855328240447637e+25
-# and 5.046265044040321 were up to 1.7e-14 off).
+# and 5.046265044040321 were up to 1.7e-14 off).  At lambda1 = 0.7 every sum comes
+# from plain rows whose k-Gamma ratio is exp(L_n - L_{n+1}), within 3.1e-15 of the
+# exact sums (the log rows' 3.6431847058252203e+28, 1.1055272891880803e+47,
+# -6.275862078024799e+24, 192544.0877077052 and 5.046265044040321 were up to 2.3e-14
+# off); the c < 0 sum is cancellation noise on both (-1257216241897.3953 there), its
+# rounding bound 1.6e3 times its value.
 @pytest.mark.parametrize("lambda1, c, gamma, value, terms, on_floor", [
     (1.0, 1.0, 1.5, "7.516298137888771e+16", 56, True),
     (1.0, 2.5, 0.5, "1.185532824044784e+25", 74, True),
@@ -554,12 +620,12 @@ def test_first_kind_one_sign_sum_stops_on_the_floor():
     (1.0, 1.0, -2.0, "104967.35918108269", 3, False),
     (1.0, -1.0, 1.5, "0.037175282439431016", 65, False),
     (1.0, 1.0, 0.0, "5.04626504404032", 1, False),
-    (0.7, 1.0, 1.5, "3.6431847058252203e+28", 91, True),
-    (0.7, 2.5, 0.5, "1.1055272891880803e+47", 132, True),
-    (0.7, 1.0, -0.5, "-6.275862078024799e+24", 90, True),
-    (0.7, 1.0, -2.0, "192544.0877077052", 3, False),
-    (0.7, -1.0, 1.5, "-1257216241897.3953", 118, False),
-    (0.7, 1.0, 0.0, "5.046265044040321", 1, False),
+    (0.7, 1.0, 1.5, "3.643184705825209e+28", 91, True),
+    (0.7, 2.5, 0.5, "1.1055272891880996e+47", 132, True),
+    (0.7, 1.0, -0.5, "-6.275862078024962e+24", 90, True),
+    (0.7, 1.0, -2.0, "192544.08770770562", 3, False),
+    (0.7, -1.0, 1.5, "-7966412932706.961", 118, False),
+    (0.7, 1.0, 0.0, "5.04626504404032", 1, False),
 ])
 def test_table_sum_takes_the_floor_only_where_it_has_not_cancelled(monkeypatch, lambda1, c, gamma, value,
                                                                  terms, on_floor):
@@ -783,17 +849,19 @@ def test_table_is_invisible_to_params_identity():
     assert astuple(used) == astuple(unused)
 
 
-@pytest.mark.parametrize("k, lambda1, table", [
-    (1, 2, kbessel._PlainTable),
-    (1, 16, kbessel._PlainTable),
-    (1, 0.5, kbessel._LogTable),
-    # an exact-ratio row costs m = lambda1/k divisions, so a whole m past 16 takes the log path
-    (1, 17, kbessel._LogTable),
-    (1e-10, 0.5, kbessel._LogTable),
+@pytest.mark.parametrize("k, lambda1, m", [
+    (1, 2, 2),
+    (1, 16, 16),
+    (1, 0.5, 0),
+    # an exact-ratio row costs m = lambda1/k divisions, so a whole m past 16 takes
+    # rows with one k-Gamma ratio exp(L_n - L_{n+1}), as a non-whole m does (stored as 0)
+    (1, 17, 0),
+    (1e-10, 0.5, 0),
 ])
-def test_table_is_built_with_its_params(k, lambda1, table):
+def test_table_is_built_with_its_params(k, lambda1, m):
     # made by the constructor where c != 0, before any evaluation; c = 0 sums no rows
-    assert type(vars(BesselParams(k, 0.5, 1.5, lambda1, -0.7, 1))["_table"]) is table
+    table = vars(BesselParams(k, 0.5, 1.5, lambda1, -0.7, 1))["_table"]
+    assert type(table) is kbessel._PlainTable and table.m == m
     assert "_table" not in vars(BesselParams(k, 0.5, 1.5, lambda1, 0.0, 1))
 
 
@@ -1012,6 +1080,17 @@ def _log_rows_by_log_k_gamma(tab, count):
     return rows
 
 
+def _l_rows_by_log_k_gamma(tab, count):
+    """The first count + 1 entries of a `_PlainTable`'s lrows at a non-whole m:
+    each L_n from one checked `log_k_gamma` call and the |L_{n+1} - L_n| summed."""
+    lgk = [log_k_gamma(tab.lambda1 * n + tab.s0, tab.k) for n in range(count + 1)]
+    rows, dsum = [(lgk[0], 0.0)], 0.0
+    for n in range(count):
+        dsum = dsum + abs(lgk[n + 1] - lgk[n])  # left to right, as the rows add
+        rows.append((lgk[n + 1], dsum))
+    return rows
+
+
 @settings(deadline=None, max_examples=150)
 @given(k=st.floats(0.25, 4.0), lambda1=st.floats(0.05, 8.0), nu=st.floats(0.0, 4.0),
        gamma=st.one_of(st.floats(-4.0, 4.0), st.integers(0, 8)), c=st.floats(-4.0, 4.0).filter(bool),
@@ -1019,20 +1098,28 @@ def _log_rows_by_log_k_gamma(tab, count):
 @example(k=1.5, lambda1=0.7, nu=0.5, gamma=1.5, c=-1.0, b=1.0, z=4.0, terms=105)  # H1's factor
 @example(k=2.0, lambda1=1.0, nu=0.5, gamma=3, c=1.0, b=1.0, z=4.0, terms=40)  # gamma = -3k
 def test_log_rows_match_a_log_k_gamma_call_per_row(k, lambda1, nu, gamma, c, b, z, terms):
-    # the rows write log_k_gamma's formula out with ln k taken once per table; they must
-    # not move by a bit.  An int gamma j stands for gamma = -j k, a Pochhammer zero at n = j.
+    # both tables write log_k_gamma's formula out with ln k taken once per table; they must
+    # not move by a bit: the log rows, which a sum takes where a value leaves the normal
+    # range, and the L values beside the plain rows at a non-whole m.  An int gamma j
+    # stands for gamma = -j k, a Pochhammer zero at n = j.
     if isinstance(gamma, int):
         gamma = -gamma * k
     p = BesselParams(k, nu, gamma, lambda1, c, b)
-    tab = p._table
-    assume(isinstance(tab, kbessel._LogTable))
+    tab = kbessel._LogTable(k, gamma, lambda1, p.s0, math.log(abs(c)), c < 0.0)
     real = kbessel.settle
 
     def settle_at_the_cap(n, *args):  # every term before the cap is answered None
         return real(n, *args) if n >= terms else None
 
     with mock.patch.object(kbessel, "settle", settle_at_the_cap):  # z <= 4 keeps these sums finite
-        eval_gmk_bessel(p, z, max_terms=terms)
+        tab.evaluate(0.5 * z, nu, 1e-10, terms)
     assert len(tab.rows) == terms or tab.rows[-1] is None
     assert repr(tab.rows) == repr(_log_rows_by_log_k_gamma(tab, terms))
-
+    plain = p._table
+    if not plain.m:
+        try:
+            for n in range(terms):
+                plain.row(n)
+        except OverflowError:  # a row off the normal range, its L values stored
+            pass
+        assert repr(plain.lrows) == repr(_l_rows_by_log_k_gamma(plain, len(plain.lrows) - 1))

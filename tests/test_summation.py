@@ -201,29 +201,29 @@ def test_settle_raises_on_a_partial_sum_that_is_not_finite(s):
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(1, 0, 1, 1, 1, 1), 264.0, tol=1e-14),
      "SeriesResult(value=1.1067699210422132e+113, terms_used=213, tail_estimate=3.696483035600299e+93, "
      "converged=True, rounding=1.1062460211821844e+100)"),
-    # the log path at H1's Bessel factor
+    # the plain rows at H1's Bessel factor, each k-Gamma ratio one exp(L_n - L_{n+1})
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(1.5, 0.5, 1.5, 0.7, -1.0, 1.0), 10.0),
-     "SeriesResult(value=-1.4605341591524655e-05, terms_used=53, tail_estimate=1.074964246256837e-15, "
-     "converged=True, rounding=3.4067915945741526e-05)"),
+     "SeriesResult(value=-1.4618218625744507e-05, terms_used=53, tail_estimate=1.0749642462568491e-15, "
+     "converged=True, rounding=9.151999894641285e-06)"),
     (lambda: ks.eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, 10.0),
      "SeriesResult(value=-0.004462866618452489, terms_used=24, tail_estimate=2.884181040496636e-13, "
      "converged=True, rounding=2.093944841578665e-11)"),
-    # fresh log-path tables over many written-out rows: H1's factor at z = 20 (105 rows)
-    # and the alternating first kind there (34 rows)
+    # fresh tables over many written-out ln Gamma_k rows: H1's factor at z = 20 (105
+    # plain rows) and the alternating first kind there (34 log rows)
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(1.5, 0.5, 1.5, 0.7, -1.0, 1.0), 20.0),
-     "SeriesResult(value=2628371.0371604827, terms_used=105, tail_estimate=4.320217986639062e-11, "
-     "converged=True, rounding=1586044821.8706243)"),
-    # int k and lambda1 on the log path (61 rows), the same bits as the all-float call
+     "SeriesResult(value=2089701.494991571, terms_used=105, tail_estimate=4.320217986638982e-11, "
+     "converged=True, rounding=341340469.59432966)"),
+    # int k and lambda1 at a non-whole m (61 rows), the same bits as the all-float call
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(2, 0.5, 1.5, 1, -1.0, 1.0), 12.0),
-     "SeriesResult(value=0.017766923984080286, terms_used=61, tail_estimate=4.1216194909667616e-13, "
-     "converged=True, rounding=0.01954942881947508)"),
+     "SeriesResult(value=0.01777838522957476, terms_used=61, tail_estimate=4.121619490966823e-13, "
+     "converged=True, rounding=0.005892152320073682)"),
     (lambda: ks.eval_k_bessel_first(1.5, 0.5, 1.5, 0.7, 20.0),
      "SeriesResult(value=0.00022259240412350416, terms_used=34, tail_estimate=4.0744397843043415e-15, "
      "converged=True, rounding=1.4000788182575526e-09)"),
-    # the log path, one sign (c > 0, gamma > 0): it stops on the 2^-64 floor, its tail above tol
+    # the plain rows at a non-whole m, one sign (c > 0, gamma > 0): it stops on the 2^-64 floor, its tail above tol
     (lambda: ks.eval_gmk_bessel(ks.BesselParams(1.0, 0.5, 1.5, 0.7, 1.0, 1.0), 40.0),
-     "SeriesResult(value=3.6431847058252203e+28, terms_used=91, tail_estimate=986793439.3549839, "
-     "converged=True, rounding=4.423260806083864e+16)"),
+     "SeriesResult(value=3.643184705825209e+28, terms_used=91, tail_estimate=986793439.3549699, "
+     "converged=True, rounding=9250381166367040.0)"),
     # the first kind at gamma = -2k ends on its exact zero at n = 3
     (lambda: ks.eval_k_bessel_first(2.0, 0.5, -4.0, 1.0, 2.0),
      "SeriesResult(value=5.975304578303514, terms_used=3, tail_estimate=0.0, "
