@@ -12,29 +12,31 @@ the generalized series is (z/2)^nu S(c (z/2)^2) with s0 = nu + (b+1)/2,
 and the first-kind variant is S(-z/2) with s0 = nu + 1, its argument
 entering at the first power.  Both are summed in the half-argument z/2;
 where it is 0.0, z = 5e-324 included, a series is its n = 0 term.
-A term table sums S.  Its row n is the z-free part of the ratio of term n+1
-to term n (the Pochhammer factor, the factorials and the k-Gamma ratio).
-`_PlainTable` sums every generalized series with c != 0 in plain doubles;
-its rows take the k-Gamma ratio
+One term table, `_PlainTable`, sums every generalized series with c != 0.
+Its row n is the z-free part of the ratio of term n+1 to term n (the
+Pochhammer factor, the factorials and the k-Gamma ratio), in plain doubles;
+the rows take the k-Gamma ratio
 
 * at a whole lambda1/k = m from 1 to 16, as the exact m-factor product it
-  telescopes into.  A sum whose R misses tol goes to its double-double rows
-  (`_DDTable`), and so does a series that can cancel (c < 0 or gamma < 0,
-  ~4 digits lost at z = 10) where its first term ratio is past 1;
+  telescopes into.  A sum whose R misses tol goes to the table's
+  double-double rows (`_PlainTable.dd`), and so does a series that can cancel
+  (c < 0 or gamma < 0, ~4 digits lost at z = 10) where its first term ratio
+  is past 1;
 * at any other m, as one exp(L_n - L_{n+1}) of consecutive ln Gamma_k values,
-  ln k taken once per table.  No table is more accurate there, so the plain
+  ln k taken once per table.  No rows are more accurate there, so the plain
   sum is the answer whatever its R.
 
-A sum with a value off the normal range goes to `_LogTable`'s rows, terms in
-log-magnitude/sign form (at a whole m, one that can cancel to the dd rows),
-which the first kind always takes.  Every table stops where `summation.settle`
-says (the plain loops call it only at the term that ends the sum), which from
-the running sum of the term sizes decides the one-sign floor and bounds the
-sum's rounding error R (`SeriesResult.rounding`): term n is off by (2 + m) n u
-on dd rows and (5 m + 6) n u on plain rows (m = 1 for an exp row), and the exp
-rows and `_LogTable.series` add their ln Gamma_k errors.  The generalized
-series is also a forward (log |t_n|, sign_n) stream, `bessel_terms_logsig`,
-which the canonical right sides sum: the independent cross-check on the tables.
+A sum with a value off the normal range goes to the rows of a `_LogTable`,
+terms in log-magnitude/sign form (at a whole m, one that can cancel to the dd
+rows), which the first kind always takes.  Every sum stops where
+`summation.settle` says (the plain loops call it only at the term that ends
+the sum), which from the running sum of the term sizes decides the one-sign
+floor and bounds the sum's rounding error R (`SeriesResult.rounding`): term n
+is off by (2 + m) n u on dd rows and (5 m + 6) n u on plain rows (m = 1 for an
+exp row), and the exp rows and `_LogTable.series` add their ln Gamma_k errors.
+The generalized series is also a forward (log |t_n|, sign_n) stream,
+`bessel_terms_logsig`, which the canonical right sides sum: the independent
+cross-check on the tables.
 
 A `BesselParams` object builds its table, `_table`, when it is made (c != 0)
 and keeps it in the instance dict: not a field, so ==, hash, repr and astuple
@@ -173,24 +175,15 @@ class _LogTable:
     L_{n+1}, err), flip whether the sign turns from term n to n+1 and err the running sum of
     2 |a| + 2 b + |d| over rows 0 to n, for the rounding bound; or None where g = 0 ends the series.
     k is a float with lk = ln k beside it: L_{n+1} is `log_k_gamma`'s formula written out, its
-    argument positive as lam > 0 and s0 > 0 (both callers check them).  lgk0 = L_0 is nan where
-    it overflows: the first evaluation, not the constructor, raises the OverflowError."""
+    argument positive as lam > 0 and s0 > 0 (both callers check them).  The constructor raises
+    `log_k_gamma`'s OverflowError where L_0 = lgk0 is past double range."""
 
     __slots__ = ("k", "lk", "gamma", "lam", "s0", "lc", "neg", "lgk0", "rows")
 
     def __init__(self, k, gamma, lam, s0, lc, neg) -> None:
         self.k = k = float(k)  # BesselParams may pass an int
         self.lk, self.gamma, self.lam, self.s0, self.lc, self.neg = math.log(k), gamma, lam, s0, lc, neg
-        try:
-            self.lgk0 = log_k_gamma(s0, self.k)
-        except OverflowError:
-            self.lgk0 = math.nan
-        self.rows = []
-
-    def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
-        """w^nu / Gamma_k(s0) * S(c w^2) at w > 0."""
-        lw = math.log(w)
-        return self.series(nu * lw, 2.0 * lw, tol, max_terms)
+        self.lgk0, self.rows = log_k_gamma(s0, k), []
 
     def series(self, lead: float, lu: float, tol: float, max_terms: int) -> SeriesResult:
         """exp(lead) S(c u), lu = log|u|, summed with Neumaier compensation
@@ -233,8 +226,6 @@ class _LogTable:
             s = u
             if row is None:  # exact termination: no tail
                 res = settle(n + 1, t_abs, 0.0, rho, s + c, tol, max_terms, tsum, 2.0)
-                if res is None:  # settle never says so here, but a stand-in for it in the tests may
-                    return res
             else:
                 a, b, d, flip, lgk, err_n = row
                 dlg = a + lu - b
@@ -255,19 +246,17 @@ class _LogTable:
                 sgn = -sgn
 
 
-class _DDTable:
-    """z-free rows of the double-double recurrence for integer lambda1/k = m,
-    which sums a series that can cancel (c < 0 or gamma < 0).
+class _PlainTable:
+    """pref S(c w^2), pref = w^nu / Gamma_k(s0), in doubles on the rows `row` builds (see the module
+    docstring), term n off by grow n u, grow = 5 m + 6, m = 1 for an exp row (README, "Settings"),
+    whatever the terms' signs.  An exp row's ln Gamma_k errors telescope: R gains u tsum (5 (|L_0| +
+    |L_n|) + sum_{j<n} |L_{j+1} - L_j|) at the last term n.  A sum off the normal range goes to the
+    log rows in `log`.  At a whole m the dd rows in `rows` (see `dd`) take instead a sum there that
+    can cancel, and a sum whose R misses tol |value|: the plain sum gives up past term (tol/u - 1) /
+    grow, where R must miss it, and, where it can cancel, where rho_0 = |row 0| w^2 is past 1 or a
+    tail bound shows that R will miss (see `evaluate`).  gk0 is Gamma_k(s0), inf where it overflows."""
 
-    Gamma_k(s + m k) / Gamma_k(s) telescopes to prod_{j<m} (s + j k), so the
-    term ratio is c g w^2 / ((n+1)^2 prod_j (lambda1 n + s0 + j k)) with
-    g = gamma + n k and w = z/2.  Row n is that ratio over w^2 in
-    double-double, c g divided by (n+1)^2 and then by each factor, with hi's
-    Dekker split and |hi|: (hi, lo, hi_hi, hi_lo, |hi|), or None where g = 0
-    ends the series.  gk0 is Gamma_k(s0), inf where it overflows.
-    """
-
-    __slots__ = ("k", "gamma", "lambda1", "c", "s0", "m", "gk0", "rows")
+    __slots__ = ("k", "gamma", "lambda1", "c", "s0", "m", "gk0", "rows", "prows", "log", "lrows", "lk", "n1")
 
     def __init__(self, k, gamma, lambda1, c, s0, m) -> None:
         self.k, self.gamma, self.lambda1, self.c, self.s0, self.m = k, gamma, lambda1, c, s0, m
@@ -275,90 +264,9 @@ class _DDTable:
             self.gk0 = k_gamma(s0, k)
         except OverflowError:
             self.gk0 = math.inf
-        self.rows = []
-
-    def evaluate(self, w: float, nu: float, tol: float, max_terms: int) -> SeriesResult:
-        """w^nu / Gamma_k(s0) * S(c w^2); the prefactor is a common factor,
-        applied once at the end.  Builds row n here the first time any call
-        reaches term n.  Raises OverflowError, through `settle`, at the first
-        partial sum past double range, as the log path does."""
-        k, gamma, lambda1, c, s0, m, rows = (
-            self.k, self.gamma, self.lambda1, self.c, self.s0, self.m, self.rows)
-        pref = _lead(w, nu, s0, k, self.gk0)
-        w2 = w * w
-        cs = _SPLIT * w2  # the Dekker split of w2, taken once for every term
-        wh = cs - (cs - w2)
-        wl = w2 - wh
-        th, tl = 1.0, 0.0  # the term, a double-double
-        acc = (1.0, 0.0)
-        rho = math.inf
-        tsum = 0.0
-        grow = 2.0 + m
-        built = len(rows)  # rows past these are built here, in order
-        for n in count():
-            if n < built:
-                row = rows[n]
-            else:
-                g = gamma + n * k
-                row = None
-                if g != 0.0:
-                    row = dd_div_d(dd_mul_d((g, 0.0), c), (n + 1.0) * (n + 1.0))
-                    for j in range(m):
-                        row = dd_div_d(row, lambda1 * n + s0 + j * k)
-                    b, lo = row
-                    cs = _SPLIT * b
-                    bh = cs - (cs - b)
-                    row = (b, lo, bh, b - bh, abs(b))
-                rows[n:n + 1] = (row,)
-            rho_prev = rho
-            t_abs = abs(th) * pref
-            tsum += t_abs
-            s = pref * (acc[0] + acc[1])
-            if row is None:  # exact termination with no tail, even where w2 or the scaled term overflows
-                return settle(n + 1, 0.0, 0.0, rho_prev, s, tol, max_terms, tsum, grow)
-            b, lo, bh, bl, size = row
-            rho = size * w2
-            res = settle(n + 1, t_abs, rho, rho_prev, s, tol, max_terms, tsum, grow)
-            if res is not None:
-                return res
-            # t <- dd_mul(dd_mul_d(t, w2), row), written out
-            p = th * w2
-            cs = _SPLIT * th
-            ah = cs - (cs - th)
-            al = th - ah
-            e = ((ah * wh - p) + ah * wl + al * wh) + al * wl
-            e += tl * w2
-            th = p + e
-            tl = e - (th - p)
-            p = th * b
-            cs = _SPLIT * th
-            ah = cs - (cs - th)
-            al = th - ah
-            e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-            e += th * lo + tl * b
-            th = p + e
-            tl = e - (th - p)
-            acc = dd_add(acc, (th, tl))
-
-
-class _PlainTable(_DDTable):
-    """pref S(c w^2) in doubles on the rows `row` builds (see the module docstring),
-    term n off by grow n u, grow = 5 m + 6, m = 1 for an exp row (README,
-    "Settings"), whatever the terms' signs.  An exp row's ln Gamma_k errors
-    telescope: R gains u tsum (5 (|L_0| + |L_n|) + sum_{j<n} |L_{j+1} - L_j|) at
-    the last term n.  A sum off the normal range goes to the log rows in `log`.
-    At a whole m the dd rows take instead a sum there that can cancel, and a sum
-    whose R misses tol |value|: the plain sum gives up past term (tol/u - 1) /
-    grow, where R must miss it, and, where it can cancel, where rho_0 = |row 0| w^2
-    is past 1 or a tail bound shows that R will miss (see `evaluate`)."""
-
-    __slots__ = ("prows", "log", "lrows", "lk", "n1")
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.prows, self.log, self.lrows, self.lk = [], None, [], math.log(self.k)
+        self.rows, self.prows, self.log, self.lrows, self.lk = [], [], None, [], math.log(k)
         # the give-up in `evaluate` starts where |row n| falls, past 1 - 2 gamma/k; short sums skip it
-        self.n1 = max(8.0, 2.0 - 2.0 * self.gamma / self.k) if self.m else math.inf
+        self.n1 = max(8.0, 2.0 - 2.0 * gamma / k) if m else math.inf
 
     def row(self, n: int) -> float:
         """Row n, stored: c g / (n+1)^2 over each factor in turn, or at m = 0 times exp(L_n - L_{n+1}),
@@ -442,9 +350,73 @@ class _PlainTable(_DDTable):
             if not (m and signed):
                 if self.log is None:
                     self.log = _LogTable(self.k, gamma, self.lambda1, self.s0, math.log(abs(c)), c < 0.0)
-                res = self.log.evaluate(w, nu, tol, max_terms)
-        return res if not m or res and res.rounding <= tol * abs(res.value) else super().evaluate(
-            w, nu, tol, max_terms)
+                lw = math.log(w)
+                res = self.log.series(nu * lw, 2.0 * lw, tol, max_terms)
+        return res if not m or res and res.rounding <= tol * abs(res.value) else self.dd(w, pref, tol, max_terms)
+
+    def dd(self, w: float, pref: float, tol: float, max_terms: int) -> SeriesResult:
+        """pref S(c w^2) on the double-double rows of a whole m, which sum a series that can
+        cancel.  Gamma_k(s + m k) / Gamma_k(s) telescopes to prod_{j<m} (s + j k), so row n, the
+        term ratio over w^2, is c g / (n+1)^2 divided by each factor lambda1 n + s0 + j k in turn,
+        g = gamma + n k, with hi's Dekker split and |hi|: (hi, lo, hi_hi, hi_lo, |hi|), or None where
+        g = 0 ends the series.  Builds row n here the first time any call reaches term n.  Raises
+        OverflowError, through `settle`, at the first partial sum past double range."""
+        k, gamma, lambda1, c, s0, m, rows = (
+            self.k, self.gamma, self.lambda1, self.c, self.s0, self.m, self.rows)
+        w2 = w * w
+        cs = _SPLIT * w2  # the Dekker split of w2, taken once for every term
+        wh = cs - (cs - w2)
+        wl = w2 - wh
+        th, tl = 1.0, 0.0  # the term, a double-double
+        acc = (1.0, 0.0)
+        rho = math.inf
+        tsum = 0.0
+        grow = 2.0 + m
+        built = len(rows)  # rows past these are built here, in order
+        for n in count():
+            if n < built:
+                row = rows[n]
+            else:
+                g = gamma + n * k
+                row = None
+                if g != 0.0:
+                    row = dd_div_d(dd_mul_d((g, 0.0), c), (n + 1.0) * (n + 1.0))
+                    for j in range(m):
+                        row = dd_div_d(row, lambda1 * n + s0 + j * k)
+                    b, lo = row
+                    cs = _SPLIT * b
+                    bh = cs - (cs - b)
+                    row = (b, lo, bh, b - bh, abs(b))
+                rows[n:n + 1] = (row,)
+            rho_prev = rho
+            t_abs = abs(th) * pref
+            tsum += t_abs
+            s = pref * (acc[0] + acc[1])
+            if row is None:  # exact termination with no tail, even where w2 or the scaled term overflows
+                return settle(n + 1, 0.0, 0.0, rho_prev, s, tol, max_terms, tsum, grow)
+            b, lo, bh, bl, size = row
+            rho = size * w2
+            res = settle(n + 1, t_abs, rho, rho_prev, s, tol, max_terms, tsum, grow)
+            if res is not None:
+                return res
+            # t <- dd_mul(dd_mul_d(t, w2), row), written out
+            p = th * w2
+            cs = _SPLIT * th
+            ah = cs - (cs - th)
+            al = th - ah
+            e = ((ah * wh - p) + ah * wl + al * wh) + al * wl
+            e += tl * w2
+            th = p + e
+            tl = e - (th - p)
+            p = th * b
+            cs = _SPLIT * th
+            ah = cs - (cs - th)
+            al = th - ah
+            e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+            e += th * lo + tl * b
+            th = p + e
+            tl = e - (th - p)
+            acc = dd_add(acc, (th, tl))
 
 
 def eval_gmk_bessel(

@@ -11,8 +11,9 @@ Gamma_k(k) = 1, and the step-k rising product
 
 An integral-based oracle (direct quadrature of int_0^inf exp(-t^k/k) t^(z-1) dt)
 is kept alongside for cross-validation; production evaluation always goes
-through the classical-Gamma reduction above.  `wright.wright_terms_logsig` and
-`kbessel._LogTable` write `log_k_gamma`'s formula out, ln k taken once; the tests
+through the classical-Gamma reduction above.  `wright.wright_terms_logsig`,
+`kbessel._LogTable` and the exp rows of `kbessel._PlainTable.row` write
+`log_k_gamma`'s formula out, ln k taken once; the tests
 `test_wright_terms_match_a_log_k_gamma_call_per_row` and
 `test_log_rows_match_a_log_k_gamma_call_per_row` compare each with it bit for bit.
 """
@@ -80,23 +81,25 @@ def log_classical_gamma(z: float) -> float:
 
 
 def k_gamma(z: float, k: KScale | float = 1.0) -> float:
-    """Gamma_k(z) = k**(z/k - 1) * Gamma(z/k) for z > 0; OverflowError past double range."""
+    """Gamma_k(z) = k**(z/k - 1) * Gamma(z/k) for z > 0; OverflowError past double range and where
+    z/k rounds to 0.0, Gamma's pole (Gamma_k(z) ~ 1/z there, finite only at z >= 5.6e-309)."""
     kk = _kval(k)
     if type(z) is not float or not 0.0 < z < math.inf:
         z = _gamma_arg(z, "k-gamma")
     w = z / kk
-    g = math.pow(kk, w - 1.0) * math.gamma(w)
+    g = math.pow(kk, w - 1.0) * math.gamma(w) if w else math.inf
     if not math.isfinite(g):
         raise OverflowError("math range error")
     return g
 
 
 def log_k_gamma(z: float, k: KScale | float = 1.0) -> float:
-    """ln Gamma_k(z) = (z/k - 1) ln k + ln Gamma(z/k)."""
+    """ln Gamma_k(z) = (z/k - 1) ln k + ln Gamma(z/k); OverflowError where z/k rounds to 0.0."""
     kk = _kval(k)
     if type(z) is not float or not 0.0 < z < math.inf:
         z = _gamma_arg(z, "log k-gamma")
-    w = z / kk
+    if not (w := z / kk):
+        raise OverflowError("math range error")
     return (w - 1.0) * math.log(kk) + math.lgamma(w)
 
 

@@ -3,10 +3,10 @@ truncation contract.
 
 The alternating Bessel-type series in this package lose up to four decimal
 digits to cancellation at the largest arguments we verify (condition number
-~1e4 at z=10), so plain double accumulation cannot reach the 1e-12 agreement
-the reduction checks demand.  Terms on the hot path are therefore carried as
-unevaluated double-double pairs (hi, lo) built from error-free transforms,
-and everything else goes through Neumaier accumulation.
+~1e4 at z=10).  Generalized Bessel sums run on plain-double rows with a rounding
+bound; at a whole lambda1/k, where it misses tol or a sum that can cancel grows
+from its first term, they take double-double pairs (hi, lo) built from
+error-free transforms.  Everything else goes through Neumaier accumulation.
 
 Every series stops where one function, `settle`, says: once the ratio rho of
 term t to the next is below 1 and non-increasing and |t| rho / (1 - rho) <=
@@ -19,8 +19,8 @@ above |s| = 2^64 tol its tail_estimate may exceed tol.  A cancelled sum, such
 as J_0 at z = 300, never takes this floor.  `accumulate` calls `settle` per
 term of an unbounded (term, |next/current| ratio) stream, for the canonical
 right side and the Wright side of the reduction check (`logsig_pairs` of
-(L_n, sign_n)); the Bessel tables, `eval_k_wright` and `eval_pfq` call it per
-term of loops of their own.  Every caller hands it the running sum of the term
+(L_n, sign_n)); the Bessel tables, `eval_k_wright` and `eval_pfq` call it from
+loops of their own.  Every caller hands it the running sum of the term
 sizes and grow, a term's roundings per index, from which it decides the floor and
 bounds the sum's rounding error, `SeriesResult.rounding` (the Bessel log table
 adds its exponent's), at its single exit, which builds the result of every sum

@@ -87,7 +87,7 @@ def wright_terms_logsig(upper, lower, k_scale: float, z: float):
     """(log |n-th term| without its |z|^n factor, sign of the term) for
     n = 0, 1, 2, ... and the rows (a_i, alpha_i) over (b_j, beta_j).  Each row adds or
     takes ln Gamma_k(x), x = a + alpha n, by the formula of `log_k_gamma` with k and ln k
-    taken once; an x that is not a float in (0, inf) goes through `log_k_gamma` itself."""
+    taken once; an x that is not a float in (0, inf), or whose x/k is 0.0, goes through `log_k_gamma`."""
     k = _kval(k_scale)  # checked here once, not at every term
     lk, lgamma, inf = math.log(k), math.lgamma, math.inf
     rows = [(off, wt, 1.0) for off, wt in upper] + [(off, wt, -1.0) for off, wt in lower]
@@ -95,8 +95,7 @@ def wright_terms_logsig(upper, lower, k_scale: float, z: float):
         lg = -lgamma(n + 1.0)
         for off, wt, sg in rows:  # sg * v is exactly v or -v
             x = off + wt * n
-            if type(x) is float and 0.0 < x < inf:
-                w = x / k
+            if type(x) is float and 0.0 < x < inf and (w := x / k):  # log_k_gamma raises at w = 0
                 lg += sg * ((w - 1.0) * lk + lgamma(w))
             else:
                 lg += sg * log_k_gamma(x, k)

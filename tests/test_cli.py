@@ -216,9 +216,14 @@ def test_verify_out_dash_keeps_report_off_records(capsys, fmt, params, verdict, 
 def test_eval_dd_overflow_exit_code(capsys):
     # the dd path (lambda1 = k) overflows like a non-whole lambda1/k (0.5);
     # k_gamma past double range used to print value=inf and exit 0
+    # a Gamma_k argument z whose z/k rounds to 0.0 used to raise a ValueError
+    # from Gamma's pole and print a traceback
     for args in (["gmkbessel", "z=1e5", "c=1", "lambda1=1"],
                  ["gmkbessel", "z=1e5", "c=1", "lambda1=0.5"],
-                 ["kgamma", "z=340", "k=2"]):
+                 ["kgamma", "z=340", "k=2"],
+                 ["kgamma", "z=5e-324", "k=1e10"],
+                 ["kbessel", "z=1", "k=1e308", "nu=-0.9999999999999998"],
+                 ["kwright", "upper=5e-324:1", "z=0.5", "k_scale=1e10"]):
         assert cli.main(["eval", *args]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", "kspecfun: math range error\n")
@@ -376,6 +381,10 @@ CONSOLE_PINS = {
     # fails at once
     "verify theorem1 k=1e-10 nu=1e300 lambda1=0.5 c=-1": (
         1, "line", "diagnostics=evaluation failed: math range error", 10),
+    # s0/k rounds to 0.0, Gamma's pole: a range error that the point reports,
+    # where a ValueError used to abort verify
+    "verify theorem1 k=1e308 lambda1=1e308 b=-0.9999999999999998 nu=0": (
+        1, "line", "diagnostics=evaluation failed: math range error", None),
 }
 
 

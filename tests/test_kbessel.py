@@ -27,16 +27,19 @@ UNIT_J = BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=-1, b=1)
 
 
 def _settle_calls(monkeypatch, evaluate, *args, max_terms):
-    """(|t|, ratio, partial sum) of each term of a log-path sum, as `settle`
-    sees them.  Every term before the cap is answered None, so the sum runs
-    to the cap or to its exact end."""
-    seen = []
-    real = kbessel.settle
+    """(|t|, ratio, partial sum) of each term of a log-table sum, as `settle`
+    sees them.  Every term before the cap is answered None but the one whose
+    row ends the series, so the sum runs to the cap or to its exact end."""
+    seen, tables = [], []
+    real, table = kbessel.settle, kbessel._LogTable
 
     def hook(n, t_abs, rho, rho_prev, s, tol, cap, *rest):
         seen.append((t_abs, rho, s))
-        return real(n, t_abs, rho, rho_prev, s, tol, cap, *rest) if n >= cap else None
+        if n >= cap or tables[-1].rows[n - 1] is None:
+            return real(n, t_abs, rho, rho_prev, s, tol, cap, *rest)
+        return None
 
+    monkeypatch.setattr(kbessel, "_LogTable", lambda *a: tables.append(table(*a)) or tables[-1])
     monkeypatch.setattr(kbessel, "settle", hook)
     evaluate(*args, max_terms=max_terms)
     assert seen
@@ -310,6 +313,13 @@ def _small_gamma_draws(count, seed):
         yield p, math.exp(rng.uniform(math.log(0.01), math.log(30.0))), rng.choice((1e-10, 1e-12, 1e-14))
 
 
+def _dd_sum(p, w, tol, max_terms=400):
+    """The sum of p's table on its double-double rows alone, also where it would
+    sum plain rows first."""
+    tab = p._table
+    return tab.dd(w, kbessel._lead(w, p.nu, tab.s0, tab.k, tab.gk0), tol, max_terms)
+
+
 def _plain_sum(p, z, tol, max_terms=400):
     """The plain-double sum of a table in full (no give-up and no rho_0 test),
     its rows built anew as `_PlainTable` builds them: at a non-whole m (stored
@@ -398,12 +408,12 @@ def test_plain_sum_gives_up_only_where_its_bound_misses_tol():
             elif signed and _row0_ratio(p, z) > 1.0:
                 gated += 1
                 assert len(q._table.prows) == 1, (p, z, tol)
-                assert r == kbessel._DDTable.evaluate(replace(p)._table, 0.5 * z, p.nu, tol, 400), (p, z, tol)
+                assert r == _dd_sum(replace(p), 0.5 * z, tol), (p, z, tol)
             elif full.rounding <= tol * abs(full.value):
                 kept[signed] += 1
                 assert r == full, (p, z, tol, full)
             else:
-                assert r == kbessel._DDTable.evaluate(replace(p)._table, 0.5 * z, p.nu, tol, 400), (p, z, tol)
+                assert r == _dd_sum(replace(p), 0.5 * z, tol), (p, z, tol)
                 cut[signed] += len(q._table.prows) < full.terms_used
     assert min(cut[False], kept[False], cut[True], kept[True], gated, missed) >= 50, (cut, kept, gated, missed)
 
@@ -490,7 +500,7 @@ def test_cancelling_sum_takes_the_plain_rows_only_where_its_terms_shrink_from_th
         assert len(tab.prows) == r.terms_used and tab.rows == []
     else:
         assert len(tab.prows) == 1 and len(tab.rows) == r.terms_used
-        assert r == kbessel._DDTable.evaluate(BesselParams(*args)._table, w, p.nu, 1e-10, 400)
+        assert r == _dd_sum(BesselParams(*args), w, 1e-10)
 
 
 @pytest.mark.parametrize("args, z, max_terms, expected", [
@@ -519,8 +529,9 @@ def test_plain_sum_out_of_double_range_takes_the_log_rows(args, z, max_terms, ex
     for _ in range(2):  # the second call reads the log rows the first one built
         r = eval_gmk_bessel(p, z, max_terms=max_terms)
         assert repr(r) == expected
-    assert r == kbessel._LogTable(float(p.k), p.gamma, p.lambda1, p.s0, math.log(p.c), False).evaluate(
-        0.5 * z, p.nu, 1e-10, max_terms)
+    lw = math.log(0.5 * z)
+    assert r == kbessel._LogTable(float(p.k), p.gamma, p.lambda1, p.s0, math.log(p.c), False).series(
+        p.nu * lw, 2.0 * lw, 1e-10, max_terms)
     assert p._table.rows == [] and p._table.log.rows
     # the plain attempt stops where its value leaves the normal range (term 252 of
     # the inner sum that overflows), not at the cap
@@ -798,26 +809,33 @@ def test_term_rejects_the_arguments_eval_rejects(z):
 
 
 def test_dd_prefactor_gamma_once_per_table(monkeypatch):
-    calls = []
-    real = kbessel.k_gamma
+    # Gamma_k(s0) once per table and the prefactor once per call, also on a call past
+    # z = 3.16, where rho_0 = 0.4 (z/2)^2 is past 1 and the dd rows sum the series
+    calls, leads = [], []
+    real, lead = kbessel.k_gamma, kbessel._lead
     monkeypatch.setattr(kbessel, "k_gamma", lambda s, k: calls.append(s) or real(s, k))
+    monkeypatch.setattr(kbessel, "_lead", lambda *args: leads.append(args) or lead(*args))
     p = BesselParams(k=1, nu=0.5, gamma=1.5, lambda1=2, c=-1, b=1)
     for i in range(1, 60):
+        leads.clear()
         eval_gmk_bessel(p, 0.1 * i)
-    assert len(calls) == 1
+        assert len(leads) == 1, i
+    assert len(calls) == 1 and len(p._table.rows) > 1
 
 
 # The term table: one BesselParams object evaluated at many z must give what
-# a fresh object gives, bit for bit, whether its rows are new or reused.
+# a fresh object gives, bit for bit, whether its rows are new or reused.  A
+# non-whole lambda1/k sums on exp rows; a whole one on m-factor rows, and its
+# sums that can cancel on the dd rows where rho_0 is past 1.
 TABLE_CASES = {
-    "log, lambda1/k=0.5, c=-1": dict(k=2, nu=0.5, gamma=1.5, lambda1=1, c=-1, b=1),
-    "log, lambda1/k=0.5, c=2.5": dict(k=2, nu=1.0, gamma=1.5, lambda1=1, c=2.5, b=2),
-    "log, lambda1/k=0.7, c=-0.6": dict(k=1.5, nu=0.5, gamma=1.5, lambda1=1.05, c=-0.6, b=1),
-    "dd, lambda1/k=1, c=1": dict(k=1, nu=0.5, gamma=1.5, lambda1=1, c=1, b=1),
-    "dd, lambda1/k=1, c=-1.3": dict(k=1, nu=0, gamma=1, lambda1=1, c=-1.3, b=1),
-    "dd, lambda1/k=2, c=-0.7": dict(k=1, nu=1.0, gamma=1.5, lambda1=2, c=-0.7, b=2),
-    "dd, gamma=-2k terminates": dict(k=1.5, nu=0.5, gamma=-3, lambda1=3, c=-1, b=1),
-    "log, gamma=-2k terminates": dict(k=2, nu=0.5, gamma=-4, lambda1=1, c=-1.5, b=1),
+    "exp rows, lambda1/k=0.5, c=-1": dict(k=2, nu=0.5, gamma=1.5, lambda1=1, c=-1, b=1),
+    "exp rows, lambda1/k=0.5, c=2.5": dict(k=2, nu=1.0, gamma=1.5, lambda1=1, c=2.5, b=2),
+    "exp rows, lambda1/k=0.7, c=-0.6": dict(k=1.5, nu=0.5, gamma=1.5, lambda1=1.05, c=-0.6, b=1),
+    "m-factor rows, lambda1/k=1, c=1": dict(k=1, nu=0.5, gamma=1.5, lambda1=1, c=1, b=1),
+    "m-factor rows, lambda1/k=1, c=-1.3": dict(k=1, nu=0, gamma=1, lambda1=1, c=-1.3, b=1),
+    "m-factor rows, lambda1/k=2, c=-0.7": dict(k=1, nu=1.0, gamma=1.5, lambda1=2, c=-0.7, b=2),
+    "m-factor rows, gamma=-2k terminates": dict(k=1.5, nu=0.5, gamma=-3, lambda1=3, c=-1, b=1),
+    "exp rows, gamma=-2k terminates": dict(k=2, nu=0.5, gamma=-4, lambda1=1, c=-1.5, b=1),
 }
 
 
@@ -835,7 +853,7 @@ def test_table_reuse_is_bit_identical_to_fresh_evaluation(params):
 
 
 def test_table_is_invisible_to_params_identity():
-    params = TABLE_CASES["dd, lambda1/k=2, c=-0.7"]
+    params = TABLE_CASES["m-factor rows, lambda1/k=2, c=-0.7"]
     used, unused = BesselParams(**params), BesselParams(**params)
     for z in (0.5, 8.0, 25.0):
         eval_gmk_bessel(used, z)
@@ -922,7 +940,7 @@ def test_dd_exact_end_keeps_a_finite_sum_past_an_overflowing_term():
         -1.2141524049024425e+308, 2, 0.0, True)
 
 
-@pytest.mark.parametrize("case", ["log, lambda1/k=0.5, c=-1", "dd, lambda1/k=1, c=1"])
+@pytest.mark.parametrize("case", ["exp rows, lambda1/k=0.5, c=-1", "m-factor rows, lambda1/k=1, c=1"])
 def test_table_shared_between_threads(case):
     # eight threads grow one table at once; a duplicated or skipped row
     # would shift every later term
@@ -1012,7 +1030,7 @@ def test_term_where_the_half_argument_rounds_to_zero(nu, n):
 def _dd_reference(p, w, tol, max_terms):
     """The double-double path's sum, its term product taken by `dd_mul`
     and `dd_mul_d` and its rows built anew; None where it overflows."""
-    tab = kbessel._DDTable(p.k, p.gamma, p.lambda1, p.c, p.s0, round(p.lambda1 / p.k))
+    tab = kbessel._PlainTable(p.k, p.gamma, p.lambda1, p.c, p.s0, round(p.lambda1 / p.k))
     pref = kbessel._lead(w, p.nu, tab.s0, tab.k, tab.gk0)
     w2 = w * w
     t = acc = (1.0, 0.0)
@@ -1041,8 +1059,8 @@ def _dd_reference(p, w, tol, max_terms):
 
 
 def _dd_evaluate(p, w, tol, max_terms):
-    try:  # the dd rows' own sum, also where the table would sum plain rows first
-        return kbessel._DDTable.evaluate(p._table, w, p.nu, tol, max_terms)
+    try:  # `_dd_sum`, None where it overflows
+        return _dd_sum(p, w, tol, max_terms)
     except OverflowError:
         return None
 
@@ -1054,10 +1072,10 @@ def _dd_evaluate(p, w, tol, max_terms):
 @example(k=1.5, nu=0.5, gamma=-3.0, c=-1.0, b=1.0, z=5.0, m=2, max_terms=120)  # ends at g = 0
 @example(k=1.0, nu=0.0, gamma=1.0, c=-1.0, b=1.0, z=40.0, m=1, max_terms=120)  # J_0, cancelling
 def test_dd_path_matches_its_reference_loop_bit_for_bit(k, nu, gamma, c, b, z, m, max_terms):
-    # evaluate writes the term product out in place; the sum must not move by a bit,
+    # `_PlainTable.dd` writes the term product out in place; the sum must not move by a bit,
     # whether its rows are new or reused
     p = BesselParams(k, nu, gamma, m * k, c, b)
-    assert isinstance(p._table, kbessel._DDTable)
+    assert p._table.m == m
     w = 0.5 * z
     expected = repr(_dd_reference(p, w, 1e-12, max_terms))
     assert repr(_dd_evaluate(p, w, 1e-12, max_terms)) == expected
@@ -1108,11 +1126,12 @@ def test_log_rows_match_a_log_k_gamma_call_per_row(k, lambda1, nu, gamma, c, b, 
     tab = kbessel._LogTable(k, gamma, lambda1, p.s0, math.log(abs(c)), c < 0.0)
     real = kbessel.settle
 
-    def settle_at_the_cap(n, *args):  # every term before the cap is answered None
-        return real(n, *args) if n >= terms else None
+    def settle_at_the_cap(n, *args):  # every term before the cap is answered None but the last one
+        return real(n, *args) if n >= terms or tab.rows[n - 1] is None else None
 
+    lw = math.log(0.5 * z)
     with mock.patch.object(kbessel, "settle", settle_at_the_cap):  # z <= 4 keeps these sums finite
-        tab.evaluate(0.5 * z, nu, 1e-10, terms)
+        tab.series(nu * lw, 2.0 * lw, 1e-10, terms)
     assert len(tab.rows) == terms or tab.rows[-1] is None
     assert repr(tab.rows) == repr(_log_rows_by_log_k_gamma(tab, terms))
     plain = p._table

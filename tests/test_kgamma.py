@@ -94,10 +94,13 @@ def test_pochhammer_nonpositive_start():
     lambda: k_pochhammer(1e300, 2),
     lambda: k_pochhammer(-1e300, 3),
     lambda: k_pochhammer(1.5, 10**6),  # the Gamma_k-ratio branch
+    lambda: k_gamma(5e-324, 1e10),  # z/k rounds to 0.0, Gamma's pole
+    lambda: log_k_gamma(1e-300, 1e30),
 ], ids=["k_gamma-product", "k_gamma-power", "k_pochhammer-positive", "k_pochhammer-negative",
-        "k_pochhammer-ratio"])
+        "k_pochhammer-ratio", "k_gamma-zero-ratio", "log_k_gamma-zero-ratio"])
 def test_overflow_raises(call):
-    # the first, third and fourth used to return inf or -inf
+    # the first, third and fourth used to return inf or -inf; the last two raised
+    # ValueError (math domain error)
     with pytest.raises(OverflowError, match="^math range error$"):
         call()
 
