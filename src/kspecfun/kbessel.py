@@ -12,10 +12,10 @@ the generalized series is (z/2)^nu S(c (z/2)^2) with s0 = nu + (b+1)/2,
 and the first-kind variant is S(-z/2) with s0 = nu + 1, its argument
 entering at the first power.  Both are summed in the half-argument z/2;
 where it is 0.0, z = 5e-324 included, a series is its n = 0 term.
-One term table, `_PlainTable`, sums every generalized series with c != 0.
-Its row n is the z-free part of the ratio of term n+1 to term n (the
-Pochhammer factor, the factorials and the k-Gamma ratio), in plain doubles;
-the rows take the k-Gamma ratio
+One term table, `_PlainTable`, sums both: the generalized series where
+c != 0, and the first kind with c = -1 (z > 0) or 1.  Its row n is the z-free
+part of the ratio of term n+1 to term n (the Pochhammer factor, the factorials
+and the k-Gamma ratio), in plain doubles; the rows take the k-Gamma ratio
 
 * at a whole lambda1/k = m from 1 to 16, as the exact m-factor product it
   telescopes into.  A sum whose R misses tol goes to the table's
@@ -26,14 +26,14 @@ the rows take the k-Gamma ratio
   ln k taken once per table.  No rows are more accurate there, so the plain
   sum is the answer whatever its R.
 
-A sum with a value off the normal range goes to the rows of a `_LogTable`,
-terms in log-magnitude/sign form (at a whole m, one that can cancel to the dd
-rows), which the first kind always takes.  Every sum stops where
+A sum with a value off the normal range goes to the table's log/sign rows
+(`_PlainTable.logsum`, at a whole m one that can cancel to the dd rows),
+which the first kind always takes.  Every sum stops where
 `summation.settle` says (the plain loops call it only at the term that ends
 the sum), which from the running sum of the term sizes decides the one-sign
 floor and bounds the sum's rounding error R (`SeriesResult.rounding`): term n
 is off by (2 + m) n u on dd rows and (5 m + 6) n u on plain rows (m = 1 for an
-exp row), and the exp rows and `_LogTable.series` add their ln Gamma_k errors.
+exp row), and the exp rows and the log rows add their ln Gamma_k errors.
 The generalized series is also a forward (log |t_n|, sign_n) stream,
 `bessel_terms_logsig`, which the canonical right sides sum: the independent
 cross-check on the tables.
@@ -43,7 +43,7 @@ and keeps it in the instance dict: not a field, so ==, hash, repr and astuple
 ignore it, and no module-level cache holds it.  Row n is built the first time
 any call on the object reaches term n, the same whichever call builds it, and
 read by every later call: the ~240 nodes of an integral pay for it once.
-`eval_k_bessel_first` sums a fresh `_LogTable`.
+`eval_k_bessel_first` sums the log rows of a fresh table.
 """
 
 from __future__ import annotations
@@ -164,88 +164,6 @@ def _lead(w: float, e: float, s0: float, k: float, g: float | None = None) -> fl
 # added row n meanwhile, it is replaced by an equal row, never duplicated.
 
 
-class _LogTable:
-    """z-free rows of the log/sign recurrence, and its sum, for
-
-        S(x) = sum_n (gamma)_{n,k} x^n / (Gamma_k(lam n + s0) (n!)^2)
-
-    at x = c u, lc = log|c|, neg = c u < 0 (c < 0 for the generalized series, z > 0
-    for the first kind).  With g = gamma + n k and L_n = log Gamma_k(lam n + s0), row n
-    is (a, b, d, flip, L_{n+1}, err) = (lc + log|g|, 2 log(n+1), L_{n+1} - L_n, neg != (g < 0),
-    L_{n+1}, err), flip whether the sign turns from term n to n+1 and err the running sum of
-    2 |a| + 2 b + |d| over rows 0 to n, for the rounding bound; or None where g = 0 ends the series.
-    k is a float with lk = ln k beside it: L_{n+1} is `log_k_gamma`'s formula written out, its
-    argument positive as lam > 0 and s0 > 0 (both callers check them).  The constructor raises
-    `log_k_gamma`'s OverflowError where L_0 = lgk0 is past double range."""
-
-    __slots__ = ("k", "lk", "gamma", "lam", "s0", "lc", "neg", "lgk0", "rows")
-
-    def __init__(self, k, gamma, lam, s0, lc, neg) -> None:
-        self.k = k = float(k)  # BesselParams may pass an int
-        self.lk, self.gamma, self.lam, self.s0, self.lc, self.neg = math.log(k), gamma, lam, s0, lc, neg
-        self.lgk0, self.rows = log_k_gamma(s0, k), []
-
-    def series(self, lead: float, lu: float, tol: float, max_terms: int) -> SeriesResult:
-        """exp(lead) S(c u), lu = log|u|, summed with Neumaier compensation
-        until `settle` ends it.  Builds row n here the first time any call
-        reaches term n.  Term n is exp(big), big carried from term to term, so
-        R (see `settle`) gains u tsum times big's error at the last term n:
-        2 |lead| + 5 (|L_0| + |L|) for the lead and the ln Gamma_k ends (L the
-        last row's), row n-1's err (0.0 at n = 0) for the rows' inputs and steps,
-        and n (max |big| + 3 |lu|) for big's additions, max |big| <= max(-lo, ln tsum)."""
-        k, lk, gamma, lam, s0, lc, neg, rows = (
-            self.k, self.lk, self.gamma, self.lam, self.s0, self.lc, self.neg, self.rows)
-        exp, log, lgamma = math.exp, math.log, math.lgamma
-        built = len(rows)  # rows past these are built here, in order
-        lgk = self.lgk0
-        big = lo = lead - lgk
-        sgn = 1
-        s = c = 0.0  # the Neumaier step of CompensatedSum.add, written out
-        rho = math.inf
-        tsum = err = 0.0  # err: row n-1's
-        for n in count():
-            t_abs = exp(big)
-            t = sgn * t_abs
-            if n < built:
-                row = rows[n]
-            else:
-                g = gamma + n * k
-                row = None
-                if g != 0.0:
-                    w = (lam * (n + 1) + s0) / k
-                    lgk_next = (w - 1.0) * lk + lgamma(w)
-                    a, b, d = lc + log(abs(g)), 2.0 * log(n + 1.0), lgk_next - lgk
-                    row = (a, b, d, neg != (g < 0.0), lgk_next, err + 2.0 * (abs(a) + b) + abs(d))
-                rows[n:n + 1] = (row,)
-            u = s + t
-            tsum += t_abs
-            if abs(s) >= t_abs:
-                c += (s - u) + t
-            else:
-                c += (t - u) + s
-            s = u
-            if row is None:  # exact termination: no tail
-                res = settle(n + 1, t_abs, 0.0, rho, s + c, tol, max_terms, tsum, 2.0)
-            else:
-                a, b, d, flip, lgk, err_n = row
-                dlg = a + lu - b
-                dlg -= d
-                rho_prev = rho
-                rho = exp(dlg)
-                res = settle(n + 1, t_abs, rho, rho_prev, s + c, tol, max_terms, tsum, 2.0)
-            if res is not None:  # R gains the exponent's error (see the docstring)
-                hi = log(tsum) if tsum else 0.0
-                e = (2.0 * abs(lead) + 5.0 * (abs(self.lgk0) + abs(lgk)) + err
-                     + n * ((hi if hi > -lo else -lo) + 3.0 * abs(lu)))
-                return tuple.__new__(SeriesResult, (*res[:4], res[4] + _UNIT * tsum * e))
-            err = err_n
-            big += dlg
-            if big < lo:
-                lo = big
-            if flip:
-                sgn = -sgn
-
-
 class _PlainTable:
     """pref S(c w^2), pref = w^nu / Gamma_k(s0), in doubles on the rows `row` builds (see the module
     docstring), term n off by grow n u, grow = 5 m + 6, m = 1 for an exp row (README, "Settings"),
@@ -264,7 +182,7 @@ class _PlainTable:
             self.gk0 = k_gamma(s0, k)
         except OverflowError:
             self.gk0 = math.inf
-        self.rows, self.prows, self.log, self.lrows, self.lk = [], [], None, [], math.log(k)
+        self.rows, self.prows, self.log, self.lrows, self.lk = [], [], [], [], math.log(k)
         # the give-up in `evaluate` starts where |row n| falls, past 1 - 2 gamma/k; short sums skip it
         self.n1 = max(8.0, 2.0 - 2.0 * gamma / k) if m else math.inf
 
@@ -348,11 +266,78 @@ class _PlainTable:
                     5.0 * (abs(self.lrows[0][0]) + abs(lgk)) + dsum)))
         except OverflowError:
             if not (m and signed):
-                if self.log is None:
-                    self.log = _LogTable(self.k, gamma, self.lambda1, self.s0, math.log(abs(c)), c < 0.0)
                 lw = math.log(w)
-                res = self.log.series(nu * lw, 2.0 * lw, tol, max_terms)
+                res = self.logsum(nu * lw, 2.0 * lw, tol, max_terms)
         return res if not m or res and res.rounding <= tol * abs(res.value) else self.dd(w, pref, tol, max_terms)
+
+    def logsum(self, lead: float, lu: float, tol: float, max_terms: int) -> SeriesResult:
+        """exp(lead) S(c u), lu = log|u|, on the log/sign rows in `log`, summed with Neumaier compensation
+        until `settle` ends it.  Builds row n here the first time any call reaches term n.  With
+        g = gamma + n k and L_n = log Gamma_k(lambda1 n + s0), row n is (a, b, d, flip, L_{n+1}, err) =
+        (ln|c| + log|g|, 2 log(n+1), L_{n+1} - L_n, (c < 0) != (g < 0), L_{n+1}, err), flip whether
+        the sign turns from term n to n+1 and err the running sum of 2 |a| + 2 b + |d| over rows 0 to n,
+        for the rounding bound; or None where g = 0 ends the series.  L_{n+1} is `log_k_gamma`'s formula
+        written out with k as a float and ln k from `lk`, its argument positive as lambda1 > 0 and s0 > 0
+        (both callers check them).  Raises OverflowError where L_0 is past double range, and where
+        L_{n+1} is inf, its argument past double range: a ratio exp(L_n - inf) = 0 would end the sum.
+
+        Term n is exp(big), big carried from term to term, so R (see `settle`) gains u tsum times big's
+        error at the last term n: 2 |lead| + 5 (|L_0| + |L|) for the lead and the ln Gamma_k ends (L the
+        last row's), row n-1's err (0.0 at n = 0) for the rows' inputs and steps, and
+        n (max |big| + 3 |lu|) for big's additions, max |big| <= max(-lo, ln tsum)."""
+        k = float(self.k)  # BesselParams may pass an int
+        gamma, lam, s0, lk, rows = self.gamma, self.lambda1, self.s0, self.lk, self.log
+        lc, neg = math.log(abs(self.c)), self.c < 0.0
+        exp, log, lgamma = math.exp, math.log, math.lgamma
+        built = len(rows)  # rows past these are built here, in order
+        lgk = lgk0 = log_k_gamma(s0, k)
+        big = lo = lead - lgk
+        sgn = 1
+        s = c = 0.0  # the Neumaier step of CompensatedSum.add, written out
+        rho = math.inf
+        tsum = err = 0.0  # err: row n-1's
+        for n in count():
+            t_abs = exp(big)
+            t = sgn * t_abs
+            if n < built:
+                row = rows[n]
+            else:
+                g = gamma + n * k
+                row = None
+                if g != 0.0:
+                    w = (lam * (n + 1) + s0) / k
+                    if (lgk_next := (w - 1.0) * lk + lgamma(w)) == math.inf:
+                        raise OverflowError("math range error")
+                    a, b, d = lc + log(abs(g)), 2.0 * log(n + 1.0), lgk_next - lgk
+                    row = (a, b, d, neg != (g < 0.0), lgk_next, err + 2.0 * (abs(a) + b) + abs(d))
+                rows[n:n + 1] = (row,)
+            u = s + t
+            tsum += t_abs
+            if abs(s) >= t_abs:
+                c += (s - u) + t
+            else:
+                c += (t - u) + s
+            s = u
+            if row is None:  # exact termination: no tail
+                res = settle(n + 1, t_abs, 0.0, rho, s + c, tol, max_terms, tsum, 2.0)
+            else:
+                a, b, d, flip, lgk, err_n = row
+                dlg = a + lu - b
+                dlg -= d
+                rho_prev = rho
+                rho = exp(dlg)
+                res = settle(n + 1, t_abs, rho, rho_prev, s + c, tol, max_terms, tsum, 2.0)
+            if res is not None:  # R gains the exponent's error (see the docstring)
+                hi = log(tsum) if tsum else 0.0
+                e = (2.0 * abs(lead) + 5.0 * (abs(lgk0) + abs(lgk)) + err
+                     + n * ((hi if hi > -lo else -lo) + 3.0 * abs(lu)))
+                return tuple.__new__(SeriesResult, (*res[:4], res[4] + _UNIT * tsum * e))
+            err = err_n
+            big += dlg
+            if big < lo:
+                lo = big
+            if flip:
+                sgn = -sgn
 
     def dd(self, w: float, pref: float, tol: float, max_terms: int) -> SeriesResult:
         """pref S(c w^2) on the double-double rows of a whole m, which sum a series that can
@@ -450,14 +435,14 @@ def eval_k_bessel_first(
     z, max_terms = check_series_args(z, tol, max_terms)
     if not is_positive(k):
         raise DomainError(f"k must be positive, got {k!r}")
-    for name, v in (("nu", nu), ("gamma", gamma), ("lam", lam)):
-        check_arg(v, name)
-    if not lam > 0:
+    fnu, fgamma, flam = check_arg(nu, "nu"), check_arg(gamma, "gamma"), check_arg(lam, "lam")
+    if not flam > 0:  # the messages show the values as given
         raise DomainError(f"lam must be positive, got {lam!r}")
-    if not nu + 1.0 > 0:
+    if not fnu + 1.0 > 0:
         raise DomainError(f"nu + 1 must be positive, got nu={nu!r}")
     w = abs(0.5 * z)
     if w == 0.0:
-        return SeriesResult(_lead(0.0, 0.0, nu + 1.0, k), 1, 0.0, True)
-    table = _LogTable(float(k), float(gamma), float(lam), nu + 1.0, 0.0, z > 0.0)
-    return table.series(0.0, math.log(w), tol, max_terms)
+        return SeriesResult(_lead(0.0, 0.0, fnu + 1.0, k), 1, 0.0, True)
+    # ln|c| = 0.0 and c < 0 where z > 0: S(-z/2) on the log rows
+    table = _PlainTable(float(k), fgamma, flam, -1.0 if z > 0.0 else 1.0, fnu + 1.0, 0)
+    return table.logsum(0.0, math.log(w), tol, max_terms)

@@ -12,8 +12,8 @@ Gamma_k(k) = 1, and the step-k rising product
 An integral-based oracle (direct quadrature of int_0^inf exp(-t^k/k) t^(z-1) dt)
 is kept alongside for cross-validation; production evaluation always goes
 through the classical-Gamma reduction above.  `wright.wright_terms_logsig`,
-`kbessel._LogTable` and the exp rows of `kbessel._PlainTable.row` write
-`log_k_gamma`'s formula out, ln k taken once; the tests
+the log rows of `kbessel._PlainTable.logsum` and the exp rows of
+`kbessel._PlainTable.row` write `log_k_gamma`'s formula out, ln k taken once; the tests
 `test_wright_terms_match_a_log_k_gamma_call_per_row` and
 `test_log_rows_match_a_log_k_gamma_call_per_row` compare each with it bit for bit.
 """

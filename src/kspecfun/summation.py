@@ -249,7 +249,7 @@ def settle(n: int, t_abs: float, rho: float, rho_prev: float, s: float, tol: flo
     grow j u from its recurrence.
     The 1 + |ln tsum| bounds, from tsum alone, the mean |ln |t_j|| u that a
     term reached through exp of its log carries (x ln(1/x) <= 1/e); the Bessel
-    log/sign table adds what its exponents gather (`_LogTable.series`).
+    log/sign rows add what their exponents gather (`kbessel._PlainTable.logsum`).
     """
     if not (a := abs(s)) <= _MAX:  # a is finite below: min(max(a, 1e-300), 1) needs no builtin
         raise OverflowError("math range error")

@@ -356,6 +356,10 @@ CONSOLE_PINS = {
     "eval gmkbessel z=50000.1 k=0.7533495573085514 nu=1.7040731115061964 gamma=1"
     " lambda1=1.8770842544690318 c=1.2053806720858349 b=1.8124746143650992": (
         2, "stderr", "kspecfun: math range error\n", None),
+    # lam (n+1) + nu + 1 overflows to inf at n = 1: ln Gamma_k of it is inf,
+    # which must not read as a ratio 0 that ends the series after 2 terms
+    "eval kbessel z=15.865152137197327 k=1e308 nu=0 gamma=1 lam=1e308": (
+        2, "stderr", "kspecfun: math range error\n", None),
     # a classical reference past double range is a failed side check, not
     # an aborted verify: the point reads inconclusive
     "verify corollary2 nu=171": (1, None, None, None),

@@ -1,9 +1,16 @@
-"""The package exports exactly the names its submodules list in __all__."""
+"""The package exports exactly the names its submodules list in __all__, and
+the private and module-qualified names its docstrings and comments cite exist."""
+
+import ast
+import io
+import re
+import tokenize
+from pathlib import Path
 
 import pytest
 
 import kspecfun
-from kspecfun import errors, identities, kbessel, kgamma, quadrature, summation, wright
+from kspecfun import cli, errors, identities, kbessel, kgamma, quadrature, summation, wright
 
 MODULES = (errors, identities, kbessel, kgamma, quadrature, summation, wright)
 
@@ -57,3 +64,43 @@ def test_star_import_binds_all():
     exec("from kspecfun import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(kspecfun.__all__)
+
+
+def _cited_names(path):
+    """The backticked private (a part starting with _) or dotted names in one
+    source file's docstrings and comments."""
+    src = path.read_text()
+    texts = [ast.get_docstring(node, clean=False) or "" for node in ast.walk(ast.parse(src))
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    texts += [tok.string for tok in tokenize.generate_tokens(io.StringIO(src).readline)
+              if tok.type == tokenize.COMMENT]
+    names = (m for text in texts for m in re.findall(r"`([A-Za-z_][\w.]*)`", text))
+    return [name for name in names if "." in name or re.search(r"(^|\.)_", name)]
+
+
+def _resolves(name):
+    """Whether name is an attribute path from a kspecfun module (its first part, or
+    any module for an unqualified path) or from a BesselParams instance."""
+    first, *rest = name.split(".")
+    modules = {m.__name__.rpartition(".")[2]: m for m in MODULES + (cli,)}
+    if first in modules and rest:
+        roots, path = [modules[first]], rest
+    else:
+        roots, path = [*modules.values(), kbessel.BesselParams(1, 0, 1, 1, -1, 1)], [first, *rest]
+    for obj in roots:
+        for part in path:
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("path", sorted(Path(kspecfun.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_cited_names_resolve(path):
+    assert [name for name in _cited_names(path) if not _resolves(name)] == []
+
+
+def test_cited_names_are_found():
+    cited = [name for path in Path(kspecfun.__file__).parent.glob("*.py") for name in _cited_names(path)]
+    assert len(cited) >= 29
+    assert {"_table", "_rhs_paper", "summation.settle", "kbessel._PlainTable.row"} <= set(cited)

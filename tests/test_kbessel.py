@@ -27,19 +27,19 @@ UNIT_J = BesselParams(k=1, nu=0, gamma=1, lambda1=1, c=-1, b=1)
 
 
 def _settle_calls(monkeypatch, evaluate, *args, max_terms):
-    """(|t|, ratio, partial sum) of each term of a log-table sum, as `settle`
+    """(|t|, ratio, partial sum) of each term of a log-row sum, as `settle`
     sees them.  Every term before the cap is answered None but the one whose
     row ends the series, so the sum runs to the cap or to its exact end."""
     seen, tables = [], []
-    real, table = kbessel.settle, kbessel._LogTable
+    real, table = kbessel.settle, kbessel._PlainTable
 
     def hook(n, t_abs, rho, rho_prev, s, tol, cap, *rest):
         seen.append((t_abs, rho, s))
-        if n >= cap or tables[-1].rows[n - 1] is None:
+        if n >= cap or tables[-1].log[n - 1] is None:
             return real(n, t_abs, rho, rho_prev, s, tol, cap, *rest)
         return None
 
-    monkeypatch.setattr(kbessel, "_LogTable", lambda *a: tables.append(table(*a)) or tables[-1])
+    monkeypatch.setattr(kbessel, "_PlainTable", lambda *a: tables.append(table(*a)) or tables[-1])
     monkeypatch.setattr(kbessel, "settle", hook)
     evaluate(*args, max_terms=max_terms)
     assert seen
@@ -524,15 +524,15 @@ def test_plain_sum_out_of_double_range_takes_the_log_rows(args, z, max_terms, ex
     # row leaves the normal range: at m = 16, c g = 1e300 (1 + 1e20) at n = 1,
     # where the row is 4e-23, and 1 / (16! 1e-400) at n = 0; at m = 1, c g =
     # 1e-320, a subnormal with 11 significant bits, on the way to the row 1e-295.
-    # Each call returns the parent's value, a log table's sum, whose bound meets tol
+    # Each call returns the parent's value, a log-row sum, whose bound meets tol
     p = BesselParams(*args)
     for _ in range(2):  # the second call reads the log rows the first one built
         r = eval_gmk_bessel(p, z, max_terms=max_terms)
         assert repr(r) == expected
     lw = math.log(0.5 * z)
-    assert r == kbessel._LogTable(float(p.k), p.gamma, p.lambda1, p.s0, math.log(p.c), False).series(
+    assert r == kbessel._PlainTable(p.k, p.gamma, p.lambda1, p.c, p.s0, p._table.m).logsum(
         p.nu * lw, 2.0 * lw, 1e-10, max_terms)
-    assert p._table.rows == [] and p._table.log.rows
+    assert p._table.rows == [] and p._table.log
     # the plain attempt stops where its value leaves the normal range (term 252 of
     # the inner sum that overflows), not at the cap
     assert len(p._table.prows) <= 252
@@ -931,6 +931,24 @@ def test_log_path_raises_where_finite_terms_sum_past_double_range():
     assert len(p._table.rows) < 200
 
 
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_log_rows_raise_where_a_gamma_k_argument_overflows(c, monkeypatch):
+    # lambda1 (n+1) + s0 is inf at n = 1, so ln Gamma_k of it is inf and the ratio
+    # exp(L_1 - inf) is 0.0: read as the end of the series, it gave +-2.435e15
+    # (converged) where the sum is about +-1.1e511, and -6.93 for the first kind,
+    # whose sum is 0.0379.  Row 0 stays; the row past it raises
+    p = BesselParams(1e308, 0, 1, 0.95e308, c, 1)
+    with pytest.raises(OverflowError, match="math range error"):
+        eval_gmk_bessel(p, 2.0)
+    assert len(p._table.log) == 1
+    tables = []
+    table = kbessel._PlainTable
+    monkeypatch.setattr(kbessel, "_PlainTable", lambda *a: tables.append(table(*a)) or tables[-1])
+    with pytest.raises(OverflowError, match="math range error"):
+        eval_k_bessel_first(1e308, 0.0, 1.0, 1e308, 15.865152137197327 * c)
+    assert len(tables) == 1 and len(tables[0].log) == 1
+
+
 def test_dd_exact_end_keeps_a_finite_sum_past_an_overflowing_term():
     # gamma = -k ends the series after two terms; the scaled second term
     # (2.4e308) overflows but the sum, prefactor times 1 - 700/347, does not
@@ -1083,17 +1101,18 @@ def test_dd_path_matches_its_reference_loop_bit_for_bit(k, nu, gamma, c, b, z, m
 
 
 def _log_rows_by_log_k_gamma(tab, count):
-    """The first count rows of a `_LogTable`, up to the None that ends its series,
+    """The first count log/sign rows of a `_PlainTable`, up to the None that ends its series,
     each L_{n+1} from one checked `log_k_gamma` call and err summed over the rows."""
-    rows, lgk, err = [], tab.lgk0, 0.0
+    k, lc, neg = float(tab.k), math.log(abs(tab.c)), tab.c < 0.0
+    rows, lgk, err = [], log_k_gamma(tab.s0, k), 0.0
     for n in range(count):
-        g = tab.gamma + n * tab.k
+        g = tab.gamma + n * k
         if g == 0.0:
             return rows + [None]
-        lgk_next = log_k_gamma(tab.lam * (n + 1) + tab.s0, tab.k)
-        a, b, d = tab.lc + math.log(abs(g)), 2.0 * math.log(n + 1.0), lgk_next - lgk
+        lgk_next = log_k_gamma(tab.lambda1 * (n + 1) + tab.s0, k)
+        a, b, d = lc + math.log(abs(g)), 2.0 * math.log(n + 1.0), lgk_next - lgk
         err = err + 2.0 * (abs(a) + b) + abs(d)  # left to right, as the rows add
-        rows.append((a, b, d, tab.neg != (g < 0.0), lgk_next, err))
+        rows.append((a, b, d, neg != (g < 0.0), lgk_next, err))
         lgk = lgk_next
     return rows
 
@@ -1123,17 +1142,17 @@ def test_log_rows_match_a_log_k_gamma_call_per_row(k, lambda1, nu, gamma, c, b, 
     if isinstance(gamma, int):
         gamma = -gamma * k
     p = BesselParams(k, nu, gamma, lambda1, c, b)
-    tab = kbessel._LogTable(k, gamma, lambda1, p.s0, math.log(abs(c)), c < 0.0)
+    tab = kbessel._PlainTable(k, gamma, lambda1, c, p.s0, 0)
     real = kbessel.settle
 
     def settle_at_the_cap(n, *args):  # every term before the cap is answered None but the last one
-        return real(n, *args) if n >= terms or tab.rows[n - 1] is None else None
+        return real(n, *args) if n >= terms or tab.log[n - 1] is None else None
 
     lw = math.log(0.5 * z)
     with mock.patch.object(kbessel, "settle", settle_at_the_cap):  # z <= 4 keeps these sums finite
-        tab.series(nu * lw, 2.0 * lw, 1e-10, terms)
-    assert len(tab.rows) == terms or tab.rows[-1] is None
-    assert repr(tab.rows) == repr(_log_rows_by_log_k_gamma(tab, terms))
+        tab.logsum(nu * lw, 2.0 * lw, 1e-10, terms)
+    assert len(tab.log) == terms or tab.log[-1] is None
+    assert repr(tab.log) == repr(_log_rows_by_log_k_gamma(tab, terms))
     plain = p._table
     if not plain.m:
         try:
